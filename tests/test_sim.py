@@ -1,15 +1,19 @@
 """End-to-end simulator checks: accounting, partition protocol, determinism."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fedklms.config import parse_experiment_config
+from fedklms.config import load_config_file, parse_experiment_config
 from fedklms.sim import (
     CSV_HEADER,
     init_state,
     run_experiment,
     run_round,
     write_metrics_csv,
+    write_summary_json,
 )
 from fedklms.data import split_iid
 from fedklms.models import build_model
@@ -236,3 +240,54 @@ class TestConvergenceSmoke:
         )
         rows, summary = run_experiment(cfg)
         assert summary["best_accuracy"] >= 0.9
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+# SHA-256 of the metrics CSV and the summary JSON after the first 4 rounds of
+# each shipped config (and of the variants the benchmark runs).  Four rounds
+# cover the initial location round, ordinary rounds and, for the codec
+# variants, a location round the KL band re-triggers.  Any change to a stream
+# label, a bit price or the operation order of a server update shows here.
+PINNED_OUTPUTS = {
+    "fedpm_separable": ("fedpm_separable", {},
+        "ff1484859d7461b7cda34697a12237ba31038bb04b0d4478ddc461014d95d4a8",
+        "4311235ef0bf0d8cc98bd01443308fce51cafd36e872d552c31f886fd43a6527"),
+    "fedpm_separable_baseline": ("fedpm_separable_baseline", {},
+        "737412e9fa061a8148c55476315c5f622de12dcaa7e49857b642f97f0ab1de4f",
+        "304d46ae231dff58c0257194b9bab79a48dc61d7e48ef1c12846d813e192fa94"),
+    "qsgd_separable": ("qsgd_separable", {},
+        "289961f6c61555f665f081ebb98102b312e6efcd6ce5e2de6a2c8e7db8511080",
+        "cf586271bce20d715f719d00d00088abaaef2010ed29f283a22250c3adc4b75f"),
+    "signsgd_separable": ("signsgd_separable", {},
+        "13b5c789334380b4312c0f0cca30eeb5dd72854d5470e51073a3ac8928f9eb9f",
+        "4c27331444cea1e4845693abe4783923b059adba487feedd665a3480ee547dcb"),
+    "sgld_separable": ("sgld_separable", {},
+        "fac539b3725c07d3f3f40b7c5f4eddca7edaa74635f441bd2d6f90a0fc6fcb9a",
+        "7451431e4bd5516a8d41284d53f176fc9eccac6962084c64a107762e2888eac5"),
+    "qsgd_baseline": ("qsgd_separable", {"variant": "baseline"},
+        "7f87a37ed44f2d205c8f1875d973b7fbac99de0fe677b79d6f2e3f7c25cf22d4",
+        "45054f1d8c9fa165d2b21917ad438412787933aca57242beb7d72dcf9d6ab8a1"),
+    "signsgd_baseline": ("signsgd_separable", {"variant": "baseline"},
+        "d5ab166eaf523d473b8c42dd444bcdc450065913d51bef782c83a6d461fbc73f",
+        "2a90ea65290d252be057e1e283ff1b61364d3318a61ee5a682b2010f1271c43e"),
+    "sgld_baseline": ("sgld_separable", {"variant": "baseline"},
+        "c9ed84baa191a7977127913436e6297af948e7e4c6dbca7cba3ecb02ca5224ae",
+        "63011b5462d760e22ff1868e513e21401c55c03d4600ab79e200389695fab7fa"),
+    "none": ("qsgd_separable", {"method": "none"},
+        "461ebee6bb82c79e02492f9363e7b8c55b38acf809977585574e308c8bd2bcfe",
+        "bacbb375400d2a35f04440dc22c5c2e1e162e989ef22c6fac6bc4e07e44e3d4a"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_OUTPUTS))
+def test_outputs_pinned(case, tmp_path):
+    name, overrides, csv_sha, json_sha = PINNED_OUTPUTS[case]
+    obj = load_config_file(str(CONFIG_DIR / f"{name}.json"))
+    obj.update(overrides, rounds=4)
+    rows, summary = run_experiment(parse_experiment_config(obj))
+    csv_path, json_path = tmp_path / "metrics.csv", tmp_path / "summary.json"
+    write_metrics_csv(rows, str(csv_path))
+    write_summary_json(summary, str(json_path))
+    digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+    assert (digest(csv_path), digest(json_path)) == (csv_sha, json_sha)
