@@ -5,91 +5,36 @@ distribution p by sending only the index of one of K shared-seed candidates,
 so the bitrate tracks KL(q || p) instead of the raw parameter width.  The
 package bundles the block codec, the product distributions it runs on, a
 deterministic federated simulator with four integration methods, and a scalar
-toy study.
+toy study.  The root exports the entry points; everything else is imported
+from its module (``fedklms.codec``, ``fedklms.distributions``, ...).
 """
 
 from .codec import (
-    BitCost,
-    BlockPartition,
     CodecParams,
-    EncodedUpdate,
-    WireFormatError,
-    aggregate_block_locations,
-    bit_cost,
-    decode_block,
     decode_update,
     deserialize_update,
-    encode_block,
     encode_update,
-    samples_per_block,
     serialize_update,
-    should_update_partition,
-    split_blocks_adaptive,
-    split_blocks_fixed,
 )
 from .config import (
     ConfigError,
-    ExperimentConfig,
-    ToyConfig,
     load_config_file,
     parse_experiment_config,
     parse_toy_config,
 )
-from .distributions import (
-    AbsoluteContinuityError,
-    BernoulliVector,
-    BinarySign,
-    DiagonalGaussian,
-    TernaryPattern,
-    UniformSign,
-    kl_block,
-    kl_per_coordinate,
-)
-from .sim import RoundMetrics, run_experiment, write_metrics_csv, write_summary_json
-from .streams import SampleStream, StreamKey, derive_stream
-from .toy import ToyCell, run_toy, write_toy_csv, write_toy_summary
+from .sim import run_experiment
+from .toy import run_toy
 
 __all__ = [
-    "AbsoluteContinuityError",
-    "BernoulliVector",
-    "BinarySign",
-    "BitCost",
-    "BlockPartition",
     "CodecParams",
     "ConfigError",
-    "DiagonalGaussian",
-    "EncodedUpdate",
-    "ExperimentConfig",
-    "RoundMetrics",
-    "SampleStream",
-    "StreamKey",
-    "TernaryPattern",
-    "ToyCell",
-    "ToyConfig",
-    "UniformSign",
-    "WireFormatError",
-    "aggregate_block_locations",
-    "bit_cost",
-    "decode_block",
     "decode_update",
-    "derive_stream",
     "deserialize_update",
-    "encode_block",
     "encode_update",
-    "kl_block",
-    "kl_per_coordinate",
     "load_config_file",
     "parse_experiment_config",
     "parse_toy_config",
     "run_experiment",
     "run_toy",
-    "samples_per_block",
     "serialize_update",
-    "should_update_partition",
-    "split_blocks_adaptive",
-    "split_blocks_fixed",
-    "write_metrics_csv",
-    "write_summary_json",
-    "write_toy_csv",
-    "write_toy_summary",
 ]

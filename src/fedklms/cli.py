@@ -57,19 +57,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str) -> dict:
-    if not Path(path).exists():
-        raise ConfigError(f"config file not found: {path}")
-    return load_config_file(path)
-
-
 def _sibling_json(csv_path: str) -> str:
     p = Path(csv_path)
     return str(p.with_name(p.stem + ".summary.json"))
 
 
 def _cmd_train(args) -> int:
-    obj = _load(args.config)
+    obj = load_config_file(args.config)
     if args.seed is not None:
         obj["seed"] = args.seed
     cfg = parse_experiment_config(obj)
@@ -89,7 +83,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_toy(args) -> int:
-    obj = _load(args.config) if args.config else {}
+    obj = load_config_file(args.config) if args.config else {}
     if args.seed is not None:
         obj["seed"] = args.seed
     cfg = parse_toy_config(obj)
@@ -138,7 +132,7 @@ def _cmd_codec_bench(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    obj = _load(args.config)
+    obj = load_config_file(args.config)
     if "method" in obj:
         parse_experiment_config(obj)
     else:

@@ -8,6 +8,7 @@ is documented in config.schema.json next to this module.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,6 +20,7 @@ VARIANTS = ("klms", "baseline")
 DATASET_KINDS = ("separable", "blobs", "csv", "idx")
 SPLIT_MODES = ("iid", "skewed")
 MODEL_KINDS = ("logistic", "mlp")
+SEED_MAX = 2**64 - 1  # stream keys hold the root seed in 64 bits
 
 
 class ConfigError(ValueError):
@@ -120,11 +122,19 @@ class _Checker:
         if not isinstance(obj, (int, float)) or isinstance(obj, bool):
             self.fail(path, f"must be a number, got {obj!r}")
             return None
-        v = float(obj)
-        if lo is not None and (v <= lo if strict_lo else v < lo):
+        try:
+            v = float(obj)
+        except OverflowError:  # an integer literal beyond float range
+            v = math.inf
+        if not math.isfinite(v):
+            # json.loads accepts NaN, Infinity and integers of any size
+            self.fail(path, "must be a finite number within float range")
+            return None
+        # bounds compare obj, not v: exact for integers beyond 2^53
+        if lo is not None and (obj <= lo if strict_lo else obj < lo):
             self.fail(path, f"must be {'>' if strict_lo else '>='} {lo}, got {obj}")
             return None
-        if hi is not None and v > hi:
+        if hi is not None and obj > hi:
             self.fail(path, f"must be <= {hi}, got {obj}")
             return None
         return int(obj) if integer else v
@@ -164,7 +174,7 @@ def _parse_dataset(obj: dict, chk: _Checker) -> DatasetConfig:
                 setattr(out, name, v)
     for name in ("margin", "spread"):
         if name in obj:
-            v = chk.number(obj[name], f"dataset.{name}", lo=0.0)
+            v = chk.number(obj[name], f"dataset.{name}", lo=0.0, strict_lo=True)
             if v is not None:
                 setattr(out, name, v)
     if out.kind == "csv":
@@ -202,7 +212,7 @@ def _parse_codec(obj: dict, chk: _Checker) -> CodecParams | None:
     kl_min = target / 2.0 if kl_min is None else chk.number(
         kl_min, "codec.kl_min_threshold", lo=0.0)
     kl_max = target * 2.0 if kl_max is None else chk.number(
-        kl_max, "codec.kl_max_threshold", lo=0.0)
+        kl_max, "codec.kl_max_threshold", lo=0.0, strict_lo=True)
     if kl_min is None or kl_max is None:
         return None
     try:
@@ -230,12 +240,11 @@ def _parse_method_block(obj: dict, name: str, cls, chk: _Checker):
             v = value if isinstance(value, bool) else chk.fail(path, "must be a boolean")
         elif key == "noise_sigma":
             v = None if value is None else chk.number(value, path, lo=0.0, strict_lo=True)
-        elif isinstance(default, bool):
-            v = value if isinstance(value, bool) else chk.fail(path, "must be a boolean")
         elif isinstance(default, int):
-            v = chk.number(value, path, lo=0, integer=True)
+            lo = 0 if key == "reset_every" else 1  # reset_every 0: never reset
+            v = chk.number(value, path, lo=lo, integer=True)
         else:
-            v = chk.number(value, path, lo=0.0)
+            v = chk.number(value, path, lo=0.0, strict_lo=True)
         if v is not None or key == "noise_sigma":
             kwargs[key] = v
     try:
@@ -261,10 +270,10 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
     v = chk.choice(obj.get("variant", cfg.variant), "variant", VARIANTS)
     if v:
         cfg.variant = v
-    for name, lo in (("seed", 0), ("rounds", 1), ("num_clients", 1),
-                     ("clients_per_round", 1)):
+    for name, lo, hi in (("seed", 0, SEED_MAX), ("rounds", 1, None),
+                         ("num_clients", 1, None), ("clients_per_round", 1, None)):
         if name in obj:
-            val = chk.number(obj[name], name, lo=lo, integer=True)
+            val = chk.number(obj[name], name, lo=lo, hi=hi, integer=True)
             if val is not None:
                 setattr(cfg, name, val)
     if cfg.clients_per_round > cfg.num_clients:
@@ -358,9 +367,9 @@ def parse_toy_config(obj: dict) -> ToyConfig:
                 vals.append(v)
         if len(vals) == len(raw):
             setattr(cfg, name, tuple(vals))
-    for name, lo in (("runs", 1), ("seed", 0)):
+    for name, lo, hi in (("runs", 1, None), ("seed", 0, SEED_MAX)):
         if name in obj:
-            v = chk.number(obj[name], name, lo=lo, integer=True)
+            v = chk.number(obj[name], name, lo=lo, hi=hi, integer=True)
             if v is not None:
                 setattr(cfg, name, v)
     out_obj = obj.get("output", {})

@@ -29,7 +29,6 @@ from .distributions import (
     BinarySign,
     DiagonalGaussian,
     TernaryPattern,
-    UniformSign,
 )
 from .streams import SampleStream
 
@@ -296,10 +295,6 @@ def signsgd_client_distribution(v: np.ndarray, temperature: float) -> BinarySign
         raise ValueError(f"temperature must be positive: {temperature}")
     v = np.asarray(v, dtype=np.float64)
     return BinarySign(sigmoid(v / temperature))
-
-
-def signsgd_global_distribution(dim: int) -> UniformSign:
-    return UniformSign(dim)
 
 
 # --- federated SGLD ---------------------------------------------------------

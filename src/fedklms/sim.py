@@ -11,6 +11,13 @@ decode, aggregate, evaluate.  Bits are accounted per client message and
 averaged into bits per parameter (payload = the index/sign/level content;
 total additionally counts codec header and block-location overhead).
 
+Every method-specific step lives in one table, _METHODS, with one _Method
+entry per method: its local training, its native (baseline) message and bit
+price, its codec pair (q, p) with the map from a decoded sample to the
+aggregated vector and any side bits, and its server fold.  _client_message
+holds the single codec round trip and _aggregate the partition bookkeeping
+shared by every method.
+
 Block-partition lifecycle for codec variants: the first round is always a
 location round (every client cuts its own blocks from its per-coordinate KL
 and ships the cut points); the server merges them into the shared partition
@@ -26,7 +33,8 @@ as 0.0 rather than computed out of band.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +60,7 @@ from .data import (
     split_iid,
     split_skewed,
 )
-from .distributions import kl_per_coordinate
+from .distributions import UniformSign, kl_per_coordinate
 from .methods import (
     FedPMState,
     bayes_agg,
@@ -67,7 +75,6 @@ from .methods import (
     sgld_client_distributions,
     sgld_server_step,
     signsgd_client_distribution,
-    signsgd_global_distribution,
     signsgd_temperature,
 )
 from .models import build_model, evaluate_accuracy
@@ -166,25 +173,122 @@ class _Message:
     partition: BlockPartition | None = None
 
 
-def _codec_round_trip(q, p, state, cfg, key_base, round_index, client_id, kl_vec):
-    """Encode with the round's partition policy, serialize, parse, decode."""
-    codec = cfg.codec
-    if state.location_round:
-        partition = split_blocks_adaptive(kl_vec, codec)
-    else:
-        partition = state.partition
-    upd, cost = encode_update(
-        q, p, partition, codec, key_base,
-        round_index=round_index, client_id=client_id,
-        include_locations=state.location_round,
-    )
-    blob = serialize_update(upd, codec)
-    if len(blob) != (cost.total_bits + 7) // 8:
-        raise AssertionError("wire length disagrees with bit accounting")
-    received = deserialize_update(blob, codec)
-    decoded = decode_update(p, None if state.location_round else partition,
-                           codec, key_base, received)
-    return decoded, received, cost, partition
+def _local_delta(state, model, X, y, params, stream):
+    """Weight change of plain local SGD from the global weights."""
+    w_local = _local_sgd(model, state.weights, X, y, params.local_lr,
+                         params.local_epochs, params.batch_size, stream)
+    return w_local - state.weights
+
+
+def _signsgd_local(state, cfg, model, X, y, stream):
+    delta = _local_delta(state, model, X, y, cfg.signsgd, stream)
+    n = X.shape[0]
+    iters = cfg.signsgd.local_epochs * max(1, -(-n // min(cfg.signsgd.batch_size, n)))
+    temperature = signsgd_temperature(delta, cfg.signsgd, iters)
+    return signsgd_client_distribution(delta, temperature)
+
+
+def _quantized(v, cfg, client_key, dim):
+    """The classic QSGD message: stochastic levels priced by Elias gamma."""
+    quant = qsgd_quantize(v, cfg.qsgd.levels, derive_stream(client_key.child("quant")))
+    levels = quantization_levels(quant, float(np.linalg.norm(v)), cfg.qsgd.levels)
+    return quant, elias_gamma_bits(levels)
+
+
+def _qsgd_fold(state, cfg, vectors, coded, round_key, dim):
+    mean_delta = np.mean(vectors, axis=0)
+    patterns = [np.sign(v) for v in vectors] if coded else state.qsgd_patterns
+    return replace(state, weights=state.weights + cfg.qsgd.server_lr * mean_delta,
+                   qsgd_patterns=patterns)
+
+
+def _sgld_fold(state, cfg, vectors, coded, round_key, dim):
+    weights = sgld_server_step(state.weights, vectors, cfg.sgld)
+    if not coded and cfg.sgld.noise_enabled:
+        # baseline messages carry no noise, so the server injects it
+        noise = derive_stream(round_key.child("servernoise")).gaussians(dim)
+        weights = weights + np.sqrt(2.0 * cfg.sgld.step_gamma) * noise
+    return replace(state, weights=weights)
+
+
+@dataclass(frozen=True)
+class _Method:
+    """How one method trains, prices its native message, pairs and folds.
+
+    local(state, cfg, model, X, y, stream) -> the client's local result
+    baseline(local, cfg, client_key, dim) -> (vector, bits) of the native message
+    pair(local, state, cfg, dim) -> codec (q, p); None: the method has no codec
+    fold(state, cfg, vectors, coded, round_key, dim) -> state after the update
+    to_vector(q, sample) maps a decoded sample to the aggregated vector, and
+    side_bits rides next to the codec payload.
+    """
+
+    local: Callable
+    baseline: Callable
+    pair: Callable | None
+    fold: Callable
+    to_vector: Callable = lambda q, sample: sample
+    side_bits: int = 0
+
+
+# Entries reach the training, codec and aggregation functions through the
+# module globals at call time, never through a stored reference, so a wrapper
+# installed on the module (tracing) sees every call.
+_METHODS = {
+    "none": _Method(
+        local=lambda state, cfg, model, X, y, stream: _local_delta(
+            state, model, X, y, cfg.qsgd, stream),
+        baseline=lambda delta, cfg, client_key, dim: (delta, 32 * dim),
+        pair=None,
+        fold=lambda state, cfg, vectors, coded, round_key, dim: replace(
+            state, weights=state.weights + np.mean(vectors, axis=0)),
+    ),
+    "fedpm": _Method(
+        local=lambda state, cfg, model, X, y, stream: fedpm_client_train(
+            state.fedpm.probs, state.weights, model, X, y, cfg.fedpm, stream),
+        baseline=lambda probs, cfg, client_key, dim: (
+            fedpm_sample_mask(probs, derive_stream(client_key.child("mask"))), dim),
+        pair=lambda probs, state, cfg, dim: fedpm_codec_pair(probs, state.fedpm.probs),
+        fold=lambda state, cfg, vectors, coded, round_key, dim: replace(
+            state, fedpm=bayes_agg(vectors, state.fedpm, cfg.fedpm, state.round_index)),
+    ),
+    "qsgd": _Method(
+        local=lambda state, cfg, model, X, y, stream: _local_delta(
+            state, model, X, y, cfg.qsgd, stream),
+        baseline=_quantized,
+        pair=lambda delta, state, cfg, dim: (
+            qsgd_client_distribution(delta),
+            qsgd_klms_global(state.qsgd_patterns, dim=dim),
+        ),
+        fold=_qsgd_fold,
+        # the pattern is sent by the codec, its scale as one float
+        to_vector=lambda q, pattern: q.magnitude * pattern,
+        side_bits=NORM_BITS,
+    ),
+    "signsgd": _Method(
+        local=_signsgd_local,
+        baseline=lambda q, cfg, client_key, dim: (
+            q.sample(0, dim, derive_stream(client_key.child("sign")), count=1)[0], dim),
+        pair=lambda q, state, cfg, dim: (q, UniformSign(dim)),
+        fold=lambda state, cfg, vectors, coded, round_key, dim: replace(
+            state,
+            weights=state.weights + cfg.signsgd.server_lr * np.mean(vectors, axis=0),
+        ),
+    ),
+    "sgld": _Method(
+        local=lambda state, cfg, model, X, y, stream: _stochastic_gradient(
+            model, state.weights, X, y, cfg.sgld.batch_size, stream),
+        baseline=_quantized,
+        pair=lambda grad, state, cfg, dim: sgld_client_distributions(
+            grad, cfg.sgld.sigma_s(cfg.clients_per_round)),
+        fold=_sgld_fold,
+    ),
+}
+
+
+def _uses_codec(cfg: ExperimentConfig) -> bool:
+    """klms variants send through the codec, unless the method has no pair."""
+    return cfg.variant == "klms" and _METHODS[cfg.method].pair is not None
 
 
 def run_round(
@@ -201,7 +305,7 @@ def run_round(
     order = derive_stream(round_key.child("select")).permutation(cfg.num_clients)
     participants = sorted(int(c) for c in order[: cfg.clients_per_round])
 
-    dim = state.fedpm.probs.shape[0] if cfg.method == "fedpm" else state.weights.shape[0]
+    dim = model.dim
     messages: list[_Message] = []
     for c in participants:
         shard = shards[c]
@@ -212,11 +316,12 @@ def run_round(
             _client_message(state, cfg, model, X, y, client_key, local_stream, t, c, dim)
         )
 
-    new_state = _aggregate(state, cfg, model, messages, participants, round_key, dim)
+    new_state = _aggregate(state, cfg, messages, round_key, dim)
 
     payload = float(np.mean([m.payload_bits for m in messages]))
     total = float(np.mean([m.total_bits for m in messages]))
-    if cfg.variant == "klms" and cfg.method != "none":
+    coded = _uses_codec(cfg)
+    if coded:
         mean_kl = float(
             np.mean([m.avg_block_kl * m.num_blocks / dim for m in messages])
         )
@@ -236,193 +341,83 @@ def run_round(
         bpp_total=total / dim,
         accuracy=accuracy,
         mean_kl_per_param=mean_kl,
-        partition_updated=state.location_round and cfg.variant == "klms"
-        and cfg.method != "none",
+        partition_updated=state.location_round and coded,
     )
-    new_state.bits_sent_total = state.bits_sent_total + int(
-        sum(m.total_bits for m in messages)
-    )
-    new_state.bits_sent_payload = state.bits_sent_payload + int(
-        sum(m.payload_bits for m in messages)
-    )
-    new_state.round_index = t + 1
-    return new_state, metrics
+    return replace(
+        new_state,
+        round_index=t + 1,
+        bits_sent_total=state.bits_sent_total + int(sum(m.total_bits for m in messages)),
+        bits_sent_payload=state.bits_sent_payload + int(
+            sum(m.payload_bits for m in messages)
+        ),
+    ), metrics
 
 
 def _client_message(state, cfg, model, X, y, client_key, local_stream, t, c, dim):
-    method, variant = cfg.method, cfg.variant
+    """Local training, then the native message or one codec round trip:
+    encode with the round's partition policy, serialize, parse, decode."""
+    method = _METHODS[cfg.method]
+    local = method.local(state, cfg, model, X, y, local_stream)
+    if not _uses_codec(cfg):
+        vector, bits = method.baseline(local, cfg, client_key, dim)
+        return _Message(vector=vector, payload_bits=bits, total_bits=bits)
 
-    if method == "none":
-        w_local = _local_sgd(model, state.weights, X, y, cfg.qsgd.local_lr,
-                             cfg.qsgd.local_epochs, cfg.qsgd.batch_size, local_stream)
-        delta = w_local - state.weights
-        return _Message(vector=delta, payload_bits=32 * dim, total_bits=32 * dim)
-
-    if method == "fedpm":
-        probs = fedpm_client_train(
-            state.fedpm.probs, state.weights, model, X, y, cfg.fedpm, local_stream
-        )
-        if variant == "baseline":
-            mask = fedpm_sample_mask(probs, derive_stream(client_key.child("mask")))
-            return _Message(vector=mask, payload_bits=dim, total_bits=dim)
-        q, p = fedpm_codec_pair(probs, state.fedpm.probs)
-        kl_vec = kl_per_coordinate(q, p)
-        decoded, received, cost, partition = _codec_round_trip(
-            q, p, state, cfg, client_key, t, c, kl_vec
-        )
-        return _Message(
-            vector=decoded,
-            payload_bits=cost.payload_bits,
-            total_bits=cost.total_bits,
-            avg_block_kl=received.avg_block_kl,
-            num_blocks=received.num_blocks,
-            partition=partition,
-        )
-
-    if method == "qsgd":
-        w_local = _local_sgd(model, state.weights, X, y, cfg.qsgd.local_lr,
-                             cfg.qsgd.local_epochs, cfg.qsgd.batch_size, local_stream)
-        delta = w_local - state.weights
-        if variant == "baseline":
-            quant = qsgd_quantize(delta, cfg.qsgd.levels,
-                                  derive_stream(client_key.child("quant")))
-            norm = float(np.linalg.norm(delta))
-            levels = quantization_levels(quant, norm, cfg.qsgd.levels)
-            bits = elias_gamma_bits(levels)
-            return _Message(vector=quant, payload_bits=bits, total_bits=bits)
-        q = qsgd_client_distribution(delta)
-        p = qsgd_klms_global(state.qsgd_patterns, dim=dim)
-        kl_vec = kl_per_coordinate(q, p)
-        pattern, received, cost, partition = _codec_round_trip(
-            q, p, state, cfg, client_key, t, c, kl_vec
-        )
-        return _Message(
-            vector=q.magnitude * pattern,
-            payload_bits=cost.payload_bits + NORM_BITS,
-            total_bits=cost.total_bits + NORM_BITS,
-            avg_block_kl=received.avg_block_kl,
-            num_blocks=received.num_blocks,
-            partition=partition,
-        )
-
-    if method == "signsgd":
-        w_local = _local_sgd(model, state.weights, X, y, cfg.signsgd.local_lr,
-                             cfg.signsgd.local_epochs, cfg.signsgd.batch_size,
-                             local_stream)
-        delta = w_local - state.weights
-        n = X.shape[0]
-        iters = cfg.signsgd.local_epochs * max(
-            1, -(-n // min(cfg.signsgd.batch_size, n))
-        )
-        temp = signsgd_temperature(delta, cfg.signsgd, iters)
-        q = signsgd_client_distribution(delta, temp)
-        if variant == "baseline":
-            signs = q.sample(0, dim, derive_stream(client_key.child("sign")), count=1)[0]
-            return _Message(vector=signs, payload_bits=dim, total_bits=dim)
-        p = signsgd_global_distribution(dim)
-        kl_vec = kl_per_coordinate(q, p)
-        signs, received, cost, partition = _codec_round_trip(
-            q, p, state, cfg, client_key, t, c, kl_vec
-        )
-        return _Message(
-            vector=signs,
-            payload_bits=cost.payload_bits,
-            total_bits=cost.total_bits,
-            avg_block_kl=received.avg_block_kl,
-            num_blocks=received.num_blocks,
-            partition=partition,
-        )
-
-    if method == "sgld":
-        grad = _stochastic_gradient(model, state.weights, X, y,
-                                    cfg.sgld.batch_size, local_stream)
-        sigma = cfg.sgld.sigma_s(cfg.clients_per_round)
-        if variant == "baseline":
-            quant = qsgd_quantize(grad, cfg.qsgd.levels,
-                                  derive_stream(client_key.child("quant")))
-            norm = float(np.linalg.norm(grad))
-            levels = quantization_levels(quant, norm, cfg.qsgd.levels)
-            bits = elias_gamma_bits(levels)
-            return _Message(vector=quant, payload_bits=bits, total_bits=bits)
-        q, p = sgld_client_distributions(grad, sigma)
-        kl_vec = kl_per_coordinate(q, p)
-        decoded, received, cost, partition = _codec_round_trip(
-            q, p, state, cfg, client_key, t, c, kl_vec
-        )
-        return _Message(
-            vector=decoded,
-            payload_bits=cost.payload_bits,
-            total_bits=cost.total_bits,
-            avg_block_kl=received.avg_block_kl,
-            num_blocks=received.num_blocks,
-            partition=partition,
-        )
-
-    raise ValueError(f"unknown method: {method}")
-
-
-def _aggregate(state, cfg, model, messages, participants, round_key, dim):
-    method, variant = cfg.method, cfg.variant
-    new_partition = state.partition
-    next_location_round = False
-    if variant == "klms" and method != "none":
-        if state.location_round:
-            new_partition = aggregate_block_locations(
-                [m.partition for m in messages], cfg.codec.max_block_size
-            )
-            next_location_round = False
-        else:
-            mean_avg_kl = float(np.mean([m.avg_block_kl for m in messages]))
-            next_location_round = should_update_partition(mean_avg_kl, cfg.codec)
-
-    fedpm_state = state.fedpm
-    weights = state.weights
-    qsgd_patterns = state.qsgd_patterns
-
-    if method == "fedpm":
-        masks = [m.vector for m in messages]
-        fedpm_state = bayes_agg(masks, state.fedpm, cfg.fedpm, state.round_index)
-    elif method == "sgld":
-        decoded = [m.vector for m in messages]
-        weights = sgld_server_step(weights, decoded, cfg.sgld)
-        if variant == "baseline" and cfg.sgld.noise_enabled:
-            noise = derive_stream(round_key.child("servernoise")).gaussians(dim)
-            weights = weights + np.sqrt(2.0 * cfg.sgld.step_gamma) * noise
-    elif method == "qsgd":
-        mean_delta = np.mean([m.vector for m in messages], axis=0)
-        weights = weights + cfg.qsgd.server_lr * mean_delta
-        if variant == "klms":
-            qsgd_patterns = [np.sign(m.vector) for m in messages]
-    elif method == "signsgd":
-        mean_sign = np.mean([m.vector for m in messages], axis=0)
-        weights = weights + cfg.signsgd.server_lr * mean_sign
-    elif method == "none":
-        mean_delta = np.mean([m.vector for m in messages], axis=0)
-        weights = weights + mean_delta
-
-    return ServerState(
-        round_index=state.round_index,
-        weights=weights,
-        fedpm=fedpm_state,
-        partition=new_partition,
-        location_round=next_location_round,
-        qsgd_patterns=qsgd_patterns,
-        bits_sent_total=state.bits_sent_total,
-        bits_sent_payload=state.bits_sent_payload,
+    codec = cfg.codec
+    q, p = method.pair(local, state, cfg, dim)
+    # Only location rounds need kl_vec, but it is computed every round:
+    # skipping it shifts the heap layout so that, in some checkout
+    # directories, fedpm_mlp's peak RSS grows by one 256 x 2210 float64
+    # candidate matrix.
+    kl_vec = kl_per_coordinate(q, p)
+    if state.location_round:
+        partition = split_blocks_adaptive(kl_vec, codec)
+    else:
+        partition = state.partition
+    upd, cost = encode_update(
+        q, p, partition, codec, client_key,
+        round_index=t, client_id=c,
+        include_locations=state.location_round,
+    )
+    blob = serialize_update(upd, codec)
+    if len(blob) != (cost.total_bits + 7) // 8:
+        raise AssertionError("wire length disagrees with bit accounting")
+    received = deserialize_update(blob, codec)
+    sample = decode_update(p, None if state.location_round else partition,
+                           codec, client_key, received)
+    return _Message(
+        vector=method.to_vector(q, sample),
+        payload_bits=cost.payload_bits + method.side_bits,
+        total_bits=cost.total_bits + method.side_bits,
+        avg_block_kl=received.avg_block_kl,
+        num_blocks=received.num_blocks,
+        partition=partition,
     )
 
 
+def _aggregate(state, cfg, messages, round_key, dim):
+    """Merge or re-check the block partition, then fold the decoded vectors."""
+    coded = _uses_codec(cfg)
+    partition, location_round = state.partition, False
+    if coded and state.location_round:
+        partition = aggregate_block_locations(
+            [m.partition for m in messages], cfg.codec.max_block_size
+        )
+    elif coded:
+        mean_avg_kl = float(np.mean([m.avg_block_kl for m in messages]))
+        location_round = should_update_partition(mean_avg_kl, cfg.codec)
+    folded = _METHODS[cfg.method].fold(
+        state, cfg, [m.vector for m in messages], coded, round_key, dim
+    )
+    return replace(folded, partition=partition, location_round=location_round)
+
+
 def init_state(cfg: ExperimentConfig, model, root: StreamKey) -> ServerState:
-    init_stream = derive_stream(root.child("winit"))
-    if cfg.method == "fedpm":
-        weights = model.init_params(init_stream)  # frozen for the whole run
+    fedpm_state = None
+    if cfg.method == "fedpm":  # the weights stay frozen for the whole run
         fedpm_state = FedPMState.initial(model.dim, 0.5, cfg.fedpm.prior_lambda)
-    else:
-        weights = model.init_params(init_stream)
-        fedpm_state = None
     return ServerState(
         round_index=0,
-        weights=weights,
+        weights=model.init_params(derive_stream(root.child("winit"))),
         fedpm=fedpm_state,
         partition=split_blocks_fixed(model.dim, cfg.codec.max_block_size),
         location_round=True,  # first round always ships locations

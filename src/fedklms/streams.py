@@ -113,9 +113,6 @@ class SampleStream:
         z[1::2] = radius * np.sin(angle)
         return z[:n]
 
-    def next_gaussian(self) -> float:
-        return float(self.gaussians(1)[0])
-
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n integers uniform on {0, ..., bound-1}, one uniform consumed each."""
         if bound <= 0:

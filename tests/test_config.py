@@ -90,6 +90,38 @@ class TestExperimentParsing:
         with pytest.raises(ConfigError):
             parse_experiment_config([1, 2])
 
+    # Each value has the right type but would fail at run time (level 0,
+    # division by zero, float-to-int conversion); the bounds are those of
+    # config.schema.json.  JSON text, because json.loads is what turns NaN
+    # and Infinity into floats.
+    @pytest.mark.parametrize("text, field", [
+        ('{"qsgd": {"levels": 0}}', "qsgd.levels"),
+        ('{"qsgd": {"batch_size": 0}}', "qsgd.batch_size"),
+        ('{"fedpm": {"batch_size": 0}}', "fedpm.batch_size"),
+        ('{"signsgd": {"local_epochs": 0}}', "signsgd.local_epochs"),
+        ('{"fedpm": {"reset_every": -1}}', "fedpm.reset_every"),
+        ('{"sgld": {"server_lr": 0}}', "sgld.server_lr"),
+        ('{"fedpm": {"prior_lambda": 0.0}}', "fedpm.prior_lambda"),
+        ('{"codec": {"overhead_r": Infinity}}', "codec.overhead_r"),
+        ('{"sgld": {"step_gamma": Infinity}}', "sgld.step_gamma"),
+        ('{"qsgd": {"local_lr": NaN}}', "qsgd.local_lr"),
+        pytest.param('{"sgld": {"step_gamma": 1' + "0" * 400 + '}}', "sgld.step_gamma",
+                     id="step_gamma-1e400-as-integer"),
+        pytest.param('{"rounds": 1' + "0" * 400 + '}', "rounds",
+                     id="rounds-1e400"),
+        ('{"seed": 18446744073709551616}', "seed"),
+        ('{"dataset": {"margin": NaN}}', "dataset.margin"),
+        ('{"dataset": {"spread": 0}}', "dataset.spread"),
+        ('{"codec": {"kl_max_threshold": 0}}', "codec.kl_max_threshold"),
+    ])
+    def test_out_of_range_rejected_with_path(self, text, field):
+        with pytest.raises(ConfigError, match=field):
+            parse_experiment_config(json.loads(text))
+
+    def test_reset_every_zero_disables_resets(self):
+        cfg = parse_experiment_config({"fedpm": {"reset_every": 0}})
+        assert cfg.fedpm.reset_every == 0
+
 
 class TestToyParsing:
     def test_defaults(self):
