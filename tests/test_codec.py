@@ -415,6 +415,83 @@ def test_deserialize_unknown_flags():
         deserialize_update(bytes(blob), params)
 
 
+def _wire_params(max_block):
+    # index fields 5 bits wide: ceil((2 + 1) / ln 2)
+    return CodecParams(d_kl_target=2.0, overhead_r=1.0, max_block_size=max_block)
+
+
+# Bytes and truncation offsets recorded from the bit-by-bit writer and reader
+# that preceded the packbits implementation.  offsets[n] is the byte_offset
+# of the WireFormatError raised for the first n bytes of the message.
+WIRE_GOLDEN = {
+    "indices_only": (
+        _wire_params(64),
+        EncodedUpdate(7, 3, 1.25, 5, np.array([0, 31, 5, 17, 8])),
+        "0000000700000003003fa000000000000507cb1400",
+        [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13, 17, 17, 18, 19],
+    ),
+    "with_locations": (
+        _wire_params(20),
+        EncodedUpdate(2**32 - 1, 9, 3.5, 3, np.array([1, 30, 12]),
+                      includes_locations=True, block_lengths=(20, 1, 7)),
+        "ffffffff00000009014060000000000003980c1f30",
+        [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13, 17, 17, 18, 19],
+    ),
+    "zero_width_lengths": (
+        _wire_params(1),
+        EncodedUpdate(1, 0, 0.0, 4, np.array([3, 0, 31, 16]),
+                      includes_locations=True, block_lengths=(1, 1, 1, 1)),
+        "0000000100000000010000000000000004183f00",
+        [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13, 17, 17, 18],
+    ),
+    "many_blocks": (
+        _wire_params(20),
+        EncodedUpdate(4, 5, 2.75, 40, np.arange(40) * 7 % 32, includes_locations=True,
+                      block_lengths=tuple(i * 3 % 20 + 1 for i in range(40))),
+        "000000040000000501403000000000002800cc963e4121d4d84c4542dd100cc963e4121d4d8"
+        "4c4542dd101dd5e0d51c7ccda6c4985fc564f4143edd22e5901dd5e0d51",
+        [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13, 17, 17, 17, 17, 17,
+         17, 17, 17, 24, 25, 27, 27, 28, 29, 30, 32, 32, 33, 34, 35, 37, 37, 38, 39,
+         40, 42, 42, 43, 44, 45, 47, 47, 48, 49, 50, 52, 52, 53, 54, 55, 57, 57, 58,
+         59, 60, 62, 62, 63, 64, 65],
+    ),
+    "no_blocks": (
+        _wire_params(64),
+        EncodedUpdate(0, 2**32 - 1, 0.5, 0, np.array([], dtype=np.int64)),
+        "00000000ffffffff003f00000000000000",
+        [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(WIRE_GOLDEN))
+def test_wire_bytes_pinned(name):
+    params, upd, golden, _ = WIRE_GOLDEN[name]
+    blob = serialize_update(upd, params)
+    assert blob.hex() == golden
+    back = deserialize_update(blob, params)
+    assert np.array_equal(back.indices, upd.indices)
+    assert back.block_lengths == upd.block_lengths
+    assert (back.round_index, back.client_id, back.avg_block_kl) == (
+        upd.round_index, upd.client_id, upd.avg_block_kl)
+
+
+@pytest.mark.parametrize("name", list(WIRE_GOLDEN))
+def test_wire_error_offsets_pinned(name):
+    params, _, golden, offsets = WIRE_GOLDEN[name]
+    blob = bytes.fromhex(golden)
+    seen = []
+    for n in range(len(blob)):
+        with pytest.raises(WireFormatError) as err:
+            deserialize_update(blob[:n], params)
+        seen.append(err.value.byte_offset)
+    assert seen == offsets
+    for extra in (1, 2):
+        with pytest.raises(WireFormatError, match="overlong") as err:
+            deserialize_update(blob + bytes(extra), params)
+        assert err.value.byte_offset == len(blob)
+
+
 # --- discrepancy decay smoke (full version lives in the acceptance suite) ---
 
 

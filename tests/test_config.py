@@ -1,5 +1,6 @@
 """Config parsing: defaults, validation, error aggregation."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from fedklms.config import (
 )
 
 REPO = Path(__file__).resolve().parent.parent
+SCHEMA = json.loads((REPO / "src" / "fedklms" / "config.schema.json").read_text())
 
 
 class TestExperimentParsing:
@@ -179,3 +181,68 @@ class TestConfigFiles:
         assert set(experiment["method"]["enum"]) == {
             "fedpm", "qsgd", "signsgd", "sgld", "none"
         }
+
+
+# SHA-256 of repr(parse_*(obj)), recorded before the schema drove parsing:
+# every shipped config, plus inputs whose result is easy to get wrong (a
+# partial output block keeps its owner's other default, null means the
+# default, an integer given for a number comes back as a float).
+PARSE_CASES = [
+    (name, "toy" if name.startswith("toy_") else "experiment",
+     json.loads((REPO / "configs" / name).read_text()), digest)
+    for name, digest in [
+        ("fedpm_separable.json", "3da93bf5a74fd9056cac663994f4773122efefd9fbcfcb544059dd4b00a4843b"),
+        ("fedpm_separable_baseline.json", "107d10bdf5c09a750a8ba73e9522dca0605bc484f849efe7e91fa999d8822844"),
+        ("qsgd_mnist.json", "96b7f6605eeceb0501eb57e1bc76afd158bc51e1957d5b07e008296cc23d6d73"),
+        ("qsgd_separable.json", "baed20b86fc62464e6acf7dcf507b5f1de50d264b2088fe24ad69de1755eeb01"),
+        ("sgld_separable.json", "af8eb9d91f0305e3576c795bf72898e4fe02eff2fbcc4055626cedb16f5a9a5b"),
+        ("signsgd_separable.json", "e525e2fdee4ad3d229decf69172fd5fe76e983f9f08f4791d4dc302f3548ce25"),
+        ("toy_default.json", "3b44df7e37ca9747635094e3f0a625fb8817a07f78873dc7d0dfd0993f4203fc"),
+        ("toy_heterogeneity.json", "fa05610f5afbb01c18ab163754611341c102aa24ad243ac1c5a5125613b1319e"),
+    ]
+] + [
+    ("toy_partial_output", "toy", {"output": {"metrics_csv": "grid.csv"}},
+     "631c28b764a6aa6119165f34abe07838d810b1861246482945cef99e574a7a43"),
+    ("experiment_partial_output", "experiment", {"output": {"summary_json": "run.json"}},
+     "4319447b8f8d3306d78e9eaa7d9f95e21c3979c9e1754cb5b870ac775482761d"),
+    ("nulls", "experiment",
+     {"sgld": {"noise_sigma": None},
+      "codec": {"kl_min_threshold": None, "kl_max_threshold": None},
+      "dataset": {"kind": "idx", "train_images": "ti", "train_labels": "tl",
+                  "test_images": "vi", "test_labels": "vl",
+                  "train_limit": None, "test_limit": None}},
+     "c5e1e921a77fac23fdb635f9386f6805cd0c8365fbc436c3a68b1375f5447bac"),
+    ("qsgd_int_lr", "experiment", {"qsgd": {"local_lr": 1}},
+     "ab51cdb54e6d1a416a2cd378408713c9689a55bd02c52b67591b54fa672b1454"),
+    ("signsgd_iterations", "experiment", {"signsgd": {"temperature_mode": "iterations"}},
+     "f01f863281011faf1411df93284b2ec5a0f88e23c1165711b414de182cee8e9c"),
+]
+
+
+@pytest.mark.parametrize("name, kind, obj, digest", PARSE_CASES,
+                         ids=[c[0] for c in PARSE_CASES])
+def test_parse_result_pinned(name, kind, obj, digest):
+    parse = parse_experiment_config if kind == "experiment" else parse_toy_config
+    text = repr(parse(obj))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+def _schema_defaults(node, path=()):
+    for key, sub in node.get("properties", {}).items():
+        if "default" in sub:
+            yield path + (key,), sub["default"]
+        yield from _schema_defaults(sub, path + (key,))
+
+
+@pytest.mark.parametrize("kind, parse", [("experiment", parse_experiment_config),
+                                         ("toy", parse_toy_config)])
+def test_schema_defaults_match_parsed_defaults(kind, parse):
+    cfg = parse({})
+    defaults = list(_schema_defaults(SCHEMA["$defs"][kind]))
+    assert defaults
+    for path, default in defaults:
+        value = cfg
+        for key in path:
+            value = getattr(value, key)
+        expected = tuple(default) if isinstance(default, list) else default
+        assert value == expected and type(value) is type(expected), (path, value)
