@@ -20,6 +20,7 @@ import numpy as np
 from .codec import CodecParams, decode_update, encode_update, split_blocks_adaptive
 from .codec import deserialize_update, serialize_update
 from .config import (
+    TOY_ONLY_KEYS,
     ConfigError,
     load_config_file,
     parse_experiment_config,
@@ -133,10 +134,10 @@ def _cmd_codec_bench(args) -> int:
 
 def _cmd_validate(args) -> int:
     obj = load_config_file(args.config)
-    if "method" in obj:
-        parse_experiment_config(obj)
-    else:
+    if isinstance(obj, dict) and not TOY_ONLY_KEYS.isdisjoint(obj):
         parse_toy_config(obj)
+    else:
+        parse_experiment_config(obj)
     print("OK")
     return 0
 

@@ -459,65 +459,36 @@ def should_update_partition(avg_block_kl: float, params: CodecParams) -> bool:
     return avg_block_kl > params.kl_max_threshold or avg_block_kl < params.kl_min_threshold
 
 
-class _BitWriter:
-    """MSB-first bit packer."""
-
-    def __init__(self) -> None:
-        self._bits: list[int] = []
-
-    def write(self, value: int, width: int) -> None:
-        if width < 0:
-            raise ValueError(f"width must be nonnegative: {width}")
-        # width 0 admits only value 0
-        if not 0 <= value < (1 << width):
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        for shift in range(width - 1, -1, -1):
-            self._bits.append((value >> shift) & 1)
-
-    @property
-    def bit_length(self) -> int:
-        return len(self._bits)
-
-    def to_bytes(self) -> bytes:
-        out = bytearray()
-        acc = 0
-        n = 0
-        for b in self._bits:
-            acc = (acc << 1) | b
-            n += 1
-            if n == 8:
-                out.append(acc)
-                acc = 0
-                n = 0
-        if n:
-            out.append(acc << (8 - n))  # zero-pad the tail
-        return bytes(out)
+def _msb_shifts(width: int) -> np.ndarray:
+    """Bit positions of a width-bit field, most significant first."""
+    return np.arange(width - 1, -1, -1, dtype=np.uint64)
 
 
-class _BitReader:
-    """MSB-first bit unpacker with offset-bearing errors."""
+def _field_bits(values, width: int) -> np.ndarray:
+    """The bits of each value in a field width bits wide, back to back."""
+    values = np.asarray(values, dtype=np.uint64).reshape(-1, 1)
+    return ((values >> _msb_shifts(width)) & 1).astype(np.uint8).ravel()
+
+
+class _FieldReader:
+    """MSB-first fixed-width field unpacker with offset-bearing errors."""
 
     def __init__(self, data: bytes):
-        self._data = data
-        self._pos = 0
+        self._bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+        self.bit_pos = 0
 
-    @property
-    def byte_offset(self) -> int:
-        return self._pos // 8
-
-    def read(self, width: int) -> int:
-        if self._pos + width > 8 * len(self._data):
+    def read(self, width: int, count: int = 1) -> np.ndarray:
+        end = self.bit_pos + count * width
+        if end > self._bits.size:
+            # the first field that does not fit starts where the whole ones end
+            start = self.bit_pos + (self._bits.size - self.bit_pos) // width * width
             raise WireFormatError(
-                f"truncated: needed {width} bits, {8 * len(self._data) - self._pos} left",
-                self.byte_offset,
+                f"truncated: needed {width} bits, {self._bits.size - start} left",
+                start // 8,
             )
-        value = 0
-        for _ in range(width):
-            byte = self._data[self._pos // 8]
-            bit = (byte >> (7 - self._pos % 8)) & 1
-            value = (value << 1) | bit
-            self._pos += 1
-        return value
+        fields = self._bits[self.bit_pos:end].reshape(count, width)
+        self.bit_pos = end
+        return fields @ (np.uint64(1) << _msb_shifts(width))
 
 
 def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
@@ -526,57 +497,46 @@ def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
         raise ValueError(f"round_index out of range: {upd.round_index}")
     if not 0 <= upd.client_id < 2**32:
         raise ValueError(f"client_id out of range: {upd.client_id}")
-    w = _BitWriter()
-    w.write(upd.round_index, 32)
-    w.write(upd.client_id, 32)
-    w.write(1 if upd.includes_locations else 0, 8)
     (kl_bits,) = struct.unpack(">I", struct.pack(">f", upd.avg_block_kl))
-    w.write(kl_bits, 32)
-    w.write(upd.num_blocks, 32)
+    header = (upd.round_index, upd.client_id, int(upd.includes_locations), kl_bits,
+              upd.num_blocks)
+    fields = [_field_bits([v], w) for v, w in zip(header, (32, 32, 8, 32, 32))]
     if upd.includes_locations:
-        width = params.length_field_bits
-        for ln in upd.block_lengths:
-            if not 1 <= ln <= params.max_block_size:
-                raise ValueError(f"block length {ln} outside [1, {params.max_block_size}]")
-            w.write(ln - 1, width)
+        lengths = np.asarray(upd.block_lengths, dtype=np.int64)
+        bad = (lengths < 1) | (lengths > params.max_block_size)
+        if bad.any():
+            raise ValueError(
+                f"block length {lengths[bad][0]} outside [1, {params.max_block_size}]"
+            )
+        fields.append(_field_bits(lengths - 1, params.length_field_bits))
     width = params.index_bits
-    for idx in upd.indices:
-        idx = int(idx)
-        if not 0 <= idx < (1 << width):
-            raise ValueError(f"index {idx} does not fit in {width} bits")
-        w.write(idx, width)
-    return w.to_bytes()
+    bad = (upd.indices < 0) | (upd.indices >= 1 << width)
+    if bad.any():
+        raise ValueError(f"index {upd.indices[bad][0]} does not fit in {width} bits")
+    fields.append(_field_bits(upd.indices, width))
+    return np.packbits(np.concatenate(fields)).tobytes()  # zero-pads the tail
 
 
 def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
     """Inverse of :func:`serialize_update`; rejects truncated or overlong input."""
-    r = _BitReader(data)
-    round_index = r.read(32)
-    client_id = r.read(32)
-    flags = r.read(8)
+    r = _FieldReader(data)
+    round_index, client_id, flags = (int(r.read(w)[0]) for w in (32, 32, 8))
     if flags & ~0x01:
         raise WireFormatError(f"unknown flag bits 0x{flags:02x}", 8)
     includes_locations = bool(flags & 0x01)
-    kl_bits = r.read(32)
+    kl_bits, num_blocks = (int(r.read(32)[0]) for _ in range(2))
     (avg_block_kl,) = struct.unpack(">f", struct.pack(">I", kl_bits))
-    num_blocks = r.read(32)
-    # plausibility bound before looping: index fields are >= 1 bit each
+    # plausibility bound before reading: index fields are >= 1 bit each
     if num_blocks * params.index_bits > 8 * len(data):
         raise WireFormatError(
             f"truncated: {num_blocks} blocks cannot fit in {len(data)} bytes",
-            r.byte_offset,
+            r.bit_pos // 8,
         )
     lengths: tuple[int, ...] | None = None
     if includes_locations:
-        width = params.length_field_bits
-        lengths = tuple(r.read(width) + 1 for _ in range(num_blocks))
-    indices = np.array(
-        [r.read(params.index_bits) for _ in range(num_blocks)], dtype=np.int64
-    )
-    expected = HEADER_BITS + num_blocks * params.index_bits
-    if includes_locations:
-        expected += num_blocks * params.length_field_bits
-    expected_bytes = (expected + 7) // 8
+        lengths = tuple(int(v) + 1 for v in r.read(params.length_field_bits, num_blocks))
+    indices = r.read(params.index_bits, num_blocks).astype(np.int64)
+    expected_bytes = (r.bit_pos + 7) // 8
     if len(data) != expected_bytes:
         raise WireFormatError(
             f"overlong: message is {expected_bytes} bytes, got {len(data)}",

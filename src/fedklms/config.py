@@ -1,26 +1,34 @@
-"""JSON experiment configuration: parsing, defaults, validation.
+"""JSON experiment configuration: validation against the schema, defaults.
 
-Errors are collected with dotted field paths ("codec.d_kl_target: must be
-positive") so a bad config reports everything wrong at once.  The JSON shape
-is documented in config.schema.json next to this module.
+config.schema.json next to this module defines every field with its type,
+bound, allowed values and default, and :func:`_walk` checks a config against
+it.  Errors are collected with dotted field paths ("codec.d_kl_target: must
+be > 0, got -1") so a bad config reports everything wrong at once.  Only the
+rules that relate two fields are written here: clients_per_round cannot
+exceed num_clients, a csv or idx dataset needs its paths, and the KL band
+defaults to [d_kl_target / 2, 2 * d_kl_target] and must bracket the target.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .codec import CodecParams
 from .methods import FedPMParams, QSGDParams, SGLDParams, SignSGDParams
 
-METHODS = ("fedpm", "qsgd", "signsgd", "sgld", "none")
-VARIANTS = ("klms", "baseline")
-DATASET_KINDS = ("separable", "blobs", "csv", "idx")
-SPLIT_MODES = ("iid", "skewed")
-MODEL_KINDS = ("logistic", "mlp")
-SEED_MAX = 2**64 - 1  # stream keys hold the root seed in 64 bits
+_DEFS = json.loads(Path(__file__).with_name("config.schema.json").read_text())["$defs"]
+# top-level keys that only a toy config declares; validate classifies by them
+TOY_ONLY_KEYS = frozenset(_DEFS["toy"]["properties"]).difference(
+    _DEFS["experiment"]["properties"]
+)
+# path fields a file-backed dataset kind cannot run without
+_DATASET_PATHS = {
+    "csv": ("train", "test"),
+    "idx": ("train_images", "train_labels", "test_images", "test_labels"),
+}
 
 
 class ConfigError(ValueError):
@@ -110,7 +118,7 @@ class _Checker:
     def fail(self, path: str, message: str) -> None:
         self.errors.append(f"{path}: {message}")
 
-    def expect_keys(self, obj: dict, path: str, allowed: set[str]) -> None:
+    def expect_keys(self, obj: dict, path: str, allowed) -> None:
         for key in obj:
             if key not in allowed:
                 self.fail(f"{path}.{key}" if path else key, "unknown field")
@@ -145,9 +153,9 @@ class _Checker:
             return None
         return obj
 
-    def string(self, obj, path):
-        if not isinstance(obj, str) or not obj:
-            self.fail(path, f"must be a non-empty string, got {obj!r}")
+    def string(self, obj, path, min_length=0):
+        if not isinstance(obj, str) or len(obj) < min_length:
+            self.fail(path, f"must be a string of length >= {min_length}, got {obj!r}")
             return None
         return obj
 
@@ -156,234 +164,85 @@ class _Checker:
             raise ConfigError("invalid config:\n  " + "\n  ".join(self.errors))
 
 
-def _parse_dataset(obj: dict, chk: _Checker) -> DatasetConfig:
-    out = DatasetConfig()
-    chk.expect_keys(obj, "dataset", {
-        "kind", "num_points", "num_features", "num_classes", "margin", "spread",
-        "test_points", "train", "test", "train_images", "train_labels",
-        "test_images", "test_labels", "train_limit", "test_limit",
-    })
-    kind = chk.choice(obj.get("kind", out.kind), "dataset.kind", DATASET_KINDS)
-    if kind:
-        out.kind = kind
-    for name, lo in (("num_points", 1), ("num_features", 1), ("num_classes", 2),
-                     ("test_points", 1)):
-        if name in obj:
-            v = chk.number(obj[name], f"dataset.{name}", lo=lo, integer=True)
-            if v is not None:
-                setattr(out, name, v)
-    for name in ("margin", "spread"):
-        if name in obj:
-            v = chk.number(obj[name], f"dataset.{name}", lo=0.0, strict_lo=True)
-            if v is not None:
-                setattr(out, name, v)
-    if out.kind == "csv":
-        for name in ("train", "test"):
-            v = chk.string(obj.get(name), f"dataset.{name}")
-            if v:
-                setattr(out, name, v)
-    if out.kind == "idx":
-        for name in ("train_images", "train_labels", "test_images", "test_labels"):
-            v = chk.string(obj.get(name), f"dataset.{name}")
-            if v:
-                setattr(out, name, v)
-        for name in ("train_limit", "test_limit"):
-            if obj.get(name) is not None:
-                v = chk.number(obj[name], f"dataset.{name}", lo=1, integer=True)
-                if v is not None:
-                    setattr(out, name, v)
-    return out
+def _walk(node: dict, value, path: str, chk: _Checker):
+    """Check value against one schema node.
 
-
-def _parse_codec(obj: dict, chk: _Checker) -> CodecParams | None:
-    chk.expect_keys(obj, "codec", {
-        "d_kl_target", "overhead_r", "max_block_size",
-        "kl_min_threshold", "kl_max_threshold",
-    })
-    target = chk.number(obj.get("d_kl_target", 3.0), "codec.d_kl_target",
-                        lo=0.0, strict_lo=True)
-    r = chk.number(obj.get("overhead_r", 2.0), "codec.overhead_r", lo=0.0)
-    max_block = chk.number(obj.get("max_block_size", 4096), "codec.max_block_size",
-                           lo=1, integer=True)
-    if target is None or r is None or max_block is None:
+    Returns the value converted for the dataclasses (numbers to float, arrays
+    to tuples, objects to a dict of their valid non-null fields), or None
+    after recording on chk why it is invalid.
+    """
+    types = node.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if value is None and "null" in types:
         return None
-    kl_min = obj.get("kl_min_threshold")
-    kl_max = obj.get("kl_max_threshold")
-    kl_min = target / 2.0 if kl_min is None else chk.number(
-        kl_min, "codec.kl_min_threshold", lo=0.0)
-    kl_max = target * 2.0 if kl_max is None else chk.number(
-        kl_max, "codec.kl_max_threshold", lo=0.0, strict_lo=True)
-    if kl_min is None or kl_max is None:
-        return None
-    try:
-        return CodecParams(
-            d_kl_target=target, overhead_r=r, max_block_size=max_block,
-            kl_min_threshold=kl_min, kl_max_threshold=kl_max,
-        )
-    except ValueError as err:
-        chk.fail("codec", str(err))
-        return None
+    if "enum" in node:
+        return chk.choice(value, path, node["enum"])
+    if "object" in types:
+        if not isinstance(value, dict):
+            return chk.fail(path, "must be an object")
+        props = node["properties"]
+        if node.get("additionalProperties") is False:
+            chk.expect_keys(value, path, props)
+        walked = {key: _walk(props[key], item, f"{path}.{key}" if path else key, chk)
+                  for key, item in value.items() if key in props}
+        return {key: item for key, item in walked.items() if item is not None}
+    if "array" in types:
+        min_items = node.get("minItems", 0)
+        if not isinstance(value, list) or len(value) < min_items:
+            return chk.fail(path, f"must be an array of at least {min_items} items")
+        return tuple(_walk(node["items"], item, f"{path}[{i}]", chk)
+                     for i, item in enumerate(value))
+    if "string" in types:
+        return chk.string(value, path, node.get("minLength", 0))
+    if "boolean" in types:
+        return value if isinstance(value, bool) else chk.fail(path, "must be a boolean")
+    return chk.number(
+        value, path, lo=node.get("exclusiveMinimum", node.get("minimum")),
+        hi=node.get("maximum"), integer="integer" in types,
+        strict_lo="exclusiveMinimum" in node,
+    )
 
 
-def _parse_method_block(obj: dict, name: str, cls, chk: _Checker):
-    fields = {f: getattr(cls(), f) for f in cls.__dataclass_fields__}
-    chk.expect_keys(obj, name, set(fields))
-    kwargs = {}
-    for key, default in fields.items():
-        if key not in obj:
-            continue
-        value = obj[key]
-        path = f"{name}.{key}"
-        if key == "temperature_mode":
-            v = chk.choice(value, path, ("mean_abs", "iterations"))
-        elif key == "noise_enabled":
-            v = value if isinstance(value, bool) else chk.fail(path, "must be a boolean")
-        elif key == "noise_sigma":
-            v = None if value is None else chk.number(value, path, lo=0.0, strict_lo=True)
-        elif isinstance(default, int):
-            lo = 0 if key == "reset_every" else 1  # reset_every 0: never reset
-            v = chk.number(value, path, lo=lo, integer=True)
-        else:
-            v = chk.number(value, path, lo=0.0, strict_lo=True)
-        if v is not None or key == "noise_sigma":
-            kwargs[key] = v
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as err:
-        chk.fail(name, str(err))
-        return cls()
-
-
-def parse_experiment_config(obj: dict) -> ExperimentConfig:
+def _validate(obj, kind: str) -> tuple[_Checker, dict]:
     if not isinstance(obj, dict):
         raise ConfigError("invalid config:\n  top level: must be a JSON object")
     chk = _Checker()
-    cfg = ExperimentConfig()
-    chk.expect_keys(obj, "", {
-        "method", "variant", "seed", "rounds", "num_clients", "clients_per_round",
-        "dataset", "split", "model", "codec", "fedpm", "qsgd", "signsgd", "sgld",
-        "output",
+    return chk, _walk(_DEFS[kind], obj, "", chk)
+
+
+def _merge(default, given: dict):
+    """default with the given fields replaced; a nested block keeps the
+    defaults of the fields it does not set."""
+    return replace(default, **{
+        key: _merge(getattr(default, key), value) if isinstance(value, dict) else value
+        for key, value in given.items()
     })
-    m = chk.choice(obj.get("method", cfg.method), "method", METHODS)
-    if m:
-        cfg.method = m
-    v = chk.choice(obj.get("variant", cfg.variant), "variant", VARIANTS)
-    if v:
-        cfg.variant = v
-    for name, lo, hi in (("seed", 0, SEED_MAX), ("rounds", 1, None),
-                         ("num_clients", 1, None), ("clients_per_round", 1, None)):
-        if name in obj:
-            val = chk.number(obj[name], name, lo=lo, hi=hi, integer=True)
-            if val is not None:
-                setattr(cfg, name, val)
+
+
+def parse_experiment_config(obj: dict) -> ExperimentConfig:
+    chk, given = _validate(obj, "experiment")
+    codec = given.pop("codec", {})
+    cfg = _merge(ExperimentConfig(), given)
     if cfg.clients_per_round > cfg.num_clients:
         chk.fail("clients_per_round", f"cannot exceed num_clients ({cfg.num_clients})")
-    if isinstance(obj.get("dataset", {}), dict):
-        cfg.dataset = _parse_dataset(obj.get("dataset", {}), chk)
-    else:
-        chk.fail("dataset", "must be an object")
-    split_obj = obj.get("split", {})
-    if isinstance(split_obj, dict):
-        chk.expect_keys(split_obj, "split", {"mode", "max_classes_per_client"})
-        mode = chk.choice(split_obj.get("mode", "iid"), "split.mode", SPLIT_MODES)
-        if mode:
-            cfg.split.mode = mode
-        if "max_classes_per_client" in split_obj:
-            val = chk.number(split_obj["max_classes_per_client"],
-                             "split.max_classes_per_client", lo=1, integer=True)
-            if val is not None:
-                cfg.split.max_classes_per_client = val
-    else:
-        chk.fail("split", "must be an object")
-    model_obj = obj.get("model", {})
-    if isinstance(model_obj, dict):
-        chk.expect_keys(model_obj, "model", {"kind", "hidden_units"})
-        kind = chk.choice(model_obj.get("kind", "logistic"), "model.kind", MODEL_KINDS)
-        if kind:
-            cfg.model.kind = kind
-        if "hidden_units" in model_obj:
-            val = chk.number(model_obj["hidden_units"], "model.hidden_units",
-                             lo=1, integer=True)
-            if val is not None:
-                cfg.model.hidden_units = val
-    else:
-        chk.fail("model", "must be an object")
-    codec_obj = obj.get("codec", {})
-    if isinstance(codec_obj, dict):
-        parsed = _parse_codec(codec_obj, chk)
-        if parsed is not None:
-            cfg.codec = parsed
-    else:
-        chk.fail("codec", "must be an object")
-    for name, cls in (("fedpm", FedPMParams), ("qsgd", QSGDParams),
-                      ("signsgd", SignSGDParams), ("sgld", SGLDParams)):
-        block = obj.get(name, {})
-        if isinstance(block, dict):
-            setattr(cfg, name, _parse_method_block(block, name, cls, chk))
-        else:
-            chk.fail(name, "must be an object")
-    out_obj = obj.get("output", {})
-    if isinstance(out_obj, dict):
-        chk.expect_keys(out_obj, "output", {"metrics_csv", "summary_json"})
-        for name in ("metrics_csv", "summary_json"):
-            if name in out_obj:
-                val = chk.string(out_obj[name], f"output.{name}")
-                if val:
-                    setattr(cfg.output, name, val)
-    else:
-        chk.fail("output", "must be an object")
+    kind = cfg.dataset.kind
+    for name in _DATASET_PATHS.get(kind, ()):
+        if name not in obj["dataset"]:
+            chk.fail(f"dataset.{name}", f"required when dataset.kind is {kind}")
+    target = codec.get("d_kl_target", cfg.codec.d_kl_target)
+    band = {"kl_min_threshold": target / 2.0, "kl_max_threshold": target * 2.0}
+    try:
+        cfg.codec = replace(cfg.codec, **{**band, **codec})
+    except ValueError as err:
+        chk.fail("codec", str(err))
     chk.raise_if_failed()
     return cfg
 
 
 def parse_toy_config(obj: dict) -> ToyConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("invalid config:\n  top level: must be a JSON object")
-    chk = _Checker()
-    cfg = ToyConfig()
-    chk.expect_keys(obj, "", {
-        "mu", "sigma", "r_grid", "client_grid", "eta_grid", "runs", "seed", "output",
-    })
-    if "mu" in obj:
-        v = chk.number(obj["mu"], "mu")
-        if v is not None:
-            cfg.mu = v
-    if "sigma" in obj:
-        v = chk.number(obj["sigma"], "sigma", lo=0.0, strict_lo=True)
-        if v is not None:
-            cfg.sigma = v
-    for name, integer, lo in (("r_grid", False, 0.0), ("client_grid", True, 1),
-                              ("eta_grid", False, 0.0)):
-        if name not in obj:
-            continue
-        raw = obj[name]
-        if not isinstance(raw, list) or not raw:
-            chk.fail(name, "must be a non-empty array")
-            continue
-        vals = []
-        for i, item in enumerate(raw):
-            v = chk.number(item, f"{name}[{i}]", lo=lo, integer=integer)
-            if v is not None:
-                vals.append(v)
-        if len(vals) == len(raw):
-            setattr(cfg, name, tuple(vals))
-    for name, lo, hi in (("runs", 1, None), ("seed", 0, SEED_MAX)):
-        if name in obj:
-            v = chk.number(obj[name], name, lo=lo, hi=hi, integer=True)
-            if v is not None:
-                setattr(cfg, name, v)
-    out_obj = obj.get("output", {})
-    if isinstance(out_obj, dict):
-        chk.expect_keys(out_obj, "output", {"metrics_csv", "summary_json"})
-        for name in ("metrics_csv", "summary_json"):
-            if name in out_obj:
-                val = chk.string(out_obj[name], f"output.{name}")
-                if val:
-                    setattr(cfg.output, name, val)
-    else:
-        chk.fail("output", "must be an object")
+    chk, given = _validate(obj, "toy")
     chk.raise_if_failed()
-    return cfg
+    return _merge(ToyConfig(), given)
 
 
 def load_config_file(path: str) -> dict:

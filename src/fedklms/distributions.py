@@ -77,7 +77,8 @@ class BernoulliVector:
         _check_range(lo, hi, self.dim)
         width = hi - lo
         u = stream.uniforms(count * width).reshape(count, width)
-        return (u < self.probs[lo:hi]).astype(np.float64)
+        # candidates overwrite the uniforms: one K x width matrix, not two
+        return np.less(u, self.probs[lo:hi], out=u)
 
     def log_mass_rows(self, lo: int, hi: int, rows: np.ndarray) -> np.ndarray:
         _check_range(lo, hi, self.dim)

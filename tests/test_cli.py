@@ -73,6 +73,13 @@ class TestValidate:
         assert main(["validate", path]) == 0
         assert capsys.readouterr().out.strip() == "OK"
 
+    def test_experiment_without_method_key(self, tmp_path, capsys):
+        # an experiment config may leave method at its default
+        path = write_json(tmp_path / "c.json",
+                          {"rounds": 2, "num_clients": 2, "clients_per_round": 2})
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out.strip() == "OK"
+
     def test_bad_config(self, tmp_path):
         path = write_json(tmp_path / "c.json", {"rounds": -2, "method": "fedpm"})
         assert main(["validate", path]) == 1

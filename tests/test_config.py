@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fedklms.cli import main
 from fedklms.config import (
     ConfigError,
     load_config_file,
@@ -92,10 +93,11 @@ class TestExperimentParsing:
         with pytest.raises(ConfigError):
             parse_experiment_config([1, 2])
 
-    # Each value has the right type but would fail at run time (level 0,
-    # division by zero, float-to-int conversion); the bounds are those of
-    # config.schema.json.  JSON text, because json.loads is what turns NaN
-    # and Infinity into floats.
+    # Each value but the last has the right type and would fail at run time
+    # (level 0, division by zero, float-to-int conversion); the bounds are
+    # those of config.schema.json.  The last has the wrong type in a field
+    # that only the csv kind reads.  JSON text, because json.loads is what
+    # turns NaN and Infinity into floats.
     @pytest.mark.parametrize("text, field", [
         ('{"qsgd": {"levels": 0}}', "qsgd.levels"),
         ('{"qsgd": {"batch_size": 0}}', "qsgd.batch_size"),
@@ -115,6 +117,7 @@ class TestExperimentParsing:
         ('{"dataset": {"margin": NaN}}', "dataset.margin"),
         ('{"dataset": {"spread": 0}}', "dataset.spread"),
         ('{"codec": {"kl_max_threshold": 0}}', "codec.kl_max_threshold"),
+        ('{"dataset": {"train": 5}}', "dataset.train"),
     ])
     def test_out_of_range_rejected_with_path(self, text, field):
         with pytest.raises(ConfigError, match=field):
@@ -161,15 +164,11 @@ class TestConfigFiles:
         assert cfg.method == "qsgd"
         assert cfg.rounds == 7
 
-    def test_every_shipped_config_validates(self):
+    def test_every_shipped_config_validates(self, capsys):
         configs = sorted((REPO / "configs").glob("*.json"))
         assert configs, "no example configs found"
         for path in configs:
-            obj = load_config_file(str(path))
-            if "method" in obj:
-                parse_experiment_config(obj)
-            else:
-                parse_toy_config(obj)
+            assert main(["validate", str(path)]) == 0, capsys.readouterr().err
 
     def test_schema_file_is_valid_json(self):
         schema = json.loads(
@@ -246,3 +245,31 @@ def test_schema_defaults_match_parsed_defaults(kind, parse):
             value = getattr(value, key)
         expected = tuple(default) if isinstance(default, list) else default
         assert value == expected and type(value) is type(expected), (path, value)
+
+
+# keywords _walk in fedklms.config enforces, and keywords that only annotate
+IMPLEMENTED_KEYWORDS = {
+    "type", "enum", "minimum", "exclusiveMinimum", "maximum", "properties",
+    "additionalProperties", "items", "minItems", "minLength",
+}
+ANNOTATION_KEYWORDS = {
+    "title", "description", "default", "$schema", "$defs", "$ref", "anyOf",
+}
+
+
+def _schema_keywords(node):
+    for key, value in node.items():
+        yield key
+        if key in ("properties", "$defs"):
+            for sub in value.values():
+                yield from _schema_keywords(sub)
+        elif key == "anyOf":
+            for sub in value:
+                yield from _schema_keywords(sub)
+        elif key == "items":
+            yield from _schema_keywords(value)
+
+
+def test_schema_uses_only_enforced_keywords():
+    unknown = set(_schema_keywords(SCHEMA)) - IMPLEMENTED_KEYWORDS - ANNOTATION_KEYWORDS
+    assert not unknown, f"schema keywords the config walker does not enforce: {unknown}"

@@ -6,6 +6,7 @@ closed-form KL, only how to walk a small discrete support and sum masses.
 """
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,20 @@ def test_sample_draw_counts_are_range_local():
     d2 = BernoulliVector(np.array([0.9, 0.9, 0.3, 0.4, 0.5, 0.9]))
     b = d2.sample(2, 5, derive_stream(key), count=3)
     assert np.array_equal(a, b)
+
+
+def test_bernoulli_sample_holds_one_candidate_matrix():
+    # the fedpm MLP block: K = 256 candidates of width 2210
+    d = BernoulliVector(np.full(2210, 0.3))
+    stream = derive_stream(StreamKey(13, (("peak", 0),)))
+    tracemalloc.start()
+    try:
+        x = d.sample(0, 2210, stream, count=256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.dtype == np.float64 and set(np.unique(x)) <= {0.0, 1.0}
+    assert peak < 1.5 * x.nbytes
 
 
 def test_range_validation():
