@@ -148,3 +148,10 @@ class TestCodecBench:
         assert main(["codec-bench", "--coords", "20000", "--seed", "8"]) == 0
         third = capsys.readouterr().out.splitlines()[-1]
         assert first != third
+
+    def test_checksum_pinned(self, capsys):
+        # recorded before decode began skipping to the indexed candidate
+        assert main(["codec-bench", "--coords", "20000", "--seed", "7"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            "decoded checksum: "
+            "8fec7f76b0dcd70592edc53bfcf0bc5b424deaf280ba357fb9ddc2f1b1b33f43")

@@ -5,6 +5,7 @@ bits = ceil((kl + r)/ln 2) and the wire layout (136-bit header: 72 fixed +
 32 avg-KL + 32 block count).
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -34,7 +35,13 @@ from fedklms.codec import (
     split_blocks_adaptive,
     split_blocks_fixed,
 )
-from fedklms.distributions import BernoulliVector, DiagonalGaussian
+from fedklms.distributions import (
+    BernoulliVector,
+    BinarySign,
+    DiagonalGaussian,
+    TernaryPattern,
+    UniformSign,
+)
 from fedklms.streams import StreamKey, derive_stream
 
 
@@ -513,3 +520,80 @@ def test_selection_bias_shrinks_with_more_samples():
         means[r_exp] = acc / reps
     assert abs(means[6] - 0.8) < abs(means[0] - 0.8)
     assert abs(means[6] - 0.8) < 0.03
+
+
+# --- selections pinned --------------------------------------------------------
+
+
+def _pin_pair(kind: str):
+    """One (q, p) pair per codec pairing, with zero-mass coordinates in q."""
+    gen = derive_stream(StreamKey(123, (("pin", 0), ("kind", len(kind)))))
+    dim = 101
+    if kind == "bernoulli":
+        probs = 0.2 + 0.6 * gen.uniforms(dim)
+        probs[[3, 40]], probs[[17, 77]] = 0.0, 1.0
+        return BernoulliVector(probs), BernoulliVector(0.3 + 0.4 * gen.uniforms(dim))
+    if kind == "ternary":
+        neg = 0.4 * gen.uniforms(dim)
+        zero = 0.5 * gen.uniforms(dim)
+        neg[[5, 60]] = 0.0
+        return (TernaryPattern(neg, zero, 1.0 - neg - zero),
+                TernaryPattern(np.full(dim, 0.25), np.full(dim, 0.5), np.full(dim, 0.25)))
+    if kind == "sign":
+        plus = gen.uniforms(dim)
+        plus[[8, 90]], plus[[9]] = 0.0, 1.0
+        return BinarySign(plus), UniformSign(dim)
+    mean = 0.3 * gen.gaussians(dim)
+    return DiagonalGaussian(mean, 0.7), DiagonalGaussian(0.1 * mean, 0.7)
+
+
+def _pin_digests(q, p, params, lengths, key):
+    part = BlockPartition.from_lengths(lengths)
+    upd, _ = encode_update(q, p, part, params, key, round_index=0, client_id=0)
+    decoded = decode_update(p, part, params, key, upd)
+    sha = lambda a: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+    return sha(upd.indices.astype(np.int64)), sha(decoded)
+
+
+# odd block widths, so every block but the first starts at an odd or
+# non-multiple-of-4 offset and spans a non-multiple-of-4 number of draws
+_PIN_LENGTHS = (7, 13, 3, 21, 1, 5, 51)
+# (indices SHA-256, decoded vector SHA-256), recorded before the encoder's
+# log-weights became affine and the decoder began skipping to the indexed row
+SELECTION_GOLDEN = {
+    "bernoulli": (
+        "2f591086b0a2a1123ba14320f59e99fa6c87552e41cce0effbf385820736d00d",
+        "4dd278b45853e140253bbf925291e7f8312bca8d05d6a3d1741aa396726ec081",
+    ),
+    "ternary": (
+        "724f5fd3e6f72c0c378001efd79828770856278d35ad7fbcb37093290e33975b",
+        "960c2517b7f516db448ff61848385c6de411c2379914994045ac5126794983cd",
+    ),
+    "sign": (
+        "1e801cbc52dcd38e7de315aa86d71be69deb1dfb00a9e5453c1d2fd00cce0ded",
+        "416ef9b0578327da13fbb7faff151052310b3132a9c0271bb66ff87382dcf4bf",
+    ),
+    "gaussian": (
+        "f80311ea0416729b196e719a6d310c921363786f7af1a188ad6862b21946d5b3",
+        "5d6eec8bde2b14674264241d35310c61e600245f42e9259b634c68e02dfab37c",
+    ),
+    "bernoulli_k4096": (
+        "6c27c382ef220ea14fa1c8489e8a4e9de18a2ff3b3a2767080f58585167cf8b9",
+        "cac14762b365e3c7c9b931eb2dd55299cbc2ed2761a44974d57749a55a3c84c0",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(SELECTION_GOLDEN))
+def test_selected_indices_pinned(kind):
+    key = StreamKey(321, (("pin", 0), ("case", len(kind))))
+    if kind == "bernoulli_k4096":
+        # K = 2^ceil((6 + 2) / ln 2) = 4096 candidates for one 1023-wide block
+        gen = derive_stream(key.child("probs"))
+        q = BernoulliVector(0.5 + 0.09 * (2.0 * gen.uniforms(1023) - 1.0))
+        p = BernoulliVector(np.full(1023, 0.5))
+        params, lengths = CodecParams(d_kl_target=6.0, overhead_r=2.0), (1023,)
+    else:
+        q, p = _pin_pair(kind)
+        params, lengths = CodecParams(d_kl_target=3.0, overhead_r=2.0), _PIN_LENGTHS
+    assert _pin_digests(q, p, params, lengths, key) == SELECTION_GOLDEN[kind]
