@@ -109,7 +109,7 @@ def _cmd_codec_bench(args) -> int:
 
     t0 = time.perf_counter()
     upd, cost = encode_update(
-        q, p, partition, params, root, round_index=0, client_id=0
+        q, p, partition, params, root, round_index=0, client_id=0, kl=kl
     )
     encode_s = time.perf_counter() - t0
 

@@ -5,9 +5,15 @@ parameter vector by (1) cutting coordinates into blocks of bounded KL, (2)
 regenerating, per block, K pseudo-random candidates from p using a stream whose
 key both sides can derive, (3) picking one candidate with probability
 proportional to the importance ratio q/p, and (4) transmitting only the
-candidate's index.  The decoder rebuilds the same K candidates from the same
-key and looks the index up.  The bit cost therefore tracks the KL between the
+candidate's index.  The decoder derives the same key and regenerates only the
+indexed candidate: the stream is counter based, so it skips the rows before
+it without computing them.  The bit cost therefore tracks the KL between the
 posteriors instead of the raw parameter width.
+
+The encoder's log importance weights are affine in the candidate and its
+square (see :func:`fedklms.distributions.log_ratio`).  They are computed from
+coefficients built once per message, over candidate chunks of at most
+``ENCODE_CHUNK_FLOATS`` values, so encode memory is bounded whatever K is.
 
 K is uniform across blocks and derived from the block KL *target*, not the
 realized block KL: the greedy partitioner aims every block at the same target,
@@ -30,14 +36,19 @@ from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import ProductDistribution, kl_per_coordinate
+from .distributions import LogRatio, ProductDistribution, kl_per_coordinate, log_ratio
 from .streams import SampleStream, StreamKey, derive_stream
 
 _LN2 = math.log(2.0)
+
+# most candidate values one encode holds at once (8 MB of float64); a block
+# wider than half of this still takes two rows per chunk
+ENCODE_CHUNK_FLOATS = 1 << 20
 
 # stream role labels; both sides must derive identical keys
 _BLOCK_TAG = "block"
@@ -303,20 +314,34 @@ def selection_weights(
     p: ProductDistribution,
     lo: int,
     hi: int,
-    candidates: np.ndarray,
+    candidates: np.ndarray | Iterable[np.ndarray],
+    ratio: LogRatio | None = None,
 ) -> np.ndarray:
-    """Normalized importance weights q/p over candidate rows (max-shifted
-    softmax of the log ratios, so extreme ratios stay finite)."""
-    log_q = q.log_mass_rows(lo, hi, candidates)
-    log_p = p.log_mass_rows(lo, hi, candidates)
-    # candidates come from p, so log_p is finite; log_q may be -inf
-    log_w = log_q - log_p
+    """Normalized importance weights q/p over candidate rows drawn from p
+    (max-shifted softmax of the log ratios, so extreme ratios stay finite).
+
+    ``candidates`` is the K x (hi-lo) matrix or an iterable of its consecutive
+    row chunks; ``ratio`` is ``log_ratio(q, p)`` when the caller has it.
+    """
+    ratio = log_ratio(q, p) if ratio is None else ratio
+    chunks = [candidates] if isinstance(candidates, np.ndarray) else candidates
+    log_w = np.concatenate([ratio.rows(lo, hi, c) for c in chunks])
     top = np.max(log_w)
     if np.isneginf(top):
         raise ZeroMassCandidatesError(lo, hi)
     weights = np.exp(log_w - top)
     weights /= weights.sum()
     return weights
+
+
+def _select(weights: np.ndarray, selector_stream: SampleStream) -> int:
+    u = selector_stream.next_uniform()
+    k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
+    if k >= weights.size:
+        # float roundoff left the last cumulative weight marginally below u;
+        # use the last candidate that carries mass
+        k = int(np.flatnonzero(weights > 0.0)[-1])
+    return k
 
 
 def encode_block(
@@ -327,24 +352,28 @@ def encode_block(
     num_samples: int,
     shared_stream: SampleStream,
     selector_stream: SampleStream,
+    ratio: LogRatio | None = None,
 ) -> tuple[int, np.ndarray]:
     """Pick one of num_samples candidates drawn from p, importance-weighted by q.
 
     Returns (index, selected row).  The shared stream is consumed identically
     by :func:`decode_block`; the selector stream is client-only randomness.
+    Candidates are drawn in chunks of an even number of rows (Gaussian pairs
+    never straddle two chunks); when there is more than one chunk, the
+    selected row is regenerated by skipping to it.
     """
     if num_samples < 1:
         raise ValueError(f"need at least one candidate: {num_samples}")
-    candidates = p.sample(lo, hi, shared_stream, count=num_samples)
-    weights = selection_weights(q, p, lo, hi, candidates)
-    u = selector_stream.next_uniform()
-    cum = np.cumsum(weights)
-    k = int(np.searchsorted(cum, u, side="right"))
-    if k >= num_samples:
-        # float roundoff left cum[-1] marginally below u; use the last
-        # candidate that carries mass
-        k = int(np.flatnonzero(weights > 0.0)[-1])
-    return k, candidates[k]
+    rows = max(2, ENCODE_CHUNK_FLOATS // (hi - lo) // 2 * 2)
+    if num_samples <= rows:
+        candidates = p.sample(lo, hi, shared_stream, count=num_samples)
+        k = _select(selection_weights(q, p, lo, hi, candidates, ratio), selector_stream)
+        return k, candidates[k]
+    replay = shared_stream.copy()
+    chunks = (p.sample(lo, hi, shared_stream, count=min(rows, num_samples - start))
+              for start in range(0, num_samples, rows))
+    k = _select(selection_weights(q, p, lo, hi, chunks, ratio), selector_stream)
+    return k, p.sample(lo, hi, replay, start=k)[0]
 
 
 def decode_block(
@@ -355,11 +384,11 @@ def decode_block(
     shared_stream: SampleStream,
     index: int,
 ) -> np.ndarray:
-    """Regenerate the encoder's candidates and return the indexed one."""
+    """The encoder's indexed candidate, generated alone: the stream skips the
+    index rows before it."""
     if not 0 <= index < num_samples:
         raise ValueError(f"index {index} out of range for {num_samples} candidates")
-    candidates = p.sample(lo, hi, shared_stream, count=num_samples)
-    return candidates[index]
+    return p.sample(lo, hi, shared_stream, start=index)[0]
 
 
 def _block_streams(key_base: StreamKey, m: int) -> tuple[SampleStream, SampleStream]:
@@ -391,12 +420,15 @@ def encode_update(
     round_index: int,
     client_id: int,
     include_locations: bool = False,
+    *,
+    kl: np.ndarray | None = None,
 ) -> tuple[EncodedUpdate, BitCost]:
     """Encode a full parameter vector block by block.
 
     key_base must identify (round, client) uniquely; the per-block stream keys
     are derived from it, so the stream for block m never depends on how other
-    blocks were processed.
+    blocks were processed.  ``kl`` is ``kl_per_coordinate(q, p)`` when the
+    caller has already computed it.
     """
     if q.dim != p.dim or q.dim != partition.dim:
         raise ValueError(
@@ -404,12 +436,13 @@ def encode_update(
         )
     partition.check_max_block_size(params.max_block_size)
     num_samples, _ = samples_per_block(params.d_kl_target, params)
-    kl = kl_per_coordinate(q, p)
+    kl = kl_per_coordinate(q, p) if kl is None else kl
+    ratio = log_ratio(q, p)
     indices = np.empty(partition.num_blocks, dtype=np.int64)
     block_kls = np.empty(partition.num_blocks)
     for m, (lo, hi) in enumerate(partition.ranges()):
         shared, selector = _block_streams(key_base, m)
-        indices[m], _ = encode_block(q, p, lo, hi, num_samples, shared, selector)
+        indices[m], _ = encode_block(q, p, lo, hi, num_samples, shared, selector, ratio)
         block_kls[m] = kl[lo:hi].sum()
     upd = EncodedUpdate(
         round_index=round_index,

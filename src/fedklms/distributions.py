@@ -5,13 +5,20 @@ against: fully factorized, so log-mass and KL reduce to per-coordinate sums.
 All five kinds share one interface:
 
     dim                   number of coordinates
-    sample(lo, hi, stream, count)   (count, hi-lo) array of iid draws
+    sample(lo, hi, stream, count, start)   rows start .. start+count-1 of the
+                                           iid draws from the stream's position
     log_mass(lo, hi, x)             log probability (mass or density) of one row
     log_mass_rows(lo, hi, rows)     vectorized over rows
 
-``sample`` consumes a fixed number of stream draws determined only by
-(kind, hi-lo, count), so encoder and decoder stay in lockstep without
-exchanging generator state.
+``sample`` consumes a fixed number of stream draws per row determined only by
+(kind, hi-lo), so encoder and decoder stay in lockstep without exchanging
+generator state, and ``start`` skips to a row without computing the ones
+before it.
+
+:func:`log_ratio` gives the codec log q - log p of a pair on rows drawn from
+p as per-coordinate coefficients: one matrix-vector product per block (two
+where a squared term is needed), with no support checks, instead of two
+log-mass passes.
 
 Zero mass is reported as -inf, never as an exception; absolute-continuity
 violations (client support exceeding global support) are errors raised by the
@@ -56,6 +63,12 @@ def _log(p: np.ndarray) -> np.ndarray:
         return np.log(p)
 
 
+def _uniform_rows(stream: SampleStream, start: int, count: int, width: int) -> np.ndarray:
+    """Rows start .. start+count-1 of a width-wide matrix of uniforms."""
+    stream.skip(start * width)
+    return stream.uniforms(count * width).reshape(count, width)
+
+
 @dataclass
 class BernoulliVector:
     """Independent Bernoulli coordinates with support {0, 1}."""
@@ -73,10 +86,11 @@ class BernoulliVector:
     def dim(self) -> int:
         return self.probs.shape[0]
 
-    def sample(self, lo: int, hi: int, stream: SampleStream, count: int = 1) -> np.ndarray:
+    def sample(self, lo: int, hi: int, stream: SampleStream, count: int = 1,
+               start: int = 0) -> np.ndarray:
         _check_range(lo, hi, self.dim)
         width = hi - lo
-        u = stream.uniforms(count * width).reshape(count, width)
+        u = _uniform_rows(stream, start, count, width)
         # candidates overwrite the uniforms: one K x width matrix, not two
         return np.less(u, self.probs[lo:hi], out=u)
 
@@ -125,10 +139,11 @@ class TernaryPattern:
     def dim(self) -> int:
         return self.p_neg.shape[0]
 
-    def sample(self, lo: int, hi: int, stream: SampleStream, count: int = 1) -> np.ndarray:
+    def sample(self, lo: int, hi: int, stream: SampleStream, count: int = 1,
+               start: int = 0) -> np.ndarray:
         _check_range(lo, hi, self.dim)
         width = hi - lo
-        u = stream.uniforms(count * width).reshape(count, width)
+        u = _uniform_rows(stream, start, count, width)
         neg = self.p_neg[lo:hi]
         zero = self.p_zero[lo:hi]
         out = np.ones((count, width))
@@ -173,10 +188,11 @@ class BinarySign:
     def dim(self) -> int:
         return self.p_plus.shape[0]
 
-    def sample(self, lo: int, hi: int, stream: SampleStream, count: int = 1) -> np.ndarray:
+    def sample(self, lo: int, hi: int, stream: SampleStream, count: int = 1,
+               start: int = 0) -> np.ndarray:
         _check_range(lo, hi, self.dim)
         width = hi - lo
-        u = stream.uniforms(count * width).reshape(count, width)
+        u = _uniform_rows(stream, start, count, width)
         return np.where(u < self.p_plus[lo:hi], 1.0, -1.0)
 
     def log_mass_rows(self, lo: int, hi: int, rows: np.ndarray) -> np.ndarray:
@@ -205,10 +221,11 @@ class UniformSign:
     def dim(self) -> int:
         return self.dim_
 
-    def sample(self, lo: int, hi: int, stream: SampleStream, count: int = 1) -> np.ndarray:
+    def sample(self, lo: int, hi: int, stream: SampleStream, count: int = 1,
+               start: int = 0) -> np.ndarray:
         _check_range(lo, hi, self.dim)
         width = hi - lo
-        u = stream.uniforms(count * width).reshape(count, width)
+        u = _uniform_rows(stream, start, count, width)
         return np.where(u < 0.5, 1.0, -1.0)
 
     def log_mass_rows(self, lo: int, hi: int, rows: np.ndarray) -> np.ndarray:
@@ -240,11 +257,14 @@ class DiagonalGaussian:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def sample(self, lo: int, hi: int, stream: SampleStream, count: int = 1) -> np.ndarray:
+    def sample(self, lo: int, hi: int, stream: SampleStream, count: int = 1,
+               start: int = 0) -> np.ndarray:
         _check_range(lo, hi, self.dim)
         width = hi - lo
-        z = stream.gaussians(count * width).reshape(count, width)
-        return self.mean[lo:hi] + self.sigma * z
+        first = start * width  # gaussian offset: pair first // 2, odd drops one
+        stream.skip(2 * (first // 2))
+        z = stream.gaussians(count * width + first % 2)[first % 2:]
+        return self.mean[lo:hi] + self.sigma * z.reshape(count, width)
 
     def log_mass_rows(self, lo: int, hi: int, rows: np.ndarray) -> np.ndarray:
         _check_range(lo, hi, self.dim)
@@ -321,3 +341,76 @@ def kl_block(q: ProductDistribution, p: ProductDistribution, lo: int, hi: int) -
     """Total KL(q || p) over one coordinate range, in nats."""
     _check_range(lo, hi, q.dim)
     return float(kl_per_coordinate(q, p)[lo:hi].sum())
+
+
+@dataclass(frozen=True)
+class LogRatio:
+    """log q(x) - log p(x) on rows x drawn from p, one coefficient per coordinate:
+
+        sum_i const_i + x_i * linear_i + x_i^2 * square_i
+
+    exact on every outcome p can draw.  An outcome q gives zero mass makes a
+    coefficient infinite, so it is kept out of them and listed in ``zero_mass``
+    as (value, coordinate mask) instead: a row holding that value at a masked
+    coordinate gets exactly -inf.
+    """
+
+    const: np.ndarray
+    linear: np.ndarray
+    square: np.ndarray | None
+    zero_mass: tuple[tuple[float, np.ndarray], ...]
+
+    def rows(self, lo: int, hi: int, candidates: np.ndarray) -> np.ndarray:
+        """The log-ratio of each row of a (n, hi-lo) candidate matrix."""
+        out = candidates @ self.linear[lo:hi]
+        if self.square is not None:
+            out += (candidates * candidates) @ self.square[lo:hi]
+        out += self.const[lo:hi].sum()
+        for value, mask in self.zero_mass:
+            cols = np.flatnonzero(mask[lo:hi])
+            if cols.size:
+                out[(candidates[:, cols] == value).any(axis=1)] = -np.inf
+        return out
+
+
+def _outcome_terms(outcomes) -> tuple[list[np.ndarray], tuple]:
+    """Per outcome (value, q mass, p mass): log q - log p where p can draw it
+    and q gives it mass, else 0; and the zero-mass list of :class:`LogRatio`."""
+    terms, zero_mass = [], []
+    for value, q_mass, p_mass in outcomes:
+        drawn = p_mass > 0.0
+        zero = drawn & (q_mass == 0.0)
+        live = drawn & ~zero
+        term = np.zeros(q_mass.shape)
+        term[live] = np.log(q_mass[live]) - np.log(p_mass[live])
+        terms.append(term)
+        if zero.any():
+            zero_mass.append((value, zero))
+    return terms, tuple(zero_mass)
+
+
+def log_ratio(q: ProductDistribution, p: ProductDistribution) -> LogRatio:
+    """The :class:`LogRatio` of a codec pair (the pairings of
+    :func:`kl_per_coordinate`; Gaussians may differ in sigma here)."""
+    if q.dim != p.dim:
+        raise ValueError(f"dimension mismatch: client {q.dim} vs global {p.dim}")
+    if isinstance(q, BernoulliVector) and isinstance(p, BernoulliVector):
+        (t0, t1), zero = _outcome_terms(
+            ((0.0, 1.0 - q.probs, 1.0 - p.probs), (1.0, q.probs, p.probs)))
+        return LogRatio(t0, t1 - t0, None, zero)
+    if isinstance(q, TernaryPattern) and isinstance(p, TernaryPattern):
+        (tn, t0, tp), zero = _outcome_terms(
+            ((-1.0, q.p_neg, p.p_neg), (0.0, q.p_zero, p.p_zero), (1.0, q.p_pos, p.p_pos)))
+        return LogRatio(t0, 0.5 * (tp - tn), 0.5 * (tp + tn) - t0, zero)
+    if isinstance(q, BinarySign) and isinstance(p, UniformSign):
+        half = np.full(q.dim, 0.5)
+        (tn, tp), zero = _outcome_terms(((-1.0, 1.0 - q.p_plus, half), (1.0, q.p_plus, half)))
+        return LogRatio(0.5 * (tp + tn), 0.5 * (tp - tn), None, zero)
+    if isinstance(q, DiagonalGaussian) and isinstance(p, DiagonalGaussian):
+        iq, ip = 1.0 / q.sigma**2, 1.0 / p.sigma**2
+        const = 0.5 * (ip * p.mean**2 - iq * q.mean**2) + np.log(p.sigma / q.sigma)
+        square = None if q.sigma == p.sigma else np.full(q.dim, 0.5 * (ip - iq))
+        return LogRatio(const, iq * q.mean - ip * p.mean, square, ())
+    raise ValueError(
+        f"incompatible distribution kinds: {type(q).__name__} vs {type(p).__name__}"
+    )

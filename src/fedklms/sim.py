@@ -364,10 +364,6 @@ def _client_message(state, cfg, model, X, y, client_key, local_stream, t, c, dim
 
     codec = cfg.codec
     q, p = method.pair(local, state, cfg, dim)
-    # Only location rounds need kl_vec, but it is computed every round:
-    # skipping it shifts the heap layout so that, in some checkout
-    # directories, fedpm_mlp's peak RSS grows by one 256 x 2210 float64
-    # candidate matrix.
     kl_vec = kl_per_coordinate(q, p)
     if state.location_round:
         partition = split_blocks_adaptive(kl_vec, codec)
@@ -376,7 +372,7 @@ def _client_message(state, cfg, model, X, y, client_key, local_stream, t, c, dim
     upd, cost = encode_update(
         q, p, partition, codec, client_key,
         round_index=t, client_id=c,
-        include_locations=state.location_round,
+        include_locations=state.location_round, kl=kl_vec,
     )
     blob = serialize_update(upd, codec)
     if len(blob) != (cost.total_bits + 7) // 8:

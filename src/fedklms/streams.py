@@ -21,6 +21,15 @@ with u1 mapped from [0,1) to (0,1] so the log is finite.  Pair i consumes
 uniforms (2i, 2i+1) and emits (z1, z2) adjacently, so a request for n gaussians
 always consumes exactly 2*ceil(n/2) uniforms and splitting a request into
 even-sized chunks reproduces the unsplit values bit for bit.
+
+:meth:`SampleStream.skip` moves past n uniforms without computing them.
+Philox turns one counter value into four uniforms, so a skip draws what is
+left of the current group of four, jumps the counter over the whole groups
+with ``advance``, and draws the remainder: ``skip(n)`` then ``uniforms(m)``
+gives ``uniforms(n + m)[n:]``.  Gaussian j comes from pair j // 2, so the
+gaussians from offset j on are reached by skipping 2 * (j // 2) uniforms and,
+when j is odd, dropping the first value of the next pair.  This is how the
+decoder regenerates one candidate row without the K - 1 before it.
 """
 
 from __future__ import annotations
@@ -86,15 +95,39 @@ class SampleStream:
         self.key = key
         philox_key = int.from_bytes(key.digest(), "big")
         self._gen = np.random.Generator(np.random.Philox(key=philox_key))
+        self._drawn = 0  # uniforms consumed; skip needs it mod 4
+
+    def _draw(self, n: int) -> np.ndarray:
+        self._drawn += n
+        return self._gen.random(n)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n float64 uniforms in [0, 1)."""
         if n < 0:
             raise ValueError(f"draw count must be nonnegative: {n}")
-        return self._gen.random(n)
+        return self._draw(n)
 
     def next_uniform(self) -> float:
-        return float(self._gen.random())
+        return float(self._draw(1)[0])
+
+    def skip(self, n: int) -> None:
+        """Move past the next n uniforms at the cost of at most six draws."""
+        if n < 0:
+            raise ValueError(f"skip count must be nonnegative: {n}")
+        # advance discards Philox's buffered group of four, so finish it first
+        lead = min(n, -self._drawn % 4)
+        self._draw(lead)
+        groups = (n - lead) // 4
+        if groups:
+            self._gen.bit_generator.advance(groups)
+            self._drawn += 4 * groups
+        self._draw((n - lead) % 4)
+
+    def copy(self) -> "SampleStream":
+        """An independent stream for the same key at the same position."""
+        twin = SampleStream(self.key)
+        twin.skip(self._drawn)
+        return twin
 
     def gaussians(self, n: int) -> np.ndarray:
         """n standard normals via the frozen trigonometric transform."""
@@ -103,7 +136,7 @@ class SampleStream:
         if n == 0:
             return np.empty(0)
         pairs = (n + 1) // 2
-        u = self._gen.random(2 * pairs)
+        u = self._draw(2 * pairs)
         u1 = 1.0 - u[0::2]  # (0, 1]: log stays finite
         u2 = u[1::2]
         radius = np.sqrt(-2.0 * np.log(u1))

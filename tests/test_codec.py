@@ -7,12 +7,14 @@ bits = ceil((kl + r)/ln 2) and the wire layout (136-bit header: 72 fixed +
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedklms import codec
 from fedklms.codec import (
     HEADER_BITS,
     BitCost,
@@ -292,6 +294,18 @@ def test_avg_block_kl_is_float32():
     key = StreamKey(30, (("f32", 0),))
     upd, _ = encode_update(q, p, part, params, key, round_index=0, client_id=0)
     assert upd.avg_block_kl == float(np.float32(upd.avg_block_kl))
+
+
+def test_encode_update_uses_the_callers_kl():
+    params = params_with(target=2.0)
+    q, p = make_bernoulli_pair(4, 9)
+    part = split_blocks_fixed(9, 4)
+    key = StreamKey(31, (("kl", 0),))
+    upd, _ = encode_update(q, p, part, params, key, round_index=0, client_id=0)
+    passed, _ = encode_update(q, p, part, params, key, round_index=0, client_id=0,
+                              kl=np.zeros(9))
+    assert np.array_equal(passed.indices, upd.indices)
+    assert upd.avg_block_kl > 0.0 and passed.avg_block_kl == 0.0
 
 
 # --- partition update rule --------------------------------------------------
@@ -597,3 +611,116 @@ def test_selected_indices_pinned(kind):
         q, p = _pin_pair(kind)
         params, lengths = CodecParams(d_kl_target=3.0, overhead_r=2.0), _PIN_LENGTHS
     assert _pin_digests(q, p, params, lengths, key) == SELECTION_GOLDEN[kind]
+
+
+# --- skip-decode and chunked encode -------------------------------------------
+
+
+def _p_of_kind(kind: str, dim: int):
+    gen = derive_stream(StreamKey(77, (("p", len(kind)),)))
+    if kind == "bernoulli":
+        return BernoulliVector(0.2 + 0.6 * gen.uniforms(dim))
+    if kind == "ternary":
+        neg = 0.4 * gen.uniforms(dim)
+        return TernaryPattern(neg, 0.5 * (1.0 - neg), 0.5 * (1.0 - neg))
+    if kind == "uniform_sign":
+        return UniformSign(dim)
+    return DiagonalGaussian(gen.gaussians(dim), 0.6)
+
+
+def _q_of_kind(kind: str, dim: int):
+    """A client posterior that pairs with _p_of_kind(kind), with zero-mass
+    coordinates for the discrete kinds."""
+    gen = derive_stream(StreamKey(78, (("q", len(kind)),)))
+    if kind == "bernoulli":
+        probs = 0.1 + 0.8 * gen.uniforms(dim)
+        probs[5], probs[30] = 0.0, 1.0
+        return BernoulliVector(probs)
+    if kind == "ternary":
+        neg, zero = 0.3 * gen.uniforms(dim), 0.4 * gen.uniforms(dim)
+        neg[[6, 7]] = 0.0
+        return TernaryPattern(neg, zero, 1.0 - neg - zero)
+    if kind == "uniform_sign":
+        plus = gen.uniforms(dim)
+        plus[9] = 1.0
+        return BinarySign(plus)
+    return DiagonalGaussian(gen.gaussians(dim), 0.6)
+
+
+P_KINDS = ("bernoulli", "ternary", "uniform_sign", "gaussian")
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(P_KINDS),
+    st.integers(1, 41).filter(lambda w: w % 4),
+    st.integers(0, 5),
+    st.sampled_from([1, 2, 7, 32, 64]),
+)
+def test_decode_block_equals_full_regeneration(kind, width, lo, num_samples):
+    p = _p_of_kind(kind, lo + width + 3)
+    key = StreamKey(79, (("regen", width), ("lo", lo), ("k", num_samples)))
+    full = p.sample(lo, lo + width, derive_stream(key), count=num_samples)
+    for index in range(num_samples):
+        row = decode_block(p, lo, lo + width, num_samples, derive_stream(key), index)
+        assert np.array_equal(row, full[index]), index
+
+
+@pytest.mark.parametrize("kind", P_KINDS)
+@pytest.mark.parametrize("chunk_floats", [1, 37 * 6, 37 * 9 + 5])
+def test_chunked_encode_keeps_selections(kind, chunk_floats, monkeypatch):
+    # width 37 is odd, so Gaussian chunks stay pair-aligned only because the
+    # chunks hold an even number of rows (2, 6 and 8 here); 201 candidates
+    # leave a ragged last chunk in each case
+    lo, hi, num_samples = 4, 41, 201
+    q, p = _q_of_kind(kind, 45), _p_of_kind(kind, 45)
+    key = StreamKey(80, (("chunks", len(kind)),))
+
+    def encode():
+        return [encode_block(q, p, lo, hi, num_samples,
+                             derive_stream(key.child("shared", rep)),
+                             derive_stream(key.child("select", rep)))
+                for rep in range(12)]
+
+    whole = encode()
+    monkeypatch.setattr(codec, "ENCODE_CHUNK_FLOATS", chunk_floats)
+    for (k, row), (k_chunked, row_chunked) in zip(whole, encode()):
+        assert k == k_chunked
+        assert np.array_equal(row, row_chunked)
+
+
+def test_chunked_encode_memory_is_bounded(monkeypatch):
+    # K = 2^14 candidates of width 1024 would be a 128 MiB matrix; chunks of
+    # 2^16 values keep the encoder to a few MiB
+    monkeypatch.setattr(codec, "ENCODE_CHUNK_FLOATS", 1 << 16)
+    width, num_samples = 1024, 1 << 14
+    q = BernoulliVector(np.linspace(0.45, 0.55, width))
+    p = BernoulliVector(np.full(width, 0.5))
+    key = StreamKey(81, (("bounded", 0),))
+    full_matrix_bytes = num_samples * width * 8
+    tracemalloc.start()
+    try:
+        k, row = encode_block(q, p, 0, width, num_samples,
+                              derive_stream(key), derive_stream(key.child("select")))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < full_matrix_bytes / 32, peak
+    assert np.array_equal(row, decode_block(p, 0, width, num_samples, derive_stream(key), k))
+
+
+# --- affine log-weights ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["ternary", "uniform_sign"])
+def test_all_zero_mass_block_raises_for_every_discrete_kind(kind):
+    # q forbids an outcome at every coordinate that p draws often
+    dim = 12
+    if kind == "ternary":
+        q = TernaryPattern(np.zeros(dim), np.ones(dim), np.zeros(dim))
+        p = TernaryPattern(np.full(dim, 0.5), np.zeros(dim), np.full(dim, 0.5))
+    else:
+        q, p = BinarySign(np.ones(dim)), UniformSign(dim)
+    key = StreamKey(82, (("allzero", len(kind)),))
+    with pytest.raises(ZeroMassCandidatesError):
+        encode_block(q, p, 0, dim, 4, derive_stream(key), derive_stream(key.child("s")))

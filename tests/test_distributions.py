@@ -22,6 +22,7 @@ from fedklms.distributions import (
     UniformSign,
     kl_block,
     kl_per_coordinate,
+    log_ratio,
 )
 from fedklms.streams import StreamKey, derive_stream
 
@@ -270,3 +271,63 @@ def test_range_validation():
         d.log_mass(1, 1, np.array([]))
     with pytest.raises(ValueError):
         d.log_mass(0, 2, np.array([0.0, 0.5]))  # off-support value
+
+
+# --- affine log-ratio -------------------------------------------------------------
+
+
+def _ratio_pairs():
+    """Codec pairs over 40 coordinates with exact zeros and ones in them."""
+    gen = derive_stream(StreamKey(14, (("ratio", 0),)))
+    u = lambda: gen.uniforms(40)
+    bern_q, bern_p = 0.05 + 0.9 * u(), 0.1 + 0.8 * u()
+    bern_q[[3, 11]], bern_q[[4, 30]] = 0.0, 1.0  # q forbids an outcome p draws
+    bern_p[[7, 8]], bern_p[[9, 10]] = 0.0, 1.0  # p never draws one outcome
+    bern_q[7], bern_q[9] = 0.0, 1.0
+    neg, zero = 0.4 * u(), 0.4 * u()
+    neg[[5, 21]] = 0.0
+    zero[6] = 0.0
+    tern_p_neg = np.full(40, 0.3)
+    tern_p_neg[[12, 21]] = 0.0
+    tern_p = TernaryPattern(tern_p_neg, np.full(40, 0.35), 0.65 - tern_p_neg)
+    plus = u()
+    plus[[2, 17]], plus[[18]] = 0.0, 1.0
+    mean = gen.gaussians(40)
+    return {
+        "bernoulli": (BernoulliVector(bern_q), BernoulliVector(bern_p)),
+        "ternary": (TernaryPattern(neg, zero, 1.0 - neg - zero), tern_p),
+        "sign": (BinarySign(plus), UniformSign(40)),
+        "gaussian": (DiagonalGaussian(mean, 0.8), DiagonalGaussian(0.3 * mean, 0.8)),
+        "gaussian_unequal_sigma": (DiagonalGaussian(mean, 0.5),
+                                   DiagonalGaussian(0.3 * mean, 1.3)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_ratio_pairs()))
+@pytest.mark.parametrize("lo,hi", [(0, 40), (3, 16), (17, 19), (21, 22)])
+def test_log_ratio_matches_log_mass_difference(name, lo, hi):
+    q, p = _ratio_pairs()[name]
+    rows = p.sample(lo, hi, derive_stream(StreamKey(15, (("rows", lo),))), count=4096)
+    log_q, log_p = q.log_mass_rows(lo, hi, rows), p.log_mass_rows(lo, hi, rows)
+    expected = log_q - log_p
+    got = log_ratio(q, p).rows(lo, hi, rows)
+    assert np.array_equal(np.isneginf(got), np.isneginf(expected))
+    assert not np.isnan(got).any()
+    # relative to the log masses: where they nearly cancel, the difference
+    # itself carries their rounding error (a few 1e-16 on a 1e-5 difference)
+    live = np.isfinite(expected)
+    error = np.abs(got[live] - expected[live])
+    assert np.all(error <= 1e-12 * (np.abs(log_q) + np.abs(log_p))[live])
+
+
+def test_log_ratio_zero_mass_rows_occur():
+    # the cases above do reach the -inf branch, and not for every row
+    q, p = _ratio_pairs()["bernoulli"]
+    rows = p.sample(0, 40, derive_stream(StreamKey(15, (("rows", 0),))), count=4096)
+    dead = np.isneginf(log_ratio(q, p).rows(0, 40, rows))
+    assert 0 < dead.sum() < dead.size
+
+
+def test_log_ratio_rejects_unpaired_kinds():
+    with pytest.raises(ValueError):
+        log_ratio(BinarySign(np.full(3, 0.5)), BinarySign(np.full(3, 0.5)))

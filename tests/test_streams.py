@@ -107,3 +107,46 @@ def test_key_validation():
         StreamKey(0, (("", 0),))
     with pytest.raises(ValueError):
         StreamKey(0, (("t", -5),))
+
+
+# --- skipping ahead -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("drawn", [0, 1, 2, 3, 5, 8])
+def test_skip_then_draw_equals_the_tail(drawn):
+    # drawn: uniforms consumed before the skip, so every phase of Philox's
+    # group of four is a starting point
+    key = StreamKey(8, (("skip", drawn),))
+    ref = derive_stream(key).uniforms(drawn + 80)[drawn:]
+    for n in range(0, 41):
+        for m in (1, 3, 4, 7):
+            s = derive_stream(key)
+            s.uniforms(drawn)
+            s.skip(n)
+            assert np.array_equal(s.uniforms(m), ref[n:n + m]), (n, m)
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2, 7, 37, 110])
+def test_gaussians_from_an_offset(offset):
+    # gaussian j is reached by skipping 2 * (j // 2) uniforms and, at an odd
+    # j, dropping the first value of the next pair
+    key = StreamKey(8, (("gskip", offset),))
+    for m in (1, 2, 5, 12):
+        s = derive_stream(key)
+        s.skip(2 * (offset // 2))
+        tail = s.gaussians(m + offset % 2)[offset % 2:]
+        assert np.array_equal(tail, derive_stream(key).gaussians(offset + m)[offset:])
+
+
+def test_copy_continues_independently():
+    s = derive_stream(StreamKey(8, (("copy", 0),)))
+    s.uniforms(3)
+    twin = s.copy()
+    assert np.array_equal(twin.uniforms(9), s.uniforms(9))
+    twin.uniforms(2)
+    assert np.array_equal(twin.uniforms(5), derive_stream(s.key).uniforms(19)[14:])
+
+
+def test_negative_skip_rejected():
+    with pytest.raises(ValueError):
+        derive_stream(StreamKey(1)).skip(-1)
