@@ -150,3 +150,137 @@ def test_copy_continues_independently():
 def test_negative_skip_rejected():
     with pytest.raises(ValueError):
         derive_stream(StreamKey(1)).skip(-1)
+
+
+# --- golden values ------------------------------------------------------------
+
+# key -> (digest hex, first 8 uniforms, skip n, the 8 uniforms after skip(n),
+# first 5 gaussians); floats are repr round-trips, compared exactly.  Every
+# skip is 4k + 3, so it ends inside one of Philox's groups of four.
+_GOLDEN = {
+    "empty": (
+        StreamKey(0),
+        "c804ce198ec337e3dc762bdd1a09aece",
+        [
+            0.8369583661183773, 0.8916822883783284, 0.7782873409208908,
+            0.7878886722064291, 0.2668794672151249, 0.8097646478327145,
+            0.6773932864244638, 0.29068769872595923,
+        ],
+        3,
+        [
+            0.7878886722064291, 0.2668794672151249, 0.8097646478327145,
+            0.6773932864244638, 0.29068769872595923, 0.6257140589823981,
+            0.6373575051910708, 0.9901145874476895,
+        ],
+        [
+            1.4802694750166578, -1.1984580333666102, 0.4093177658397955,
+            -1.686773575340145, 0.2889859004300517,
+        ],
+    ),
+    "one_label": (
+        StreamKey(7, (("round", 3),)),
+        "e9d16f4abfa69abbe648ff43de84fcb9",
+        [
+            0.3099167957222254, 0.044011070796662444, 0.24267561449593,
+            0.38162514287064764, 0.4423883681170162, 0.7943656897845888,
+            0.5173910331932898, 0.26842594148544163,
+        ],
+        7,
+        [
+            0.26842594148544163, 0.060078332099068876, 0.8693935457295477,
+            0.5275818267610347, 0.5489772791328201, 0.8427193350088724,
+            0.5483710703304291, 0.09470579584427574,
+        ],
+        [
+            0.8286051721384898, 0.2351588276190456, -0.5487061697933552,
+            0.504825459757637, 0.29740191237927016,
+        ],
+    ),
+    "chain": (
+        StreamKey(42).child("round", 5).child("client", 3).child("block", 11),
+        "c59a7773a406ade3ee7b67604f282e61",
+        [
+            0.6390106031699754, 0.05827920772901318, 0.068850842451045,
+            0.32706253787329453, 0.6329915774154823, 0.21273411416187504,
+            0.17919091319657554, 0.7869517148700871,
+        ],
+        43,
+        [
+            0.7258596046448602, 0.008505354139069388, 0.48337808866992393,
+            0.42845053329629035, 0.39129078704998765, 0.24675542742098777,
+            0.9450801691645897, 0.9430373830815281,
+        ],
+        [
+            1.3328786426991612, 0.511124162333996, -0.17582774875779345,
+            0.33429957741817623, 0.32850710708588127,
+        ],
+    ),
+    "non_ascii": (
+        StreamKey(1).child("σ-шум", 9),
+        "5f7c7d0598127498cb10ab6542b0f96d",
+        [
+            0.17201973993848207, 0.33185230348135886, 0.6953589538017703,
+            0.04539457417729942, 0.6539158057731621, 0.9482502941778411,
+            0.1398934305304098, 0.6960999652824905,
+        ],
+        11,
+        [
+            0.5329859762714152, 0.49458469309835007, 0.0943351024696355,
+            0.49522120147386417, 0.2987888850755035, 0.5940245584417194,
+            0.8169529674581543, 0.576304483501705,
+        ],
+        [
+            -0.3022532414286385, 0.534953183763627, 1.479539385390111,
+            0.43382645542459375, 1.3804274171306479,
+        ],
+    ),
+    "max_value": (
+        StreamKey(2**64 - 1).child("max", 2**64 - 1),
+        "cec5b46bc9c6578f69808700f1d2f9a4",
+        [
+            0.038098849297553805, 0.38879161382583927, 0.6447981078338711,
+            0.7590682230754969, 0.9343535256449309, 0.9293328075079196,
+            0.019153626406964053, 0.8770177756598322,
+        ],
+        1003,
+        [
+            0.7637865577925809, 0.2510680981923117, 0.796401935130619,
+            0.442241661294819, 0.4309132868842326, 0.6292124267667725,
+            0.16274762655190989, 0.4598473840972862,
+        ],
+        [
+            -0.21340557602910562, 0.179290923380873, 0.08193447795188694,
+            -1.4364625379698595, 2.107563188926863,
+        ],
+    ),
+    "codec_shared": (
+        StreamKey(2026).child("block", 0).child("shared"),
+        "37a867f1045e78d839c4790eed4e3763",
+        [
+            0.8579233441811953, 0.7908879763121508, 0.4408907759437527,
+            0.2807897600196121, 0.2595401319190125, 0.0652280896038252,
+            0.34743008321068214, 0.22655315333470016,
+        ],
+        15,
+        [
+            0.3857624924876414, 0.9179076171980938, 0.8554903964329553,
+            0.9510952619984805, 0.488354022307699, 0.5075769482068436,
+            0.2782665574030583, 0.9700562245189299,
+        ],
+        [
+            0.5019662130561786, -1.9107085061838418, -0.20731475621522408,
+            1.0582256176918168, 0.7110207510274226,
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_golden_values_pinned(name):
+    key, digest, first, skip, after, gaussians = _GOLDEN[name]
+    assert key.digest().hex() == digest
+    assert derive_stream(key).uniforms(8).tolist() == first
+    s = derive_stream(key)
+    s.skip(skip)
+    assert s.uniforms(8).tolist() == after
+    assert derive_stream(key).gaussians(5).tolist() == gaussians
