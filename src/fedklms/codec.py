@@ -392,6 +392,7 @@ def decode_block(
 
 
 def _block_streams(key_base: StreamKey, m: int) -> tuple[SampleStream, SampleStream]:
+    """The encoder's shared and selector streams for block m."""
     block_key = key_base.child(_BLOCK_TAG, m)
     return (
         derive_stream(block_key.child(_SHARED_TAG)),
@@ -482,7 +483,8 @@ def decode_update(
     num_samples, _ = samples_per_block(params.d_kl_target, params)
     out = np.empty(p.dim)
     for m, (lo, hi) in enumerate(partition.ranges()):
-        shared, _ = _block_streams(key_base, m)
+        # only the shared stream: the selector is the encoder's alone
+        shared = derive_stream(key_base.child(_BLOCK_TAG, m).child(_SHARED_TAG))
         out[lo:hi] = decode_block(p, lo, hi, num_samples, shared, int(upd.indices[m]))
     return out
 

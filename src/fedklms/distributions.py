@@ -50,6 +50,16 @@ def _check_range(lo: int, hi: int, dim: int) -> None:
         raise ValueError(f"bad coordinate range [{lo}, {hi}) for dim {dim}")
 
 
+def _check_coordinates(ok: np.ndarray, message: str, *values: np.ndarray) -> None:
+    """Raise ValueError naming the first coordinate where ok is False.
+
+    Write ok as the condition that holds, so that NaN fails it."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        shown = ", ".join(repr(float(v[i])) for v in values)
+        raise ValueError(f"{message}: coordinate {i} is {shown}")
+
+
 def _check_rows(rows: np.ndarray, width: int) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if rows.shape[1] != width:
@@ -79,8 +89,8 @@ class BernoulliVector:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.ndim != 1:
             raise ValueError("probs must be a 1-D vector")
-        if np.any((self.probs < 0.0) | (self.probs > 1.0)):
-            raise ValueError("Bernoulli probabilities must lie in [0, 1]")
+        _check_coordinates((self.probs >= 0.0) & (self.probs <= 1.0),
+                           "Bernoulli probabilities must lie in [0, 1]", self.probs)
 
     @property
     def dim(self) -> int:
@@ -127,13 +137,16 @@ class TernaryPattern:
         self.p_pos = np.asarray(self.p_pos, dtype=np.float64)
         if not (self.p_neg.shape == self.p_zero.shape == self.p_pos.shape) or self.p_neg.ndim != 1:
             raise ValueError("ternary probability vectors must be 1-D and equal length")
+        probs = (self.p_neg, self.p_zero, self.p_pos)
+        finite = np.isfinite(self.p_neg) & np.isfinite(self.p_zero) & np.isfinite(self.p_pos)
+        _check_coordinates(finite, "ternary probabilities must be finite", *probs)
         total = self.p_neg + self.p_zero + self.p_pos
-        if np.any(np.abs(total - 1.0) > 1e-12):
-            raise ValueError("ternary probabilities must sum to 1 per coordinate")
-        if np.any((self.p_neg < 0) | (self.p_zero < 0) | (self.p_pos < 0)):
-            raise ValueError("ternary probabilities must be nonnegative")
-        if self.magnitude < 0:
-            raise ValueError("magnitude must be nonnegative")
+        _check_coordinates(np.abs(total - 1.0) <= 1e-12,
+                           "ternary probabilities must sum to 1 per coordinate", *probs)
+        _check_coordinates((self.p_neg >= 0) & (self.p_zero >= 0) & (self.p_pos >= 0),
+                           "ternary probabilities must be nonnegative", *probs)
+        if not 0.0 <= self.magnitude < np.inf:
+            raise ValueError(f"magnitude must be finite and nonnegative: {self.magnitude}")
 
     @property
     def dim(self) -> int:
@@ -181,8 +194,8 @@ class BinarySign:
         self.p_plus = np.asarray(self.p_plus, dtype=np.float64)
         if self.p_plus.ndim != 1:
             raise ValueError("p_plus must be a 1-D vector")
-        if np.any((self.p_plus < 0.0) | (self.p_plus > 1.0)):
-            raise ValueError("sign probabilities must lie in [0, 1]")
+        _check_coordinates((self.p_plus >= 0.0) & (self.p_plus <= 1.0),
+                           "sign probabilities must lie in [0, 1]", self.p_plus)
 
     @property
     def dim(self) -> int:
@@ -250,8 +263,9 @@ class DiagonalGaussian:
         self.mean = np.asarray(self.mean, dtype=np.float64)
         if self.mean.ndim != 1:
             raise ValueError("mean must be a 1-D vector")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive: {self.sigma}")
+        _check_coordinates(np.isfinite(self.mean), "Gaussian means must be finite", self.mean)
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite: {self.sigma}")
 
     @property
     def dim(self) -> int:

@@ -9,7 +9,16 @@ any order and across process boundaries.
 
 Keys are hashed (BLAKE2b-128 over a canonical byte encoding) into the 128-bit
 key of a Philox counter-based generator.  Distinct label tuples give
-statistically independent streams.
+statistically independent streams.  The 16-byte digest, read as one big-endian
+integer, is the Philox key: its low 64-bit word is the generator's first key
+word and its high word the second, as ``np.random.Philox(key=int.from_bytes(
+digest, "big"))`` would set them.  The stream hands Philox those two words as
+its seed and a zero counter as four words, so no seed sequence is drawn from
+OS entropy only to be overridden.  Each key holds the BLAKE2b state of its own
+label prefix: :meth:`StreamKey.child` copies that state and validates and
+absorbs only the new label, so a prefix shared by many children is hashed
+once.  Label values are integers in [0, 2^64) (floats and bools are refused,
+never truncated) and tags are at most 65,535 UTF-8 bytes.
 
 The Gaussian transform is intentionally not the generator's native one: it is
 frozen to the paired-uniform trigonometric transform
@@ -34,37 +43,90 @@ decoder regenerates one candidate row without the K - 1 before it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-_LABEL_VALUE_BITS = 64
+_WORD = 2**64
+_MAX_TAG_BYTES = 2**16 - 1  # the tag length is encoded in two bytes
+_set = object.__setattr__  # fills the fields of a frozen key
+# Philox's counter starts at zero; given as words, numpy need not split an int
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
 
 
-@dataclass(frozen=True)
+def _word(value, what: str) -> int:
+    """value as an int in [0, 2^64); floats and bools are refused, not cut."""
+    if type(value) is not int:
+        if isinstance(value, bool):
+            raise TypeError(f"{what} must be an integer, not bool: {value!r}")
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise TypeError(f"{what} must be an integer: {value!r}") from None
+    if not 0 <= value < _WORD:
+        raise ValueError(f"{what} out of range [0, 2^64): {value}")
+    return value
+
+
+def _encode_label(tag: str, value) -> tuple[int, bytes]:
+    """Validate one label; return its value and its canonical byte encoding."""
+    if not isinstance(tag, str) or not tag:
+        raise ValueError(f"label tag must be a non-empty string: {tag!r}")
+    value = _word(value, f"label {tag}")
+    raw = tag.encode("utf-8")
+    if len(raw) > _MAX_TAG_BYTES:
+        raise ValueError(
+            f"label tag {tag[:32]!r}... is {len(raw)} UTF-8 bytes, at most {_MAX_TAG_BYTES}"
+        )
+    return value, len(raw).to_bytes(2, "big") + raw + value.to_bytes(8, "big")
+
+
+@dataclass(frozen=True, slots=True)
 class StreamKey:
     """Immutable identifier for one random stream.
 
     Labels are (tag, value) pairs appended with :meth:`child`; the order is
-    significant.  Values must fit in an unsigned 64-bit integer.
+    significant.  Values must be integers in [0, 2^64).
     """
 
     root_seed: int
     labels: tuple[tuple[str, int], ...] = field(default_factory=tuple)
+    # BLAKE2b state after the root seed and every label
+    _prefix: hashlib.blake2b = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.root_seed < 2**64:
-            raise ValueError(f"root_seed must be in [0, 2^64): {self.root_seed}")
+        root_seed = _word(self.root_seed, "root_seed")
+        prefix = hashlib.blake2b(root_seed.to_bytes(8, "big"), digest_size=16)
+        labels = []
         for tag, value in self.labels:
-            if not isinstance(tag, str) or not tag:
-                raise ValueError(f"label tag must be a non-empty string: {tag!r}")
-            if not 0 <= int(value) < 2**_LABEL_VALUE_BITS:
-                raise ValueError(f"label value out of range: {tag}={value}")
+            value, encoded = _encode_label(tag, value)
+            prefix.update(encoded)
+            labels.append((tag, value))
+        _set(self, "root_seed", root_seed)
+        _set(self, "labels", tuple(labels))
+        _set(self, "_prefix", prefix)
+
+    def __reduce__(self):
+        # the hash state does not pickle; the fields rebuild it
+        return type(self), (self.root_seed, self.labels)
 
     def child(self, tag: str, value: int = 0) -> "StreamKey":
-        """Return a new key with one more label appended."""
-        return StreamKey(self.root_seed, self.labels + ((tag, int(value)),))
+        """Return a new key with one more label appended.
+
+        The parent's labels are already checked and hashed: only the new one
+        is, into a copy of the parent's hash state.
+        """
+        value, encoded = _encode_label(tag, value)
+        prefix = self._prefix.copy()
+        prefix.update(encoded)
+        key = object.__new__(type(self))  # skips __post_init__'s full pass
+        _set(key, "root_seed", self.root_seed)
+        _set(key, "labels", self.labels + ((tag, value),))
+        _set(key, "_prefix", prefix)
+        return key
 
     def digest(self) -> bytes:
         """Canonical 16-byte hash of (root_seed, labels).
@@ -72,14 +134,36 @@ class StreamKey:
         Encoding is unambiguous: root seed as 8 bytes big-endian, then for each
         label a 2-byte tag length, the UTF-8 tag, and the 8-byte value.
         """
-        h = hashlib.blake2b(digest_size=16)
-        h.update(self.root_seed.to_bytes(8, "big"))
-        for tag, value in self.labels:
-            raw = tag.encode("utf-8")
-            h.update(len(raw).to_bytes(2, "big"))
-            h.update(raw)
-            h.update(int(value).to_bytes(8, "big"))
-        return h.digest()
+        return self._prefix.digest()
+
+
+@functools.cache
+def _philox_key_type() -> type:
+    """The seed that hands Philox a digest as its key.
+
+    Its base class lives in numpy.random, which numpy imports on first use
+    and which takes about 10 ms to import, so the class is built with the
+    first stream rather than when this module is imported.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        """Philox asks its seed for two 64-bit words and makes them its key,
+        low word first."""
+
+        __slots__ = ("_words",)
+
+        def __init__(self, digest: bytes):
+            # the digest is a big-endian 128-bit key; reversed, it is little
+            # endian, and its two 8-byte halves are the low and the high word
+            self._words = np.frombuffer(digest[::-1], dtype="<u8")
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise ValueError(f"a Philox key is two uint64 words, not {n_words} {dtype}")
+            return self._words
+
+    return PhiloxKey
 
 
 class SampleStream:
@@ -93,8 +177,8 @@ class SampleStream:
 
     def __init__(self, key: StreamKey):
         self.key = key
-        philox_key = int.from_bytes(key.digest(), "big")
-        self._gen = np.random.Generator(np.random.Philox(key=philox_key))
+        philox = np.random.Philox(_philox_key_type()(key.digest()), counter=_ZERO_COUNTER)
+        self._gen = np.random.Generator(philox)
         self._drawn = 0  # uniforms consumed; skip needs it mod 4
 
     def _draw(self, n: int) -> np.ndarray:

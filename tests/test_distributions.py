@@ -146,6 +146,58 @@ def test_ternary_validation():
         TernaryPattern(np.array([0.5]), np.array([0.5]), np.array([0.5]))
 
 
+# --- non-finite inputs are refused, naming the first bad coordinate -----------
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("probs,bad", [
+    ([0.5, _NAN], 1), ([_NAN, _NAN], 0), ([0.2, 0.3, _INF], 2), ([-_INF, 0.5], 0),
+    ([0.5, 1.5, _NAN], 1),
+])
+def test_bernoulli_refuses_non_finite(probs, bad):
+    with pytest.raises(ValueError, match=f"coordinate {bad} is"):
+        BernoulliVector(np.array(probs))
+
+
+@pytest.mark.parametrize("p_plus,bad", [
+    ([_NAN, 0.5], 0), ([0.5, 0.5, _NAN], 2), ([0.5, _INF], 1), ([-_INF], 0),
+])
+def test_binary_sign_refuses_non_finite(p_plus, bad):
+    with pytest.raises(ValueError, match=f"coordinate {bad} is"):
+        BinarySign(np.array(p_plus))
+
+
+@pytest.mark.parametrize("which,bad", [(0, 0), (0, 2), (1, 1), (2, 2)])
+@pytest.mark.parametrize("value", [_NAN, _INF, -_INF])
+def test_ternary_refuses_non_finite(which, bad, value):
+    probs = [np.full(3, 0.25), np.full(3, 0.5), np.full(3, 0.25)]
+    probs[which][bad] = value
+    with pytest.raises(ValueError, match=f"must be finite: coordinate {bad} is"):
+        TernaryPattern(*probs)
+
+
+@pytest.mark.parametrize("magnitude", [_NAN, _INF, -1.0])
+def test_ternary_refuses_bad_magnitude(magnitude):
+    third = np.full(2, 1.0 / 3.0)
+    with pytest.raises(ValueError, match="magnitude"):
+        TernaryPattern(third, third, third, magnitude=magnitude)
+
+
+@pytest.mark.parametrize("mean,bad", [
+    ([0.0, _NAN], 1), ([_INF, 0.0], 0), ([0.0, 1.0, -_INF], 2),
+])
+def test_gaussian_refuses_non_finite_mean(mean, bad):
+    with pytest.raises(ValueError, match=f"coordinate {bad} is"):
+        DiagonalGaussian(np.array(mean), 1.0)
+
+
+@pytest.mark.parametrize("sigma", [_INF, _NAN, 0.0, -1.0])
+def test_gaussian_refuses_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        DiagonalGaussian(np.zeros(2), sigma)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
 def test_bernoulli_mass_sums_to_one(seed, dim):
     rng = np.random.default_rng(seed)

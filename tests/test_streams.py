@@ -5,8 +5,13 @@ loose enough to be deterministic passes for any healthy generator but would
 catch a broken transform or key collision.
 """
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedklms.streams import SampleStream, StreamKey, derive_stream
 
@@ -107,6 +112,105 @@ def test_key_validation():
         StreamKey(0, (("", 0),))
     with pytest.raises(ValueError):
         StreamKey(0, (("t", -5),))
+
+
+@pytest.mark.parametrize("value", [1.7, 1.0, True, False, "1", None])
+def test_non_integer_label_values_refused(value):
+    # once, int() cut 1.7 to 1: a different key with the same stream
+    with pytest.raises(TypeError, match="rep"):
+        StreamKey(0).child("rep", value)
+    with pytest.raises(TypeError, match="rep"):
+        StreamKey(0, (("rep", value),))
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "3"])
+def test_non_integer_root_seed_refused(seed):
+    with pytest.raises(TypeError, match="root_seed"):
+        StreamKey(seed)
+
+
+def test_integer_like_label_values_accepted():
+    plain = StreamKey(0).child("rep", 1)
+    for value in (np.int64(1), np.uint64(1), np.int8(1)):
+        key = StreamKey(0).child("rep", value)
+        assert key == plain and hash(key) == hash(plain)
+        assert key.digest() == plain.digest()
+        assert type(key.labels[0][1]) is int
+    assert StreamKey(0, (("rep", np.int64(1)),)) == plain
+
+
+def test_tag_length_limit():
+    StreamKey(0).child("t" * 65535)  # the 2-byte length field holds 65535
+    for tag in ("t" * 65536, "é" * 32768):  # 65536 UTF-8 bytes either way
+        with pytest.raises(ValueError, match="65536 UTF-8 bytes"):
+            StreamKey(0).child(tag)
+        with pytest.raises(ValueError, match="65536 UTF-8 bytes"):
+            StreamKey(0, ((tag, 0),))
+
+
+def test_key_pickles_with_its_digest():
+    key = StreamKey(5).child("round", 2).child("ключ", 2**64 - 1)
+    again = pickle.loads(pickle.dumps(key))
+    assert again == key and again.digest() == key.digest()
+    assert np.array_equal(derive_stream(again).uniforms(9), derive_stream(key).uniforms(9))
+
+
+# --- derivation against its definition ----------------------------------------
+
+_TAGS = st.one_of(
+    st.sampled_from(["block", "shared", "σ", "ключ", "客户", "🎲"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6),
+)
+_VALUES = st.one_of(st.sampled_from([0, 2**64 - 1]), st.integers(0, 2**64 - 1))
+_LABELS = st.lists(st.tuples(_TAGS, _VALUES), max_size=5).map(tuple)
+
+
+def _reference_digest(root_seed, labels):
+    """BLAKE2b-128 of the canonical encoding, hashed from scratch."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(root_seed.to_bytes(8, "big"))
+    for tag, value in labels:
+        raw = tag.encode("utf-8")
+        h.update(len(raw).to_bytes(2, "big") + raw + value.to_bytes(8, "big"))
+    return h.digest()
+
+
+def _reference_gaussians(u):
+    """The frozen trigonometric transform over an even number of uniforms."""
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    angle = 2.0 * np.pi * u[1::2]
+    z = np.empty(u.size)
+    z[0::2] = radius * np.cos(angle)
+    z[1::2] = radius * np.sin(angle)
+    return z
+
+
+@given(st.integers(0, 2**64 - 1), _LABELS, st.integers(0, 300), st.integers(1, 12))
+def test_stream_is_philox_keyed_by_the_digest(root_seed, labels, offset, n):
+    key = StreamKey(root_seed, labels)
+    ref = np.random.Generator(np.random.Philox(key=int.from_bytes(key.digest(), "big")))
+    ref.random(offset)
+    expected = ref.random(2 * n)
+    s = derive_stream(key)
+    s.skip(offset)
+    twin = s.copy()
+    assert np.array_equal(s.uniforms(2 * n), expected)
+    assert np.array_equal(twin.gaussians(2 * n), _reference_gaussians(expected))
+
+
+@given(st.integers(0, 2**64 - 1), _LABELS)
+def test_child_chain_equals_direct_construction(root_seed, labels):
+    direct = StreamKey(root_seed, labels)
+    chain = [StreamKey(root_seed)]
+    for tag, value in labels:
+        chain.append(chain[-1].child(tag, value))
+    chained = chain[-1]
+    assert chained == direct and hash(chained) == hash(direct)
+    assert repr(chained) == repr(direct)
+    assert chained.digest() == direct.digest() == _reference_digest(root_seed, labels)
+    # a child must not disturb its parent's hash state
+    for i, key in enumerate(chain):
+        assert key.digest() == _reference_digest(root_seed, labels[:i])
 
 
 # --- skipping ahead -----------------------------------------------------------
