@@ -2,65 +2,28 @@
 """Run the desk-scale method comparison on the synthetic separable task.
 
 Three codec-vs-baseline pairs (FedPM masks, stochastic SignSGD, ternary
-QSGD) at N = 10 iid clients, printing a bitrate/accuracy table and writing
-per-round metrics under results/.
+QSGD): each of configs/{fedpm,signsgd,qsgd}_separable.json runs once as
+shipped (klms) and once with variant baseline, printing a bitrate/accuracy
+table and writing per-round metrics under results/.
 """
 
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from fedklms.config import parse_experiment_config
+from fedklms.config import load_config_file, parse_experiment_config
 from fedklms.sim import run_experiment, write_metrics_csv, write_summary_json
-
-DATASET = {
-    "kind": "separable",
-    "num_points": 600,
-    "num_features": 20,
-    "margin": 0.5,
-    "test_points": 300,
-}
-
-JOBS = [
-    (
-        "fedpm",
-        {"model": {"kind": "mlp", "hidden_units": 96}, "rounds": 200},
-        {},
-    ),
-    (
-        "signsgd",
-        {
-            "model": {"kind": "logistic"},
-            "rounds": 150,
-            "signsgd": {"temperature_scale": 4.0, "server_lr": 0.02},
-        },
-        {"codec": {"d_kl_target": 1.5, "overhead_r": 0.5, "max_block_size": 4096}},
-    ),
-    (
-        "qsgd",
-        {"model": {"kind": "logistic"}, "rounds": 150},
-        {},
-    ),
-]
 
 
 def main() -> int:
     out_dir = Path("results")
     print(f"{'run':26s} {'final acc':>9s} {'best acc':>8s} {'payload bpp':>11s} {'total bpp':>9s}")
-    for method, shared, klms_extra in JOBS:
+    for method in ("fedpm", "signsgd", "qsgd"):
         for variant in ("baseline", "klms"):
-            obj = {
-                "method": method,
-                "variant": variant,
-                "seed": 5,
-                "num_clients": 10,
-                "clients_per_round": 10,
-                "dataset": DATASET,
-            }
-            obj.update(shared)
-            if variant == "klms":
-                obj.update(klms_extra)
+            obj = load_config_file(str(ROOT / "configs" / f"{method}_separable.json"))
+            obj["variant"] = variant
             cfg = parse_experiment_config(obj)
             rows, summary = run_experiment(cfg)
             name = f"{method}-{variant}"

@@ -1,24 +1,25 @@
 #!/usr/bin/env python3
 """Run both toy mean-estimation grids and print the gap tables.
 
-Grid 1 crosses overhead r with client count N at zero heterogeneity; grid 2
-fixes (r=6, N=100) and sweeps the heterogeneity half-width eta.  CSVs land
-under results/.
+Grid 1 (configs/toy_default.json) crosses overhead r with client count N at
+zero heterogeneity; grid 2 (configs/toy_heterogeneity.json) fixes (r=6,
+N=100) and sweeps the heterogeneity half-width eta.  CSVs land under results/.
 """
 
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
-from fedklms.config import parse_toy_config
+from fedklms.config import load_config_file, parse_toy_config
 from fedklms.toy import run_toy, write_toy_csv, write_toy_summary
 
 
 def main() -> int:
     out_dir = Path("results")
 
-    cfg = parse_toy_config({})
+    cfg = parse_toy_config(load_config_file(str(ROOT / "configs" / "toy_default.json")))
     cells, summary = run_toy(cfg)
     write_toy_csv(cells, str(out_dir / "toy.csv"))
     write_toy_summary(summary, str(out_dir / "toy_summary.json"))
@@ -32,13 +33,7 @@ def main() -> int:
         )
         print(f"  {r:3.0f} {row}")
 
-    het = parse_toy_config(
-        {
-            "r_grid": [6.0],
-            "client_grid": [100],
-            "eta_grid": [0.0, 0.05, 0.1, 0.25, 0.4],
-        }
-    )
+    het = parse_toy_config(load_config_file(str(ROOT / "configs" / "toy_heterogeneity.json")))
     cells, summary = run_toy(het)
     write_toy_csv(cells, str(out_dir / "toy_heterogeneity.csv"))
     write_toy_summary(summary, str(out_dir / "toy_heterogeneity_summary.json"))

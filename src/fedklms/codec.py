@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import LogRatio, ProductDistribution, kl_per_coordinate, log_ratio
+from .distributions import (LogRatio, ProductDistribution, _check_coordinates,
+                            kl_per_coordinate, log_ratio)
 from .streams import SampleStream, StreamKey, derive_stream
 
 _LN2 = math.log(2.0)
@@ -94,18 +95,12 @@ class CodecParams:
 
     @property
     def length_field_bits(self) -> int:
-        return max_block_size_field_bits(self.max_block_size)
+        """Width of one block-length wire field: ceil(log2 max_block_size).
 
-
-def max_block_size_field_bits(max_block_size: int) -> int:
-    """Width of one block-length wire field: ceil(log2 max_block_size).
-
-    Lengths are in [1, max_block_size] and are stored as length - 1, which is
-    exactly the 0 .. max_block_size-1 range the field can hold.
-    """
-    if max_block_size < 1:
-        raise ValueError(f"max_block_size must be >= 1: {max_block_size}")
-    return max(0, (max_block_size - 1).bit_length())
+        Lengths are in [1, max_block_size] and are stored as length - 1, which
+        is exactly the 0 .. max_block_size-1 range the field can hold.
+        """
+        return max(0, (self.max_block_size - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -207,10 +202,6 @@ class BitCost:
         return self.payload_bits + self.location_bits + self.header_bits
 
     @property
-    def bpp(self) -> float:
-        return self.total_bits / self.dimension
-
-    @property
     def bpp_payload(self) -> float:
         return self.payload_bits / self.dimension
 
@@ -236,8 +227,8 @@ def split_blocks_adaptive(kl: np.ndarray, params: CodecParams) -> BlockPartition
     kl = np.asarray(kl, dtype=np.float64)
     if kl.ndim != 1 or kl.size == 0:
         raise ValueError("kl must be a non-empty 1-D vector")
-    if np.any(kl < 0):
-        raise ValueError("per-coordinate KL must be nonnegative")
+    _check_coordinates(np.isfinite(kl) & (kl >= 0.0),
+                       "per-coordinate KL must be finite and nonnegative", kl)
     starts = [0]
     running = 0.0
     length = 0
@@ -262,14 +253,14 @@ def split_blocks_fixed(dim: int, block_size: int) -> BlockPartition:
 
 
 def aggregate_block_locations(
-    partitions: list[BlockPartition], max_block_size: int | None = None
+    partitions: list[BlockPartition], max_block_size: int
 ) -> BlockPartition:
     """Merge per-client partitions into one: per position, the ceiling of the
     mean start over the clients that have that many blocks.
 
     The raw ceil-means can collide or go out of range, so the result is
-    repaired: non-increasing starts are dropped, and if a cap is given, blocks
-    over max_block_size are split at cap multiples.
+    repaired: non-increasing starts are dropped, and blocks over
+    max_block_size are split at cap multiples.
     """
     if not partitions:
         raise ValueError("need at least one client partition")
@@ -286,17 +277,14 @@ def aggregate_block_locations(
     for s in starts[1:]:
         if merged[-1] < s < dim:
             merged.append(s)
-    if max_block_size is not None:
-        capped = [0]
-        bounds = merged[1:] + [dim]
-        for lo, hi in zip(merged, bounds):
-            if lo > 0:
-                capped.append(lo)
-            while hi - lo > max_block_size:
-                lo += max_block_size
-                capped.append(lo)
-        merged = capped
-    return BlockPartition(dim=dim, starts=tuple(merged))
+    capped = [0]
+    for lo, hi in zip(merged, merged[1:] + [dim]):
+        if lo > 0:
+            capped.append(lo)
+        while hi - lo > max_block_size:
+            lo += max_block_size
+            capped.append(lo)
+    return BlockPartition(dim=dim, starts=tuple(capped))
 
 
 class ZeroMassCandidatesError(ValueError):
@@ -445,11 +433,17 @@ def encode_update(
         shared, selector = _block_streams(key_base, m)
         indices[m], _ = encode_block(q, p, lo, hi, num_samples, shared, selector, ratio)
         block_kls[m] = kl[lo:hi].sum()
+    with np.errstate(over="ignore"):
+        # transmitted at 32 bits, so stored already rounded
+        avg_block_kl = float(np.float32(block_kls.mean()))
+    if not math.isfinite(avg_block_kl):
+        lo, hi = partition.ranges()[int(np.argmax(block_kls))]
+        raise ValueError(f"mean block KL overflows its float32 wire field: block "
+                         f"[{lo}, {hi}) has {float(block_kls.max())!r} nats")
     upd = EncodedUpdate(
         round_index=round_index,
         client_id=client_id,
-        # transmitted at 32 bits, so stored already rounded
-        avg_block_kl=float(np.float32(block_kls.mean())),
+        avg_block_kl=avg_block_kl,
         num_blocks=partition.num_blocks,
         indices=indices,
         includes_locations=include_locations,

@@ -5,8 +5,9 @@ bound, allowed values and default, and :func:`_walk` checks a config against
 it.  Errors are collected with dotted field paths ("codec.d_kl_target: must
 be > 0, got -1") so a bad config reports everything wrong at once.  Only the
 rules that relate two fields are written here: clients_per_round cannot
-exceed num_clients, a csv or idx dataset needs its paths, and the KL band
-defaults to [d_kl_target / 2, 2 * d_kl_target] and must bracket the target.
+exceed num_clients, a synthetic dataset needs at least one training point per
+client, a csv or idx dataset needs its paths, and the KL band defaults to
+[d_kl_target / 2, 2 * d_kl_target] and must bracket the target.
 """
 
 from __future__ import annotations
@@ -226,6 +227,8 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
     if cfg.clients_per_round > cfg.num_clients:
         chk.fail("clients_per_round", f"cannot exceed num_clients ({cfg.num_clients})")
     kind = cfg.dataset.kind
+    if kind in ("separable", "blobs") and cfg.dataset.num_points < cfg.num_clients:
+        chk.fail("dataset.num_points", f"cannot be fewer than num_clients ({cfg.num_clients})")
     for name in _DATASET_PATHS.get(kind, ()):
         if name not in obj["dataset"]:
             chk.fail(f"dataset.{name}", f"required when dataset.kind is {kind}")

@@ -7,22 +7,25 @@ All five kinds share one interface:
     dim                   number of coordinates
     sample(lo, hi, stream, count, start)   rows start .. start+count-1 of the
                                            iid draws from the stream's position
-    log_mass(lo, hi, x)             log probability (mass or density) of one row
-    log_mass_rows(lo, hi, rows)     vectorized over rows
+    log_mass_rows(lo, hi, rows)     log probability (mass or density) per row
 
 ``sample`` consumes a fixed number of stream draws per row determined only by
 (kind, hi-lo), so encoder and decoder stay in lockstep without exchanging
 generator state, and ``start`` skips to a row without computing the ones
 before it.
 
-:func:`log_ratio` gives the codec log q - log p of a pair on rows drawn from
-p as per-coordinate coefficients: one matrix-vector product per block (two
-where a squared term is needed), with no support checks, instead of two
-log-mass passes.
+:func:`_outcomes` is the one table of the codec pairs: (value, q mass,
+p mass) per outcome, with two Gaussians as the one closed-form case.
+:func:`kl_per_coordinate` sums q mass * (log q - log p) over it, and
+:func:`log_ratio` turns the same terms into per-coordinate coefficients of
+log q - log p on rows drawn from p: one matrix-vector product per block (two
+where a squared term is needed), with no support checks.  The codec never
+calls ``log_mass_rows``; it is the reference the tests compare
+:func:`log_ratio` against.
 
 Zero mass is reported as -inf, never as an exception; absolute-continuity
 violations (client support exceeding global support) are errors raised by the
-KL routines, because they make the encoding scheme itself invalid rather than
+KL routine, because they make the encoding scheme itself invalid rather than
 a single candidate unusable.
 
 The ternary kind is evaluated at pattern level {-1, 0, +1}: the magnitude is
@@ -113,9 +116,6 @@ class BernoulliVector:
         per_coord = np.where(rows == 1.0, _log(p), _log(1.0 - p))
         return per_coord.sum(axis=1)
 
-    def log_mass(self, lo: int, hi: int, x: np.ndarray) -> float:
-        return float(self.log_mass_rows(lo, hi, x)[0])
-
 
 @dataclass
 class TernaryPattern:
@@ -176,13 +176,6 @@ class TernaryPattern:
         )
         return logp.sum(axis=1)
 
-    def log_mass(self, lo: int, hi: int, x: np.ndarray) -> float:
-        return float(self.log_mass_rows(lo, hi, x)[0])
-
-    def scaled(self, pattern: np.ndarray) -> np.ndarray:
-        """Reconstruct coordinate values from a sign pattern."""
-        return self.magnitude * np.asarray(pattern, dtype=np.float64)
-
 
 @dataclass
 class BinarySign:
@@ -216,9 +209,6 @@ class BinarySign:
         p = self.p_plus[lo:hi]
         return np.where(rows == 1.0, _log(p), _log(1.0 - p)).sum(axis=1)
 
-    def log_mass(self, lo: int, hi: int, x: np.ndarray) -> float:
-        return float(self.log_mass_rows(lo, hi, x)[0])
-
 
 @dataclass
 class UniformSign:
@@ -247,9 +237,6 @@ class UniformSign:
         if not np.all((rows == 1.0) | (rows == -1.0)):
             raise ValueError("sign support is {-1, +1}")
         return np.full(rows.shape[0], -(hi - lo) * np.log(2.0))
-
-    def log_mass(self, lo: int, hi: int, x: np.ndarray) -> float:
-        return float(self.log_mass_rows(lo, hi, x)[0])
 
 
 @dataclass
@@ -287,74 +274,64 @@ class DiagonalGaussian:
         width = hi - lo
         return -0.5 * (resid**2).sum(axis=1) - width * (_HALF_LOG_2PI + np.log(self.sigma))
 
-    def log_mass(self, lo: int, hi: int, x: np.ndarray) -> float:
-        return float(self.log_mass_rows(lo, hi, x)[0])
-
 
 ProductDistribution = (
     BernoulliVector | TernaryPattern | BinarySign | UniformSign | DiagonalGaussian
 )
 
 
-def _kl_term(q: np.ndarray, p: np.ndarray, what: str) -> np.ndarray:
-    """Per-coordinate q*log(q/p) with the 0*log(0)=0 convention."""
-    q = np.asarray(q, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    bad = (q > 0.0) & (p == 0.0)
-    if np.any(bad):
-        i = int(np.flatnonzero(bad)[0])
-        raise AbsoluteContinuityError(
-            f"{what}: client mass {q[i]:.6g} at coordinate {i} where global mass is 0"
-        )
-    out = np.zeros_like(q)
-    pos = q > 0.0
-    out[pos] = q[pos] * (np.log(q[pos]) - np.log(p[pos]))
-    return out
+def _outcomes(q: ProductDistribution, p: ProductDistribution) -> tuple | None:
+    """The table of a codec pair: (value, q mass, p mass) per outcome of a
+    discrete pair, or None for two Gaussians.
 
-
-def kl_per_coordinate(q: ProductDistribution, p: ProductDistribution) -> np.ndarray:
-    """KL(q_i || p_i) in nats, one entry per coordinate.
-
-    Only the pairings the codec actually uses are defined: Bernoulli vs
-    Bernoulli, ternary vs ternary (pattern level), sign vs uniform sign, and
-    Gaussian vs Gaussian with equal sigma.  Anything else is a usage error.
+    Only the pairings the codec uses are defined: Bernoulli vs Bernoulli,
+    ternary vs ternary (pattern level), sign vs uniform sign, and Gaussian vs
+    Gaussian.  Anything else is a usage error.
     """
     if q.dim != p.dim:
         raise ValueError(f"dimension mismatch: client {q.dim} vs global {p.dim}")
     if isinstance(q, BernoulliVector) and isinstance(p, BernoulliVector):
-        kl = _kl_term(q.probs, p.probs, "Bernoulli(1)") + _kl_term(
-            1.0 - q.probs, 1.0 - p.probs, "Bernoulli(0)"
-        )
-        return np.maximum(kl, 0.0)  # cancellation near q=p can dip below zero
+        return (0.0, 1.0 - q.probs, 1.0 - p.probs), (1.0, q.probs, p.probs)
     if isinstance(q, TernaryPattern) and isinstance(p, TernaryPattern):
-        kl = (
-            _kl_term(q.p_neg, p.p_neg, "ternary(-1)")
-            + _kl_term(q.p_zero, p.p_zero, "ternary(0)")
-            + _kl_term(q.p_pos, p.p_pos, "ternary(+1)")
-        )
-        return np.maximum(kl, 0.0)
+        return ((-1.0, q.p_neg, p.p_neg), (0.0, q.p_zero, p.p_zero),
+                (1.0, q.p_pos, p.p_pos))
     if isinstance(q, BinarySign) and isinstance(p, UniformSign):
-        plus = q.p_plus
-        kl = _kl_term(plus, np.full(q.dim, 0.5), "sign(+1)") + _kl_term(
-            1.0 - plus, np.full(q.dim, 0.5), "sign(-1)"
-        )
-        return np.maximum(kl, 0.0)
+        half = np.full(q.dim, 0.5)
+        return (-1.0, 1.0 - q.p_plus, half), (1.0, q.p_plus, half)
     if isinstance(q, DiagonalGaussian) and isinstance(p, DiagonalGaussian):
-        if abs(q.sigma - p.sigma) > 1e-12 * max(q.sigma, p.sigma):
-            raise ValueError(
-                f"Gaussian KL requires equal sigmas: client {q.sigma} vs global {p.sigma}"
-            )
-        delta = q.mean - p.mean
-        return delta**2 / (2.0 * p.sigma**2)
+        return None
     raise ValueError(
         f"incompatible distribution kinds: {type(q).__name__} vs {type(p).__name__}"
     )
 
 
-def kl_block(q: ProductDistribution, p: ProductDistribution, lo: int, hi: int) -> float:
-    """Total KL(q || p) over one coordinate range, in nats."""
-    _check_range(lo, hi, q.dim)
-    return float(kl_per_coordinate(q, p)[lo:hi].sum())
+def kl_per_coordinate(q: ProductDistribution, p: ProductDistribution) -> np.ndarray:
+    """KL(q_i || p_i) in nats, one entry per coordinate: the sum over the
+    outcomes of q mass * (log q - log p), or the closed form for two
+    Gaussians, which must share sigma.  Refuses client mass where the global
+    mass is 0, and a KL that overflows, naming the coordinate."""
+    outcomes = _outcomes(q, p)
+    if outcomes is None:
+        if abs(q.sigma - p.sigma) > 1e-12 * max(q.sigma, p.sigma):
+            raise ValueError(
+                f"Gaussian KL requires equal sigmas: client {q.sigma} vs global {p.sigma}"
+            )
+        with np.errstate(over="ignore"):
+            kl = (q.mean - p.mean) ** 2 / (2.0 * p.sigma**2)
+        _check_coordinates(np.isfinite(kl), "Gaussian KL overflows (client, global mean)",
+                           q.mean, p.mean)
+        return kl
+    for value, q_mass, p_mass in outcomes:
+        bad = (q_mass > 0.0) & (p_mass == 0.0)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise AbsoluteContinuityError(
+                f"outcome {value:+g}: client mass {q_mass[i]:.6g} at coordinate {i} "
+                "where global mass is 0"
+            )
+    terms, _ = _outcome_terms(outcomes)
+    kl = sum(q_mass * term for (_, q_mass, _), term in zip(outcomes, terms))
+    return np.maximum(kl, 0.0)  # cancellation near q=p can dip below zero
 
 
 @dataclass(frozen=True)
@@ -404,27 +381,20 @@ def _outcome_terms(outcomes) -> tuple[list[np.ndarray], tuple]:
 
 
 def log_ratio(q: ProductDistribution, p: ProductDistribution) -> LogRatio:
-    """The :class:`LogRatio` of a codec pair (the pairings of
-    :func:`kl_per_coordinate`; Gaussians may differ in sigma here)."""
-    if q.dim != p.dim:
-        raise ValueError(f"dimension mismatch: client {q.dim} vs global {p.dim}")
-    if isinstance(q, BernoulliVector) and isinstance(p, BernoulliVector):
-        (t0, t1), zero = _outcome_terms(
-            ((0.0, 1.0 - q.probs, 1.0 - p.probs), (1.0, q.probs, p.probs)))
-        return LogRatio(t0, t1 - t0, None, zero)
-    if isinstance(q, TernaryPattern) and isinstance(p, TernaryPattern):
-        (tn, t0, tp), zero = _outcome_terms(
-            ((-1.0, q.p_neg, p.p_neg), (0.0, q.p_zero, p.p_zero), (1.0, q.p_pos, p.p_pos)))
-        return LogRatio(t0, 0.5 * (tp - tn), 0.5 * (tp + tn) - t0, zero)
-    if isinstance(q, BinarySign) and isinstance(p, UniformSign):
-        half = np.full(q.dim, 0.5)
-        (tn, tp), zero = _outcome_terms(((-1.0, 1.0 - q.p_plus, half), (1.0, q.p_plus, half)))
-        return LogRatio(0.5 * (tp + tn), 0.5 * (tp - tn), None, zero)
-    if isinstance(q, DiagonalGaussian) and isinstance(p, DiagonalGaussian):
+    """The :class:`LogRatio` of a codec pair (the pairings of :func:`_outcomes`;
+    Gaussians may differ in sigma here)."""
+    outcomes = _outcomes(q, p)
+    if outcomes is None:
         iq, ip = 1.0 / q.sigma**2, 1.0 / p.sigma**2
         const = 0.5 * (ip * p.mean**2 - iq * q.mean**2) + np.log(p.sigma / q.sigma)
         square = None if q.sigma == p.sigma else np.full(q.dim, 0.5 * (ip - iq))
         return LogRatio(const, iq * q.mean - ip * p.mean, square, ())
-    raise ValueError(
-        f"incompatible distribution kinds: {type(q).__name__} vs {type(p).__name__}"
-    )
+    terms, zero = _outcome_terms(outcomes)
+    if len(terms) == 3:  # {-1, 0, +1}: the square tells 0 from +-1
+        tn, t0, tp = terms
+        return LogRatio(t0, 0.5 * (tp - tn), 0.5 * (tp + tn) - t0, zero)
+    # the line through (a, ta) and (b, tb); for {0, 1} and {-1, +1} every
+    # product and quotient by a, b or b - a is exact
+    (a, _, _), (b, _, _) = outcomes
+    ta, tb = terms
+    return LogRatio((b * ta - a * tb) / (b - a), (tb - ta) / (b - a), None, zero)

@@ -241,18 +241,14 @@ def elias_gamma_bits(levels_vec: np.ndarray) -> int:
     return int(gamma) + 32 + int(np.count_nonzero(x))
 
 
-def qsgd_klms_global(
-    decoded_patterns: list[np.ndarray], dim: int | None = None
-) -> TernaryPattern:
+def qsgd_klms_global(decoded_patterns: list[np.ndarray], dim: int) -> TernaryPattern:
     """Smoothed per-coordinate pattern frequencies from last round's decodes.
 
     Each symbol gets one pseudo-count, so the result is strictly positive and
-    usable as the codec prior.  With no history (first round) an explicit dim
-    yields the uniform ternary distribution.
+    usable as the codec prior.  With no history (first round) it is the
+    uniform ternary distribution over dim coordinates.
     """
     if not decoded_patterns:
-        if dim is None:
-            raise ValueError("first round needs an explicit dimension")
         third = np.full(dim, 1.0 / 3.0)
         return TernaryPattern(third, third.copy(), third.copy())
     stacked = np.stack(decoded_patterns)
@@ -322,12 +318,6 @@ class SGLDParams:
             return self.noise_sigma
         return math.sqrt(2.0 * self.step_gamma * num_clients) / self.server_lr
 
-    def aggregate_noise_var(self, num_clients: int) -> float:
-        """Per-coordinate noise variance the server step injects."""
-        if not self.noise_enabled:
-            return 0.0
-        return (self.server_lr * self.sigma_s(num_clients)) ** 2 / num_clients
-
 
 def sgld_client_distributions(
     grad: np.ndarray, sigma_s: float
@@ -338,14 +328,6 @@ def sgld_client_distributions(
         DiagonalGaussian(grad, sigma_s),
         DiagonalGaussian(np.zeros(grad.shape[0]), sigma_s),
     )
-
-
-def sgld_noisy_message(
-    grad: np.ndarray, sigma_s: float, stream: SampleStream
-) -> np.ndarray:
-    """Compression-disabled message: an exact sample of q."""
-    grad = np.asarray(grad, dtype=np.float64)
-    return grad + sigma_s * stream.gaussians(grad.shape[0])
 
 
 def sgld_server_step(

@@ -42,8 +42,8 @@ class LogisticModel:
     def dim(self) -> int:
         return self.num_classes * (self.num_features + 1)
 
-    def init_params(self, stream: SampleStream, scale: float = 0.1) -> np.ndarray:
-        return scale * stream.gaussians(self.dim)
+    def init_params(self, stream: SampleStream) -> np.ndarray:
+        return 0.1 * stream.gaussians(self.dim)
 
     def _unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cut = self.num_classes * self.num_features
@@ -89,15 +89,13 @@ class MLPModel:
         h, f, c = self.hidden_units, self.num_features, self.num_classes
         return h * f + h + c * h + c
 
-    def init_params(self, stream: SampleStream, scale: float | None = None) -> np.ndarray:
+    def init_params(self, stream: SampleStream) -> np.ndarray:
         h, f, c = self.hidden_units, self.num_features, self.num_classes
-        if scale is None:
-            w1 = stream.gaussians(h * f) / np.sqrt(f)
-            b1 = np.zeros(h)
-            w2 = stream.gaussians(c * h) / np.sqrt(h)
-            b2 = np.zeros(c)
-            return np.concatenate([w1, b1, w2.ravel(), b2])
-        return scale * stream.gaussians(self.dim)
+        w1 = stream.gaussians(h * f) / np.sqrt(f)
+        b1 = np.zeros(h)
+        w2 = stream.gaussians(c * h) / np.sqrt(h)
+        b2 = np.zeros(c)
+        return np.concatenate([w1, b1, w2.ravel(), b2])
 
     def _unpack(self, w: np.ndarray):
         h, f, c = self.hidden_units, self.num_features, self.num_classes

@@ -53,13 +53,13 @@ from fedklms.methods import (
     SignSGDParams,
     qsgd_client_distribution,
     qsgd_quantize,
-    sgld_noisy_message,
     sgld_server_step,
 )
 from fedklms.models import build_model
 from fedklms.sim import _load_dataset, init_state, run_experiment, run_round
 from fedklms.streams import StreamKey, derive_stream
 from fedklms.toy import run_toy
+from reference import aggregate_noise_var, sgld_noisy_message
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -348,7 +348,7 @@ def test_7_langevin_noise_calibration():
     params = SGLDParams()
     clients, dim, reps = 4, 8, 10_000
     sigma = params.sigma_s(clients)
-    target_var = params.aggregate_noise_var(clients)
+    target_var = aggregate_noise_var(params, clients)
     assert target_var == pytest.approx(2.0 * params.step_gamma, rel=1e-12)
 
     root = StreamKey(77)

@@ -121,18 +121,18 @@ def test_split_adaptive_invariants(seed, dim, target, max_block):
 def test_aggregate_frozen():
     a = BlockPartition(dim=40, starts=(0, 10, 20))
     b = BlockPartition(dim=40, starts=(0, 12, 24, 30))
-    merged = aggregate_block_locations([a, b])
+    merged = aggregate_block_locations([a, b], max_block_size=40)
     assert merged.starts == (0, 11, 22, 30)
 
 
 def test_aggregate_single_client_identity():
     a = BlockPartition(dim=16, starts=(0, 3, 9))
-    assert aggregate_block_locations([a]).starts == (0, 3, 9)
+    assert aggregate_block_locations([a], max_block_size=16).starts == (0, 3, 9)
 
 
 def test_aggregate_identical_clients_identity():
     a = BlockPartition(dim=16, starts=(0, 5, 11))
-    assert aggregate_block_locations([a, a, a]).starts == (0, 5, 11)
+    assert aggregate_block_locations([a, a, a], max_block_size=16).starts == (0, 5, 11)
 
 
 def test_aggregate_enforces_cap():
@@ -164,7 +164,7 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         BlockPartition(dim=4, starts=(0, 4))
     with pytest.raises(ValueError):
-        aggregate_block_locations([])
+        aggregate_block_locations([], max_block_size=4)
 
 
 # --- block encode/decode ----------------------------------------------------
@@ -246,7 +246,7 @@ def test_encode_update_cost_frozen():
     assert cost.header_bits == HEADER_BITS == 136
     assert cost.location_bits == 0
     assert cost.total_bits == 140
-    assert cost.bpp == pytest.approx(140 / 4)
+    assert cost.total_bits / cost.dimension == pytest.approx(140 / 4)
 
 
 def test_location_bits_frozen():
@@ -306,6 +306,31 @@ def test_encode_update_uses_the_callers_kl():
                               kl=np.zeros(9))
     assert np.array_equal(passed.indices, upd.indices)
     assert upd.avg_block_kl > 0.0 and passed.avg_block_kl == 0.0
+
+
+def _gaussian_update(distance):
+    """Encode two Gaussian coordinates whose client and global means lie
+    distance apart at coordinate 1."""
+    q = DiagonalGaussian(np.array([0.0, distance / 2]), 1.0)
+    p = DiagonalGaussian(np.array([0.0, -distance / 2]), 1.0)
+    return encode_update(q, p, split_blocks_fixed(2, 2), params_with(target=2.0),
+                         StreamKey(32, (("inf", 0),)), round_index=0, client_id=0)
+
+
+@pytest.mark.parametrize("run, match", [
+    pytest.param(lambda: split_blocks_adaptive(np.array([0.5, np.nan, 0.5, 0.5, 0.5, 0.5]),
+                                               params_with(target=1.0)),
+                 "finite and nonnegative: coordinate 1 is nan", id="nan-kl-into-split"),
+    # the KL of coordinate 1 overflows float64
+    pytest.param(lambda: _gaussian_update(1e200), "coordinate 1 is 5e\\+199, -5e\\+199",
+                 id="gaussian-kl-overflow"),
+    # the KL is finite, but the mean block KL overflows the float32 wire field
+    pytest.param(lambda: _gaussian_update(1e154), "block \\[0, 2\\) has 5e\\+307 nats",
+                 id="avg-block-kl-overflows-float32"),
+])
+def test_non_finite_kl_refused_where_it_enters(run, match):
+    with pytest.raises(ValueError, match=match):
+        run()
 
 
 # --- partition update rule --------------------------------------------------

@@ -93,11 +93,12 @@ class TestExperimentParsing:
         with pytest.raises(ConfigError):
             parse_experiment_config([1, 2])
 
-    # Each value but the last has the right type and would fail at run time
-    # (level 0, division by zero, float-to-int conversion); the bounds are
-    # those of config.schema.json.  The last has the wrong type in a field
-    # that only the csv kind reads.  JSON text, because json.loads is what
-    # turns NaN and Infinity into floats.
+    # Each value but dataset.train's has the right type and would fail at run
+    # time (level 0, division by zero, float-to-int conversion, fewer points
+    # than clients); the bounds are those of config.schema.json.
+    # dataset.train has the wrong type in a field that only the csv kind
+    # reads.  JSON text, because json.loads is what turns NaN and Infinity
+    # into floats.
     @pytest.mark.parametrize("text, field", [
         ('{"qsgd": {"levels": 0}}', "qsgd.levels"),
         ('{"qsgd": {"batch_size": 0}}', "qsgd.batch_size"),
@@ -118,6 +119,8 @@ class TestExperimentParsing:
         ('{"dataset": {"spread": 0}}', "dataset.spread"),
         ('{"codec": {"kl_max_threshold": 0}}', "codec.kl_max_threshold"),
         ('{"dataset": {"train": 5}}', "dataset.train"),
+        ('{"dataset": {"num_points": 5}, "num_clients": 10, "clients_per_round": 10}',
+         "dataset.num_points"),
     ])
     def test_out_of_range_rejected_with_path(self, text, field):
         with pytest.raises(ConfigError, match=field):

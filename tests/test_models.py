@@ -36,7 +36,7 @@ def finite_difference(model, w, X, y, coords, h=1e-5):
 )
 def test_gradients_match_finite_differences(model):
     s = stream("fd", model.dim)
-    w = model.init_params(s, scale=0.5) if isinstance(model, LogisticModel) else model.init_params(s)
+    w = 0.5 * s.gaussians(model.dim) if isinstance(model, LogisticModel) else model.init_params(s)
     n = 12
     X = stream("fd-x").gaussians(n * 7).reshape(n, 7)
     y = stream("fd-y").integers(n, 3)
