@@ -13,7 +13,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from fedklms.config import load_config_file, parse_toy_config
-from fedklms.toy import run_toy, write_toy_csv, write_toy_summary
+from fedklms.sim import write_summary_json
+from fedklms.toy import run_toy, write_toy_csv
 
 
 def main() -> int:
@@ -22,7 +23,7 @@ def main() -> int:
     cfg = parse_toy_config(load_config_file(str(ROOT / "configs" / "toy_default.json")))
     cells, summary = run_toy(cfg)
     write_toy_csv(cells, str(out_dir / "toy.csv"))
-    write_toy_summary(summary, str(out_dir / "toy_summary.json"))
+    write_summary_json(summary, str(out_dir / "toy_summary.json"))
     by = {(c.overhead_r, c.num_clients): c for c in cells}
     ns = sorted({c.num_clients for c in cells})
     print("mean |gap| (std of gap) by overhead r and client count N:")
@@ -36,7 +37,7 @@ def main() -> int:
     het = parse_toy_config(load_config_file(str(ROOT / "configs" / "toy_heterogeneity.json")))
     cells, summary = run_toy(het)
     write_toy_csv(cells, str(out_dir / "toy_heterogeneity.csv"))
-    write_toy_summary(summary, str(out_dir / "toy_heterogeneity_summary.json"))
+    write_summary_json(summary, str(out_dir / "toy_heterogeneity_summary.json"))
     print("\nheterogeneity sweep at r=6, N=100:")
     for c in cells:
         print(f"  eta={c.eta:4.2f}  mean|gap|={c.mean_abs_gap:.4f}  mean bits={c.mean_bits:.2f}")

@@ -29,7 +29,7 @@ from .config import (
 from .distributions import BernoulliVector, kl_per_coordinate
 from .sim import run_experiment, write_metrics_csv, write_summary_json
 from .streams import StreamKey, derive_stream
-from .toy import run_toy, write_toy_csv, write_toy_summary
+from .toy import run_toy, write_toy_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -58,20 +58,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sibling_json(csv_path: str) -> str:
-    p = Path(csv_path)
-    return str(p.with_name(p.stem + ".summary.json"))
+def _load(args, parse):
+    """Parse the config (no file: defaults) with --seed applied to an object,
+    and pick the CSV and summary paths, --out and its sibling JSON if given."""
+    obj = {} if args.config is None else load_config_file(args.config)
+    if args.seed is not None and isinstance(obj, dict):
+        obj["seed"] = args.seed
+    cfg = parse(obj)
+    if not args.out:
+        return cfg, cfg.output.metrics_csv, cfg.output.summary_json
+    out = Path(args.out)
+    return cfg, args.out, str(out.with_name(out.stem + ".summary.json"))
 
 
 def _cmd_train(args) -> int:
-    obj = load_config_file(args.config)
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    cfg = parse_experiment_config(obj)
-    metrics_path = args.out if args.out else cfg.output.metrics_csv
-    summary_path = (
-        _sibling_json(args.out) if args.out else cfg.output.summary_json
-    )
+    cfg, metrics_path, summary_path = _load(args, parse_experiment_config)
     rows, summary = run_experiment(cfg)
     write_metrics_csv(rows, metrics_path)
     write_summary_json(summary, summary_path)
@@ -84,15 +85,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_toy(args) -> int:
-    obj = load_config_file(args.config) if args.config else {}
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    cfg = parse_toy_config(obj)
-    csv_path = args.out if args.out else cfg.output.metrics_csv
-    summary_path = _sibling_json(args.out) if args.out else cfg.output.summary_json
+    cfg, csv_path, summary_path = _load(args, parse_toy_config)
     cells, summary = run_toy(cfg)
     write_toy_csv(cells, csv_path)
-    write_toy_summary(summary, summary_path)
+    write_summary_json(summary, summary_path)
     print(f"{len(cells)} cells x {cfg.runs} runs -> {csv_path}")
     return 0
 
@@ -127,7 +123,7 @@ def _cmd_codec_bench(args) -> int:
     print(f"coords: {d}, blocks: {partition.num_blocks}, index bits: {params.index_bits}")
     print(f"encode: {d / encode_s:,.0f} coords/s")
     print(f"decode: {d / decode_s:,.0f} coords/s")
-    print(f"payload: {cost.payload_bits} bits ({cost.bpp_payload:.4f} bpp)")
+    print(f"payload: {cost.payload_bits} bits ({cost.payload_bits / d:.4f} bpp)")
     print(f"decoded checksum: {digest}")
     return 0
 

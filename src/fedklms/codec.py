@@ -22,8 +22,7 @@ needs no client-side KL values.
 
 Wire layout (bit-packed, MSB first within bytes, zero-padded to a byte):
 
-    [round:32][client_id:32][flags:8][avg_block_kl: float32 big-endian]
-    [num_blocks:32]
+    [header: the fields of ``_HEADER``, in its order and widths]
     [if flags bit0: num_blocks fields of ceil(log2 max_block_size) bits,
      each holding block_length - 1]
     [num_blocks index fields of index_bits bits]
@@ -37,7 +36,7 @@ from __future__ import annotations
 import math
 import struct
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,8 +128,7 @@ class BlockPartition:
 
     @property
     def lengths(self) -> tuple[int, ...]:
-        ends = self.starts[1:] + (self.dim,)
-        return tuple(e - s for s, e in zip(self.starts, ends))
+        return tuple(hi - lo for lo, hi in self.ranges())
 
     def ranges(self) -> list[tuple[int, int]]:
         ends = self.starts[1:] + (self.dim,)
@@ -144,17 +142,10 @@ class BlockPartition:
                 )
 
     @staticmethod
-    def from_lengths(lengths: tuple[int, ...] | list[int]) -> "BlockPartition":
-        if not lengths:
-            raise ValueError("partition needs at least one block")
-        starts = [0]
-        for ln in lengths[:-1]:
-            if ln < 1:
-                raise ValueError(f"block lengths must be >= 1: {lengths}")
-            starts.append(starts[-1] + int(ln))
-        if lengths[-1] < 1:
-            raise ValueError(f"block lengths must be >= 1: {lengths}")
-        return BlockPartition(dim=starts[-1] + int(lengths[-1]), starts=tuple(starts))
+    def from_lengths(lengths: Iterable[int]) -> "BlockPartition":
+        # no lengths, or a length below 1, gives starts __post_init__ refuses
+        ends = np.cumsum([0, *lengths], dtype=np.int64).tolist()
+        return BlockPartition(dim=ends[-1], starts=tuple(ends[:-1]))
 
 
 @dataclass
@@ -164,22 +155,21 @@ class EncodedUpdate:
     round_index: int
     client_id: int
     avg_block_kl: float
-    num_blocks: int
-    indices: np.ndarray
-    includes_locations: bool = False
-    block_lengths: tuple[int, ...] | None = None
+    indices: np.ndarray  # one candidate index per block
+    block_lengths: tuple[int, ...] | None = None  # shipped on location rounds
 
     def __post_init__(self) -> None:
         self.indices = np.asarray(self.indices, dtype=np.int64)
-        if self.indices.shape != (self.num_blocks,):
-            raise ValueError(
-                f"expected {self.num_blocks} indices, got shape {self.indices.shape}"
-            )
-        if self.includes_locations:
-            if self.block_lengths is None or len(self.block_lengths) != self.num_blocks:
-                raise ValueError("includes_locations requires one length per block")
-        elif self.block_lengths is not None:
-            raise ValueError("block_lengths present but includes_locations is False")
+        if self.block_lengths is not None and len(self.block_lengths) != self.num_blocks:
+            raise ValueError("block_lengths needs one length per index")
+
+    @property
+    def num_blocks(self) -> int:
+        return len(self.indices)
+
+    @property
+    def includes_locations(self) -> bool:
+        return self.block_lengths is not None
 
 
 @dataclass(frozen=True)
@@ -189,25 +179,22 @@ class BitCost:
     payload_bits: int
     location_bits: int
     header_bits: int
-    dimension: int
-
-    def __post_init__(self) -> None:
-        if min(self.payload_bits, self.location_bits, self.header_bits) < 0:
-            raise ValueError("bit counts must be nonnegative")
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
 
     @property
     def total_bits(self) -> int:
         return self.payload_bits + self.location_bits + self.header_bits
 
-    @property
-    def bpp_payload(self) -> float:
-        return self.payload_bits / self.dimension
 
-
-# round:32 + client:32 + flags:8 + avg_kl:32 + num_blocks:32
-HEADER_BITS = 136
+# the wire header, (field, bits) in wire order: its one statement, read by the
+# writer, the reader and the bit accounting
+_HEADER = (
+    ("round_index", 32),
+    ("client_id", 32),
+    ("flags", 8),  # bit 0: block lengths follow the header
+    ("avg_block_kl", 32),  # float32 bits
+    ("num_blocks", 32),
+)
+HEADER_BITS = sum(bits for _, bits in _HEADER)
 
 
 def samples_per_block(block_kl: float, params: CodecParams) -> tuple[int, int]:
@@ -388,15 +375,12 @@ def _block_streams(key_base: StreamKey, m: int) -> tuple[SampleStream, SampleStr
     )
 
 
-def bit_cost(
-    num_blocks: int, params: CodecParams, includes_locations: bool, dimension: int
-) -> BitCost:
+def bit_cost(num_blocks: int, params: CodecParams, includes_locations: bool) -> BitCost:
     location = num_blocks * params.length_field_bits if includes_locations else 0
     return BitCost(
         payload_bits=num_blocks * params.index_bits,
         location_bits=location,
         header_bits=HEADER_BITS,
-        dimension=dimension,
     )
 
 
@@ -444,12 +428,10 @@ def encode_update(
         round_index=round_index,
         client_id=client_id,
         avg_block_kl=avg_block_kl,
-        num_blocks=partition.num_blocks,
         indices=indices,
-        includes_locations=include_locations,
         block_lengths=partition.lengths if include_locations else None,
     )
-    return upd, bit_cost(partition.num_blocks, params, include_locations, q.dim)
+    return upd, bit_cost(partition.num_blocks, params, include_locations)
 
 
 def decode_update(
@@ -522,14 +504,15 @@ class _FieldReader:
 
 def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
     """Pack an update per the wire layout in the module docstring."""
-    if not 0 <= upd.round_index < 2**32:
-        raise ValueError(f"round_index out of range: {upd.round_index}")
-    if not 0 <= upd.client_id < 2**32:
-        raise ValueError(f"client_id out of range: {upd.client_id}")
     (kl_bits,) = struct.unpack(">I", struct.pack(">f", upd.avg_block_kl))
-    header = (upd.round_index, upd.client_id, int(upd.includes_locations), kl_bits,
-              upd.num_blocks)
-    fields = [_field_bits([v], w) for v, w in zip(header, (32, 32, 8, 32, 32))]
+    header = {"round_index": upd.round_index, "client_id": upd.client_id,
+              "flags": int(upd.includes_locations), "avg_block_kl": kl_bits,
+              "num_blocks": upd.num_blocks}
+    fields = []
+    for name, width in _HEADER:
+        if not 0 <= header[name] < 1 << width:
+            raise ValueError(f"{name} out of range: {header[name]}")
+        fields.append(_field_bits([header[name]], width))
     if upd.includes_locations:
         lengths = np.asarray(upd.block_lengths, dtype=np.int64)
         bad = (lengths < 1) | (lengths > params.max_block_size)
@@ -549,12 +532,14 @@ def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
 def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
     """Inverse of :func:`serialize_update`; rejects truncated or overlong input."""
     r = _FieldReader(data)
-    round_index, client_id, flags = (int(r.read(w)[0]) for w in (32, 32, 8))
-    if flags & ~0x01:
-        raise WireFormatError(f"unknown flag bits 0x{flags:02x}", 8)
-    includes_locations = bool(flags & 0x01)
-    kl_bits, num_blocks = (int(r.read(32)[0]) for _ in range(2))
-    (avg_block_kl,) = struct.unpack(">f", struct.pack(">I", kl_bits))
+    header = {}
+    for name, width in _HEADER:
+        header[name] = int(r.read(width)[0])
+        if name == "flags" and header[name] & ~0x01:
+            raise WireFormatError(f"unknown flag bits 0x{header[name]:02x}",
+                                  (r.bit_pos - width) // 8)
+    (avg_block_kl,) = struct.unpack(">f", struct.pack(">I", header["avg_block_kl"]))
+    num_blocks = header["num_blocks"]
     # plausibility bound before reading: index fields are >= 1 bit each
     if num_blocks * params.index_bits > 8 * len(data):
         raise WireFormatError(
@@ -562,7 +547,7 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
             r.bit_pos // 8,
         )
     lengths: tuple[int, ...] | None = None
-    if includes_locations:
+    if header["flags"] & 0x01:
         lengths = tuple(int(v) + 1 for v in r.read(params.length_field_bits, num_blocks))
     indices = r.read(params.index_bits, num_blocks).astype(np.int64)
     expected_bytes = (r.bit_pos + 7) // 8
@@ -572,11 +557,9 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
             expected_bytes,
         )
     return EncodedUpdate(
-        round_index=round_index,
-        client_id=client_id,
+        round_index=header["round_index"],
+        client_id=header["client_id"],
         avg_block_kl=float(avg_block_kl),
-        num_blocks=num_blocks,
         indices=indices,
-        includes_locations=includes_locations,
         block_lengths=lengths,
     )

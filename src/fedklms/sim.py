@@ -18,12 +18,12 @@ aggregated vector and any side bits, and its server fold.  _client_message
 holds the single codec round trip and _aggregate the partition bookkeeping
 shared by every method.
 
-Block-partition lifecycle for codec variants: the first round is always a
-location round (every client cuts its own blocks from its per-coordinate KL
-and ships the cut points); the server merges them into the shared partition
-for later rounds.  After a location round the flag drops; on ordinary rounds
-it is re-raised only when the mean transmitted block KL drifts strictly
-outside the configured band.
+Block-partition lifecycle for codec variants: a round without a shared
+partition, such as the first, is a location round (every client cuts its own
+blocks from its per-coordinate KL and ships their lengths); the server merges
+the partitions that crossed the wire into the shared one.  On ordinary rounds
+it drops that partition only when the mean transmitted block KL drifts
+strictly outside the configured band.
 
 mean_kl_per_param is reconstructed from the transmitted 32-bit per-client
 averages (avg_kl * num_blocks / d); for non-codec variants it is reported
@@ -41,6 +41,7 @@ import numpy as np
 
 from .codec import (
     BlockPartition,
+    EncodedUpdate,
     aggregate_block_locations,
     decode_update,
     deserialize_update,
@@ -48,7 +49,6 @@ from .codec import (
     serialize_update,
     should_update_partition,
     split_blocks_adaptive,
-    split_blocks_fixed,
 )
 from .config import ExperimentConfig
 from .data import (
@@ -110,8 +110,7 @@ class ServerState:
     round_index: int
     weights: np.ndarray  # current global parameters (fedpm: frozen weights)
     fedpm: FedPMState | None
-    partition: BlockPartition
-    location_round: bool  # clients ship block locations this round
+    partition: BlockPartition | None  # None: clients ship block locations
     qsgd_patterns: list[np.ndarray]  # previous round's decoded sign patterns
     bits_sent_total: int = 0
     bits_sent_payload: int = 0
@@ -168,9 +167,7 @@ class _Message:
     vector: np.ndarray  # decoded contribution, ready to aggregate
     payload_bits: int
     total_bits: int
-    avg_block_kl: float = 0.0
-    num_blocks: int = 0
-    partition: BlockPartition | None = None
+    update: EncodedUpdate | None = None  # the parsed codec message
 
 
 def _local_delta(state, model, X, y, params, stream):
@@ -322,9 +319,9 @@ def run_round(
     total = float(np.mean([m.total_bits for m in messages]))
     coded = _uses_codec(cfg)
     if coded:
-        mean_kl = float(
-            np.mean([m.avg_block_kl * m.num_blocks / dim for m in messages])
-        )
+        mean_kl = float(np.mean(
+            [m.update.avg_block_kl * m.update.num_blocks / dim for m in messages]
+        ))
     else:
         mean_kl = 0.0
 
@@ -341,7 +338,7 @@ def run_round(
         bpp_total=total / dim,
         accuracy=accuracy,
         mean_kl_per_param=mean_kl,
-        partition_updated=state.location_round and coded,
+        partition_updated=coded and state.partition is None,
     )
     return replace(
         new_state,
@@ -365,46 +362,42 @@ def _client_message(state, cfg, model, X, y, client_key, local_stream, t, c, dim
     codec = cfg.codec
     q, p = method.pair(local, state, cfg, dim)
     kl_vec = kl_per_coordinate(q, p)
-    if state.location_round:
-        partition = split_blocks_adaptive(kl_vec, codec)
-    else:
-        partition = state.partition
+    partition = state.partition or split_blocks_adaptive(kl_vec, codec)
     upd, cost = encode_update(
         q, p, partition, codec, client_key,
         round_index=t, client_id=c,
-        include_locations=state.location_round, kl=kl_vec,
+        include_locations=state.partition is None, kl=kl_vec,
     )
     blob = serialize_update(upd, codec)
     if len(blob) != (cost.total_bits + 7) // 8:
         raise AssertionError("wire length disagrees with bit accounting")
     received = deserialize_update(blob, codec)
-    sample = decode_update(p, None if state.location_round else partition,
-                           codec, client_key, received)
+    sample = decode_update(p, state.partition, codec, client_key, received)
     return _Message(
         vector=method.to_vector(q, sample),
         payload_bits=cost.payload_bits + method.side_bits,
         total_bits=cost.total_bits + method.side_bits,
-        avg_block_kl=received.avg_block_kl,
-        num_blocks=received.num_blocks,
-        partition=partition,
+        update=received,
     )
 
 
 def _aggregate(state, cfg, messages, round_key, dim):
     """Merge or re-check the block partition, then fold the decoded vectors."""
     coded = _uses_codec(cfg)
-    partition, location_round = state.partition, False
-    if coded and state.location_round:
+    partition = state.partition
+    if coded and partition is None:
         partition = aggregate_block_locations(
-            [m.partition for m in messages], cfg.codec.max_block_size
+            [BlockPartition.from_lengths(m.update.block_lengths) for m in messages],
+            cfg.codec.max_block_size,
         )
     elif coded:
-        mean_avg_kl = float(np.mean([m.avg_block_kl for m in messages]))
-        location_round = should_update_partition(mean_avg_kl, cfg.codec)
+        mean_avg_kl = float(np.mean([m.update.avg_block_kl for m in messages]))
+        if should_update_partition(mean_avg_kl, cfg.codec):
+            partition = None
     folded = _METHODS[cfg.method].fold(
         state, cfg, [m.vector for m in messages], coded, round_key, dim
     )
-    return replace(folded, partition=partition, location_round=location_round)
+    return replace(folded, partition=partition)
 
 
 def init_state(cfg: ExperimentConfig, model, root: StreamKey) -> ServerState:
@@ -415,8 +408,7 @@ def init_state(cfg: ExperimentConfig, model, root: StreamKey) -> ServerState:
         round_index=0,
         weights=model.init_params(derive_stream(root.child("winit"))),
         fedpm=fedpm_state,
-        partition=split_blocks_fixed(model.dim, cfg.codec.max_block_size),
-        location_round=True,  # first round always ships locations
+        partition=None,  # the first round ships locations
         qsgd_patterns=[],
     )
 

@@ -18,7 +18,6 @@ rerun with the same seed is byte-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -125,9 +124,3 @@ def write_toy_csv(cells: list[ToyCell], path: str) -> None:
     out.parent.mkdir(parents=True, exist_ok=True)
     lines = [CSV_HEADER] + [c.csv_row() for c in cells]
     out.write_text("\n".join(lines) + "\n")
-
-
-def write_toy_summary(summary: dict, path: str) -> None:
-    out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")

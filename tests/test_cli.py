@@ -61,6 +61,16 @@ class TestExitCodes:
         path = write_json(tmp_path / "c.json", obj)
         assert main(["train", path]) == 2
 
+    def test_seed_on_non_object_config_train(self, tmp_path, capsys):
+        path = write_json(tmp_path / "list.json", [1, 2])
+        assert main(["train", path, "--seed", "3"]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_seed_on_non_object_config_toy(self, tmp_path, capsys):
+        path = write_json(tmp_path / "list.json", [1, 2])
+        assert main(["toy", path, "--seed", "3"]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_ok_experiment(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ bits = ceil((kl + r)/ln 2) and the wire layout (136-bit header: 72 fixed +
 32 avg-KL + 32 block count).
 """
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -165,6 +166,9 @@ def test_partition_validation():
         BlockPartition(dim=4, starts=(0, 4))
     with pytest.raises(ValueError):
         aggregate_block_locations([], max_block_size=4)
+    for lengths in ((), (3, 0, 2), (0,), (3, -1), (-2, 5)):
+        with pytest.raises(ValueError):
+            BlockPartition.from_lengths(lengths)
 
 
 # --- block encode/decode ----------------------------------------------------
@@ -246,12 +250,12 @@ def test_encode_update_cost_frozen():
     assert cost.header_bits == HEADER_BITS == 136
     assert cost.location_bits == 0
     assert cost.total_bits == 140
-    assert cost.total_bits / cost.dimension == pytest.approx(140 / 4)
+    assert cost.total_bits / q.dim == pytest.approx(140 / 4)
 
 
 def test_location_bits_frozen():
     params = params_with(target=1.2, max_block=1024)
-    cost = bit_cost(3, params, includes_locations=True, dimension=3000)
+    cost = bit_cost(3, params, includes_locations=True)
     assert cost.location_bits == 30  # 3 blocks x ceil(log2 1024) = 10 bits
 
 
@@ -355,7 +359,6 @@ def test_serialize_empty_update_length():
         round_index=3,
         client_id=1,
         avg_block_kl=0.25,
-        num_blocks=0,
         indices=np.array([], dtype=np.int64),
     )
     blob = serialize_update(upd, params)
@@ -399,9 +402,7 @@ def test_wire_round_trip(round_index, client_id, num_blocks, include, max_pow, k
         round_index=round_index,
         client_id=client_id,
         avg_block_kl=float(np.float32(kl)),
-        num_blocks=num_blocks,
         indices=indices,
-        includes_locations=include,
         block_lengths=lengths if include else None,
     )
     blob = serialize_update(upd, params)
@@ -419,8 +420,8 @@ def test_wire_length_field_holds_max_block_size():
     # length == max_block_size must survive the (length - 1) field encoding
     params = params_with(target=1.2, max_block=8)
     upd = EncodedUpdate(
-        round_index=0, client_id=0, avg_block_kl=0.0, num_blocks=1,
-        indices=np.array([1]), includes_locations=True, block_lengths=(8,),
+        round_index=0, client_id=0, avg_block_kl=0.0,
+        indices=np.array([1]), block_lengths=(8,),
     )
     back = deserialize_update(serialize_update(upd, params), params)
     assert back.block_lengths == (8,)
@@ -429,7 +430,7 @@ def test_wire_length_field_holds_max_block_size():
 def test_deserialize_truncated():
     params = params_with(target=1.2)
     upd = EncodedUpdate(
-        round_index=0, client_id=0, avg_block_kl=0.0, num_blocks=2,
+        round_index=0, client_id=0, avg_block_kl=0.0,
         indices=np.array([0, 1]),
     )
     blob = serialize_update(upd, params)
@@ -441,7 +442,7 @@ def test_deserialize_truncated():
 def test_deserialize_overlong():
     params = params_with(target=1.2)
     upd = EncodedUpdate(
-        round_index=0, client_id=0, avg_block_kl=0.0, num_blocks=0,
+        round_index=0, client_id=0, avg_block_kl=0.0,
         indices=np.array([], dtype=np.int64),
     )
     blob = serialize_update(upd, params) + b"\x00\x00"
@@ -452,13 +453,30 @@ def test_deserialize_overlong():
 def test_deserialize_unknown_flags():
     params = params_with(target=1.2)
     upd = EncodedUpdate(
-        round_index=0, client_id=0, avg_block_kl=0.0, num_blocks=0,
+        round_index=0, client_id=0, avg_block_kl=0.0,
         indices=np.array([], dtype=np.int64),
     )
     blob = bytearray(serialize_update(upd, params))
     blob[8] |= 0x40  # flags byte
     with pytest.raises(WireFormatError):
         deserialize_update(bytes(blob), params)
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("round_index", 2**32, "round_index"),
+    ("client_id", -1, "client_id"),
+    ("indices", np.array([2**5, 0]), "index"),  # index fields are 5 bits wide
+    ("block_lengths", (0, 4), "block length"),
+    ("block_lengths", (9, 4), "block length"),  # max_block_size is 8
+])
+def test_serialize_refuses_values_outside_their_fields(field, value, match):
+    params = params_with(target=2.0, r=1.0, max_block=8)
+    q, p = make_bernoulli_pair(5, 8)
+    upd, _ = encode_update(q, p, split_blocks_fixed(8, 4), params, StreamKey(41),
+                           round_index=0, client_id=0, include_locations=True)
+    serialize_update(upd, params)  # the unaltered update fits
+    with pytest.raises(ValueError, match=match):
+        serialize_update(dataclasses.replace(upd, **{field: value}), params)
 
 
 def _wire_params(max_block):
@@ -472,27 +490,27 @@ def _wire_params(max_block):
 WIRE_GOLDEN = {
     "indices_only": (
         _wire_params(64),
-        EncodedUpdate(7, 3, 1.25, 5, np.array([0, 31, 5, 17, 8])),
+        EncodedUpdate(7, 3, 1.25, np.array([0, 31, 5, 17, 8])),
         "0000000700000003003fa000000000000507cb1400",
         [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13, 17, 17, 18, 19],
     ),
     "with_locations": (
         _wire_params(20),
-        EncodedUpdate(2**32 - 1, 9, 3.5, 3, np.array([1, 30, 12]),
-                      includes_locations=True, block_lengths=(20, 1, 7)),
+        EncodedUpdate(2**32 - 1, 9, 3.5, np.array([1, 30, 12]),
+                      block_lengths=(20, 1, 7)),
         "ffffffff00000009014060000000000003980c1f30",
         [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13, 17, 17, 18, 19],
     ),
     "zero_width_lengths": (
         _wire_params(1),
-        EncodedUpdate(1, 0, 0.0, 4, np.array([3, 0, 31, 16]),
-                      includes_locations=True, block_lengths=(1, 1, 1, 1)),
+        EncodedUpdate(1, 0, 0.0, np.array([3, 0, 31, 16]),
+                      block_lengths=(1, 1, 1, 1)),
         "0000000100000000010000000000000004183f00",
         [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13, 17, 17, 18],
     ),
     "many_blocks": (
         _wire_params(20),
-        EncodedUpdate(4, 5, 2.75, 40, np.arange(40) * 7 % 32, includes_locations=True,
+        EncodedUpdate(4, 5, 2.75, np.arange(40) * 7 % 32,
                       block_lengths=tuple(i * 3 % 20 + 1 for i in range(40))),
         "000000040000000501403000000000002800cc963e4121d4d84c4542dd100cc963e4121d4d8"
         "4c4542dd101dd5e0d51c7ccda6c4985fc564f4143edd22e5901dd5e0d51",
@@ -503,7 +521,7 @@ WIRE_GOLDEN = {
     ),
     "no_blocks": (
         _wire_params(64),
-        EncodedUpdate(0, 2**32 - 1, 0.5, 0, np.array([], dtype=np.int64)),
+        EncodedUpdate(0, 2**32 - 1, 0.5, np.array([], dtype=np.int64)),
         "00000000ffffffff003f00000000000000",
         [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13],
     ),
