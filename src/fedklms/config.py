@@ -6,8 +6,10 @@ it.  Errors are collected with dotted field paths ("codec.d_kl_target: must
 be > 0, got -1") so a bad config reports everything wrong at once.  Only the
 rules that relate two fields are written here: clients_per_round cannot
 exceed num_clients, a synthetic dataset needs at least one training point per
-client, a csv or idx dataset needs its paths, and the KL band defaults to
-[d_kl_target / 2, 2 * d_kl_target] and must bracket the target.
+client, a csv or idx dataset needs its paths, the KL band defaults to
+[d_kl_target / 2, 2 * d_kl_target] and must bracket the target, and under
+variant klms neither sgld.noise_enabled: false nor qsgd.levels other than 1
+is accepted, because the codec message ignores both.
 """
 
 from __future__ import annotations
@@ -112,103 +114,77 @@ class ToyConfig:
     ))
 
 
-class _Checker:
-    def __init__(self) -> None:
-        self.errors: list[str] = []
-
-    def fail(self, path: str, message: str) -> None:
-        self.errors.append(f"{path}: {message}")
-
-    def expect_keys(self, obj: dict, path: str, allowed) -> None:
-        for key in obj:
-            if key not in allowed:
-                self.fail(f"{path}.{key}" if path else key, "unknown field")
-
-    def number(self, obj, path, lo=None, hi=None, integer=False, strict_lo=False):
-        if integer and (isinstance(obj, bool) or not isinstance(obj, int)):
-            self.fail(path, f"must be an integer, got {obj!r}")
-            return None
-        if not isinstance(obj, (int, float)) or isinstance(obj, bool):
-            self.fail(path, f"must be a number, got {obj!r}")
-            return None
-        try:
-            v = float(obj)
-        except OverflowError:  # an integer literal beyond float range
-            v = math.inf
-        if not math.isfinite(v):
-            # json.loads accepts NaN, Infinity and integers of any size
-            self.fail(path, "must be a finite number within float range")
-            return None
-        # bounds compare obj, not v: exact for integers beyond 2^53
-        if lo is not None and (obj <= lo if strict_lo else obj < lo):
-            self.fail(path, f"must be {'>' if strict_lo else '>='} {lo}, got {obj}")
-            return None
-        if hi is not None and obj > hi:
-            self.fail(path, f"must be <= {hi}, got {obj}")
-            return None
-        return int(obj) if integer else v
-
-    def choice(self, obj, path, options):
-        if obj not in options:
-            self.fail(path, f"must be one of {list(options)}, got {obj!r}")
-            return None
-        return obj
-
-    def string(self, obj, path, min_length=0):
-        if not isinstance(obj, str) or len(obj) < min_length:
-            self.fail(path, f"must be a string of length >= {min_length}, got {obj!r}")
-            return None
-        return obj
-
-    def raise_if_failed(self) -> None:
-        if self.errors:
-            raise ConfigError("invalid config:\n  " + "\n  ".join(self.errors))
-
-
-def _walk(node: dict, value, path: str, chk: _Checker):
+def _walk(node: dict, value, path: str, errors: list[str]):
     """Check value against one schema node.
 
     Returns the value converted for the dataclasses (numbers to float, arrays
     to tuples, objects to a dict of their valid non-null fields), or None
-    after recording on chk why it is invalid.
+    after appending to errors why it is invalid.
     """
     types = node.get("type", [])
     types = [types] if isinstance(types, str) else types
     if value is None and "null" in types:
         return None
     if "enum" in node:
-        return chk.choice(value, path, node["enum"])
+        if value in node["enum"]:
+            return value
+        return errors.append(f"{path}: must be one of {node['enum']}, got {value!r}")
     if "object" in types:
         if not isinstance(value, dict):
-            return chk.fail(path, "must be an object")
+            return errors.append(f"{path}: must be an object")
         props = node["properties"]
+        field_path = lambda key: f"{path}.{key}" if path else key
         if node.get("additionalProperties") is False:
-            chk.expect_keys(value, path, props)
-        walked = {key: _walk(props[key], item, f"{path}.{key}" if path else key, chk)
+            errors.extend(f"{field_path(key)}: unknown field"
+                          for key in value if key not in props)
+        walked = {key: _walk(props[key], item, field_path(key), errors)
                   for key, item in value.items() if key in props}
         return {key: item for key, item in walked.items() if item is not None}
     if "array" in types:
         min_items = node.get("minItems", 0)
         if not isinstance(value, list) or len(value) < min_items:
-            return chk.fail(path, f"must be an array of at least {min_items} items")
-        return tuple(_walk(node["items"], item, f"{path}[{i}]", chk)
+            return errors.append(f"{path}: must be an array of at least {min_items} items")
+        return tuple(_walk(node["items"], item, f"{path}[{i}]", errors)
                      for i, item in enumerate(value))
     if "string" in types:
-        return chk.string(value, path, node.get("minLength", 0))
+        min_length = node.get("minLength", 0)
+        if isinstance(value, str) and len(value) >= min_length:
+            return value
+        return errors.append(f"{path}: must be a string of length >= {min_length}, got {value!r}")
     if "boolean" in types:
-        return value if isinstance(value, bool) else chk.fail(path, "must be a boolean")
-    return chk.number(
-        value, path, lo=node.get("exclusiveMinimum", node.get("minimum")),
-        hi=node.get("maximum"), integer="integer" in types,
-        strict_lo="exclusiveMinimum" in node,
-    )
+        return value if isinstance(value, bool) else errors.append(f"{path}: must be a boolean")
+    integer = "integer" in types
+    if integer and (isinstance(value, bool) or not isinstance(value, int)):
+        return errors.append(f"{path}: must be an integer, got {value!r}")
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return errors.append(f"{path}: must be a number, got {value!r}")
+    try:
+        v = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        v = math.inf
+    if not math.isfinite(v):
+        # json.loads accepts NaN, Infinity and integers of any size
+        return errors.append(f"{path}: must be a finite number within float range")
+    # bounds compare value, not v: exact for integers beyond 2^53
+    strict = "exclusiveMinimum" in node
+    lo, hi = node.get("exclusiveMinimum", node.get("minimum")), node.get("maximum")
+    if lo is not None and (value <= lo if strict else value < lo):
+        return errors.append(f"{path}: must be {'>' if strict else '>='} {lo}, got {value}")
+    if hi is not None and value > hi:
+        return errors.append(f"{path}: must be <= {hi}, got {value}")
+    return int(value) if integer else v
 
 
-def _validate(obj, kind: str) -> tuple[_Checker, dict]:
+def _validate(obj, kind: str) -> tuple[list[str], dict]:
     if not isinstance(obj, dict):
         raise ConfigError("invalid config:\n  top level: must be a JSON object")
-    chk = _Checker()
-    return chk, _walk(_DEFS[kind], obj, "", chk)
+    errors: list[str] = []
+    return errors, _walk(_DEFS[kind], obj, "", errors)
+
+
+def _raise_if(errors: list[str]) -> None:
+    if errors:
+        raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
 
 
 def _merge(default, given: dict):
@@ -221,38 +197,41 @@ def _merge(default, given: dict):
 
 
 def parse_experiment_config(obj: dict) -> ExperimentConfig:
-    chk, given = _validate(obj, "experiment")
+    errors, given = _validate(obj, "experiment")
     codec = given.pop("codec", {})
     cfg = _merge(ExperimentConfig(), given)
     if cfg.clients_per_round > cfg.num_clients:
-        chk.fail("clients_per_round", f"cannot exceed num_clients ({cfg.num_clients})")
+        errors.append(f"clients_per_round: cannot exceed num_clients ({cfg.num_clients})")
     kind = cfg.dataset.kind
     if kind in ("separable", "blobs") and cfg.dataset.num_points < cfg.num_clients:
-        chk.fail("dataset.num_points", f"cannot be fewer than num_clients ({cfg.num_clients})")
+        errors.append(f"dataset.num_points: cannot be fewer than num_clients ({cfg.num_clients})")
     for name in _DATASET_PATHS.get(kind, ()):
         if name not in obj["dataset"]:
-            chk.fail(f"dataset.{name}", f"required when dataset.kind is {kind}")
+            errors.append(f"dataset.{name}: required when dataset.kind is {kind}")
+    if cfg.variant == "klms":  # the codec message ignores both settings
+        if cfg.method == "sgld" and not cfg.sgld.noise_enabled:
+            errors.append("sgld.noise_enabled: must be true when variant is klms")
+        if cfg.method == "qsgd" and cfg.qsgd.levels != 1:
+            errors.append("qsgd.levels: must be 1 when variant is klms")
     target = codec.get("d_kl_target", cfg.codec.d_kl_target)
     band = {"kl_min_threshold": target / 2.0, "kl_max_threshold": target * 2.0}
     try:
         cfg.codec = replace(cfg.codec, **{**band, **codec})
     except ValueError as err:
-        chk.fail("codec", str(err))
-    chk.raise_if_failed()
+        errors.append(f"codec: {err}")
+    _raise_if(errors)
     return cfg
 
 
 def parse_toy_config(obj: dict) -> ToyConfig:
-    chk, given = _validate(obj, "toy")
-    chk.raise_if_failed()
+    errors, given = _validate(obj, "toy")
+    _raise_if(errors)
     return _merge(ToyConfig(), given)
 
 
 def load_config_file(path: str) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {path}")
+    """The parsed JSON of path; an unreadable or invalid file is a ConfigError."""
     try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ConfigError(f"cannot read config {path}: {err}") from err

@@ -49,6 +49,12 @@ def logit(p: np.ndarray) -> np.ndarray:
     return np.log(p) - np.log1p(-p)
 
 
+def local_iterations(n: int, epochs: int, batch_size: int) -> int:
+    """Minibatch steps of local training: epochs passes over n points in
+    batches of min(batch_size, n)."""
+    return epochs * -(-n // min(batch_size, n))
+
+
 # --- FedPM ------------------------------------------------------------------
 
 
@@ -139,8 +145,7 @@ def fedpm_client_train(
     scores = logit(global_probs)
     n = features.shape[0]
     batch = min(params.batch_size, n)
-    iters = params.local_epochs * max(1, math.ceil(n / batch))
-    for _ in range(iters):
+    for _ in range(local_iterations(n, params.local_epochs, params.batch_size)):
         idx = stream.integers(batch, n)
         phi = sigmoid(scores)
         mask = (stream.uniforms(scores.shape[0]) < phi).astype(np.float64)
@@ -200,34 +205,26 @@ def qsgd_client_distribution(v: np.ndarray) -> TernaryPattern:
     return TernaryPattern(p_neg / total, p_zero / total, p_pos / total, magnitude=norm)
 
 
-def qsgd_quantize(v: np.ndarray, levels: int, stream: SampleStream) -> np.ndarray:
+def qsgd_quantize(
+    v: np.ndarray, levels: int, stream: SampleStream
+) -> tuple[np.ndarray, np.ndarray]:
     """Unbiased stochastic quantization to levels/||v|| grid points.
 
     Each |v_i|/||v|| lands between two grid points q/s and (q+1)/s and is
     rounded up with probability equal to its offset, so E[quantized] = v.
+    Returns the quantized vector and its integer levels |quantized| * s / ||v||.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1: {levels}")
     v = np.asarray(v, dtype=np.float64)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
-        return np.zeros_like(v)
+        return np.zeros_like(v), np.zeros(v.shape[0], dtype=np.int64)
     a = levels * np.abs(v) / norm
     lower = np.floor(a)
-    frac = a - lower
     u = stream.uniforms(v.shape[0])
-    kappa = np.where(u < 1.0 - frac, lower, lower + 1.0) / levels
-    return norm * np.sign(v) * kappa
-
-
-def quantization_levels(quantized: np.ndarray, norm: float, levels: int) -> np.ndarray:
-    """Integer grid levels s * |kappa| of a quantized vector, given the
-    original norm the quantizer used.  Exact because quantized magnitudes sit
-    on the norm/levels grid."""
-    q = np.asarray(quantized, dtype=np.float64)
-    if norm == 0.0:
-        return np.zeros(q.shape[0], dtype=np.int64)
-    return np.rint(levels * np.abs(q) / norm).astype(np.int64)
+    grid = np.where(u < 1.0 - (a - lower), lower, lower + 1.0)
+    return norm * np.sign(v) * (grid / levels), grid.astype(np.int64)
 
 
 def elias_gamma_bits(levels_vec: np.ndarray) -> int:

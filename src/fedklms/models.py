@@ -1,7 +1,7 @@
 """Desk-scale models with hand-written gradients.
 
-Both models expose one flat float64 parameter vector, closed-form
-loss_and_grad (softmax cross entropy averaged over the batch), and predict.
+Both models expose one flat float64 parameter vector, logits, and closed-form
+loss_and_grad (softmax cross entropy averaged over the batch).
 Gradients are deliberately manual: nothing here depends on an autodiff
 framework, and the test suite checks every path against central finite
 differences.  The hidden layer uses tanh so the finite-difference checks see
@@ -25,6 +25,16 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     out = np.zeros((labels.shape[0], num_classes))
     out[np.arange(labels.shape[0]), labels.astype(np.int64)] = 1.0
     return out
+
+
+def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Softmax cross entropy averaged over the batch, and its gradient with
+    respect to the logits."""
+    probs = softmax_rows(logits)
+    targets = one_hot(y, logits.shape[1])
+    # clip only inside the log; the gradient uses the exact probs
+    loss = -np.log(np.clip(probs[targets == 1.0], 1e-12, None)).mean()
+    return float(loss), (probs - targets) / logits.shape[0]
 
 
 class LogisticModel:
@@ -58,18 +68,10 @@ class LogisticModel:
     def loss_and_grad(
         self, w: np.ndarray, X: np.ndarray, y: np.ndarray
     ) -> tuple[float, np.ndarray]:
-        n = X.shape[0]
-        probs = softmax_rows(self.logits(w, X))
-        targets = one_hot(y, self.num_classes)
-        # clip only inside the log; the gradient uses the exact probs
-        loss = -np.log(np.clip(probs[targets == 1.0], 1e-12, None)).mean()
-        delta = (probs - targets) / n
+        loss, delta = _cross_entropy(self.logits(w, X), y)
         grad_w = delta.T @ X
         grad_b = delta.sum(axis=0)
-        return float(loss), np.concatenate([grad_w.ravel(), grad_b])
-
-    def predict(self, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return self.logits(w, X).argmax(axis=1)
+        return loss, np.concatenate([grad_w.ravel(), grad_b])
 
 
 class MLPModel:
@@ -115,13 +117,9 @@ class MLPModel:
         self, w: np.ndarray, X: np.ndarray, y: np.ndarray
     ) -> tuple[float, np.ndarray]:
         w1, b1, w2, b2 = self._unpack(w)
-        n = X.shape[0]
         pre = X @ w1.T + b1
         hidden = np.tanh(pre)
-        probs = softmax_rows(hidden @ w2.T + b2)
-        targets = one_hot(y, self.num_classes)
-        loss = -np.log(np.clip(probs[targets == 1.0], 1e-12, None)).mean()
-        delta = (probs - targets) / n           # (n, C)
+        loss, delta = _cross_entropy(hidden @ w2.T + b2, y)  # delta: (n, C)
         grad_w2 = delta.T @ hidden              # (C, H)
         grad_b2 = delta.sum(axis=0)
         back = (delta @ w2) * (1.0 - hidden**2)  # (n, H)
@@ -130,10 +128,7 @@ class MLPModel:
         grad = np.concatenate(
             [grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2]
         )
-        return float(loss), grad
-
-    def predict(self, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return self.logits(w, X).argmax(axis=1)
+        return loss, grad
 
 
 def build_model(kind: str, num_features: int, num_classes: int, hidden_units: int = 64):
@@ -145,4 +140,4 @@ def build_model(kind: str, num_features: int, num_classes: int, hidden_units: in
 
 
 def evaluate_accuracy(model, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    return float((model.predict(w, X) == y.astype(np.int64)).mean())
+    return float((model.logits(w, X).argmax(axis=1) == y.astype(np.int64)).mean())

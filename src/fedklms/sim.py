@@ -68,10 +68,10 @@ from .methods import (
     fedpm_client_train,
     fedpm_codec_pair,
     fedpm_sample_mask,
+    local_iterations,
     qsgd_client_distribution,
     qsgd_klms_global,
     qsgd_quantize,
-    quantization_levels,
     sgld_client_distributions,
     sgld_server_step,
     signsgd_client_distribution,
@@ -145,8 +145,7 @@ def _local_sgd(model, w0, X, y, lr, epochs, batch_size, stream):
     w = w0.copy()
     n = X.shape[0]
     batch = min(batch_size, n)
-    iters = epochs * max(1, -(-n // batch))
-    for _ in range(iters):
+    for _ in range(local_iterations(n, epochs, batch_size)):
         idx = stream.integers(batch, n)
         _, g = model.loss_and_grad(w, X[idx], y[idx])
         w -= lr * g
@@ -179,31 +178,30 @@ def _local_delta(state, model, X, y, params, stream):
 
 def _signsgd_local(state, cfg, model, X, y, stream):
     delta = _local_delta(state, model, X, y, cfg.signsgd, stream)
-    n = X.shape[0]
-    iters = cfg.signsgd.local_epochs * max(1, -(-n // min(cfg.signsgd.batch_size, n)))
+    iters = local_iterations(X.shape[0], cfg.signsgd.local_epochs, cfg.signsgd.batch_size)
     temperature = signsgd_temperature(delta, cfg.signsgd, iters)
     return signsgd_client_distribution(delta, temperature)
 
 
-def _quantized(v, cfg, client_key, dim):
+def _quantized(v, cfg, client_key):
     """The classic QSGD message: stochastic levels priced by Elias gamma."""
-    quant = qsgd_quantize(v, cfg.qsgd.levels, derive_stream(client_key.child("quant")))
-    levels = quantization_levels(quant, float(np.linalg.norm(v)), cfg.qsgd.levels)
+    quant, levels = qsgd_quantize(v, cfg.qsgd.levels,
+                                  derive_stream(client_key.child("quant")))
     return quant, elias_gamma_bits(levels)
 
 
-def _qsgd_fold(state, cfg, vectors, coded, round_key, dim):
+def _qsgd_fold(state, cfg, vectors, coded, round_key):
     mean_delta = np.mean(vectors, axis=0)
     patterns = [np.sign(v) for v in vectors] if coded else state.qsgd_patterns
     return replace(state, weights=state.weights + cfg.qsgd.server_lr * mean_delta,
                    qsgd_patterns=patterns)
 
 
-def _sgld_fold(state, cfg, vectors, coded, round_key, dim):
+def _sgld_fold(state, cfg, vectors, coded, round_key):
     weights = sgld_server_step(state.weights, vectors, cfg.sgld)
     if not coded and cfg.sgld.noise_enabled:
         # baseline messages carry no noise, so the server injects it
-        noise = derive_stream(round_key.child("servernoise")).gaussians(dim)
+        noise = derive_stream(round_key.child("servernoise")).gaussians(weights.shape[0])
         weights = weights + np.sqrt(2.0 * cfg.sgld.step_gamma) * noise
     return replace(state, weights=weights)
 
@@ -213,9 +211,9 @@ class _Method:
     """How one method trains, prices its native message, pairs and folds.
 
     local(state, cfg, model, X, y, stream) -> the client's local result
-    baseline(local, cfg, client_key, dim) -> (vector, bits) of the native message
-    pair(local, state, cfg, dim) -> codec (q, p); None: the method has no codec
-    fold(state, cfg, vectors, coded, round_key, dim) -> state after the update
+    baseline(local, cfg, client_key) -> (vector, bits) of the native message
+    pair(local, state, cfg) -> codec (q, p); None: the method has no codec
+    fold(state, cfg, vectors, coded, round_key) -> state after the update
     to_vector(q, sample) maps a decoded sample to the aggregated vector, and
     side_bits rides next to the codec payload.
     """
@@ -235,27 +233,27 @@ _METHODS = {
     "none": _Method(
         local=lambda state, cfg, model, X, y, stream: _local_delta(
             state, model, X, y, cfg.qsgd, stream),
-        baseline=lambda delta, cfg, client_key, dim: (delta, 32 * dim),
+        baseline=lambda delta, cfg, client_key: (delta, 32 * delta.shape[0]),
         pair=None,
-        fold=lambda state, cfg, vectors, coded, round_key, dim: replace(
+        fold=lambda state, cfg, vectors, coded, round_key: replace(
             state, weights=state.weights + np.mean(vectors, axis=0)),
     ),
     "fedpm": _Method(
         local=lambda state, cfg, model, X, y, stream: fedpm_client_train(
             state.fedpm.probs, state.weights, model, X, y, cfg.fedpm, stream),
-        baseline=lambda probs, cfg, client_key, dim: (
-            fedpm_sample_mask(probs, derive_stream(client_key.child("mask"))), dim),
-        pair=lambda probs, state, cfg, dim: fedpm_codec_pair(probs, state.fedpm.probs),
-        fold=lambda state, cfg, vectors, coded, round_key, dim: replace(
+        baseline=lambda probs, cfg, client_key: (
+            fedpm_sample_mask(probs, derive_stream(client_key.child("mask"))), probs.size),
+        pair=lambda probs, state, cfg: fedpm_codec_pair(probs, state.fedpm.probs),
+        fold=lambda state, cfg, vectors, coded, round_key: replace(
             state, fedpm=bayes_agg(vectors, state.fedpm, cfg.fedpm, state.round_index)),
     ),
     "qsgd": _Method(
         local=lambda state, cfg, model, X, y, stream: _local_delta(
             state, model, X, y, cfg.qsgd, stream),
         baseline=_quantized,
-        pair=lambda delta, state, cfg, dim: (
+        pair=lambda delta, state, cfg: (
             qsgd_client_distribution(delta),
-            qsgd_klms_global(state.qsgd_patterns, dim=dim),
+            qsgd_klms_global(state.qsgd_patterns, dim=delta.shape[0]),
         ),
         fold=_qsgd_fold,
         # the pattern is sent by the codec, its scale as one float
@@ -264,10 +262,10 @@ _METHODS = {
     ),
     "signsgd": _Method(
         local=_signsgd_local,
-        baseline=lambda q, cfg, client_key, dim: (
-            q.sample(0, dim, derive_stream(client_key.child("sign")), count=1)[0], dim),
-        pair=lambda q, state, cfg, dim: (q, UniformSign(dim)),
-        fold=lambda state, cfg, vectors, coded, round_key, dim: replace(
+        baseline=lambda q, cfg, client_key: (
+            q.sample(0, q.dim, derive_stream(client_key.child("sign")), count=1)[0], q.dim),
+        pair=lambda q, state, cfg: (q, UniformSign(q.dim)),
+        fold=lambda state, cfg, vectors, coded, round_key: replace(
             state,
             weights=state.weights + cfg.signsgd.server_lr * np.mean(vectors, axis=0),
         ),
@@ -276,7 +274,7 @@ _METHODS = {
         local=lambda state, cfg, model, X, y, stream: _stochastic_gradient(
             model, state.weights, X, y, cfg.sgld.batch_size, stream),
         baseline=_quantized,
-        pair=lambda grad, state, cfg, dim: sgld_client_distributions(
+        pair=lambda grad, state, cfg: sgld_client_distributions(
             grad, cfg.sgld.sigma_s(cfg.clients_per_round)),
         fold=_sgld_fold,
     ),
@@ -303,17 +301,12 @@ def run_round(
     participants = sorted(int(c) for c in order[: cfg.clients_per_round])
 
     dim = model.dim
-    messages: list[_Message] = []
-    for c in participants:
-        shard = shards[c]
-        X, y = train.features[shard], train.labels[shard]
-        client_key = round_key.child("client", c)
-        local_stream = derive_stream(client_key.child("local"))
-        messages.append(
-            _client_message(state, cfg, model, X, y, client_key, local_stream, t, c, dim)
-        )
-
-    new_state = _aggregate(state, cfg, messages, round_key, dim)
+    messages = [
+        _client_message(state, cfg, model, train.features[shards[c]],
+                        train.labels[shards[c]], round_key.child("client", c), c)
+        for c in participants
+    ]
+    new_state = _aggregate(state, cfg, messages, round_key)
 
     payload = float(np.mean([m.payload_bits for m in messages]))
     total = float(np.mean([m.total_bits for m in messages]))
@@ -350,22 +343,23 @@ def run_round(
     ), metrics
 
 
-def _client_message(state, cfg, model, X, y, client_key, local_stream, t, c, dim):
+def _client_message(state, cfg, model, X, y, client_key, c):
     """Local training, then the native message or one codec round trip:
     encode with the round's partition policy, serialize, parse, decode."""
     method = _METHODS[cfg.method]
-    local = method.local(state, cfg, model, X, y, local_stream)
+    local = method.local(state, cfg, model, X, y,
+                         derive_stream(client_key.child("local")))
     if not _uses_codec(cfg):
-        vector, bits = method.baseline(local, cfg, client_key, dim)
+        vector, bits = method.baseline(local, cfg, client_key)
         return _Message(vector=vector, payload_bits=bits, total_bits=bits)
 
     codec = cfg.codec
-    q, p = method.pair(local, state, cfg, dim)
+    q, p = method.pair(local, state, cfg)
     kl_vec = kl_per_coordinate(q, p)
     partition = state.partition or split_blocks_adaptive(kl_vec, codec)
     upd, cost = encode_update(
         q, p, partition, codec, client_key,
-        round_index=t, client_id=c,
+        round_index=state.round_index, client_id=c,
         include_locations=state.partition is None, kl=kl_vec,
     )
     blob = serialize_update(upd, codec)
@@ -381,7 +375,7 @@ def _client_message(state, cfg, model, X, y, client_key, local_stream, t, c, dim
     )
 
 
-def _aggregate(state, cfg, messages, round_key, dim):
+def _aggregate(state, cfg, messages, round_key):
     """Merge or re-check the block partition, then fold the decoded vectors."""
     coded = _uses_codec(cfg)
     partition = state.partition
@@ -395,7 +389,7 @@ def _aggregate(state, cfg, messages, round_key, dim):
         if should_update_partition(mean_avg_kl, cfg.codec):
             partition = None
     folded = _METHODS[cfg.method].fold(
-        state, cfg, [m.vector for m in messages], coded, round_key, dim
+        state, cfg, [m.vector for m in messages], coded, round_key
     )
     return replace(folded, partition=partition)
 

@@ -281,7 +281,7 @@ def test_5_quantizer_unbiasedness():
         acc = np.zeros(16)
         acc_sq = np.zeros(16)
         for _ in range(draws):
-            s = qsgd_quantize(v, levels, stream)
+            s, _ = qsgd_quantize(v, levels, stream)
             acc += s
             acc_sq += s * s
         mean = acc / draws

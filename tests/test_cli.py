@@ -71,6 +71,20 @@ class TestExitCodes:
         assert main(["toy", path, "--seed", "3"]) == 1
         assert "must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "validate"])
+    def test_config_path_is_directory(self, tmp_path, capsys, command):
+        path = tmp_path / "configs"
+        path.mkdir()
+        assert main([command, str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "validate"])
+    def test_config_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        assert main([command, str(path)]) == 1
+        assert str(path) in capsys.readouterr().err
+
 
 class TestValidate:
     def test_ok_experiment(self, tmp_path, capsys):

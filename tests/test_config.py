@@ -126,6 +126,18 @@ class TestExperimentParsing:
         with pytest.raises(ConfigError, match=field):
             parse_experiment_config(json.loads(text))
 
+    # The codec message ignores both settings; the baseline messages read them.
+    @pytest.mark.parametrize("obj, field", [
+        ({"method": "sgld", "sgld": {"noise_enabled": False}}, "sgld.noise_enabled"),
+        ({"method": "qsgd", "qsgd": {"levels": 4}}, "qsgd.levels"),
+    ])
+    def test_setting_the_codec_ignores_refused_under_klms(self, obj, field):
+        with pytest.raises(ConfigError, match=f"{field}: must be"):
+            parse_experiment_config({**obj, "variant": "klms"})
+        cfg = parse_experiment_config({**obj, "variant": "baseline"})
+        block, name = field.split(".")
+        assert getattr(getattr(cfg, block), name) == obj[block][name]
+
     def test_reset_every_zero_disables_resets(self):
         cfg = parse_experiment_config({"fedpm": {"reset_every": 0}})
         assert cfg.fedpm.reset_every == 0

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` wraps functions and methods of ``fedklms`` by name
 and reads some of their parameters by name.  One small traced codec round
 trip here makes renaming or deleting any of them fail this suite, not only
-``python3 -m pytest perfbench``.
+``python3 -m pytest perfbench``; a short traced simulator run checks that the
+simulator's spans still split each round into the benchmark's phases.
 """
 
 import sys
@@ -12,8 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from fedklms import codec, distributions, streams
+from fedklms.config import load_config_file, parse_experiment_config
+from fedklms.sim import run_experiment
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
 import spans  # noqa: E402
 
 sys.path.pop(0)
@@ -39,3 +43,20 @@ def test_traced_round_trip_with_locations():
     assert tracer.counts["codec.encode_blocks"] == 1
     assert tracer.location_rounds == {(0, 3)}
     assert tracer.counts["codec.decode_uniforms"] == 64  # the indexed candidate only
+
+
+def test_traced_run_covers_every_phase():
+    obj = load_config_file(str(REPO / "configs" / "qsgd_separable.json"))
+    obj["rounds"] = 2
+    cfg = parse_experiment_config(obj)
+    tracer = spans.Tracer()
+    undo = spans.install(tracer)
+    try:
+        run_experiment(cfg)
+    finally:
+        spans.uninstall(undo)
+    assert len(tracer.round_s) == 2
+    values, _, errors = spans.layer_metrics([tracer], 1.0)
+    assert errors == []
+    for phase in ("local", "codec", "aggregate", "eval"):
+        assert values[f"sim.phase.{phase}_s"] > 0, phase
