@@ -216,18 +216,25 @@ def split_blocks_adaptive(kl: np.ndarray, params: CodecParams) -> BlockPartition
         raise ValueError("kl must be a non-empty 1-D vector")
     _check_coordinates(np.isfinite(kl) & (kl >= 0.0),
                        "per-coordinate KL must be finite and nonnegative", kl)
-    starts = [0]
-    running = 0.0
-    length = 0
-    for i, k in enumerate(kl):
-        running += float(k)
-        length += 1
-        closed = running >= params.d_kl_target or length == params.max_block_size
-        if closed and i + 1 < kl.size:
-            starts.append(i + 1)
-            running = 0.0
-            length = 0
-    return BlockPartition(dim=int(kl.size), starts=tuple(starts))
+    target, cap, dim = params.d_kl_target, params.max_block_size, int(kl.size)
+    starts, lo, guess = [0], 0, 16
+    while True:
+        # cumsum adds left to right from the block's first term, as a running
+        # total would, so the block closes at its first sum that reaches the
+        # target, or at cap terms; a window about twice the last block's
+        # width is tried before one of cap terms
+        window = min(cap, guess)
+        sums = np.cumsum(kl[lo:lo + window])
+        j = int(sums.searchsorted(target))
+        if j == window < cap:
+            sums = np.cumsum(kl[lo:lo + cap])
+            j = int(sums.searchsorted(target))
+        hi = lo + min(j + 1, sums.size)
+        if hi >= dim:
+            return BlockPartition(dim=dim, starts=tuple(starts))
+        starts.append(hi)
+        guess = 2 * (hi - lo) + 8
+        lo = hi
 
 
 def split_blocks_fixed(dim: int, block_size: int) -> BlockPartition:

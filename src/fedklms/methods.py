@@ -36,12 +36,10 @@ _PROB_CLAMP = 1e-6
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # min(x, -x) is -|x|, so e is exp(-x) where x >= 0 and exp(x) below (no
+    # overflow either way); unlike -|x|, it passes a NaN on with its sign
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logit(p: np.ndarray) -> np.ndarray:

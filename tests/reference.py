@@ -38,3 +38,32 @@ def aggregate_noise_var(params: SGLDParams, num_clients: int) -> float:
     if not params.noise_enabled:
         return 0.0
     return (params.server_lr * params.sigma_s(num_clients)) ** 2 / num_clients
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function by boolean masks: 1 / (1 + exp(-x)) where x >= 0,
+    exp(x) / (1 + exp(x)) elsewhere."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def split_starts(kl: np.ndarray, d_kl_target: float, max_block_size: int) -> tuple[int, ...]:
+    """Block starts of the greedy cut, one coordinate at a time: a block closes
+    once its running KL total reaches the target or its length reaches
+    max_block_size."""
+    starts = [0]
+    running = 0.0
+    length = 0
+    for i, k in enumerate(kl):
+        running += float(k)
+        length += 1
+        closed = running >= d_kl_target or length == max_block_size
+        if closed and i + 1 < kl.size:
+            starts.append(i + 1)
+            running = 0.0
+            length = 0
+    return tuple(starts)

@@ -46,6 +46,7 @@ from fedklms.distributions import (
     UniformSign,
 )
 from fedklms.streams import StreamKey, derive_stream
+from reference import split_starts
 
 
 def params_with(target=1.0, r=0.0, max_block=1024, kl_min=0.0, kl_max=math.inf):
@@ -117,6 +118,22 @@ def test_split_adaptive_invariants(seed, dim, target, max_block):
     # every block except the last closed for a reason
     for (lo, hi), ln in zip(part.ranges()[:-1], lengths[:-1]):
         assert kl[lo:hi].sum() >= target or ln == max_block
+
+
+# KL values whose sums are exact, so running totals land on the target
+_EXACT_KL = st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5, 1.0, 3.0])
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.one_of(_EXACT_KL, st.floats(0.0, 2.0)), min_size=1, max_size=300),
+    st.one_of(st.sampled_from([0.25, 0.5, 1.0, 1.5]), st.floats(0.01, 10.0)),
+    st.integers(1, 320),
+)
+def test_split_adaptive_equals_running_total(kl, target, max_block):
+    kl = np.array(kl)
+    part = split_blocks_adaptive(kl, params_with(target=target, max_block=max_block))
+    assert part.starts == split_starts(kl, target, max_block)
 
 
 def test_aggregate_frozen():

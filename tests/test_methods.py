@@ -29,6 +29,7 @@ from fedklms.methods import (
 )
 from fedklms.distributions import kl_per_coordinate
 from fedklms.streams import StreamKey, derive_stream
+import reference
 from reference import aggregate_noise_var, sgld_noisy_message
 
 
@@ -132,6 +133,20 @@ def test_fedpm_sample_mask_extremes():
     s = stream("mask")
     mask = fedpm_sample_mask(np.concatenate([np.ones(5), np.zeros(5)]), s)
     assert np.array_equal(mask, np.concatenate([np.ones(5), np.zeros(5)]))
+
+
+_SIGMOID_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 745.0, -745.0,
+                           709.78, -709.78, 1e-300, -1e-300, 36.7, -36.7])
+
+
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=60))
+def test_sigmoid_matches_masked_reference_bit_for_bit(values):
+    gen = derive_stream(StreamKey(31, (("sigmoid", len(values)),)))
+    x = np.concatenate([_SIGMOID_EDGES, np.array(values, dtype=np.float64),
+                        40.0 * gen.gaussians(64)])
+    got, want = sigmoid(x), reference.sigmoid(x)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_sigmoid_logit_inverse():
