@@ -7,9 +7,12 @@ be > 0, got -1") so a bad config reports everything wrong at once.  Only the
 rules that relate two fields are written here: clients_per_round cannot
 exceed num_clients, a synthetic dataset needs at least one training point per
 client, a csv or idx dataset needs its paths, the KL band defaults to
-[d_kl_target / 2, 2 * d_kl_target] and must bracket the target, and under
-variant klms neither sgld.noise_enabled: false nor qsgd.levels other than 1
-is accepted, because the codec message ignores both.
+[d_kl_target / 2, 2 * d_kl_target] and must bracket the target, and no
+setting is accepted that the run would then ignore: under variant klms,
+sgld.noise_enabled: false and qsgd.levels other than 1 (the codec message
+ignores both); under variant baseline, an sgld.noise_sigma (the server draws
+its own noise); and under temperature_mode iterations, a
+signsgd.temperature_scale other than 1.
 """
 
 from __future__ import annotations
@@ -213,6 +216,12 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
             errors.append("sgld.noise_enabled: must be true when variant is klms")
         if cfg.method == "qsgd" and cfg.qsgd.levels != 1:
             errors.append("qsgd.levels: must be 1 when variant is klms")
+    elif cfg.method == "sgld" and cfg.sgld.noise_sigma is not None:
+        # the baseline server's noise is sqrt(2 * step_gamma), not this
+        errors.append("sgld.noise_sigma: must be null when variant is baseline")
+    if (cfg.method == "signsgd" and cfg.signsgd.temperature_mode == "iterations"
+            and cfg.signsgd.temperature_scale != 1.0):
+        errors.append("signsgd.temperature_scale: must be 1 when temperature_mode is iterations")
     target = codec.get("d_kl_target", cfg.codec.d_kl_target)
     band = {"kl_min_threshold": target / 2.0, "kl_max_threshold": target * 2.0}
     try:

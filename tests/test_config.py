@@ -138,6 +138,24 @@ class TestExperimentParsing:
         block, name = field.split(".")
         assert getattr(getattr(cfg, block), name) == obj[block][name]
 
+    # Each setting is read in one context and ignored in the other.
+    @pytest.mark.parametrize("refused, accepted, field", [
+        ({"method": "sgld", "variant": "baseline", "sgld": {"noise_sigma": 0.5}},
+         {"method": "sgld", "variant": "klms", "sgld": {"noise_sigma": 0.5}},
+         "sgld.noise_sigma"),
+        ({"method": "signsgd", "signsgd": {"temperature_mode": "iterations",
+                                           "temperature_scale": 7.0}},
+         {"method": "signsgd", "signsgd": {"temperature_mode": "mean_abs",
+                                           "temperature_scale": 7.0}},
+         "signsgd.temperature_scale"),
+    ])
+    def test_setting_the_run_ignores_refused(self, refused, accepted, field):
+        with pytest.raises(ConfigError, match=f"{field}: must be"):
+            parse_experiment_config(refused)
+        cfg = parse_experiment_config(accepted)
+        block, name = field.split(".")
+        assert getattr(getattr(cfg, block), name) == accepted[block][name]
+
     def test_reset_every_zero_disables_resets(self):
         cfg = parse_experiment_config({"fedpm": {"reset_every": 0}})
         assert cfg.fedpm.reset_every == 0
