@@ -341,7 +341,8 @@ def encode_block(
     Returns (index, selected row).  The shared stream is consumed identically
     by :func:`decode_block`; the selector stream is client-only randomness.
     Candidates are drawn in chunks of an even number of rows (Gaussian pairs
-    never straddle two chunks); when there is more than one chunk, the
+    and the two halves of a Bernoulli word never straddle two chunks); when
+    there is more than one chunk, the
     selected row is regenerated by skipping to it.
     """
     if num_samples < 1:

@@ -23,6 +23,16 @@ where a squared term is needed), with no support checks.  The codec never
 calls ``log_mass_rows``; it is the reference the tests compare
 :func:`log_ratio` against.
 
+A Bernoulli coordinate is drawn as one 32-bit half-word u of the stream (see
+:mod:`fedklms.streams`) compared with the integer threshold t = floor(p *
+2^32): the candidate is 1 when u < t, which happens with probability exactly
+t / 2^32.  So the law itself lives on that grid: :class:`BernoulliVector`
+stores probs = floor(p * 2^32) / 2^32, and ``sample``, ``log_mass_rows``,
+:func:`kl_per_coordinate` and :func:`log_ratio` all read that one value, which
+keeps the importance weights exact.  p = 0 and p = 1 stay exact (thresholds 0
+and 2^32), and a probability below 2^-32 rounds to 0 and takes the zero-mass
+path below.  Row k of a w-wide block starts at half-word k * w.
+
 Zero mass is reported as -inf, never as an exception; absolute-continuity
 violations (client support exceeding global support) are errors raised by the
 KL routine, because they make the encoding scheme itself invalid rather than
@@ -42,6 +52,10 @@ import numpy as np
 from .streams import SampleStream
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+_GRID = 2.0**32  # Bernoulli thresholds are whole numbers of 2^-32
+# most 32-bit words a Bernoulli sample holds at once (128 KiB); a block wider
+# than half of this still takes two rows per piece
+_PIECE_WORDS = 1 << 15
 
 
 class AbsoluteContinuityError(ValueError):
@@ -84,16 +98,22 @@ def _uniform_rows(stream: SampleStream, start: int, count: int, width: int) -> n
 
 @dataclass
 class BernoulliVector:
-    """Independent Bernoulli coordinates with support {0, 1}."""
+    """Independent Bernoulli coordinates with support {0, 1}.
+
+    ``probs`` is rounded down to the grid of 32-bit thresholds on
+    construction: the law is P(1) = floor(p * 2^32) / 2^32, exactly what
+    ``sample`` draws.
+    """
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 1:
+        probs = np.asarray(self.probs, dtype=np.float64)
+        if probs.ndim != 1:
             raise ValueError("probs must be a 1-D vector")
-        _check_coordinates((self.probs >= 0.0) & (self.probs <= 1.0),
-                           "Bernoulli probabilities must lie in [0, 1]", self.probs)
+        _check_coordinates((probs >= 0.0) & (probs <= 1.0),
+                           "Bernoulli probabilities must lie in [0, 1]", probs)
+        self.probs = np.floor(probs * _GRID) / _GRID
 
     @property
     def dim(self) -> int:
@@ -103,9 +123,28 @@ class BernoulliVector:
                start: int = 0) -> np.ndarray:
         _check_range(lo, hi, self.dim)
         width = hi - lo
-        u = _uniform_rows(stream, start, count, width)
-        # candidates overwrite the uniforms: one K x width matrix, not two
-        return np.less(u, self.probs[lo:hi], out=u)
+        threshold = self.probs[lo:hi] * _GRID  # whole numbers in [0, 2^32]
+        certain = threshold == _GRID  # 2^32 does not fit a uint32: set apart
+        threshold = np.minimum(threshold, _GRID - 1.0).astype(np.uint32)
+        # coordinate j of the stream is half-word j: skip whole words, and at
+        # an odd start draw the first row alone, dropping the half before it;
+        # that row ends on a word boundary
+        first = start * width
+        stream.skip(first // 2)
+        out = np.empty((count, width))
+        head = first % 2
+        if head:
+            np.less(stream.uniforms(width + 1, bits=32)[1:], threshold, out=out[0])
+        # an even number of rows per piece, so that every piece but the last
+        # ends on a word boundary
+        step = max(2, _PIECE_WORDS // width // 2 * 2)
+        for r in range(head, count, step):
+            rows = out[r:r + step]
+            words = stream.uniforms(rows.size, bits=32).reshape(rows.shape)
+            np.less(words, threshold, out=rows)
+        if certain.any():
+            out[:, certain] = 1.0
+        return out
 
     def log_mass_rows(self, lo: int, hi: int, rows: np.ndarray) -> np.ndarray:
         _check_range(lo, hi, self.dim)

@@ -31,14 +31,23 @@ uniforms (2i, 2i+1) and emits (z1, z2) adjacently, so a request for n gaussians
 always consumes exactly 2*ceil(n/2) uniforms and splitting a request into
 even-sized chunks reproduces the unsplit values bit for bit.
 
-:meth:`SampleStream.skip` moves past n uniforms without computing them.
-Philox turns one counter value into four uniforms, so a skip draws what is
+The stream is a sequence of 64-bit Philox words.  A float64 uniform uses one
+whole word.  ``uniforms(n, bits=32)`` instead returns n uint32 half-words
+from ceil(n/2) words: half-word j is the low 32 bits of word j // 2 when j is
+even and the high 32 bits when j is odd, on any host byte order.  An odd n
+leaves the high half of its last word unused; the next draw starts at the
+next word.
+
+:meth:`SampleStream.skip` moves past n words without computing them.
+Philox turns one counter value into four words, so a skip draws what is
 left of the current group of four, jumps the counter over the whole groups
 with ``advance``, and draws the remainder: ``skip(n)`` then ``uniforms(m)``
 gives ``uniforms(n + m)[n:]``.  Gaussian j comes from pair j // 2, so the
 gaussians from offset j on are reached by skipping 2 * (j // 2) uniforms and,
-when j is odd, dropping the first value of the next pair.  This is how the
-decoder regenerates one candidate row without the K - 1 before it.
+when j is odd, dropping the first value of the next pair; half-word j is
+reached the same way, by skipping j // 2 words and, when j is odd, dropping
+the low half of the next word.  This is how the decoder regenerates one
+candidate row without the K - 1 before it.
 """
 
 from __future__ import annotations
@@ -177,25 +186,35 @@ class SampleStream:
 
     def __init__(self, key: StreamKey):
         self.key = key
-        philox = np.random.Philox(_philox_key_type()(key.digest()), counter=_ZERO_COUNTER)
-        self._gen = np.random.Generator(philox)
-        self._drawn = 0  # uniforms consumed; skip needs it mod 4
+        self._philox = np.random.Philox(_philox_key_type()(key.digest()),
+                                        counter=_ZERO_COUNTER)
+        self._gen = np.random.Generator(self._philox)
+        self._drawn = 0  # words consumed; skip needs it mod 4
 
     def _draw(self, n: int) -> np.ndarray:
         self._drawn += n
         return self._gen.random(n)
 
-    def uniforms(self, n: int) -> np.ndarray:
-        """n float64 uniforms in [0, 1)."""
+    def uniforms(self, n: int, bits: int = 64) -> np.ndarray:
+        """n float64 uniforms in [0, 1), one word each; or, with bits=32, n
+        uint32 words uniform on [0, 2^32), the halves of ceil(n/2) words."""
         if n < 0:
             raise ValueError(f"draw count must be nonnegative: {n}")
-        return self._draw(n)
+        if bits == 64:
+            return self._draw(n)
+        if bits != 32:
+            raise ValueError(f"bits must be 32 or 64: {bits}")
+        words = (n + 1) // 2
+        self._drawn += words
+        # little-endian words read as pairs of little-endian halves: low first
+        raw = self._philox.random_raw(words).astype("<u8", copy=False)
+        return raw.view("<u4")[:n]
 
     def next_uniform(self) -> float:
         return float(self._draw(1)[0])
 
     def skip(self, n: int) -> None:
-        """Move past the next n uniforms at the cost of at most six draws."""
+        """Move past the next n words at the cost of at most six draws."""
         if n < 0:
             raise ValueError(f"skip count must be nonnegative: {n}")
         # advance discards Philox's buffered group of four, so finish it first
@@ -203,7 +222,7 @@ class SampleStream:
         self._draw(lead)
         groups = (n - lead) // 4
         if groups:
-            self._gen.bit_generator.advance(groups)
+            self._philox.advance(groups)
             self._drawn += 4 * groups
         self._draw((n - lead) % 4)
 

@@ -174,8 +174,8 @@ class TestCodecBench:
         assert first != third
 
     def test_checksum_pinned(self, capsys):
-        # recorded before decode began skipping to the indexed candidate
+        # recorded when Bernoulli candidates moved to 32-bit words
         assert main(["codec-bench", "--coords", "20000", "--seed", "7"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == (
             "decoded checksum: "
-            "8fec7f76b0dcd70592edc53bfcf0bc5b424deaf280ba357fb9ddc2f1b1b33f43")
+            "52bbec49ac1cae03e7726e6ddfc632d5b5b8663f96b4ad3eec3892492f1bf61a")

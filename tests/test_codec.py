@@ -633,11 +633,12 @@ def _pin_digests(q, p, params, lengths, key):
 # non-multiple-of-4 offset and spans a non-multiple-of-4 number of draws
 _PIN_LENGTHS = (7, 13, 3, 21, 1, 5, 51)
 # (indices SHA-256, decoded vector SHA-256), recorded before the encoder's
-# log-weights became affine and the decoder began skipping to the indexed row
+# log-weights became affine and the decoder began skipping to the indexed row;
+# the Bernoulli cases re-recorded when Bernoulli candidates moved to 32-bit words
 SELECTION_GOLDEN = {
     "bernoulli": (
-        "2f591086b0a2a1123ba14320f59e99fa6c87552e41cce0effbf385820736d00d",
-        "4dd278b45853e140253bbf925291e7f8312bca8d05d6a3d1741aa396726ec081",
+        "175e92972d9d1a936616af615be79d2623221bd1eb405539a874a531261ed890",
+        "deadf3c1e92cd8a59b30da2cfabeceeeaf53e42fd104b086e76d073a877dd96f",
     ),
     "ternary": (
         "724f5fd3e6f72c0c378001efd79828770856278d35ad7fbcb37093290e33975b",
@@ -652,8 +653,8 @@ SELECTION_GOLDEN = {
         "5d6eec8bde2b14674264241d35310c61e600245f42e9259b634c68e02dfab37c",
     ),
     "bernoulli_k4096": (
-        "6c27c382ef220ea14fa1c8489e8a4e9de18a2ff3b3a2767080f58585167cf8b9",
-        "cac14762b365e3c7c9b931eb2dd55299cbc2ed2761a44974d57749a55a3c84c0",
+        "84426d23f5232cdc3874a0d1eee5d8eae12cc7bfe6d944426336329bc6b496f3",
+        "841cd8faac6202dadfb201a1df76ed287fbbd071e1540bba0bb1a6c068143225",
     ),
 }
 

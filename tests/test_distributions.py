@@ -69,9 +69,10 @@ def enumerated_kl(q, p, lo, hi):
 
 # hand-derived constants
 LOG_HALF_SQ = -1.3862943611198906  # 2 ln 0.5
-LOG_09 = -0.10536051565782628  # ln 0.9
+# Bernoulli(0.9) is Bernoulli(t) with t = floor(0.9 * 2^32) / 2^32 = 3865470566 / 2^32
+LOG_09 = -0.10536051576130659  # ln t
 STD_NORMAL_AT_0 = -0.9189385332046727  # -0.5 ln(2 pi)
-KL_BERN_09_05 = 0.36806420716849715  # 0.9 ln 1.8 + 0.1 ln 0.2
+KL_BERN_09_05 = 0.3680642069638646  # t ln 2t + (1 - t) ln 2(1 - t)
 
 
 def test_bernoulli_log_mass_frozen():
@@ -289,6 +290,38 @@ def test_sampling_matches_marginals():
     z = g.sample(0, 1, s, count=10**5).ravel()
     assert z.mean() == pytest.approx(2.0, abs=0.01)
     assert z.std() == pytest.approx(0.5, abs=0.01)
+
+
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_bernoulli_law_is_on_the_32_bit_grid(probs):
+    given_probs = np.array(probs)
+    law = BernoulliVector(given_probs).probs
+    thresholds = law * 2.0**32
+    assert np.array_equal(thresholds, np.floor(thresholds))
+    assert np.all((law <= given_probs) & (given_probs - law < 2.0**-32))
+
+
+def test_bernoulli_certain_coordinates():
+    # thresholds 0 and 2^32: no word is below the first, every word below the second
+    d = BernoulliVector(np.array([0.0, 1.0, 0.5, 1.0, 0.0, 1e-10]))
+    assert d.probs[0] == 0.0 and d.probs[1] == 1.0 and d.probs[5] == 0.0
+    key = StreamKey(15, (("certain", 0),))
+    x = d.sample(0, 6, derive_stream(key), count=5000)
+    assert (x[:, [0, 4, 5]] == 0.0).all() and (x[:, [1, 3]] == 1.0).all()
+    assert 0 < x[:, 2].sum() < 5000
+    row = d.sample(1, 4, derive_stream(key), start=7)  # an odd half-word start
+    assert row[0, 0] == 1.0 and row[0, 2] == 1.0
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.3, 0.5])
+def test_bernoulli_frequency_matches_grid_law(p):
+    # 10^6 draws: 1000 candidates of 1000 coordinates
+    d = BernoulliVector(np.full(1000, p))
+    x = d.sample(0, 1000, derive_stream(StreamKey(16, (("freq", round(p * 1e6)),))),
+                 count=1000)
+    law = d.probs[0]
+    sigma = np.sqrt(law * (1.0 - law) / x.size)
+    assert abs(x.mean() - law) <= 4.0 * sigma
 
 
 def test_sample_draw_counts_are_range_local():

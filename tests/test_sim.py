@@ -251,8 +251,8 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # label, a bit price or the operation order of a server update shows here.
 PINNED_OUTPUTS = {
     "fedpm_separable": ("fedpm_separable", {},
-        "ff1484859d7461b7cda34697a12237ba31038bb04b0d4478ddc461014d95d4a8",
-        "4311235ef0bf0d8cc98bd01443308fce51cafd36e872d552c31f886fd43a6527"),
+        "0155a67d65bf2d74bfd7a451f4898093693789ed2df7d25313e1462af4750f21",
+        "5790b419bb5fffcdfec046c9a6758684fb5277895eaf45376bcdcd35b6076af3"),
     "fedpm_separable_baseline": ("fedpm_separable_baseline", {},
         "737412e9fa061a8148c55476315c5f622de12dcaa7e49857b642f97f0ab1de4f",
         "304d46ae231dff58c0257194b9bab79a48dc61d7e48ef1c12846d813e192fa94"),

@@ -198,6 +198,32 @@ def test_stream_is_philox_keyed_by_the_digest(root_seed, labels, offset, n):
     assert np.array_equal(twin.gaussians(2 * n), _reference_gaussians(expected))
 
 
+@given(st.integers(0, 2**64 - 1), _LABELS, st.integers(0, 300), st.integers(0, 25))
+def test_32_bit_words_are_halves_of_philox_words(root_seed, labels, offset, n):
+    # half-word j is the low half of word j // 2 when j is even, else the high
+    key = StreamKey(root_seed, labels)
+    ref = np.random.Philox(key=int.from_bytes(key.digest(), "big"))
+    ref.random_raw(offset)
+    raw = ref.random_raw((n + 1) // 2)
+    halves = np.empty(2 * raw.size, dtype=np.uint64)
+    halves[0::2], halves[1::2] = raw & 0xFFFFFFFF, raw >> 32
+    s = derive_stream(key)
+    s.skip(offset)
+    words = s.uniforms(n, bits=32)
+    assert words.dtype == np.uint32 and words.shape == (n,)
+    assert np.array_equal(words, halves[:n])
+    # an odd count leaves the high half of the last word unused
+    assert s.next_uniform() == np.random.Generator(ref).random()
+
+
+def test_word_width_must_be_32_or_64():
+    s = derive_stream(StreamKey(8, (("bits", 0),)))
+    assert s.uniforms(3, bits=64).dtype == np.float64
+    for bits in (0, 16, 33, 128):
+        with pytest.raises(ValueError, match="bits"):
+            s.uniforms(2, bits=bits)
+
+
 @given(st.integers(0, 2**64 - 1), _LABELS)
 def test_child_chain_equals_direct_construction(root_seed, labels):
     direct = StreamKey(root_seed, labels)
