@@ -133,7 +133,7 @@ class BernoulliVector:
         stream.skip(first // 2)
         out = np.empty((count, width))
         head = first % 2
-        if head:
+        if head and count:
             np.less(stream.uniforms(width + 1, bits=32)[1:], threshold, out=out[0])
         # an even number of rows per piece, so that every piece but the last
         # ends on a word boundary
