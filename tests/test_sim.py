@@ -1,6 +1,7 @@
 """End-to-end simulator checks: accounting, partition protocol, determinism."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -291,3 +292,44 @@ def test_outputs_pinned(case, tmp_path):
     write_summary_json(summary, str(json_path))
     digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
     assert (digest(csv_path), digest(json_path)) == (csv_sha, json_sha)
+
+
+# SHA-256 of the same four-round outputs with the header-dependent totals
+# taken out: the metrics CSV without its bpp_total column, and the summary
+# JSON without mean_bpp_total and total_bits_sent.  What is left records the
+# decisions (selections, partitions, location rounds, accuracy, payload bits
+# and the transmitted KL), so a change to the wire header alone leaves these
+# digests as they are.
+DECISIONS_PINNED = {
+    "fedpm_separable": (
+        "31d36236045db51a3bfea82887545f0329b684b038a24bfcb87d1b43029b0f59",
+        "977e1dbe65bae052fda8beb6e4f4df3232f450ab1f65fb404843aaf6b088580e"),
+    "qsgd_separable": (
+        "14811c93b8593501ca8f3369b448a5495c67394f0d5ec35dbbc8f218c2011209",
+        "90ffc253cd098facd8d25f2dc09ebb3eebec0e9a72a3dd18c9ca8909d8aeb03a"),
+    "sgld_separable": (
+        "4253736f8b7db3ba73363df4c0969e5783718f6a7393da3381dea30012d5cd47",
+        "8cf6e3d7e87862d814f83612382f606c2aed2755f8922c7d3d4dd8cd6afef269"),
+    "signsgd_separable": (
+        "646e63093166ce9b13138b7f84bb74a53579c2b166d9182be05950e9a134d7b2",
+        "5621fe9fd9885d7c58774d3442c316ec295c5d1a35d431cdc5d499900f56b8d8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECISIONS_PINNED))
+def test_decisions_pinned(case, tmp_path):
+    obj = load_config_file(str(CONFIG_DIR / f"{case}.json"))
+    obj["rounds"] = 4
+    rows, summary = run_experiment(parse_experiment_config(obj))
+    csv_path, json_path = tmp_path / "metrics.csv", tmp_path / "summary.json"
+    write_metrics_csv(rows, str(csv_path))
+    write_summary_json(summary, str(json_path))
+    lines = [line.split(",") for line in csv_path.read_text().splitlines()]
+    col = lines[0].index("bpp_total")
+    csv = "".join(",".join(f for i, f in enumerate(line) if i != col) + "\n"
+                  for line in lines)
+    kept = json.loads(json_path.read_text())
+    del kept["mean_bpp_total"], kept["total_bits_sent"]
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    assert (sha(csv), sha(json.dumps(kept, indent=2, sort_keys=True) + "\n")) == \
+        DECISIONS_PINNED[case]
