@@ -197,11 +197,9 @@ class TernaryPattern:
         width = hi - lo
         u = _uniform_rows(stream, start, count, width)
         neg = self.p_neg[lo:hi]
-        zero = self.p_zero[lo:hi]
-        out = np.ones((count, width))
-        out[u < neg + zero] = 0.0
-        out[u < neg] = -1.0
-        return out
+        # +1 where u >= neg + zero, -1 where u < neg (which lies below
+        # neg + zero), 0 in between
+        return np.subtract(u >= neg + self.p_zero[lo:hi], u < neg, dtype=np.float64)
 
     def log_mass_rows(self, lo: int, hi: int, rows: np.ndarray) -> np.ndarray:
         _check_range(lo, hi, self.dim)

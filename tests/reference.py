@@ -6,7 +6,7 @@ import path).
 
 import numpy as np
 
-from fedklms.distributions import _check_range, kl_per_coordinate
+from fedklms.distributions import _check_range, _uniform_rows, kl_per_coordinate
 from fedklms.methods import SGLDParams
 from fedklms.streams import SampleStream
 
@@ -38,6 +38,19 @@ def aggregate_noise_var(params: SGLDParams, num_clients: int) -> float:
     if not params.noise_enabled:
         return 0.0
     return (params.server_lr * params.sigma_s(num_clients)) ** 2 / num_clients
+
+
+def ternary_sample(dist, lo: int, hi: int, stream: SampleStream, count: int = 1,
+                   start: int = 0) -> np.ndarray:
+    """Ternary candidate rows by masked writes: +1, then 0 where u < p_neg +
+    p_zero, then -1 where u < p_neg."""
+    _check_range(lo, hi, dist.dim)
+    u = _uniform_rows(stream, start, count, hi - lo)
+    neg = dist.p_neg[lo:hi]
+    out = np.ones((count, hi - lo))
+    out[u < neg + dist.p_zero[lo:hi]] = 0.0
+    out[u < neg] = -1.0
+    return out
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

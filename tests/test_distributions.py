@@ -24,7 +24,7 @@ from fedklms.distributions import (
     log_ratio,
 )
 from fedklms.streams import StreamKey, derive_stream
-from reference import kl_block, log_mass, scaled
+from reference import kl_block, log_mass, scaled, ternary_sample
 
 
 def enumerate_support(dist):
@@ -290,6 +290,25 @@ def test_sampling_matches_marginals():
     z = g.sample(0, 1, s, count=10**5).ravel()
     assert z.mean() == pytest.approx(2.0, abs=0.01)
     assert z.std() == pytest.approx(0.5, abs=0.01)
+
+
+def test_ternary_sample_matches_masked_reference_bit_for_bit():
+    # every coordinate kind: certain outcomes, one impossible outcome in each
+    # position, and three open ones
+    gen = derive_stream(StreamKey(12, (("tern-ref", 0),)))
+    x = gen.uniforms(60)
+    cases = [
+        (np.ones_like(x), 0 * x, 0 * x), (0 * x, np.ones_like(x), 0 * x),
+        (0 * x, 0 * x, np.ones_like(x)), (0 * x, x, 1.0 - x), (x, 0 * x, 1.0 - x),
+        (x, 1.0 - x, 0 * x), (0.5 * x, 0.5 * (1.0 - x), 0.5 + 0.0 * x),
+    ]
+    dist = TernaryPattern(*(np.concatenate(c) for c in zip(*cases)))
+    for lo, hi, count, start in ((0, dist.dim, 64, 0), (7, 311, 33, 5), (59, 60, 1000, 3)):
+        key = StreamKey(12, (("tern-ref", 1), ("lo", lo)))
+        ours = dist.sample(lo, hi, derive_stream(key), count=count, start=start)
+        ref = ternary_sample(dist, lo, hi, derive_stream(key), count=count, start=start)
+        assert ours.dtype == ref.dtype and ours.shape == ref.shape
+        assert ours.tobytes() == ref.tobytes()
 
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
