@@ -22,13 +22,19 @@ needs no client-side KL values.
 
 Wire layout (bit-packed, MSB first within bytes, zero-padded to a byte):
 
-    [header: the fields of ``_HEADER``, in its order and widths]
-    [if flags bit0: num_blocks fields of ceil(log2 max_block_size) bits,
-     each holding block_length - 1]
-    [num_blocks index fields of index_bits bits]
+    [locations: 1 bit, set when block lengths follow the header]
+    [avg_block_kl: 32 bits, the float32 mean block KL]
+    [num_blocks n >= 1: Elias-gamma code, floor(log2 n) zero bits, then n in
+     binary from its leading 1, 2 floor(log2 n) + 1 bits in all]
+    [if locations: n fields of ceil(log2 max_block_size) bits, each holding
+     block_length - 1]
+    [n index fields of index_bits bits]
 
+A one-block message has a 34-bit header, one of 2-3 blocks 36 bits.
 index_bits and max_block_size are session constants carried in
-:class:`CodecParams`, never in-band.
+:class:`CodecParams`, never in-band.  Neither are the round and the client:
+the receiver derives the message's stream key from both, so it already knows
+them, and a message read under another key decodes to other candidates.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ from .distributions import (LogRatio, ProductDistribution, _check_coordinates,
 from .streams import SampleStream, StreamKey, derive_stream
 
 _LN2 = math.log(2.0)
+
+# widest index field the wire reader handles: fields are read as uint64
+MAX_INDEX_BITS = 63
 
 # most candidate values one encode holds at once (8 MB of float64); a block
 # wider than half of this still takes two rows per chunk
@@ -86,11 +95,18 @@ class CodecParams:
                 "thresholds must bracket the target: "
                 f"{self.kl_min_threshold} <= {self.d_kl_target} <= {self.kl_max_threshold}"
             )
+        nats = self.d_kl_target + self.overhead_r
+        if not nats / _LN2 <= MAX_INDEX_BITS:  # the same quotient _index_bits rounds up
+            raise ValueError(
+                f"d_kl_target + overhead_r is {nats} nats, which needs index fields "
+                f"wider than {MAX_INDEX_BITS} bits; at most {MAX_INDEX_BITS} ln 2 = "
+                f"{MAX_INDEX_BITS * _LN2:.4f} nats fit"
+            )
 
     @property
     def index_bits(self) -> int:
         """Per-block index width; uniform across blocks (see module docstring)."""
-        return samples_per_block(self.d_kl_target, self)[1]
+        return _index_bits(self.d_kl_target + self.overhead_r)
 
     @property
     def length_field_bits(self) -> int:
@@ -152,14 +168,16 @@ class BlockPartition:
 class EncodedUpdate:
     """One client-to-server message before/after serialization."""
 
-    round_index: int
-    client_id: int
     avg_block_kl: float
     indices: np.ndarray  # one candidate index per block
     block_lengths: tuple[int, ...] | None = None  # shipped on location rounds
 
     def __post_init__(self) -> None:
         self.indices = np.asarray(self.indices, dtype=np.int64)
+        if self.indices.size == 0:
+            # a partition has at least one block, and the gamma code of
+            # num_blocks has no word for zero
+            raise ValueError("an update carries at least one block index")
         if self.block_lengths is not None and len(self.block_lengths) != self.num_blocks:
             raise ValueError("block_lengths needs one length per index")
 
@@ -185,16 +203,24 @@ class BitCost:
         return self.payload_bits + self.location_bits + self.header_bits
 
 
-# the wire header, (field, bits) in wire order: its one statement, read by the
-# writer, the reader and the bit accounting
+# the fixed-width header fields, (field, bits) in wire order: their one
+# statement, read by the writer, the reader and the bit accounting.  The
+# Elias-gamma code of num_blocks follows them (see gamma_bits).
 _HEADER = (
-    ("round_index", 32),
-    ("client_id", 32),
-    ("flags", 8),  # bit 0: block lengths follow the header
+    ("locations", 1),  # 1: block lengths follow the header
     ("avg_block_kl", 32),  # float32 bits
-    ("num_blocks", 32),
 )
-HEADER_BITS = sum(bits for _, bits in _HEADER)
+
+
+def gamma_bits(n: int) -> int:
+    """Length of the Elias-gamma code of n >= 1: 2 floor(log2 n) + 1 bits."""
+    if n < 1:
+        raise ValueError(f"Elias gamma codes positive integers: {n}")
+    return 2 * n.bit_length() - 1
+
+
+def _index_bits(nats: float) -> int:
+    return max(1, math.ceil(nats / _LN2))
 
 
 def samples_per_block(block_kl: float, params: CodecParams) -> tuple[int, int]:
@@ -204,7 +230,7 @@ def samples_per_block(block_kl: float, params: CodecParams) -> tuple[int, int]:
     """
     if block_kl < 0:
         raise ValueError(f"block KL must be nonnegative: {block_kl}")
-    bits = max(1, math.ceil((block_kl + params.overhead_r) / _LN2))
+    bits = _index_bits(block_kl + params.overhead_r)
     return 2**bits, bits
 
 
@@ -388,7 +414,7 @@ def bit_cost(num_blocks: int, params: CodecParams, includes_locations: bool) -> 
     return BitCost(
         payload_bits=num_blocks * params.index_bits,
         location_bits=location,
-        header_bits=HEADER_BITS,
+        header_bits=sum(bits for _, bits in _HEADER) + gamma_bits(num_blocks),
     )
 
 
@@ -408,8 +434,10 @@ def encode_update(
 
     key_base must identify (round, client) uniquely; the per-block stream keys
     are derived from it, so the stream for block m never depends on how other
-    blocks were processed.  ``kl`` is ``kl_per_coordinate(q, p)`` when the
-    caller has already computed it.
+    blocks were processed.  ``round_index`` and ``client_id`` name that
+    message; they are neither stored in the update nor sent, because the
+    receiver knows both (it derives the same key).  ``kl`` is
+    ``kl_per_coordinate(q, p)`` when the caller has already computed it.
     """
     if q.dim != p.dim or q.dim != partition.dim:
         raise ValueError(
@@ -433,8 +461,6 @@ def encode_update(
         raise ValueError(f"mean block KL overflows its float32 wire field: block "
                          f"[{lo}, {hi}) has {float(block_kls.max())!r} nats")
     upd = EncodedUpdate(
-        round_index=round_index,
-        client_id=client_id,
         avg_block_kl=avg_block_kl,
         indices=indices,
         block_lengths=partition.lengths if include_locations else None,
@@ -490,37 +516,76 @@ def _field_bits(values, width: int) -> np.ndarray:
 
 
 class _FieldReader:
-    """MSB-first fixed-width field unpacker with offset-bearing errors."""
+    """MSB-first field unpacker with offset-bearing errors.
+
+    Single fields are read as Python integers, runs of fields with numpy, and
+    :meth:`need` refuses a message too short for its body before any of the
+    body is unpacked.
+    """
 
     def __init__(self, data: bytes):
-        self._bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+        self._data = data
+        self.size = 8 * len(data)
         self.bit_pos = 0
 
-    def read(self, width: int, count: int = 1) -> np.ndarray:
-        end = self.bit_pos + count * width
-        if end > self._bits.size:
-            # the first field that does not fit starts where the whole ones end
-            start = self.bit_pos + (self._bits.size - self.bit_pos) // width * width
-            raise WireFormatError(
-                f"truncated: needed {width} bits, {self._bits.size - start} left",
-                start // 8,
-            )
-        fields = self._bits[self.bit_pos:end].reshape(count, width)
+    def _truncated(self, start: int, width: int) -> WireFormatError:
+        return WireFormatError(
+            f"truncated: needed {width} bits, {self.size - start} left", start // 8)
+
+    def need(self, count: int, widths: Iterable[int]) -> None:
+        """Refuse unless count fields of each width in turn fit from here."""
+        pos = self.bit_pos
+        for width in widths:
+            end = pos + count * width
+            if end > self.size:
+                # the first field that does not fit starts where the whole ones end
+                raise self._truncated(pos + (self.size - pos) // width * width, width)
+            pos = end
+
+    def _peek(self, width: int) -> int:
+        """The next width bits, which the caller has checked are there."""
+        start = self.bit_pos
+        hi = -(-(start + width) // 8)
+        word = int.from_bytes(self._data[start // 8:hi], "big")
+        return (word >> (8 * hi - start - width)) & ((1 << width) - 1)
+
+    def read_int(self, width: int) -> int:
+        self.need(1, (width,))
+        value = self._peek(width)
+        self.bit_pos += width
+        return value
+
+    def read(self, width: int, count: int) -> np.ndarray:
+        self.need(count, (width,))
+        start, end = self.bit_pos, self.bit_pos + count * width
+        lo = start // 8
+        raw = np.frombuffer(self._data, dtype=np.uint8)[lo:-(-end // 8)]
+        fields = np.unpackbits(raw)[start - 8 * lo:end - 8 * lo].reshape(count, width)
         self.bit_pos = end
         return fields @ (np.uint64(1) << _msb_shifts(width))
+
+    def read_gamma(self) -> int:
+        """One Elias-gamma code: z zero bits, then the value in z + 1 bits."""
+        start = self.bit_pos
+        look = min(64, self.size - start)
+        ahead = self._peek(look)
+        if ahead == 0:
+            if look < 64:
+                raise self._truncated(start, look + 1)
+            raise WireFormatError("num_blocks code exceeds 127 bits", start // 8)
+        zeros = look - ahead.bit_length()
+        if start + 2 * zeros + 1 > self.size:
+            raise self._truncated(start, 2 * zeros + 1)
+        self.bit_pos = start + zeros
+        return self.read_int(zeros + 1)
 
 
 def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
     """Pack an update per the wire layout in the module docstring."""
     (kl_bits,) = struct.unpack(">I", struct.pack(">f", upd.avg_block_kl))
-    header = {"round_index": upd.round_index, "client_id": upd.client_id,
-              "flags": int(upd.includes_locations), "avg_block_kl": kl_bits,
-              "num_blocks": upd.num_blocks}
-    fields = []
-    for name, width in _HEADER:
-        if not 0 <= header[name] < 1 << width:
-            raise ValueError(f"{name} out of range: {header[name]}")
-        fields.append(_field_bits([header[name]], width))
+    header = {"locations": int(upd.includes_locations), "avg_block_kl": kl_bits}
+    fields = [_field_bits([header[name]], width) for name, width in _HEADER]
+    fields.append(_field_bits([upd.num_blocks], gamma_bits(upd.num_blocks)))
     if upd.includes_locations:
         lengths = np.asarray(upd.block_lengths, dtype=np.int64)
         bad = (lengths < 1) | (lengths > params.max_block_size)
@@ -540,22 +605,13 @@ def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
 def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
     """Inverse of :func:`serialize_update`; rejects truncated or overlong input."""
     r = _FieldReader(data)
-    header = {}
-    for name, width in _HEADER:
-        header[name] = int(r.read(width)[0])
-        if name == "flags" and header[name] & ~0x01:
-            raise WireFormatError(f"unknown flag bits 0x{header[name]:02x}",
-                                  (r.bit_pos - width) // 8)
+    header = {name: r.read_int(width) for name, width in _HEADER}
     (avg_block_kl,) = struct.unpack(">f", struct.pack(">I", header["avg_block_kl"]))
-    num_blocks = header["num_blocks"]
-    # plausibility bound before reading: index fields are >= 1 bit each
-    if num_blocks * params.index_bits > 8 * len(data):
-        raise WireFormatError(
-            f"truncated: {num_blocks} blocks cannot fit in {len(data)} bytes",
-            r.bit_pos // 8,
-        )
+    num_blocks = r.read_gamma()
+    location_bits = [params.length_field_bits] if header["locations"] else []
+    r.need(num_blocks, location_bits + [params.index_bits])
     lengths: tuple[int, ...] | None = None
-    if header["flags"] & 0x01:
+    if header["locations"]:
         lengths = tuple(int(v) + 1 for v in r.read(params.length_field_bits, num_blocks))
     indices = r.read(params.index_bits, num_blocks).astype(np.int64)
     expected_bytes = (r.bit_pos + 7) // 8
@@ -565,8 +621,6 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
             expected_bytes,
         )
     return EncodedUpdate(
-        round_index=header["round_index"],
-        client_id=header["client_id"],
         avg_block_kl=float(avg_block_kl),
         indices=indices,
         block_lengths=lengths,

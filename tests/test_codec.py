@@ -1,8 +1,8 @@
 """Codec oracles: sample budgets, partitioning, round trips, wire format.
 
 Frozen values were worked out by hand from the budget rule
-bits = ceil((kl + r)/ln 2) and the wire layout (136-bit header: 72 fixed +
-32 avg-KL + 32 block count).
+bits = ceil((kl + r)/ln 2) and the wire layout (header: a 1-bit location
+flag, the 32-bit avg-KL and the Elias-gamma block count).
 """
 
 import dataclasses
@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 from fedklms import codec
 from fedklms.codec import (
-    HEADER_BITS,
     BitCost,
     BlockPartition,
     CodecParams,
@@ -264,10 +263,24 @@ def test_encode_update_cost_frozen():
     key = StreamKey(3, (("cf", 0),))
     upd, cost = encode_update(q, p, part, params, key, round_index=0, client_id=0)
     assert cost.payload_bits == 4
-    assert cost.header_bits == HEADER_BITS == 136
+    assert cost.header_bits == 36  # 1 + 32 + gamma(2) = 3
     assert cost.location_bits == 0
-    assert cost.total_bits == 140
-    assert cost.total_bits / q.dim == pytest.approx(140 / 4)
+    assert cost.total_bits == 40
+    assert cost.total_bits / q.dim == pytest.approx(40 / 4)
+
+
+@pytest.mark.parametrize("target, r", [(62.5 * math.log(2.0), 0.0), (40.0, 3.6)])
+def test_params_accept_63_bit_index_fields(target, r):
+    # constructed only: nothing draws 2^63 candidates
+    assert CodecParams(d_kl_target=target, overhead_r=r).index_bits == 63
+
+
+@pytest.mark.parametrize("target, r", [
+    (63.5 * math.log(2.0), 0.0), (40.0, 3.7), (50.0, 2.0), (1e300, 0.0), (1.0, math.inf),
+])
+def test_params_refuse_index_fields_over_63_bits(target, r):
+    with pytest.raises(ValueError, match="wider than 63 bits"):
+        CodecParams(d_kl_target=target, overhead_r=r)
 
 
 def test_location_bits_frozen():
@@ -370,20 +383,11 @@ def test_should_update_partition_strict():
 
 
 def test_serialize_empty_update_length():
-    # header-only message: 136 bits -> 17 bytes
-    params = params_with(target=1.2)
-    upd = EncodedUpdate(
-        round_index=3,
-        client_id=1,
-        avg_block_kl=0.25,
-        indices=np.array([], dtype=np.int64),
-    )
-    blob = serialize_update(upd, params)
-    assert len(blob) == 17
-    back = deserialize_update(blob, params)
-    assert back.round_index == 3 and back.client_id == 1
-    assert back.num_blocks == 0
-    assert back.avg_block_kl == pytest.approx(0.25)
+    # a partition has at least one block, and gamma has no code for zero
+    with pytest.raises(ValueError, match="at least one block"):
+        EncodedUpdate(avg_block_kl=0.25, indices=np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match="positive"):
+        bit_cost(0, params_with(target=1.2), includes_locations=False)
 
 
 def test_serialize_length_equals_bit_cost():
@@ -402,30 +406,24 @@ def test_serialize_length_equals_bit_cost():
 
 @settings(max_examples=60)
 @given(
-    st.integers(0, 2**32 - 1),
-    st.integers(0, 2**32 - 1),
     st.integers(1, 20),
     st.booleans(),
     st.integers(1, 10),
     st.floats(0.0, 100.0),
 )
-def test_wire_round_trip(round_index, client_id, num_blocks, include, max_pow, kl):
-    rng = np.random.default_rng(round_index ^ client_id ^ num_blocks)
+def test_wire_round_trip(num_blocks, include, max_pow, kl):
+    rng = np.random.default_rng(num_blocks)
     max_block = 2**max_pow
     params = params_with(target=3.0, r=1.0, max_block=max_block)
     indices = rng.integers(0, 2**params.index_bits, num_blocks)
     lengths = tuple(int(x) for x in rng.integers(1, max_block + 1, num_blocks))
     upd = EncodedUpdate(
-        round_index=round_index,
-        client_id=client_id,
         avg_block_kl=float(np.float32(kl)),
         indices=indices,
         block_lengths=lengths if include else None,
     )
     blob = serialize_update(upd, params)
     back = deserialize_update(blob, params)
-    assert back.round_index == upd.round_index
-    assert back.client_id == upd.client_id
     assert back.avg_block_kl == upd.avg_block_kl
     assert back.num_blocks == upd.num_blocks
     assert np.array_equal(back.indices, upd.indices)
@@ -433,11 +431,55 @@ def test_wire_round_trip(round_index, client_id, num_blocks, include, max_pow, k
     assert back.block_lengths == upd.block_lengths
 
 
+_F32 = np.finfo(np.float32)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    num_blocks=st.integers(1, 5000),
+    index_bits=st.integers(1, 63),
+    max_pow=st.integers(0, 20),
+    include=st.booleans(),
+    kl=st.sampled_from([0.0, float(_F32.smallest_subnormal),
+                        float(_F32.smallest_normal - _F32.smallest_subnormal),
+                        float(_F32.max)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_wire_property(num_blocks, index_bits, max_pow, include, kl, seed):
+    """Exact round trip, wire length equal to the accounting, every proper
+    prefix refused at an offset inside it, and trailing bytes refused."""
+    # ceil(index_bits - 1/2) = index_bits
+    params = CodecParams(d_kl_target=(index_bits - 0.5) * math.log(2.0),
+                         max_block_size=2**max_pow)
+    assert params.index_bits == index_bits
+    rng = np.random.default_rng(seed)
+    lengths = tuple(int(x) for x in rng.integers(1, 2**max_pow + 1, num_blocks))
+    upd = EncodedUpdate(
+        avg_block_kl=kl,
+        indices=np.full(num_blocks, 2**index_bits - 1),  # all-ones fields
+        block_lengths=lengths if include else None,
+    )
+    blob = serialize_update(upd, params)
+    assert len(blob) == math.ceil(bit_cost(num_blocks, params, include).total_bits / 8)
+    back = deserialize_update(blob, params)
+    assert back.avg_block_kl == kl
+    assert np.array_equal(back.indices, upd.indices)
+    assert back.block_lengths == upd.block_lengths
+    for n in range(len(blob)):
+        with pytest.raises(WireFormatError) as err:
+            deserialize_update(blob[:n], params)
+        assert err.value.byte_offset <= n
+    for extra in (b"\x00", b"\xff\xff"):
+        with pytest.raises(WireFormatError, match="overlong") as err:
+            deserialize_update(blob + extra, params)
+        assert err.value.byte_offset == len(blob)
+
+
 def test_wire_length_field_holds_max_block_size():
     # length == max_block_size must survive the (length - 1) field encoding
     params = params_with(target=1.2, max_block=8)
     upd = EncodedUpdate(
-        round_index=0, client_id=0, avg_block_kl=0.0,
+        avg_block_kl=0.0,
         indices=np.array([1]), block_lengths=(8,),
     )
     back = deserialize_update(serialize_update(upd, params), params)
@@ -447,41 +489,27 @@ def test_wire_length_field_holds_max_block_size():
 def test_deserialize_truncated():
     params = params_with(target=1.2)
     upd = EncodedUpdate(
-        round_index=0, client_id=0, avg_block_kl=0.0,
+        avg_block_kl=0.0,
         indices=np.array([0, 1]),
     )
     blob = serialize_update(upd, params)
     with pytest.raises(WireFormatError) as err:
-        deserialize_update(blob[:10], params)
-    assert err.value.byte_offset <= 10
+        deserialize_update(blob[:-1], params)
+    assert err.value.byte_offset <= len(blob) - 1
 
 
 def test_deserialize_overlong():
     params = params_with(target=1.2)
     upd = EncodedUpdate(
-        round_index=0, client_id=0, avg_block_kl=0.0,
-        indices=np.array([], dtype=np.int64),
+        avg_block_kl=0.0,
+        indices=np.array([0]),
     )
     blob = serialize_update(upd, params) + b"\x00\x00"
     with pytest.raises(WireFormatError):
         deserialize_update(blob, params)
 
 
-def test_deserialize_unknown_flags():
-    params = params_with(target=1.2)
-    upd = EncodedUpdate(
-        round_index=0, client_id=0, avg_block_kl=0.0,
-        indices=np.array([], dtype=np.int64),
-    )
-    blob = bytearray(serialize_update(upd, params))
-    blob[8] |= 0x40  # flags byte
-    with pytest.raises(WireFormatError):
-        deserialize_update(bytes(blob), params)
-
-
 @pytest.mark.parametrize("field, value, match", [
-    ("round_index", 2**32, "round_index"),
-    ("client_id", -1, "client_id"),
     ("indices", np.array([2**5, 0]), "index"),  # index fields are 5 bits wide
     ("block_lengths", (0, 4), "block length"),
     ("block_lengths", (9, 4), "block length"),  # max_block_size is 8
@@ -501,65 +529,78 @@ def _wire_params(max_block):
     return CodecParams(d_kl_target=2.0, overhead_r=1.0, max_block_size=max_block)
 
 
-# Bytes and truncation offsets recorded from the bit-by-bit writer and reader
-# that preceded the packbits implementation.  offsets[n] is the byte_offset
-# of the WireFormatError raised for the first n bytes of the message.
+# Bytes and truncation offsets recorded from the writer and reader when the
+# header became a 1-bit location flag, the float32 KL and the gamma-coded block
+# count.  offsets[n] is the byte_offset of the WireFormatError raised for the
+# first n bytes of the message.  A case without bytes is one the codec refuses.
 WIRE_GOLDEN = {
     "indices_only": (
         _wire_params(64),
-        EncodedUpdate(7, 3, 1.25, np.array([0, 31, 5, 17, 8])),
-        "0000000700000003003fa000000000000507cb1400",
-        [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13, 17, 17, 18, 19],
+        dict(avg_block_kl=1.25, indices=np.array([0, 31, 5, 17, 8])),
+        "1fd00000141f2c50",
+        [0, 0, 0, 0, 0, 4, 6, 6],
     ),
     "with_locations": (
         _wire_params(20),
-        EncodedUpdate(2**32 - 1, 9, 3.5, np.array([1, 30, 12]),
-                      block_lengths=(20, 1, 7)),
-        "ffffffff00000009014060000000000003980c1f30",
-        [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13, 17, 17, 18, 19],
+        dict(avg_block_kl=3.5, indices=np.array([1, 30, 12]), block_lengths=(20, 1, 7)),
+        "a03000003980c1f300",
+        [0, 0, 0, 0, 0, 4, 5, 7, 7],
     ),
     "zero_width_lengths": (
         _wire_params(1),
-        EncodedUpdate(1, 0, 0.0, np.array([3, 0, 31, 16]),
-                      block_lengths=(1, 1, 1, 1)),
-        "0000000100000000010000000000000004183f00",
-        [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13, 17, 17, 18],
+        dict(avg_block_kl=0.0, indices=np.array([3, 0, 31, 16]), block_lengths=(1, 1, 1, 1)),
+        "800000001060fc00",
+        [0, 0, 0, 0, 0, 4, 6, 6],
     ),
     "many_blocks": (
         _wire_params(20),
-        EncodedUpdate(4, 5, 2.75, np.arange(40) * 7 % 32,
-                      block_lengths=tuple(i * 3 % 20 + 1 for i in range(40))),
-        "000000040000000501403000000000002800cc963e4121d4d84c4542dd100cc963e4121d4d8"
-        "4c4542dd101dd5e0d51c7ccda6c4985fc564f4143edd22e5901dd5e0d51",
-        [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13, 17, 17, 17, 17, 17,
-         17, 17, 17, 24, 25, 27, 27, 28, 29, 30, 32, 32, 33, 34, 35, 37, 37, 38, 39,
-         40, 42, 42, 43, 44, 45, 47, 47, 48, 49, 50, 52, 52, 53, 54, 55, 57, 57, 58,
-         59, 60, 62, 62, 63, 64, 65],
+        dict(avg_block_kl=2.75, indices=np.arange(40) * 7 % 32,
+             block_lengths=tuple(i * 3 % 20 + 1 for i in range(40))),
+        "a018000002800cc963e4121d4d84c4542dd100cc963e4121d4d84c4542dd101dd5e0d51c7ccd"
+        "a6c4985fc564f4143edd22e5901dd5e0d510",
+        [0, 0, 0, 0, 0, 4, 5, 6, 8, 8, 9, 10, 11, 13, 13, 14, 15, 16, 18, 18, 19, 20,
+         21, 23, 23, 24, 25, 26, 28, 28, 29, 30, 31, 33, 33, 34, 35, 36, 38, 38, 39, 40,
+         41, 43, 43, 44, 45, 46, 48, 48, 49, 50, 51, 53, 53, 54],
     ),
     "no_blocks": (
         _wire_params(64),
-        EncodedUpdate(0, 2**32 - 1, 0.5, np.array([], dtype=np.int64)),
-        "00000000ffffffff003f00000000000000",
-        [0, 0, 0, 0, 4, 4, 4, 4, 8, 9, 9, 9, 9, 13, 13, 13, 13],
+        dict(avg_block_kl=0.5, indices=np.array([], dtype=np.int64)),
+        None,
+        None,
     ),
 }
 
 
+def _golden_update(name):
+    """The case's update, or None after checking that a case without bytes
+    is refused: a partition has at least one block."""
+    _, fields, golden, _ = WIRE_GOLDEN[name]
+    if golden is None:
+        with pytest.raises(ValueError, match="at least one block"):
+            EncodedUpdate(**fields)
+        return None
+    return EncodedUpdate(**fields)
+
+
 @pytest.mark.parametrize("name", list(WIRE_GOLDEN))
 def test_wire_bytes_pinned(name):
-    params, upd, golden, _ = WIRE_GOLDEN[name]
+    params, _, golden, _ = WIRE_GOLDEN[name]
+    upd = _golden_update(name)
+    if upd is None:
+        return
     blob = serialize_update(upd, params)
     assert blob.hex() == golden
     back = deserialize_update(blob, params)
     assert np.array_equal(back.indices, upd.indices)
     assert back.block_lengths == upd.block_lengths
-    assert (back.round_index, back.client_id, back.avg_block_kl) == (
-        upd.round_index, upd.client_id, upd.avg_block_kl)
+    assert back.avg_block_kl == upd.avg_block_kl
 
 
 @pytest.mark.parametrize("name", list(WIRE_GOLDEN))
 def test_wire_error_offsets_pinned(name):
     params, _, golden, offsets = WIRE_GOLDEN[name]
+    if _golden_update(name) is None:
+        return
     blob = bytes.fromhex(golden)
     seen = []
     for n in range(len(blob)):

@@ -64,6 +64,12 @@ class TestExperimentParsing:
         else:
             pytest.fail("expected ConfigError")
 
+    def test_index_fields_over_63_bits_refused(self):
+        # 50 + 2 (the default overhead_r) nats need ceil(52 / ln 2) = 76-bit
+        # index fields, which the wire reader cannot hold
+        with pytest.raises(ConfigError, match="codec: .*wider than 63 bits"):
+            parse_experiment_config({"codec": {"d_kl_target": 50}})
+
     def test_participants_bounded_by_clients(self):
         with pytest.raises(ConfigError, match="clients_per_round"):
             parse_experiment_config({"num_clients": 3, "clients_per_round": 5})
