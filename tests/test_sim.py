@@ -252,20 +252,20 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # label, a bit price or the operation order of a server update shows here.
 PINNED_OUTPUTS = {
     "fedpm_separable": ("fedpm_separable", {},
-        "0155a67d65bf2d74bfd7a451f4898093693789ed2df7d25313e1462af4750f21",
-        "5790b419bb5fffcdfec046c9a6758684fb5277895eaf45376bcdcd35b6076af3"),
+        "bac7f294466ecf022e26965e922873a882d6e636559605ffe573fbd21dd9f76f",
+        "0cbd82e62c8247ea5ee7058838b049ea58346a4860126b1600a4dbb0ab1d301f"),
     "fedpm_separable_baseline": ("fedpm_separable_baseline", {},
         "737412e9fa061a8148c55476315c5f622de12dcaa7e49857b642f97f0ab1de4f",
         "304d46ae231dff58c0257194b9bab79a48dc61d7e48ef1c12846d813e192fa94"),
     "qsgd_separable": ("qsgd_separable", {},
-        "289961f6c61555f665f081ebb98102b312e6efcd6ce5e2de6a2c8e7db8511080",
-        "cf586271bce20d715f719d00d00088abaaef2010ed29f283a22250c3adc4b75f"),
+        "131fe1f219f40e5bff110aca8a1d2acf67ac1f146aaff3e53342b57fd42176ab",
+        "a92f781b451825e0074b0dd0ced8ca236dade16f8e29e38bf62bdfb61d16a531"),
     "signsgd_separable": ("signsgd_separable", {},
-        "13b5c789334380b4312c0f0cca30eeb5dd72854d5470e51073a3ac8928f9eb9f",
-        "4c27331444cea1e4845693abe4783923b059adba487feedd665a3480ee547dcb"),
+        "b66e2bd54d598a41cae6925a6b49911cd4a326da8074d37ed6e54d7460a46439",
+        "8b1ae3b4b53f620d7ae03c367e8a7aabbfbf8e01da052351fb55e1c4958d0b31"),
     "sgld_separable": ("sgld_separable", {},
-        "fac539b3725c07d3f3f40b7c5f4eddca7edaa74635f441bd2d6f90a0fc6fcb9a",
-        "7451431e4bd5516a8d41284d53f176fc9eccac6962084c64a107762e2888eac5"),
+        "c40f34cd530ec6fbe9c1f2da4415ed6cbea4f622edd2d5c378affce36ed6bb7b",
+        "08b1a74fcca80692b09cec1bc637ea25943d308c8083312529d914cd75632c34"),
     "qsgd_baseline": ("qsgd_separable", {"variant": "baseline"},
         "7f87a37ed44f2d205c8f1875d973b7fbac99de0fe677b79d6f2e3f7c25cf22d4",
         "45054f1d8c9fa165d2b21917ad438412787933aca57242beb7d72dcf9d6ab8a1"),
