@@ -296,6 +296,7 @@ def test_6_desk_runs_synthetic():
     _, base = run_experiment(_experiment("fedpm_separable_baseline.json"))
     assert klms["mean_bpp_payload"] <= 0.15
     assert klms["final_accuracy"] >= base["final_accuracy"] - 0.02
+    assert klms["mean_bpp_total"] <= base["mean_bpp_total"] / 20
 
     # sign updates against the 1-bit stochastic sign baseline
     _, klms = run_experiment(_experiment("signsgd_separable.json"))
@@ -389,6 +390,17 @@ def test_8_deterministic_reruns(tmp_path):
     for out in toy_outs:
         assert main(["toy", str(toy_cfg), "--out", str(out)]) == 0
     assert toy_outs[0].read_bytes() == toy_outs[1].read_bytes()
+
+
+def test_8_sgld_total_bits_below_baseline():
+    """Langevin updates through the codec cost fewer total bits, headers and
+    block locations included, than the Elias-coded baseline message, at the
+    same final accuracy."""
+    _, klms = run_experiment(_experiment("sgld_separable.json"))
+    _, base = run_experiment(_experiment("sgld_separable.json", variant="baseline"))
+    assert klms["mean_bpp_total"] < base["mean_bpp_total"]
+    assert klms["total_bits_sent"] < base["total_bits_sent"]
+    assert klms["final_accuracy"] >= base["final_accuracy"] - 0.02
 
 
 def test_training_convergence_all_methods():
