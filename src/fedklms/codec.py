@@ -53,7 +53,7 @@ from .streams import SampleStream, StreamKey, derive_stream
 _LN2 = math.log(2.0)
 
 # widest index field the wire reader handles: fields are read as uint64
-MAX_INDEX_BITS = 63
+_MAX_INDEX_BITS = 63
 
 # most candidate values one encode holds at once (8 MB of float64); a block
 # wider than half of this still takes two rows per chunk
@@ -96,17 +96,17 @@ class CodecParams:
                 f"{self.kl_min_threshold} <= {self.d_kl_target} <= {self.kl_max_threshold}"
             )
         nats = self.d_kl_target + self.overhead_r
-        if not nats / _LN2 <= MAX_INDEX_BITS:  # the same quotient _index_bits rounds up
+        if not nats / _LN2 <= _MAX_INDEX_BITS:  # the quotient samples_per_block rounds up
             raise ValueError(
                 f"d_kl_target + overhead_r is {nats} nats, which needs index fields "
-                f"wider than {MAX_INDEX_BITS} bits; at most {MAX_INDEX_BITS} ln 2 = "
-                f"{MAX_INDEX_BITS * _LN2:.4f} nats fit"
+                f"wider than {_MAX_INDEX_BITS} bits; at most {_MAX_INDEX_BITS} ln 2 = "
+                f"{_MAX_INDEX_BITS * _LN2:.4f} nats fit"
             )
 
     @property
     def index_bits(self) -> int:
         """Per-block index width; uniform across blocks (see module docstring)."""
-        return _index_bits(self.d_kl_target + self.overhead_r)
+        return samples_per_block(self.d_kl_target, self)[1]
 
     @property
     def length_field_bits(self) -> int:
@@ -205,22 +205,18 @@ class BitCost:
 
 # the fixed-width header fields, (field, bits) in wire order: their one
 # statement, read by the writer, the reader and the bit accounting.  The
-# Elias-gamma code of num_blocks follows them (see gamma_bits).
+# Elias-gamma code of num_blocks follows them (see _gamma_bits).
 _HEADER = (
     ("locations", 1),  # 1: block lengths follow the header
     ("avg_block_kl", 32),  # float32 bits
 )
 
 
-def gamma_bits(n: int) -> int:
+def _gamma_bits(n: int) -> int:
     """Length of the Elias-gamma code of n >= 1: 2 floor(log2 n) + 1 bits."""
     if n < 1:
         raise ValueError(f"Elias gamma codes positive integers: {n}")
     return 2 * n.bit_length() - 1
-
-
-def _index_bits(nats: float) -> int:
-    return max(1, math.ceil(nats / _LN2))
 
 
 def samples_per_block(block_kl: float, params: CodecParams) -> tuple[int, int]:
@@ -230,7 +226,7 @@ def samples_per_block(block_kl: float, params: CodecParams) -> tuple[int, int]:
     """
     if block_kl < 0:
         raise ValueError(f"block KL must be nonnegative: {block_kl}")
-    bits = _index_bits(block_kl + params.overhead_r)
+    bits = max(1, math.ceil((block_kl + params.overhead_r) / _LN2))
     return 2**bits, bits
 
 
@@ -414,7 +410,7 @@ def bit_cost(num_blocks: int, params: CodecParams, includes_locations: bool) -> 
     return BitCost(
         payload_bits=num_blocks * params.index_bits,
         location_bits=location,
-        header_bits=sum(bits for _, bits in _HEADER) + gamma_bits(num_blocks),
+        header_bits=sum(bits for _, bits in _HEADER) + _gamma_bits(num_blocks),
     )
 
 
@@ -572,7 +568,9 @@ class _FieldReader:
         if ahead == 0:
             if look < 64:
                 raise self._truncated(start, look + 1)
-            raise WireFormatError("num_blocks code exceeds 127 bits", start // 8)
+            # n >= 2^64 blocks: no message is that long
+            raise WireFormatError("num_blocks code has 64 or more leading zeros",
+                                  start // 8)
         zeros = look - ahead.bit_length()
         if start + 2 * zeros + 1 > self.size:
             raise self._truncated(start, 2 * zeros + 1)
@@ -585,7 +583,7 @@ def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
     (kl_bits,) = struct.unpack(">I", struct.pack(">f", upd.avg_block_kl))
     header = {"locations": int(upd.includes_locations), "avg_block_kl": kl_bits}
     fields = [_field_bits([header[name]], width) for name, width in _HEADER]
-    fields.append(_field_bits([upd.num_blocks], gamma_bits(upd.num_blocks)))
+    fields.append(_field_bits([upd.num_blocks], _gamma_bits(upd.num_blocks)))
     if upd.includes_locations:
         lengths = np.asarray(upd.block_lengths, dtype=np.int64)
         bad = (lengths < 1) | (lengths > params.max_block_size)

@@ -498,6 +498,17 @@ def test_deserialize_truncated():
     assert err.value.byte_offset <= len(blob) - 1
 
 
+@pytest.mark.parametrize("size, match", [
+    (5, "truncated"),  # the zero run of the block count reaches the end
+    (20, "64 or more leading zeros"),  # 2^64 blocks or more
+])
+def test_deserialize_refuses_unterminated_block_count(size, match):
+    # every bit zero: no location flag, KL 0.0, and a gamma code with no 1
+    with pytest.raises(WireFormatError, match=match) as err:
+        deserialize_update(bytes(size), params_with(target=1.2))
+    assert err.value.byte_offset == 4  # where the block count starts, bit 33
+
+
 def test_deserialize_overlong():
     params = params_with(target=1.2)
     upd = EncodedUpdate(
@@ -509,10 +520,15 @@ def test_deserialize_overlong():
         deserialize_update(blob, params)
 
 
+# the ids are the ones these cases had when two header-field cases came first
 @pytest.mark.parametrize("field, value, match", [
-    ("indices", np.array([2**5, 0]), "index"),  # index fields are 5 bits wide
-    ("block_lengths", (0, 4), "block length"),
-    ("block_lengths", (9, 4), "block length"),  # max_block_size is 8
+    # index fields are 5 bits wide
+    pytest.param("indices", np.array([2**5, 0]), "index", id="indices-value2-index"),
+    pytest.param("block_lengths", (0, 4), "block length",
+                 id="block_lengths-value3-block length"),
+    # max_block_size is 8
+    pytest.param("block_lengths", (9, 4), "block length",
+                 id="block_lengths-value4-block length"),
 ])
 def test_serialize_refuses_values_outside_their_fields(field, value, match):
     params = params_with(target=2.0, r=1.0, max_block=8)
