@@ -269,7 +269,10 @@ def test_encode_update_cost_frozen():
     assert cost.total_bits / q.dim == pytest.approx(40 / 4)
 
 
-@pytest.mark.parametrize("target, r", [(62.5 * math.log(2.0), 0.0), (40.0, 3.6)])
+# (63 ln 2) / ln 2 is exactly 63.0 in float64: the boundary itself
+@pytest.mark.parametrize("target, r", [
+    (63 * math.log(2.0), 0.0), (62.5 * math.log(2.0), 0.0), (40.0, 3.6),
+])
 def test_params_accept_63_bit_index_fields(target, r):
     # constructed only: nothing draws 2^63 candidates
     assert CodecParams(d_kl_target=target, overhead_r=r).index_bits == 63
