@@ -294,6 +294,26 @@ def test_outputs_pinned(case, tmp_path):
     assert (digest(csv_path), digest(json_path)) == (csv_sha, json_sha)
 
 
+def _digests_without(case, csv_columns, summary_keys, tmp_path):
+    """SHA-256 of a klms config's four-round metrics CSV and summary JSON,
+    with the named CSV columns and summary keys taken out."""
+    obj = load_config_file(str(CONFIG_DIR / f"{case}.json"))
+    obj["rounds"] = 4
+    rows, summary = run_experiment(parse_experiment_config(obj))
+    csv_path, json_path = tmp_path / "metrics.csv", tmp_path / "summary.json"
+    write_metrics_csv(rows, str(csv_path))
+    write_summary_json(summary, str(json_path))
+    lines = [line.split(",") for line in csv_path.read_text().splitlines()]
+    cols = {lines[0].index(name) for name in csv_columns}
+    csv = "".join(",".join(f for i, f in enumerate(line) if i not in cols) + "\n"
+                  for line in lines)
+    kept = json.loads(json_path.read_text())
+    for key in summary_keys:
+        del kept[key]
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    return sha(csv), sha(json.dumps(kept, indent=2, sort_keys=True) + "\n")
+
+
 # SHA-256 of the same four-round outputs with the header-dependent totals
 # taken out: the metrics CSV without its bpp_total column, and the summary
 # JSON without mean_bpp_total and total_bits_sent.  What is left records the
@@ -318,18 +338,34 @@ DECISIONS_PINNED = {
 
 @pytest.mark.parametrize("case", sorted(DECISIONS_PINNED))
 def test_decisions_pinned(case, tmp_path):
-    obj = load_config_file(str(CONFIG_DIR / f"{case}.json"))
-    obj["rounds"] = 4
-    rows, summary = run_experiment(parse_experiment_config(obj))
-    csv_path, json_path = tmp_path / "metrics.csv", tmp_path / "summary.json"
-    write_metrics_csv(rows, str(csv_path))
-    write_summary_json(summary, str(json_path))
-    lines = [line.split(",") for line in csv_path.read_text().splitlines()]
-    col = lines[0].index("bpp_total")
-    csv = "".join(",".join(f for i, f in enumerate(line) if i != col) + "\n"
-                  for line in lines)
-    kept = json.loads(json_path.read_text())
-    del kept["mean_bpp_total"], kept["total_bits_sent"]
-    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
-    assert (sha(csv), sha(json.dumps(kept, indent=2, sort_keys=True) + "\n")) == \
-        DECISIONS_PINNED[case]
+    assert _digests_without(case, ["bpp_total"], ["mean_bpp_total", "total_bits_sent"],
+                            tmp_path) == DECISIONS_PINNED[case]
+
+
+# SHA-256 of the same four-round outputs without the header's bits and without
+# the transmitted KL: the metrics CSV without bpp_total and mean_kl_per_param,
+# the summary JSON without mean_bpp_total and total_bits_sent.  What is left
+# (selections through accuracy and payload bits, partitions and location
+# rounds) does not depend on how the header codes the KL, so a change to that
+# code alone leaves these digests as they are.
+SELECTIONS_PINNED = {
+    "fedpm_separable": (
+        "8594665dc3b50e4a96c1de7a0db8b17009c8a1fa6830ca3133e41a45992f3587",
+        "977e1dbe65bae052fda8beb6e4f4df3232f450ab1f65fb404843aaf6b088580e"),
+    "qsgd_separable": (
+        "d5fe1130990593708f730cf45f8c5ab9ea675c1c8e964ff56e9b029405268e80",
+        "90ffc253cd098facd8d25f2dc09ebb3eebec0e9a72a3dd18c9ca8909d8aeb03a"),
+    "sgld_separable": (
+        "4c5db9331bb1fb2f2b26e0a78b4955ca65392b29e84b387c3490d4b57fa82b43",
+        "8cf6e3d7e87862d814f83612382f606c2aed2755f8922c7d3d4dd8cd6afef269"),
+    "signsgd_separable": (
+        "c0f0f348ad5048106a137a14e4dd97ada139c284306f7a0bb0a9e66919ba2384",
+        "5621fe9fd9885d7c58774d3442c316ec295c5d1a35d431cdc5d499900f56b8d8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SELECTIONS_PINNED))
+def test_selections_pinned(case, tmp_path):
+    assert _digests_without(case, ["bpp_total", "mean_kl_per_param"],
+                            ["mean_bpp_total", "total_bits_sent"],
+                            tmp_path) == SELECTIONS_PINNED[case]
