@@ -23,14 +23,21 @@ needs no client-side KL values.
 Wire layout (bit-packed, MSB first within bytes, zero-padded to a byte):
 
     [locations: 1 bit, set when block lengths follow the header]
-    [avg_block_kl: 32 bits, the float32 mean block KL]
+    [avg_block_kl: 8 bits, the code of the mean block KL on a log2 grid]
     [num_blocks n >= 1: Elias-gamma code, floor(log2 n) zero bits, then n in
      binary from its leading 1, 2 floor(log2 n) + 1 bits in all]
     [if locations: n fields of ceil(log2 max_block_size) bits, each holding
      block_length - 1]
     [n index fields of index_bits bits]
 
-A one-block message has a 34-bit header, one of 2-3 blocks 36 bits.
+A one-block message has a 10-bit header, one of 2-3 blocks 12 bits.
+
+The mean block KL only reports how far the client's blocks drift from the
+target, so it is sent at 1/8-octave precision: code 0 is a KL of exactly 0,
+and code c >= 1 is 2^((c - 128) / 8) nats, from 1.6e-5 to 6.0e4.  The encoder
+sends the code nearest the KL in log2, within a factor 2^(1/16); a KL outside
+that range saturates to code 1 or 255.
+
 index_bits and max_block_size are session constants carried in
 :class:`CodecParams`, never in-band.  Neither are the round and the client:
 the receiver derives the message's stream key from both, so it already knows
@@ -40,7 +47,6 @@ them, and a message read under another key decodes to other candidates.
 from __future__ import annotations
 
 import math
-import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -54,6 +60,12 @@ _LN2 = math.log(2.0)
 
 # widest index field the wire reader handles: fields are read as uint64
 _MAX_INDEX_BITS = 63
+
+# the mean block KL's wire code: 8 bits on a log2 grid of 8 steps per octave,
+# code 0 for a KL of exactly 0 (see the module docstring)
+_KL_CODE_BITS = 8
+_KL_STEPS_PER_OCTAVE = 8
+_KL_CODE_OF_ONE_NAT = 128
 
 # most candidate values one encode holds at once (8 MB of float64); a block
 # wider than half of this still takes two rows per chunk
@@ -164,15 +176,38 @@ class BlockPartition:
         return BlockPartition(dim=ends[-1], starts=tuple(ends[:-1]))
 
 
+def _kl_code(kl: float) -> int:
+    """The wire code of a finite KL >= 0: the nearest grid point in log2,
+    saturating at the ends of the grid."""
+    if kl == 0.0:
+        return 0
+    code = round(_KL_STEPS_PER_OCTAVE * math.log2(kl)) + _KL_CODE_OF_ONE_NAT
+    return min(max(code, 1), (1 << _KL_CODE_BITS) - 1)
+
+
+def _kl_of_code(code: int) -> float:
+    if code == 0:
+        return 0.0
+    return 2.0 ** ((code - _KL_CODE_OF_ONE_NAT) / _KL_STEPS_PER_OCTAVE)
+
+
 @dataclass
 class EncodedUpdate:
-    """One client-to-server message before/after serialization."""
+    """One client-to-server message before/after serialization.
+
+    ``avg_block_kl`` is snapped to the grid of its 8-bit wire code on
+    construction, so it holds exactly the KL the receiver reads.
+    """
 
     avg_block_kl: float
     indices: np.ndarray  # one candidate index per block
     block_lengths: tuple[int, ...] | None = None  # shipped on location rounds
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.avg_block_kl) and self.avg_block_kl >= 0.0):
+            raise ValueError(f"avg_block_kl must be finite and nonnegative: "
+                             f"{self.avg_block_kl!r}")
+        self.avg_block_kl = _kl_of_code(_kl_code(self.avg_block_kl))
         self.indices = np.asarray(self.indices, dtype=np.int64)
         if self.indices.size == 0:
             # a partition has at least one block, and the gamma code of
@@ -208,7 +243,7 @@ class BitCost:
 # Elias-gamma code of num_blocks follows them (see _gamma_bits).
 _HEADER = (
     ("locations", 1),  # 1: block lengths follow the header
-    ("avg_block_kl", 32),  # float32 bits
+    ("avg_block_kl", _KL_CODE_BITS),  # the KL's log2-grid code
 )
 
 
@@ -442,20 +477,19 @@ def encode_update(
     partition.check_max_block_size(params.max_block_size)
     num_samples, _ = samples_per_block(params.d_kl_target, params)
     kl = kl_per_coordinate(q, p) if kl is None else kl
+    ranges = partition.ranges()
+    with np.errstate(over="ignore"):
+        block_kls = np.array([kl[lo:hi].sum() for lo, hi in ranges])
+        avg_block_kl = float(block_kls.mean())
+    if not math.isfinite(avg_block_kl):
+        lo, hi = ranges[int(np.argmax(block_kls))]
+        raise ValueError(f"mean block KL overflows float64: block "
+                         f"[{lo}, {hi}) has {float(block_kls.max())!r} nats")
     ratio = log_ratio(q, p)
     indices = np.empty(partition.num_blocks, dtype=np.int64)
-    block_kls = np.empty(partition.num_blocks)
-    for m, (lo, hi) in enumerate(partition.ranges()):
+    for m, (lo, hi) in enumerate(ranges):
         shared, selector = _block_streams(key_base, m)
         indices[m], _ = encode_block(q, p, lo, hi, num_samples, shared, selector, ratio)
-        block_kls[m] = kl[lo:hi].sum()
-    with np.errstate(over="ignore"):
-        # transmitted at 32 bits, so stored already rounded
-        avg_block_kl = float(np.float32(block_kls.mean()))
-    if not math.isfinite(avg_block_kl):
-        lo, hi = partition.ranges()[int(np.argmax(block_kls))]
-        raise ValueError(f"mean block KL overflows its float32 wire field: block "
-                         f"[{lo}, {hi}) has {float(block_kls.max())!r} nats")
     upd = EncodedUpdate(
         avg_block_kl=avg_block_kl,
         indices=indices,
@@ -580,8 +614,8 @@ class _FieldReader:
 
 def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
     """Pack an update per the wire layout in the module docstring."""
-    (kl_bits,) = struct.unpack(">I", struct.pack(">f", upd.avg_block_kl))
-    header = {"locations": int(upd.includes_locations), "avg_block_kl": kl_bits}
+    header = {"locations": int(upd.includes_locations),
+              "avg_block_kl": _kl_code(upd.avg_block_kl)}
     fields = [_field_bits([header[name]], width) for name, width in _HEADER]
     fields.append(_field_bits([upd.num_blocks], _gamma_bits(upd.num_blocks)))
     if upd.includes_locations:
@@ -604,7 +638,6 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
     """Inverse of :func:`serialize_update`; rejects truncated or overlong input."""
     r = _FieldReader(data)
     header = {name: r.read_int(width) for name, width in _HEADER}
-    (avg_block_kl,) = struct.unpack(">f", struct.pack(">I", header["avg_block_kl"]))
     num_blocks = r.read_gamma()
     location_bits = [params.length_field_bits] if header["locations"] else []
     r.need(num_blocks, location_bits + [params.index_bits])
@@ -619,7 +652,7 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
             expected_bytes,
         )
     return EncodedUpdate(
-        avg_block_kl=float(avg_block_kl),
+        avg_block_kl=_kl_of_code(header["avg_block_kl"]),
         indices=indices,
         block_lengths=lengths,
     )

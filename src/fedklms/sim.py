@@ -25,7 +25,7 @@ the partitions that crossed the wire into the shared one.  On ordinary rounds
 it drops that partition only when the mean transmitted block KL drifts
 strictly outside the configured band.
 
-mean_kl_per_param is reconstructed from the transmitted 32-bit per-client
+mean_kl_per_param is reconstructed from the transmitted 8-bit per-client
 averages (avg_kl * num_blocks / d); for non-codec variants it is reported
 as 0.0 rather than computed out of band.
 """

@@ -2,7 +2,7 @@
 
 Frozen values were worked out by hand from the budget rule
 bits = ceil((kl + r)/ln 2) and the wire layout (header: a 1-bit location
-flag, the 32-bit avg-KL and the Elias-gamma block count).
+flag, the 8-bit code of the mean block KL and the Elias-gamma block count).
 """
 
 import dataclasses
@@ -43,6 +43,7 @@ from fedklms.distributions import (
     DiagonalGaussian,
     TernaryPattern,
     UniformSign,
+    kl_per_coordinate,
 )
 from fedklms.streams import StreamKey, derive_stream
 from reference import split_starts
@@ -263,10 +264,10 @@ def test_encode_update_cost_frozen():
     key = StreamKey(3, (("cf", 0),))
     upd, cost = encode_update(q, p, part, params, key, round_index=0, client_id=0)
     assert cost.payload_bits == 4
-    assert cost.header_bits == 36  # 1 + 32 + gamma(2) = 3
+    assert cost.header_bits == 12  # 1 + 8 + gamma(2) = 3
     assert cost.location_bits == 0
-    assert cost.total_bits == 40
-    assert cost.total_bits / q.dim == pytest.approx(40 / 4)
+    assert cost.total_bits == 16
+    assert cost.total_bits / q.dim == pytest.approx(16 / 4)
 
 
 # (63 ln 2) / ln 2 is exactly 63.0 in float64: the boundary itself
@@ -324,13 +325,52 @@ def test_update_with_locations_round_trip():
     assert len(blob) * 8 >= cost.total_bits > (len(blob) - 1) * 8
 
 
-def test_avg_block_kl_is_float32():
-    params = params_with(target=2.0)
+def _kl_of(code):
+    """The KL an 8-bit wire code stands for: exactly 0 for code 0, else
+    2^((code - 128) / 8) nats."""
+    return 0.0 if code == 0 else 2.0 ** ((code - 128) / 8)
+
+
+def _wire_kl_code(kl):
+    """The code a one-block update with this mean block KL sends: bits 1-8,
+    after the location flag."""
+    upd = EncodedUpdate(avg_block_kl=kl, indices=np.array([0]))
+    blob = serialize_update(upd, params_with(target=1.2))
+    return int.from_bytes(blob[:2], "big") >> 7 & 0xFF
+
+
+def test_avg_block_kl_code_grid():
+    params = params_with(target=1.2)
+    for code in range(256):
+        kl = _kl_of(code)
+        upd = EncodedUpdate(avg_block_kl=kl, indices=np.array([1]))
+        assert upd.avg_block_kl == kl  # a grid point stays as it is
+        assert _wire_kl_code(kl) == code  # code -> KL -> code
+        back = deserialize_update(serialize_update(upd, params), params)
+        assert back.avg_block_kl == kl
+    # past both ends of the grid, 1.6e-5 and 6.0e4 nats
+    kls = np.geomspace(1e-7, 1e6, 4001)
+    codes = np.array([_wire_kl_code(kl) for kl in kls])
+    assert np.all(np.diff(codes) >= 0)
+    assert codes[0] == 1 and codes[-1] == 255
+    inside = (kls >= _kl_of(1)) & (kls <= _kl_of(255))
+    snapped = np.array([EncodedUpdate(avg_block_kl=kl, indices=np.array([0])).avg_block_kl
+                        for kl in kls[inside]])
+    assert np.all(np.abs(snapped / kls[inside] - 1.0) <= 2.0 ** (1 / 16) - 1.0)
+    assert _wire_kl_code(0.0) == 0 and _wire_kl_code(1e300) == 255
+    # the encoder's KL is the mean block KL, snapped to the grid
     q, p = make_bernoulli_pair(3, 6)
-    part = split_blocks_fixed(6, 3)
-    key = StreamKey(30, (("f32", 0),))
-    upd, _ = encode_update(q, p, part, params, key, round_index=0, client_id=0)
-    assert upd.avg_block_kl == float(np.float32(upd.avg_block_kl))
+    upd, _ = encode_update(q, p, split_blocks_fixed(6, 3), params_with(target=2.0),
+                           StreamKey(30, (("f32", 0),)), round_index=0, client_id=0)
+    mean = kl_per_coordinate(q, p).reshape(2, 3).sum(axis=1).mean()
+    assert upd.avg_block_kl == EncodedUpdate(avg_block_kl=mean,
+                                             indices=np.array([0])).avg_block_kl
+
+
+@pytest.mark.parametrize("kl", [-1.0, math.nan, math.inf])
+def test_avg_block_kl_refuses_values_without_a_code(kl):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        EncodedUpdate(avg_block_kl=kl, indices=np.array([0]))
 
 
 def test_encode_update_uses_the_callers_kl():
@@ -345,12 +385,13 @@ def test_encode_update_uses_the_callers_kl():
     assert upd.avg_block_kl > 0.0 and passed.avg_block_kl == 0.0
 
 
-def _gaussian_update(distance):
-    """Encode two Gaussian coordinates whose client and global means lie
-    distance apart at coordinate 1."""
-    q = DiagonalGaussian(np.array([0.0, distance / 2]), 1.0)
-    p = DiagonalGaussian(np.array([0.0, -distance / 2]), 1.0)
-    return encode_update(q, p, split_blocks_fixed(2, 2), params_with(target=2.0),
+def _gaussian_update(*distances):
+    """Encode one block of Gaussian coordinates whose client and global means
+    lie the given distances apart, so each has KL distance^2 / 2."""
+    half = np.array(distances) / 2
+    q = DiagonalGaussian(half, 1.0)
+    p = DiagonalGaussian(-half, 1.0)
+    return encode_update(q, p, split_blocks_fixed(half.size, half.size), params_with(target=2.0),
                          StreamKey(32, (("inf", 0),)), round_index=0, client_id=0)
 
 
@@ -359,15 +400,25 @@ def _gaussian_update(distance):
                                                params_with(target=1.0)),
                  "finite and nonnegative: coordinate 1 is nan", id="nan-kl-into-split"),
     # the KL of coordinate 1 overflows float64
-    pytest.param(lambda: _gaussian_update(1e200), "coordinate 1 is 5e\\+199, -5e\\+199",
+    pytest.param(lambda: _gaussian_update(0.0, 1e200), "coordinate 1 is 5e\\+199, -5e\\+199",
                  id="gaussian-kl-overflow"),
-    # the KL is finite, but the mean block KL overflows the float32 wire field
-    pytest.param(lambda: _gaussian_update(1e154), "block \\[0, 2\\) has 5e\\+307 nats",
-                 id="avg-block-kl-overflows-float32"),
+    # each coordinate's KL is finite, 8.45e307, but the block's sum overflows
+    pytest.param(lambda: _gaussian_update(1.3e154, 1.3e154, 1.3e154),
+                 "block \\[0, 3\\) has inf nats",
+                 id="block-kl-sum-overflows-float64"),
 ])
 def test_non_finite_kl_refused_where_it_enters(run, match):
     with pytest.raises(ValueError, match=match):
         run()
+
+
+@pytest.mark.parametrize("distance, code", [
+    (1e154, 255),  # 5e307 nats, past the top of the grid
+    (1e-4, 1),  # 5e-9 nats, below its lowest nonzero point
+])
+def test_avg_block_kl_saturates(distance, code):
+    upd, _ = _gaussian_update(0.0, distance)
+    assert upd.avg_block_kl == _kl_of(code)
 
 
 # --- partition update rule --------------------------------------------------
@@ -421,7 +472,7 @@ def test_wire_round_trip(num_blocks, include, max_pow, kl):
     indices = rng.integers(0, 2**params.index_bits, num_blocks)
     lengths = tuple(int(x) for x in rng.integers(1, max_block + 1, num_blocks))
     upd = EncodedUpdate(
-        avg_block_kl=float(np.float32(kl)),
+        avg_block_kl=kl,
         indices=indices,
         block_lengths=lengths if include else None,
     )
@@ -434,18 +485,13 @@ def test_wire_round_trip(num_blocks, include, max_pow, kl):
     assert back.block_lengths == upd.block_lengths
 
 
-_F32 = np.finfo(np.float32)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     num_blocks=st.integers(1, 5000),
     index_bits=st.integers(1, 63),
     max_pow=st.integers(0, 20),
     include=st.booleans(),
-    kl=st.sampled_from([0.0, float(_F32.smallest_subnormal),
-                        float(_F32.smallest_normal - _F32.smallest_subnormal),
-                        float(_F32.max)]),
+    kl=st.integers(0, 255).map(_kl_of),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_wire_property(num_blocks, index_bits, max_pow, include, kl, seed):
@@ -506,10 +552,10 @@ def test_deserialize_truncated():
     (20, "64 or more leading zeros"),  # 2^64 blocks or more
 ])
 def test_deserialize_refuses_unterminated_block_count(size, match):
-    # every bit zero: no location flag, KL 0.0, and a gamma code with no 1
+    # every bit zero: no location flag, KL code 0, and a gamma code with no 1
     with pytest.raises(WireFormatError, match=match) as err:
         deserialize_update(bytes(size), params_with(target=1.2))
-    assert err.value.byte_offset == 4  # where the block count starts, bit 33
+    assert err.value.byte_offset == 1  # where the block count starts, bit 9
 
 
 def test_deserialize_overlong():
@@ -549,37 +595,37 @@ def _wire_params(max_block):
 
 
 # Bytes and truncation offsets recorded from the writer and reader when the
-# header became a 1-bit location flag, the float32 KL and the gamma-coded block
-# count.  offsets[n] is the byte_offset of the WireFormatError raised for the
+# header became a 1-bit location flag, the 8-bit KL code and the gamma-coded
+# block count; indices_only was also worked out by hand.  offsets[n] is the byte_offset of the WireFormatError raised for the
 # first n bytes of the message.  A case without bytes is one the codec refuses.
 WIRE_GOLDEN = {
     "indices_only": (
         _wire_params(64),
         dict(avg_block_kl=1.25, indices=np.array([0, 31, 5, 17, 8])),
-        "1fd00000141f2c50",
-        [0, 0, 0, 0, 0, 4, 6, 6],
+        "41941f2c50",
+        [0, 0, 1, 3, 3],
     ),
     "with_locations": (
         _wire_params(20),
         dict(avg_block_kl=3.5, indices=np.array([1, 30, 12]), block_lengths=(20, 1, 7)),
-        "a03000003980c1f300",
-        [0, 0, 0, 0, 0, 4, 5, 7, 7],
+        "c73980c1f300",
+        [0, 0, 1, 2, 4, 4],
     ),
     "zero_width_lengths": (
         _wire_params(1),
         dict(avg_block_kl=0.0, indices=np.array([3, 0, 31, 16]), block_lengths=(1, 1, 1, 1)),
-        "800000001060fc00",
-        [0, 0, 0, 0, 0, 4, 6, 6],
+        "801060fc00",
+        [0, 0, 1, 3, 3],
     ),
     "many_blocks": (
         _wire_params(20),
         dict(avg_block_kl=2.75, indices=np.arange(40) * 7 % 32,
              block_lengths=tuple(i * 3 % 20 + 1 for i in range(40))),
-        "a018000002800cc963e4121d4d84c4542dd100cc963e4121d4d84c4542dd101dd5e0d51c7ccd"
-        "a6c4985fc564f4143edd22e5901dd5e0d510",
-        [0, 0, 0, 0, 0, 4, 5, 6, 8, 8, 9, 10, 11, 13, 13, 14, 15, 16, 18, 18, 19, 20,
-         21, 23, 23, 24, 25, 26, 28, 28, 29, 30, 31, 33, 33, 34, 35, 36, 38, 38, 39, 40,
-         41, 43, 43, 44, 45, 46, 48, 48, 49, 50, 51, 53, 53, 54],
+        "c602800cc963e4121d4d84c4542dd100cc963e4121d4d84c4542dd101dd5e0d51c7ccda6c498"
+        "5fc564f4143edd22e5901dd5e0d510",
+        [0, 0, 1, 2, 3, 5, 5, 6, 7, 8, 10, 10, 11, 12, 13, 15, 15, 16, 17, 18, 20, 20,
+         21, 22, 23, 25, 25, 26, 27, 28, 30, 30, 31, 32, 33, 35, 35, 36, 37, 38, 40, 40,
+         41, 42, 43, 45, 45, 46, 47, 48, 50, 50, 51],
     ),
     "no_blocks": (
         _wire_params(64),
