@@ -252,20 +252,20 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # label, a bit price or the operation order of a server update shows here.
 PINNED_OUTPUTS = {
     "fedpm_separable": ("fedpm_separable", {},
-        "bac7f294466ecf022e26965e922873a882d6e636559605ffe573fbd21dd9f76f",
-        "0cbd82e62c8247ea5ee7058838b049ea58346a4860126b1600a4dbb0ab1d301f"),
+        "430e7f013adaf8a9e911d473aa4e287efe766daf9598532adb4f15df1f57976f",
+        "6b10987a07dcf8191fe9285342c56294f8dd82630a51ed942d28fe3f9262d1ac"),
     "fedpm_separable_baseline": ("fedpm_separable_baseline", {},
         "737412e9fa061a8148c55476315c5f622de12dcaa7e49857b642f97f0ab1de4f",
         "304d46ae231dff58c0257194b9bab79a48dc61d7e48ef1c12846d813e192fa94"),
     "qsgd_separable": ("qsgd_separable", {},
-        "131fe1f219f40e5bff110aca8a1d2acf67ac1f146aaff3e53342b57fd42176ab",
-        "a92f781b451825e0074b0dd0ced8ca236dade16f8e29e38bf62bdfb61d16a531"),
+        "4b435d97e829959980bc2c0f578c3f2f766e8931df30faf079b9e7a3ed9e93a9",
+        "cf7f073b1c8a26820c17fbf27a62ded6f5a2c2fa2e837e23939d910996962c93"),
     "signsgd_separable": ("signsgd_separable", {},
-        "b66e2bd54d598a41cae6925a6b49911cd4a326da8074d37ed6e54d7460a46439",
-        "8b1ae3b4b53f620d7ae03c367e8a7aabbfbf8e01da052351fb55e1c4958d0b31"),
+        "77839a6f4321a2ad5421de81bdbb44e708ed898a3cfb3f9b369dd11b658fc30d",
+        "0ab52fef34f855583ad7a2aa03eb0fe724ce255e3f1f96d82dcd2f5373ac8fca"),
     "sgld_separable": ("sgld_separable", {},
-        "c40f34cd530ec6fbe9c1f2da4415ed6cbea4f622edd2d5c378affce36ed6bb7b",
-        "08b1a74fcca80692b09cec1bc637ea25943d308c8083312529d914cd75632c34"),
+        "4bc56b4db5819ee1f46aa18d78f60c09f6eda919061833c0054d4e5ca7f9b09c",
+        "0690ad59b324931288768ed4edc9a6e2d14be17728c65f0af8f79cee0489df54"),
     "qsgd_baseline": ("qsgd_separable", {"variant": "baseline"},
         "7f87a37ed44f2d205c8f1875d973b7fbac99de0fe677b79d6f2e3f7c25cf22d4",
         "45054f1d8c9fa165d2b21917ad438412787933aca57242beb7d72dcf9d6ab8a1"),
@@ -318,20 +318,20 @@ def _digests_without(case, csv_columns, summary_keys, tmp_path):
 # taken out: the metrics CSV without its bpp_total column, and the summary
 # JSON without mean_bpp_total and total_bits_sent.  What is left records the
 # decisions (selections, partitions, location rounds, accuracy, payload bits
-# and the transmitted KL), so a change to the wire header alone leaves these
-# digests as they are.
+# and the transmitted KL), so a change to the header that leaves the KL's code
+# as it is leaves these digests as they are.
 DECISIONS_PINNED = {
     "fedpm_separable": (
-        "31d36236045db51a3bfea82887545f0329b684b038a24bfcb87d1b43029b0f59",
+        "5581a67ba4de9078f5562ab4efda1c3d8779a8a485789aaa7124d324d258f521",
         "977e1dbe65bae052fda8beb6e4f4df3232f450ab1f65fb404843aaf6b088580e"),
     "qsgd_separable": (
-        "14811c93b8593501ca8f3369b448a5495c67394f0d5ec35dbbc8f218c2011209",
+        "83469c0bb03b1b762ec7e512783156b58bffefcd6053f7a2911dd583deaed15b",
         "90ffc253cd098facd8d25f2dc09ebb3eebec0e9a72a3dd18c9ca8909d8aeb03a"),
     "sgld_separable": (
-        "4253736f8b7db3ba73363df4c0969e5783718f6a7393da3381dea30012d5cd47",
+        "62f05ce575be775e739d00eafbc90e7a766c74df5bf1c460e92d13c4feae7f40",
         "8cf6e3d7e87862d814f83612382f606c2aed2755f8922c7d3d4dd8cd6afef269"),
     "signsgd_separable": (
-        "646e63093166ce9b13138b7f84bb74a53579c2b166d9182be05950e9a134d7b2",
+        "9950e2a250a51fd14de827b5737c1db59b68ded7ec82ea814c40cc2b99192dad",
         "5621fe9fd9885d7c58774d3442c316ec295c5d1a35d431cdc5d499900f56b8d8"),
 }
 
