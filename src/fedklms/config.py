@@ -6,7 +6,8 @@ it.  Errors are collected with dotted field paths ("codec.d_kl_target: must
 be > 0, got -1") so a bad config reports everything wrong at once.  Only the
 rules that relate two fields are written here: clients_per_round cannot
 exceed num_clients, a synthetic dataset needs at least one training point per
-client, a csv or idx dataset needs its paths, the KL band defaults to
+client, a csv or idx dataset needs its paths, a toy r_grid entry needs index
+fields of at most 63 bits, the KL band defaults to
 [d_kl_target / 2, 2 * d_kl_target] and must bracket the target, and no
 setting is accepted that the run would then ignore: under variant klms,
 sgld.noise_enabled: false and qsgd.levels other than 1 (the codec message
@@ -115,6 +116,11 @@ class ToyConfig:
     output: OutputConfig = field(default_factory=lambda: OutputConfig(
         metrics_csv="toy.csv", summary_json="toy_summary.json"
     ))
+
+    @staticmethod
+    def codec_params(overhead_r: float) -> CodecParams:
+        """The codec constants of one r_grid cell."""
+        return CodecParams(d_kl_target=1.0, overhead_r=overhead_r)
 
 
 def _walk(node: dict, value, path: str, errors: list[str]):
@@ -234,6 +240,12 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
 
 def parse_toy_config(obj: dict) -> ToyConfig:
     errors, given = _validate(obj, "toy")
+    for i, r in enumerate(given.get("r_grid", ())):
+        try:
+            if r is not None:  # None: _walk has reported the entry
+                ToyConfig.codec_params(r)
+        except ValueError as err:
+            errors.append(f"r_grid[{i}]: {err}")
     _raise_if(errors)
     return _merge(ToyConfig(), given)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import CodecParams, encode_block, samples_per_block
+from .codec import encode_block, samples_per_block
 from .config import ToyConfig
 from .distributions import DiagonalGaussian
 from .streams import StreamKey, derive_stream
@@ -52,7 +52,7 @@ def _run_cell(
 ) -> ToyCell:
     sigma = cfg.sigma
     prior = DiagonalGaussian(np.zeros(1), sigma)
-    params = CodecParams(d_kl_target=1.0, overhead_r=r)
+    params = cfg.codec_params(r)
     gaps = np.empty(cfg.runs)
     bits_sum = 0
     for rep in range(cfg.runs):

@@ -71,6 +71,14 @@ class TestExitCodes:
         assert main(["toy", path, "--seed", "3"]) == 1
         assert "must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["toy", "validate"])
+    def test_toy_overhead_beyond_63_bit_fields_is_a_config_error(self, tmp_path,
+                                                                 capsys, command):
+        path = write_json(tmp_path / "t.json",
+                          {"r_grid": [50.0], "client_grid": [1], "runs": 1})
+        assert main([command, path]) == 1
+        assert "r_grid[0]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["train", "validate"])
     def test_config_path_is_directory(self, tmp_path, capsys, command):
         path = tmp_path / "configs"

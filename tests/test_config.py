@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -193,6 +194,17 @@ class TestToyParsing:
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown field"):
             parse_toy_config({"mu_grid": [1]})
+
+    # a cell's index fields hold ceil((1 + r) / ln 2) bits, at most 63: the
+    # boundary r = 63 ln 2 - 1 is accepted, r just above it refused by path
+    def test_r_grid_at_the_63_bit_boundary_accepted(self):
+        r = 63 * math.log(2.0) - 1.0
+        assert parse_toy_config({"r_grid": [0.0, r]}).r_grid == (0.0, r)
+
+    @pytest.mark.parametrize("r", [63 * math.log(2.0) - 1.0 + 1e-9, 50.0])
+    def test_r_grid_needing_wider_index_fields_rejected(self, r):
+        with pytest.raises(ConfigError, match=r"r_grid\[1\]: .* wider than 63 bits"):
+            parse_toy_config({"r_grid": [0.0, r]})
 
 
 class TestConfigFiles:
