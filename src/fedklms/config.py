@@ -241,9 +241,10 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
 def parse_toy_config(obj: dict) -> ToyConfig:
     errors, given = _validate(obj, "toy")
     for i, r in enumerate(given.get("r_grid", ())):
+        if r is None:  # _walk has reported the entry
+            continue
         try:
-            if r is not None:  # None: _walk has reported the entry
-                ToyConfig.codec_params(r)
+            ToyConfig.codec_params(r)
         except ValueError as err:
             errors.append(f"r_grid[{i}]: {err}")
     _raise_if(errors)
