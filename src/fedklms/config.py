@@ -6,14 +6,14 @@ it.  Errors are collected with dotted field paths ("codec.d_kl_target: must
 be > 0, got -1") so a bad config reports everything wrong at once.  Only the
 rules that relate two fields are written here: clients_per_round cannot
 exceed num_clients, a synthetic dataset needs at least one training point per
-client, a csv or idx dataset needs its paths, a toy r_grid entry needs index
-fields of at most 63 bits, the KL band defaults to
-[d_kl_target / 2, 2 * d_kl_target] and must bracket the target, and no
-setting is accepted that the run would then ignore: under variant klms,
-sgld.noise_enabled: false and qsgd.levels other than 1 (the codec message
-ignores both); under variant baseline, an sgld.noise_sigma (the server draws
-its own noise); and under temperature_mode iterations, a
-signsgd.temperature_scale other than 1.
+client, a csv or idx dataset needs its paths, a toy r_grid entry and the
+toy's largest client KL need index fields of at most 63 bits, the KL band
+defaults to [d_kl_target / 2, 2 * d_kl_target] and must bracket the target,
+and no setting is accepted that the run would then ignore: qsgd.levels other
+than 1 under variant klms or method none (neither message has levels), and
+sgld.noise_enabled: false under klms (the noise rides in the message); an
+sgld.noise_sigma under variant baseline (the server draws its own noise);
+and a signsgd.temperature_scale other than 1 under temperature_mode iterations.
 """
 
 from __future__ import annotations
@@ -225,6 +225,8 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
     elif cfg.method == "sgld" and cfg.sgld.noise_sigma is not None:
         # the baseline server's noise is sqrt(2 * step_gamma), not this
         errors.append("sgld.noise_sigma: must be null when variant is baseline")
+    if cfg.method == "none" and cfg.qsgd.levels != 1:  # none sends the raw delta
+        errors.append("qsgd.levels: must be 1 when method is none")
     if (cfg.method == "signsgd" and cfg.signsgd.temperature_mode == "iterations"
             and cfg.signsgd.temperature_scale != 1.0):
         errors.append("signsgd.temperature_scale: must be 1 when temperature_mode is iterations")
@@ -248,7 +250,15 @@ def parse_toy_config(obj: dict) -> ToyConfig:
         except ValueError as err:
             errors.append(f"r_grid[{i}]: {err}")
     _raise_if(errors)
-    return _merge(ToyConfig(), given)
+    cfg = _merge(ToyConfig(), given)
+    # a client's K follows its own KL mu_n^2 / (2 sigma^2), |mu_n| <= |mu| + eta,
+    # not the 1-nat target (ratio * ratio overflows to inf, ratio ** 2 raises)
+    ratio = (abs(cfg.mu) + max(cfg.eta_grid)) / cfg.sigma
+    nats = ratio * ratio / 2.0 + max(cfg.r_grid)
+    if not nats / math.log(2.0) <= 63:
+        _raise_if([f"mu: the largest client KL plus max r_grid is {nats} nats, which needs "
+                   "index fields wider than 63 bits; at most 63 ln 2 = 43.6683 nats fit"])
+    return cfg
 
 
 def load_config_file(path: str) -> dict:

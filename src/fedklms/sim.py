@@ -12,11 +12,10 @@ averaged into bits per parameter (payload = the index/sign/level content;
 total additionally counts codec header and block-location overhead).
 
 Every method-specific step lives in one table, _METHODS, with one _Method
-entry per method: its local training, its native (baseline) message and bit
-price, its codec pair (q, p) with the map from a decoded sample to the
-aggregated vector and any side bits, and its server fold.  _client_message
-holds the single codec round trip and _aggregate the partition bookkeeping
-shared by every method.
+entry per method, and no other code names a method.  `none` is the qsgd
+entry with the raw float32 delta as its message and no codec pair, so it
+runs the same under either variant.  _client_message holds the single codec
+round trip and _aggregate the partition bookkeeping shared by every method.
 
 Block-partition lifecycle for codec variants: a round without a shared
 partition, such as the first, is a location round (every client cuts its own
@@ -190,16 +189,16 @@ def _quantized(v, cfg, client_key):
     return quant, elias_gamma_bits(levels)
 
 
-def _qsgd_fold(state, cfg, vectors, coded, round_key):
+def _qsgd_fold(state, cfg, vectors, round_key):
     mean_delta = np.mean(vectors, axis=0)
-    patterns = [np.sign(v) for v in vectors] if coded else state.qsgd_patterns
+    patterns = [np.sign(v) for v in vectors] if _uses_codec(cfg) else state.qsgd_patterns
     return replace(state, weights=state.weights + cfg.qsgd.server_lr * mean_delta,
                    qsgd_patterns=patterns)
 
 
-def _sgld_fold(state, cfg, vectors, coded, round_key):
+def _sgld_fold(state, cfg, vectors, round_key):
     weights = sgld_server_step(state.weights, vectors, cfg.sgld)
-    if not coded and cfg.sgld.noise_enabled:
+    if not _uses_codec(cfg) and cfg.sgld.noise_enabled:
         # baseline messages carry no noise, so the server injects it
         noise = derive_stream(round_key.child("servernoise")).gaussians(weights.shape[0])
         weights = weights + np.sqrt(2.0 * cfg.sgld.step_gamma) * noise
@@ -213,9 +212,11 @@ class _Method:
     local(state, cfg, model, X, y, stream) -> the client's local result
     baseline(local, cfg, client_key) -> (vector, bits) of the native message
     pair(local, state, cfg) -> codec (q, p); None: the method has no codec
-    fold(state, cfg, vectors, coded, round_key) -> state after the update
+    fold(state, cfg, vectors, round_key) -> state after the update
     to_vector(q, sample) maps a decoded sample to the aggregated vector, and
     side_bits rides next to the codec payload.
+    initial(cfg, model) -> the FedPMState a run starts from, if any
+    eval_weights(state, root) -> the weights each round is evaluated with
     """
 
     local: Callable
@@ -224,28 +225,26 @@ class _Method:
     fold: Callable
     to_vector: Callable = lambda q, sample: sample
     side_bits: int = 0
+    initial: Callable = lambda cfg, model: None
+    eval_weights: Callable = lambda state, root: state.weights
 
 
 # Entries reach the training, codec and aggregation functions through the
 # module globals at call time, never through a stored reference, so a wrapper
 # installed on the module (tracing) sees every call.
 _METHODS = {
-    "none": _Method(
-        local=lambda state, cfg, model, X, y, stream: _local_delta(
-            state, model, X, y, cfg.qsgd, stream),
-        baseline=lambda delta, cfg, client_key: (delta, 32 * delta.shape[0]),
-        pair=None,
-        fold=lambda state, cfg, vectors, coded, round_key: replace(
-            state, weights=state.weights + np.mean(vectors, axis=0)),
-    ),
     "fedpm": _Method(
         local=lambda state, cfg, model, X, y, stream: fedpm_client_train(
             state.fedpm.probs, state.weights, model, X, y, cfg.fedpm, stream),
         baseline=lambda probs, cfg, client_key: (
             fedpm_sample_mask(probs, derive_stream(client_key.child("mask"))), probs.size),
         pair=lambda probs, state, cfg: fedpm_codec_pair(probs, state.fedpm.probs),
-        fold=lambda state, cfg, vectors, coded, round_key: replace(
+        fold=lambda state, cfg, vectors, round_key: replace(
             state, fedpm=bayes_agg(vectors, state.fedpm, cfg.fedpm, state.round_index)),
+        # the weights stay frozen for the whole run; the mask is what trains
+        initial=lambda cfg, model: FedPMState.initial(model.dim, 0.5, cfg.fedpm.prior_lambda),
+        eval_weights=lambda state, root: fedpm_sample_mask(
+            state.fedpm.probs, derive_stream(root.child("eval"))) * state.weights,
     ),
     "qsgd": _Method(
         local=lambda state, cfg, model, X, y, stream: _local_delta(
@@ -265,10 +264,8 @@ _METHODS = {
         baseline=lambda q, cfg, client_key: (
             q.sample(0, q.dim, derive_stream(client_key.child("sign")), count=1)[0], q.dim),
         pair=lambda q, state, cfg: (q, UniformSign(q.dim)),
-        fold=lambda state, cfg, vectors, coded, round_key: replace(
-            state,
-            weights=state.weights + cfg.signsgd.server_lr * np.mean(vectors, axis=0),
-        ),
+        fold=lambda state, cfg, vectors, round_key: replace(
+            state, weights=state.weights + cfg.signsgd.server_lr * np.mean(vectors, axis=0)),
     ),
     "sgld": _Method(
         local=lambda state, cfg, model, X, y, stream: _stochastic_gradient(
@@ -279,6 +276,11 @@ _METHODS = {
         fold=_sgld_fold,
     ),
 }
+# qsgd without compression: the raw float32 delta is the only message
+_METHODS["none"] = replace(
+    _METHODS["qsgd"], pair=None,
+    baseline=lambda delta, cfg, client_key: (delta, 32 * delta.shape[0]),
+)
 
 
 def _uses_codec(cfg: ExperimentConfig) -> bool:
@@ -311,18 +313,10 @@ def run_round(
     payload = float(np.mean([m.payload_bits for m in messages]))
     total = float(np.mean([m.total_bits for m in messages]))
     coded = _uses_codec(cfg)
-    if coded:
-        mean_kl = float(np.mean(
-            [m.update.avg_block_kl * m.update.num_blocks / dim for m in messages]
-        ))
-    else:
-        mean_kl = 0.0
+    mean_kl = float(np.mean([m.update.avg_block_kl * m.update.num_blocks / dim
+                             for m in messages])) if coded else 0.0
 
-    if cfg.method == "fedpm":
-        eval_mask = fedpm_sample_mask(new_state.fedpm.probs, derive_stream(root.child("eval")))
-        eval_w = eval_mask * new_state.weights
-    else:
-        eval_w = new_state.weights
+    eval_w = _METHODS[cfg.method].eval_weights(new_state, root)
     accuracy = evaluate_accuracy(model, eval_w, test.features, test.labels)
 
     metrics = RoundMetrics(
@@ -388,20 +382,15 @@ def _aggregate(state, cfg, messages, round_key):
         mean_avg_kl = float(np.mean([m.update.avg_block_kl for m in messages]))
         if should_update_partition(mean_avg_kl, cfg.codec):
             partition = None
-    folded = _METHODS[cfg.method].fold(
-        state, cfg, [m.vector for m in messages], coded, round_key
-    )
+    folded = _METHODS[cfg.method].fold(state, cfg, [m.vector for m in messages], round_key)
     return replace(folded, partition=partition)
 
 
 def init_state(cfg: ExperimentConfig, model, root: StreamKey) -> ServerState:
-    fedpm_state = None
-    if cfg.method == "fedpm":  # the weights stay frozen for the whole run
-        fedpm_state = FedPMState.initial(model.dim, 0.5, cfg.fedpm.prior_lambda)
     return ServerState(
         round_index=0,
         weights=model.init_params(derive_stream(root.child("winit"))),
-        fedpm=fedpm_state,
+        fedpm=_METHODS[cfg.method].initial(cfg, model),
         partition=None,  # the first round ships locations
         qsgd_patterns=[],
     )
@@ -426,7 +415,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RoundMetrics], dict]:
         rows.append(metrics)
     summary = {
         "method": cfg.method,
-        "variant": cfg.variant if cfg.method != "none" else "none",
+        "variant": cfg.variant if _METHODS[cfg.method].pair is not None else "none",
         "seed": cfg.seed,
         "rounds": cfg.rounds,
         "num_clients": cfg.num_clients,

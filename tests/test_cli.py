@@ -79,6 +79,21 @@ class TestExitCodes:
         assert main([command, path]) == 1
         assert "r_grid[0]" in capsys.readouterr().err
 
+    # a client's KL, mu^2 / (2 sigma^2) = 72 nats here, sizes its index fields
+    @pytest.mark.parametrize("command", ["toy", "validate"])
+    def test_toy_client_kl_beyond_63_bit_fields_is_a_config_error(self, tmp_path,
+                                                                  capsys, command):
+        path = write_json(tmp_path / "t.json",
+                          {"mu": 12.0, "r_grid": [0.0], "client_grid": [1], "runs": 1})
+        assert main([command, path]) == 1
+        assert "mu: " in capsys.readouterr().err
+
+    def test_toy_client_kl_inside_63_bit_fields_validates(self, tmp_path):
+        # 43.6 of the 43.67 nats that fit; toy is not run, it would draw
+        # 2^63 candidates per client
+        path = write_json(tmp_path / "t.json", {"mu": 9.34, "r_grid": [0.0]})
+        assert main(["validate", path]) == 0
+
     @pytest.mark.parametrize("command", ["train", "validate"])
     def test_config_path_is_directory(self, tmp_path, capsys, command):
         path = tmp_path / "configs"

@@ -155,6 +155,10 @@ class TestExperimentParsing:
          {"method": "signsgd", "signsgd": {"temperature_mode": "mean_abs",
                                            "temperature_scale": 7.0}},
          "signsgd.temperature_scale"),
+        # none sends the raw float32 delta; the qsgd baseline quantizes
+        ({"method": "none", "variant": "baseline", "qsgd": {"levels": 4}},
+         {"method": "qsgd", "variant": "baseline", "qsgd": {"levels": 4}},
+         "qsgd.levels"),
     ])
     def test_setting_the_run_ignores_refused(self, refused, accepted, field):
         with pytest.raises(ConfigError, match=f"{field}: must be"):
@@ -166,6 +170,9 @@ class TestExperimentParsing:
     def test_reset_every_zero_disables_resets(self):
         cfg = parse_experiment_config({"fedpm": {"reset_every": 0}})
         assert cfg.fedpm.reset_every == 0
+
+
+TOY_MU_EDGE = math.sqrt(2.0 * (63 * math.log(2.0) - 2.0)) - 0.5
 
 
 class TestToyParsing:
@@ -205,6 +212,27 @@ class TestToyParsing:
     def test_r_grid_needing_wider_index_fields_rejected(self, r):
         with pytest.raises(ConfigError, match=r"r_grid\[1\]: .* wider than 63 bits"):
             parse_toy_config({"r_grid": [0.0, r]})
+
+    # a client sizes its index fields from its own KL, at most
+    # (|mu| + max eta_grid)^2 / (2 sigma^2), plus r, and that sum may be at
+    # most 63 ln 2 nats: with sigma 1, eta 0.5 and r 2, |mu| has its edge at
+    # TOY_MU_EDGE, just inside which mu is accepted and just outside refused
+    @pytest.mark.parametrize("mu", [TOY_MU_EDGE - 1e-9, -TOY_MU_EDGE + 1e-9])
+    def test_client_kl_at_the_63_bit_boundary_accepted(self, mu):
+        cfg = parse_toy_config({"mu": mu, "eta_grid": [0.0, 0.5], "r_grid": [0.0, 2.0]})
+        assert cfg.mu == mu
+
+    @pytest.mark.parametrize("obj", [
+        {"mu": TOY_MU_EDGE + 1e-9, "eta_grid": [0.0, 0.5], "r_grid": [0.0, 2.0]},
+        {"mu": -TOY_MU_EDGE - 1e-9, "eta_grid": [0.0, 0.5], "r_grid": [0.0, 2.0]},
+        {"mu": 12.0, "r_grid": [0.0]},  # 72 nats: 104-bit indices
+        {"mu": 0.8, "sigma": 0.05, "r_grid": [0.0]},  # 128 nats: 185 bits
+        {"mu": 1e200},  # the squared ratio is past float range
+        {"mu": 1.0, "sigma": 1e-300},
+    ])
+    def test_client_kl_needing_wider_index_fields_rejected(self, obj):
+        with pytest.raises(ConfigError, match=r"mu: .* wider than 63 bits"):
+            parse_toy_config(obj)
 
 
 class TestConfigFiles:

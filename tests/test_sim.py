@@ -67,6 +67,14 @@ class TestBitAccounting:
             assert r.mean_kl_per_param == 0.0
         assert summary["location_rounds"] == 0
 
+    def test_uncompressed_steps_with_qsgd_server_lr(self):
+        # none is qsgd without compression: the server step reads server_lr
+        rows = {lr: [r.csv_row() for r in run_experiment(make_config(
+            method="none", rounds=3, qsgd={"server_lr": lr}))[0]] for lr in (1.0, 0.5)}
+        assert rows[1.0] != rows[0.5]
+        assert rows[1.0] == [r.csv_row() for r in run_experiment(
+            make_config(method="none", rounds=3))[0]]
+
     def test_codec_total_includes_header_overhead(self):
         cfg = make_config(rounds=3)
         rows, _ = run_experiment(cfg)
