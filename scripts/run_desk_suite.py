@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Run the desk-scale method comparison on the synthetic separable task.
 
-Three codec-vs-baseline pairs (FedPM masks, stochastic SignSGD, ternary
-QSGD): each of configs/{fedpm,signsgd,qsgd}_separable.json runs once as
-shipped (klms) and once with variant baseline, printing a bitrate/accuracy
-table and writing per-round metrics under results/.
+Four codec-vs-baseline pairs (FedPM masks, stochastic SignSGD, ternary
+QSGD, Langevin SGLD): each of configs/{fedpm,signsgd,qsgd,sgld}_separable.json
+runs once as shipped (klms) and once with variant baseline, printing a
+bitrate/accuracy table and writing per-round metrics under results/.
 """
 
 import sys
@@ -20,7 +20,7 @@ from fedklms.sim import run_experiment, write_metrics_csv, write_summary_json
 def main() -> int:
     out_dir = Path("results")
     print(f"{'run':26s} {'final acc':>9s} {'best acc':>8s} {'payload bpp':>11s} {'total bpp':>9s}")
-    for method in ("fedpm", "signsgd", "qsgd"):
+    for method in ("fedpm", "signsgd", "qsgd", "sgld"):
         for variant in ("baseline", "klms"):
             obj = load_config_file(str(ROOT / "configs" / f"{method}_separable.json"))
             obj["variant"] = variant
