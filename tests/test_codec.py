@@ -558,6 +558,19 @@ def test_deserialize_refuses_unterminated_block_count(size, match):
     assert err.value.byte_offset == 1  # where the block count starts, bit 9
 
 
+def test_deserialize_refuses_a_body_longer_than_the_message():
+    # location flag, KL code 0 and the gamma code of 2^62 (62 zeros, a 1, 62
+    # zeros) fill 134 of 136 bits.  Zero-width length fields take no room,
+    # so the 2^62 8-bit index fields are the first that do not fit; the body
+    # is refused before any of it is read, not by allocating 2^62 fields
+    params = CodecParams(d_kl_target=3.0, overhead_r=2.0, max_block_size=1)
+    assert (params.length_field_bits, params.index_bits) == (0, 8)
+    blob = int("1" + "0" * 70 + "1" + "0" * 64, 2).to_bytes(17, "big")
+    with pytest.raises(WireFormatError, match="truncated") as err:
+        deserialize_update(blob, params)
+    assert err.value.byte_offset == 16  # the first index field starts at bit 134
+
+
 def test_deserialize_overlong():
     params = params_with(target=1.2)
     upd = EncodedUpdate(
