@@ -32,6 +32,12 @@ Wire layout (bit-packed, MSB first within bytes, zero-padded to a byte):
 
 A one-block message has a 10-bit header, one of 2-3 blocks 12 bits.
 
+The reader mirrors the writer: it unpacks the whole message into one bit
+array and reads each field as the dot product of its bits with their weights.
+It checks that the whole body fits before it reads any block field, and it
+refuses a block length above max_block_size, so every message it accepts is
+one the writer writes, up to the pad bits, which it does not read.
+
 The mean block KL only reports how far the client's blocks drift from the
 target, so it is sent at 1/8-octave precision: code 0 is a KL of exactly 0,
 and code c >= 1 is 2^((c - 128) / 8) nats, from 1.6e-5 to 6.0e4.  The encoder
@@ -60,6 +66,10 @@ _LN2 = math.log(2.0)
 
 # widest index field the wire reader handles: fields are read as uint64
 _MAX_INDEX_BITS = 63
+
+# the weight of each bit of a wire field, 2^63 ... 2^0; a w-bit field is the
+# dot product of its bits with the last w of them
+_BIT_WEIGHTS = np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64)
 
 # the mean block KL's wire code: 8 bits on a log2 grid of 8 steps per octave,
 # code 0 for a KL of exactly 0 (see the module docstring)
@@ -534,82 +544,10 @@ def should_update_partition(avg_block_kl: float, params: CodecParams) -> bool:
     return avg_block_kl > params.kl_max_threshold or avg_block_kl < params.kl_min_threshold
 
 
-def _msb_shifts(width: int) -> np.ndarray:
-    """Bit positions of a width-bit field, most significant first."""
-    return np.arange(width - 1, -1, -1, dtype=np.uint64)
-
-
 def _field_bits(values, width: int) -> np.ndarray:
     """The bits of each value in a field width bits wide, back to back."""
     values = np.asarray(values, dtype=np.uint64).reshape(-1, 1)
-    return ((values >> _msb_shifts(width)) & 1).astype(np.uint8).ravel()
-
-
-class _FieldReader:
-    """MSB-first field unpacker with offset-bearing errors.
-
-    Single fields are read as Python integers, runs of fields with numpy, and
-    :meth:`need` refuses a message too short for its body before any of the
-    body is unpacked.
-    """
-
-    def __init__(self, data: bytes):
-        self._data = data
-        self.size = 8 * len(data)
-        self.bit_pos = 0
-
-    def _truncated(self, start: int, width: int) -> WireFormatError:
-        return WireFormatError(
-            f"truncated: needed {width} bits, {self.size - start} left", start // 8)
-
-    def need(self, count: int, widths: Iterable[int]) -> None:
-        """Refuse unless count fields of each width in turn fit from here."""
-        pos = self.bit_pos
-        for width in widths:
-            end = pos + count * width
-            if end > self.size:
-                # the first field that does not fit starts where the whole ones end
-                raise self._truncated(pos + (self.size - pos) // width * width, width)
-            pos = end
-
-    def _peek(self, width: int) -> int:
-        """The next width bits, which the caller has checked are there."""
-        start = self.bit_pos
-        hi = -(-(start + width) // 8)
-        word = int.from_bytes(self._data[start // 8:hi], "big")
-        return (word >> (8 * hi - start - width)) & ((1 << width) - 1)
-
-    def read_int(self, width: int) -> int:
-        self.need(1, (width,))
-        value = self._peek(width)
-        self.bit_pos += width
-        return value
-
-    def read(self, width: int, count: int) -> np.ndarray:
-        self.need(count, (width,))
-        start, end = self.bit_pos, self.bit_pos + count * width
-        lo = start // 8
-        raw = np.frombuffer(self._data, dtype=np.uint8)[lo:-(-end // 8)]
-        fields = np.unpackbits(raw)[start - 8 * lo:end - 8 * lo].reshape(count, width)
-        self.bit_pos = end
-        return fields @ (np.uint64(1) << _msb_shifts(width))
-
-    def read_gamma(self) -> int:
-        """One Elias-gamma code: z zero bits, then the value in z + 1 bits."""
-        start = self.bit_pos
-        look = min(64, self.size - start)
-        ahead = self._peek(look)
-        if ahead == 0:
-            if look < 64:
-                raise self._truncated(start, look + 1)
-            # n >= 2^64 blocks: no message is that long
-            raise WireFormatError("num_blocks code has 64 or more leading zeros",
-                                  start // 8)
-        zeros = look - ahead.bit_length()
-        if start + 2 * zeros + 1 > self.size:
-            raise self._truncated(start, 2 * zeros + 1)
-        self.bit_pos = start + zeros
-        return self.read_int(zeros + 1)
+    return ((values & _BIT_WEIGHTS[64 - width:]) != 0).astype(np.uint8).ravel()
 
 
 def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
@@ -635,17 +573,56 @@ def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
 
 
 def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
-    """Inverse of :func:`serialize_update`; rejects truncated or overlong input."""
-    r = _FieldReader(data)
-    header = {name: r.read_int(width) for name, width in _HEADER}
-    num_blocks = r.read_gamma()
-    location_bits = [params.length_field_bits] if header["locations"] else []
-    r.need(num_blocks, location_bits + [params.index_bits])
+    """Inverse of :func:`serialize_update`: refuses truncated or overlong
+    input, and any field the writer would refuse."""
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    pos = 0
+
+    def fits(width: int, count: int, start: int) -> int:
+        """The end of count width-bit fields from start, if they fit."""
+        end = start + width * count
+        if end > bits.size:
+            # the first field that does not fit starts where the whole ones end
+            start += (bits.size - start) // width * width
+            raise WireFormatError(
+                f"truncated: needed {width} bits, {bits.size - start} left", start // 8)
+        return end
+
+    def take(width: int, count: int = 1) -> np.ndarray:
+        nonlocal pos
+        end = fits(width, count, pos)
+        fields = bits[pos:end].reshape(count, width) @ _BIT_WEIGHTS[64 - width:]
+        pos = end
+        return fields
+
+    header = {name: int(take(width)[0]) for name, width in _HEADER}
+    # the Elias-gamma block count: z zero bits, then the count in z + 1 bits
+    run = bits[pos:pos + 64]
+    if not run.any():
+        if run.size == 64:  # 2^64 blocks or more: no message is that long
+            raise WireFormatError("num_blocks code has 64 or more leading zeros",
+                                  pos // 8)
+        fits(run.size + 1, 1, pos)  # the zeros reach the end of the message
+    zeros = int(run.argmax())
+    fits(2 * zeros + 1, 1, pos)  # the whole code, refused from where it starts
+    pos += zeros
+    num_blocks = int(take(zeros + 1)[0])
+    # the whole body must fit before any of it is read: the count can be
+    # near 2^64 when the length fields are zero bits wide
+    length_bits = params.length_field_bits if header["locations"] else 0
+    fits(params.index_bits, num_blocks, fits(length_bits, num_blocks, pos))
     lengths: tuple[int, ...] | None = None
     if header["locations"]:
-        lengths = tuple(int(v) + 1 for v in r.read(params.length_field_bits, num_blocks))
-    indices = r.read(params.index_bits, num_blocks).astype(np.int64)
-    expected_bytes = (r.bit_pos + 7) // 8
+        start = pos
+        values = take(length_bits, num_blocks) + 1
+        bad = np.flatnonzero(values > params.max_block_size)
+        if bad.size:
+            raise WireFormatError(
+                f"block length {values[bad[0]]} outside [1, {params.max_block_size}]",
+                (start + int(bad[0]) * length_bits) // 8)
+        lengths = tuple(values.tolist())
+    indices = take(params.index_bits, num_blocks).astype(np.int64)
+    expected_bytes = (pos + 7) // 8
     if len(data) != expected_bytes:
         raise WireFormatError(
             f"overlong: message is {expected_bytes} bytes, got {len(data)}",

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedklms import codec
@@ -690,6 +690,51 @@ def test_wire_error_offsets_pinned(name):
         with pytest.raises(WireFormatError, match="overlong") as err:
             deserialize_update(blob + bytes(extra), params)
         assert err.value.byte_offset == len(blob)
+
+
+def _message(fields):
+    """The bytes of a bit string, zero-padded to a byte."""
+    fields += "0" * (-len(fields) % 8)
+    return int(fields, 2).to_bytes(len(fields) // 8, "big")
+
+
+# locations, KL code 0, 3 blocks; the second length field holds 31 (length
+# 32) and starts at bit 17
+LENGTH_32 = _message("1" + "0" * 8 + "011" + "10011" "11111" "00000" + "00001" * 3)
+
+
+@pytest.mark.parametrize("second", [20, 21, 32])
+def test_deserialize_refuses_block_lengths_over_max_block_size(second):
+    # 5-bit length fields could hold lengths up to 32; the writer sends <= 20
+    params = _wire_params(20)
+    lengths = (20, second, 1)
+    blob = _message("1" + "0" * 8 + "011" + "".join(f"{n - 1:05b}" for n in lengths)
+                    + "00001" * 3)
+    if second <= 20:
+        assert deserialize_update(blob, params).block_lengths == lengths
+        return
+    with pytest.raises(WireFormatError, match=f"block length {second} outside") as err:
+        deserialize_update(blob, params)
+    assert err.value.byte_offset == 2  # the second length field starts at bit 17
+
+
+@settings(max_examples=300)
+@given(data=st.binary(max_size=64), locations=st.booleans(),
+       max_block=st.sampled_from([1, 2, 20, 64, 4096]))
+@example(data=LENGTH_32, locations=True, max_block=20)
+def test_deserialize_accepts_only_what_serialize_writes(data, locations, max_block):
+    """Arbitrary bytes are refused, or they re-serialize to themselves with
+    the pad bits cleared."""
+    if data:
+        data = bytes([data[0] | 0x80 if locations else data[0] & 0x7F]) + data[1:]
+    params = _wire_params(max_block)
+    try:
+        upd = deserialize_update(data, params)
+    except WireFormatError:
+        return
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+    bits[bit_cost(upd.num_blocks, params, upd.includes_locations).total_bits:] = 0
+    assert serialize_update(upd, params) == np.packbits(bits).tobytes()
 
 
 # --- discrepancy decay smoke (full version lives in the acceptance suite) ---
