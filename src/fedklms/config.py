@@ -7,10 +7,11 @@ be > 0, got -1") so a bad config reports everything wrong at once.  Only the
 rules that relate two fields are written here: clients_per_round cannot
 exceed num_clients, a synthetic dataset needs at least one training point per
 client, a csv or idx dataset needs its paths, a toy r_grid entry and the
-toy's largest client KL need index fields of at most 63 bits, the KL band
-defaults to [d_kl_target / 2, 2 * d_kl_target] and must bracket the target,
-and no setting is accepted that the run would then ignore: qsgd.levels other
-than 1 under variant klms or method none (neither message has levels), and
+toy's largest client KL need index fields of at most 63 bits (the toy's sigma
+squared must then also be a normal float64), the KL band defaults to
+[d_kl_target / 2, 2 * d_kl_target] and must bracket the target, and no setting
+is accepted that the run would then ignore: qsgd.levels other than 1 under
+variant klms or method none (neither message has levels), and
 sgld.noise_enabled: false under klms (the noise rides in the message); an
 sgld.noise_sigma under variant baseline (the server draws its own noise);
 and a signsgd.temperature_scale other than 1 under temperature_mode iterations.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -258,6 +260,11 @@ def parse_toy_config(obj: dict) -> ToyConfig:
     if not nats / math.log(2.0) <= 63:
         _raise_if([f"mu: the largest client KL plus max r_grid is {nats} nats, which needs "
                    "index fields wider than 63 bits; at most 63 ln 2 = 43.6683 nats fit"])
+    # the client KL and log ratio divide by sigma^2, which must not underflow
+    # or overflow: 2^-511 <= sigma < 2^512
+    if not sys.float_info.min <= cfg.sigma * cfg.sigma <= sys.float_info.max:
+        _raise_if([f"sigma: its square must be a normal float64, so 2^-511 (about "
+                   f"1.4917e-154) <= sigma < 2^512 (about 1.3408e154), got {cfg.sigma}"])
     return cfg
 
 

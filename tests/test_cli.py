@@ -88,6 +88,21 @@ class TestExitCodes:
         assert main([command, path]) == 1
         assert "mu: " in capsys.readouterr().err
 
+    # sigma^2 underflows: the client KL would be 0 / 0
+    @pytest.mark.parametrize("command", ["toy", "validate"])
+    def test_toy_sigma_whose_square_underflows_is_a_config_error(self, tmp_path,
+                                                                 capsys, command):
+        path = write_json(tmp_path / "t.json", {"mu": 0.0, "sigma": 1e-200, "r_grid": [0.0],
+                                                "client_grid": [1], "runs": 1})
+        assert main([command, path]) == 1
+        assert "sigma: " in capsys.readouterr().err
+
+    def test_toy_smallest_sigma_with_a_normal_square_runs(self, tmp_path):
+        path = write_json(tmp_path / "t.json", {"mu": 0.0, "sigma": 2.0**-511,
+                                                "r_grid": [0.0], "client_grid": [1],
+                                                "runs": 1})
+        assert main(["toy", path, "--out", str(tmp_path / "toy.csv")]) == 0
+
     def test_toy_client_kl_inside_63_bit_fields_validates(self, tmp_path):
         # 43.6 of the 43.67 nats that fit; toy is not run, it would draw
         # 2^63 candidates per client

@@ -234,6 +234,19 @@ class TestToyParsing:
         with pytest.raises(ConfigError, match=r"mu: .* wider than 63 bits"):
             parse_toy_config(obj)
 
+    # the client KL and log ratio divide by sigma^2, a normal float64 for
+    # 2^-511 <= sigma < 2^512 only
+    @pytest.mark.parametrize("sigma", [2.0**-511, math.nextafter(2.0**512, 0.0)])
+    def test_sigma_whose_square_is_normal_accepted(self, sigma):
+        assert parse_toy_config({"mu": 0.0, "sigma": sigma}).sigma == sigma
+
+    @pytest.mark.parametrize("sigma", [
+        1e-200, math.nextafter(2.0**-511, 0.0), 2.0**512, 1e155,
+    ])
+    def test_sigma_whose_square_is_not_normal_rejected(self, sigma):
+        with pytest.raises(ConfigError, match=r"sigma: its square must be a normal"):
+            parse_toy_config({"mu": 0.0, "sigma": sigma})
+
 
 class TestConfigFiles:
     def test_load_config_file_round_trip(self, tmp_path):
