@@ -692,15 +692,12 @@ def test_wire_error_offsets_pinned(name):
         assert err.value.byte_offset == len(blob)
 
 
-def _message(fields):
-    """The bytes of a bit string, zero-padded to a byte."""
+def _located_message(lengths):
+    """Locations, KL code 0, the gamma code of 3 blocks, a 5-bit length field
+    per block (holding length - 1) and 5-bit indices of 1, zero-padded."""
+    fields = "1" + "0" * 8 + "011" + "".join(f"{n - 1:05b}" for n in lengths) + "00001" * 3
     fields += "0" * (-len(fields) % 8)
     return int(fields, 2).to_bytes(len(fields) // 8, "big")
-
-
-# locations, KL code 0, 3 blocks; the second length field holds 31 (length
-# 32) and starts at bit 17
-LENGTH_32 = _message("1" + "0" * 8 + "011" + "10011" "11111" "00000" + "00001" * 3)
 
 
 @pytest.mark.parametrize("second", [20, 21, 32])
@@ -708,8 +705,7 @@ def test_deserialize_refuses_block_lengths_over_max_block_size(second):
     # 5-bit length fields could hold lengths up to 32; the writer sends <= 20
     params = _wire_params(20)
     lengths = (20, second, 1)
-    blob = _message("1" + "0" * 8 + "011" + "".join(f"{n - 1:05b}" for n in lengths)
-                    + "00001" * 3)
+    blob = _located_message(lengths)
     if second <= 20:
         assert deserialize_update(blob, params).block_lengths == lengths
         return
@@ -721,7 +717,7 @@ def test_deserialize_refuses_block_lengths_over_max_block_size(second):
 @settings(max_examples=300)
 @given(data=st.binary(max_size=64), locations=st.booleans(),
        max_block=st.sampled_from([1, 2, 20, 64, 4096]))
-@example(data=LENGTH_32, locations=True, max_block=20)
+@example(data=_located_message((20, 32, 1)), locations=True, max_block=20)
 def test_deserialize_accepts_only_what_serialize_writes(data, locations, max_block):
     """Arbitrary bytes are refused, or they re-serialize to themselves with
     the pad bits cleared."""
