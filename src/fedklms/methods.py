@@ -33,6 +33,7 @@ from .distributions import (
 from .streams import SampleStream
 
 _PROB_CLAMP = 1e-6
+FLOAT32_BITS = 32  # the price of one float32 value on the wire
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -227,13 +228,13 @@ def qsgd_quantize(
 
 def elias_gamma_bits(levels_vec: np.ndarray) -> int:
     """Bit cost of the classic universal-code accounting for integer levels:
-    gamma(level+1) per coordinate, 32 bits for the norm, one sign bit per
-    nonzero level."""
+    gamma(level+1) per coordinate, one float32 for the norm, one sign bit
+    per nonzero level."""
     x = np.asarray(levels_vec)
     if np.any(x < 0):
         raise ValueError("levels must be nonnegative integers")
     gamma = (2 * np.floor(np.log2(x + 1)).astype(np.int64) + 1).sum()
-    return int(gamma) + 32 + int(np.count_nonzero(x))
+    return int(gamma) + FLOAT32_BITS + int(np.count_nonzero(x))
 
 
 def qsgd_klms_global(decoded_patterns: list[np.ndarray], dim: int) -> TernaryPattern:

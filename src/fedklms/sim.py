@@ -61,6 +61,7 @@ from .data import (
 )
 from .distributions import UniformSign, kl_per_coordinate
 from .methods import (
+    FLOAT32_BITS,
     FedPMState,
     bayes_agg,
     elias_gamma_bits,
@@ -79,9 +80,6 @@ from .methods import (
 from .models import build_model, evaluate_accuracy
 from .streams import StreamKey, derive_stream
 
-NORM_BITS = 32  # side-channel for one float32 norm
-
-
 @dataclass
 class RoundMetrics:
     round_index: int
@@ -90,6 +88,8 @@ class RoundMetrics:
     accuracy: float
     mean_kl_per_param: float
     partition_updated: bool
+    total_bits: int  # summed over the round's messages; not a CSV column
+    payload_bits: int
 
     def csv_row(self) -> str:
         return (
@@ -104,15 +104,14 @@ CSV_HEADER = "round,bpp_payload,bpp_total,accuracy,mean_kl_per_param,partition_u
 
 @dataclass
 class ServerState:
-    """Everything that survives from one round to the next."""
+    """What the next round reads.  carried is the method's own server value,
+    set by its _Method.initial and fold: fedpm's beta posterior, qsgd's prior
+    p, None for the others."""
 
     round_index: int
     weights: np.ndarray  # current global parameters (fedpm: frozen weights)
-    fedpm: FedPMState | None
+    carried: object
     partition: BlockPartition | None  # None: clients ship block locations
-    qsgd_patterns: list[np.ndarray]  # previous round's decoded sign patterns
-    bits_sent_total: int = 0
-    bits_sent_payload: int = 0
 
 
 def _load_dataset(cfg: ExperimentConfig, root: StreamKey) -> tuple[Dataset, Dataset]:
@@ -190,10 +189,12 @@ def _quantized(v, cfg, client_key):
 
 
 def _qsgd_fold(state, cfg, vectors, round_key):
-    mean_delta = np.mean(vectors, axis=0)
-    patterns = [np.sign(v) for v in vectors] if _uses_codec(cfg) else state.qsgd_patterns
-    return replace(state, weights=state.weights + cfg.qsgd.server_lr * mean_delta,
-                   qsgd_patterns=patterns)
+    weights = state.weights + cfg.qsgd.server_lr * np.mean(vectors, axis=0)
+    if not _uses_codec(cfg):
+        return replace(state, weights=weights)
+    # next round's prior: the frequencies of this round's decoded patterns
+    prior = qsgd_klms_global([np.sign(v) for v in vectors], dim=weights.shape[0])
+    return replace(state, weights=weights, carried=prior)
 
 
 def _sgld_fold(state, cfg, vectors, round_key):
@@ -215,7 +216,7 @@ class _Method:
     fold(state, cfg, vectors, round_key) -> state after the update
     to_vector(q, sample) maps a decoded sample to the aggregated vector, and
     side_bits rides next to the codec payload.
-    initial(cfg, model) -> the FedPMState a run starts from, if any
+    initial(cfg, model) -> the ServerState.carried value a run starts from
     eval_weights(state, root) -> the weights each round is evaluated with
     """
 
@@ -235,29 +236,27 @@ class _Method:
 _METHODS = {
     "fedpm": _Method(
         local=lambda state, cfg, model, X, y, stream: fedpm_client_train(
-            state.fedpm.probs, state.weights, model, X, y, cfg.fedpm, stream),
+            state.carried.probs, state.weights, model, X, y, cfg.fedpm, stream),
         baseline=lambda probs, cfg, client_key: (
             fedpm_sample_mask(probs, derive_stream(client_key.child("mask"))), probs.size),
-        pair=lambda probs, state, cfg: fedpm_codec_pair(probs, state.fedpm.probs),
+        pair=lambda probs, state, cfg: fedpm_codec_pair(probs, state.carried.probs),
         fold=lambda state, cfg, vectors, round_key: replace(
-            state, fedpm=bayes_agg(vectors, state.fedpm, cfg.fedpm, state.round_index)),
+            state, carried=bayes_agg(vectors, state.carried, cfg.fedpm, state.round_index)),
         # the weights stay frozen for the whole run; the mask is what trains
         initial=lambda cfg, model: FedPMState.initial(model.dim, 0.5, cfg.fedpm.prior_lambda),
         eval_weights=lambda state, root: fedpm_sample_mask(
-            state.fedpm.probs, derive_stream(root.child("eval"))) * state.weights,
+            state.carried.probs, derive_stream(root.child("eval"))) * state.weights,
     ),
     "qsgd": _Method(
         local=lambda state, cfg, model, X, y, stream: _local_delta(
             state, model, X, y, cfg.qsgd, stream),
         baseline=_quantized,
-        pair=lambda delta, state, cfg: (
-            qsgd_client_distribution(delta),
-            qsgd_klms_global(state.qsgd_patterns, dim=delta.shape[0]),
-        ),
+        pair=lambda delta, state, cfg: (qsgd_client_distribution(delta), state.carried),
         fold=_qsgd_fold,
         # the pattern is sent by the codec, its scale as one float
         to_vector=lambda q, pattern: q.magnitude * pattern,
-        side_bits=NORM_BITS,
+        side_bits=FLOAT32_BITS,
+        initial=lambda cfg, model: qsgd_klms_global([], dim=model.dim),
     ),
     "signsgd": _Method(
         local=_signsgd_local,
@@ -279,7 +278,7 @@ _METHODS = {
 # qsgd without compression: the raw float32 delta is the only message
 _METHODS["none"] = replace(
     _METHODS["qsgd"], pair=None,
-    baseline=lambda delta, cfg, client_key: (delta, 32 * delta.shape[0]),
+    baseline=lambda delta, cfg, client_key: (delta, FLOAT32_BITS * delta.shape[0]),
 )
 
 
@@ -326,15 +325,10 @@ def run_round(
         accuracy=accuracy,
         mean_kl_per_param=mean_kl,
         partition_updated=coded and state.partition is None,
+        total_bits=sum(m.total_bits for m in messages),
+        payload_bits=sum(m.payload_bits for m in messages),
     )
-    return replace(
-        new_state,
-        round_index=t + 1,
-        bits_sent_total=state.bits_sent_total + int(sum(m.total_bits for m in messages)),
-        bits_sent_payload=state.bits_sent_payload + int(
-            sum(m.payload_bits for m in messages)
-        ),
-    ), metrics
+    return replace(new_state, round_index=t + 1), metrics
 
 
 def _client_message(state, cfg, model, X, y, client_key, c):
@@ -390,9 +384,8 @@ def init_state(cfg: ExperimentConfig, model, root: StreamKey) -> ServerState:
     return ServerState(
         round_index=0,
         weights=model.init_params(derive_stream(root.child("winit"))),
-        fedpm=_METHODS[cfg.method].initial(cfg, model),
+        carried=_METHODS[cfg.method].initial(cfg, model),
         partition=None,  # the first round ships locations
-        qsgd_patterns=[],
     )
 
 
@@ -425,8 +418,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[list[RoundMetrics], dict]:
         "best_accuracy": max(r.accuracy for r in rows),
         "mean_bpp_payload": float(np.mean([r.bpp_payload for r in rows])),
         "mean_bpp_total": float(np.mean([r.bpp_total for r in rows])),
-        "total_bits_sent": state.bits_sent_total,
-        "total_payload_bits_sent": state.bits_sent_payload,
+        "total_bits_sent": sum(r.total_bits for r in rows),
+        "total_payload_bits_sent": sum(r.payload_bits for r in rows),
         "location_rounds": sum(1 for r in rows if r.partition_updated),
     }
     return rows, summary

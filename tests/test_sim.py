@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedklms import sim
 from fedklms.config import load_config_file, parse_experiment_config
 from fedklms.sim import (
     CSV_HEADER,
@@ -205,6 +206,25 @@ class TestMethodBehavior:
             for _ in range(2):
                 state, _ = run_round(state, cfg, model, shards, train, test, root)
             assert not np.array_equal(state.weights, w0), method
+
+    def test_qsgd_prior_built_once_per_round(self, monkeypatch):
+        # the server builds qsgd's prior p in its fold, not once per client:
+        # the initial prior, then one per round when the codec ran
+        calls = []
+        build = sim.qsgd_klms_global
+        monkeypatch.setattr(sim, "qsgd_klms_global",
+                            lambda *args, **kw: calls.append(1) or build(*args, **kw))
+
+        def builds(**overrides):
+            obj = load_config_file(str(CONFIG_DIR / "qsgd_separable.json"))
+            obj.update(overrides, rounds=3)
+            calls.clear()
+            run_experiment(parse_experiment_config(obj))
+            return len(calls)
+
+        assert builds() == 4  # 10 clients per round
+        assert builds(variant="baseline") <= 1
+        assert builds(method="none") <= 1
 
     def test_klms_reports_positive_kl(self):
         cfg = make_config(rounds=3)
