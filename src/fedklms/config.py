@@ -7,14 +7,16 @@ be > 0, got -1") so a bad config reports everything wrong at once.  Only the
 rules that relate two fields are written here: clients_per_round cannot
 exceed num_clients, a synthetic dataset needs at least one training point per
 client, a csv or idx dataset needs its paths, a toy r_grid entry and the
-toy's largest client KL need index fields of at most 63 bits (the toy's sigma
-squared must then also be a normal float64), the KL band defaults to
-[d_kl_target / 2, 2 * d_kl_target] and must bracket the target, and no setting
-is accepted that the run would then ignore: qsgd.levels other than 1 under
-variant klms or method none (neither message has levels), and
-sgld.noise_enabled: false under klms (the noise rides in the message); an
-sgld.noise_sigma under variant baseline (the server draws its own noise);
-and a signsgd.temperature_scale other than 1 under temperature_mode iterations.
+toy's largest client KL need index fields of at most 63 bits, the square of
+the toy's sigma and of the sgld message sigma under variant klms
+(sgld.noise_sigma, or the value it defaults to) must be a normal float64, the
+KL band defaults to [d_kl_target / 2, 2 * d_kl_target] and must bracket the
+target, and no setting is accepted that the run would then ignore:
+qsgd.levels other than 1 under variant klms or method none (neither message
+has levels), and sgld.noise_enabled: false under klms (the noise rides in the
+message); an sgld.noise_sigma under variant baseline (the server draws its
+own noise); and a signsgd.temperature_scale other than 1 under
+temperature_mode iterations.
 """
 
 from __future__ import annotations
@@ -198,6 +200,18 @@ def _raise_if(errors: list[str]) -> None:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
 
 
+def _sigma_errors(path: str, sigma: float, derived: str = "") -> list[str]:
+    """The error when sigma^2 is not a normal float64, or none.
+
+    The Gaussian KL and log ratio divide by sigma^2, which must not underflow
+    or overflow: 2^-511 <= sigma < 2^512.
+    """
+    if sys.float_info.min <= sigma * sigma <= sys.float_info.max:
+        return []
+    return [f"{path}: {derived}its square must be a normal float64, so 2^-511 (about "
+            f"1.4917e-154) <= sigma < 2^512 (about 1.3408e154), got {sigma}"]
+
+
 def _merge(default, given: dict):
     """default with the given fields replaced; a nested block keeps the
     defaults of the fields it does not set."""
@@ -224,6 +238,11 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
             errors.append("sgld.noise_enabled: must be true when variant is klms")
         if cfg.method == "qsgd" and cfg.qsgd.levels != 1:
             errors.append("qsgd.levels: must be 1 when variant is klms")
+        if cfg.method == "sgld":  # the sigma of both message Gaussians
+            derived = "" if cfg.sgld.noise_sigma is not None else (
+                "is null, so sigma is sqrt(2 * step_gamma * clients_per_round) / server_lr; ")
+            errors += _sigma_errors("sgld.noise_sigma",
+                                    cfg.sgld.sigma_s(cfg.clients_per_round), derived)
     elif cfg.method == "sgld" and cfg.sgld.noise_sigma is not None:
         # the baseline server's noise is sqrt(2 * step_gamma), not this
         errors.append("sgld.noise_sigma: must be null when variant is baseline")
@@ -260,11 +279,7 @@ def parse_toy_config(obj: dict) -> ToyConfig:
     if not nats / math.log(2.0) <= 63:
         _raise_if([f"mu: the largest client KL plus max r_grid is {nats} nats, which needs "
                    "index fields wider than 63 bits; at most 63 ln 2 = 43.6683 nats fit"])
-    # the client KL and log ratio divide by sigma^2, which must not underflow
-    # or overflow: 2^-511 <= sigma < 2^512
-    if not sys.float_info.min <= cfg.sigma * cfg.sigma <= sys.float_info.max:
-        _raise_if([f"sigma: its square must be a normal float64, so 2^-511 (about "
-                   f"1.4917e-154) <= sigma < 2^512 (about 1.3408e154), got {cfg.sigma}"])
+    _raise_if(_sigma_errors("sigma", cfg.sigma))
     return cfg
 
 

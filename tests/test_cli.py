@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, overrides, reproducible outputs."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,8 @@ EXPERIMENT = {
                  "margin": 0.4, "test_points": 60},
     "model": {"kind": "logistic"},
 }
+
+SGLD_SEPARABLE = Path(__file__).resolve().parent.parent / "configs" / "sgld_separable.json"
 
 TOY = {"r_grid": [2.0], "client_grid": [1, 5], "eta_grid": [0.0],
        "runs": 10, "seed": 1}
@@ -102,6 +105,29 @@ class TestExitCodes:
                                                 "r_grid": [0.0], "client_grid": [1],
                                                 "runs": 1})
         assert main(["toy", path, "--out", str(tmp_path / "toy.csv")]) == 0
+
+    # the sgld message sigma, given or derived, squares to a subnormal or
+    # overflows: the KL would divide by 0 or by inf
+    @pytest.mark.parametrize("sgld", [
+        {"noise_sigma": 1e-200},
+        {"noise_sigma": 1e200},
+        {"step_gamma": 1e-320},
+        {"server_lr": 1e-320},
+    ])
+    def test_sgld_sigma_whose_square_is_not_normal_is_a_config_error(self, tmp_path,
+                                                                     capsys, sgld):
+        obj = json.loads(SGLD_SEPARABLE.read_text())
+        obj["sgld"].update(sgld)
+        assert main(["validate", write_json(tmp_path / "c.json", obj)]) == 1
+        assert "sgld.noise_sigma: " in capsys.readouterr().err
+
+    def test_sgld_small_sigma_with_a_normal_square_trains(self, tmp_path):
+        obj = json.loads(SGLD_SEPARABLE.read_text())
+        obj["sgld"]["noise_sigma"] = 1e-150
+        obj["rounds"] = 2
+        path = write_json(tmp_path / "c.json", obj)
+        assert main(["validate", path]) == 0
+        assert main(["train", path, "--out", str(tmp_path / "m.csv")]) == 0
 
     def test_toy_client_kl_inside_63_bit_fields_validates(self, tmp_path):
         # 43.6 of the 43.67 nats that fit; toy is not run, it would draw
