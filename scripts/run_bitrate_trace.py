@@ -8,6 +8,7 @@ equal-size partition at the same mean bitrate ends up with blocks far off
 their budget in both directions.  Writes results/bitrate_trace.csv.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fedklms.codec import CodecParams, samples_per_block, split_blocks_adaptive, split_blocks_fixed
+from fedklms.codec import BlockPartition, CodecParams, split_blocks_adaptive
 from fedklms.distributions import BernoulliVector, kl_per_coordinate
 
 D = 10_000
@@ -44,12 +45,12 @@ def main() -> int:
 
         adaptive = split_blocks_adaptive(kl, params)
         adaptive_bits = adaptive.num_blocks * params.index_bits
-        ideal = (total_kl + adaptive.num_blocks * params.overhead_r) / np.log(2.0)
+        ideal = (total_kl + adaptive.num_blocks * params.overhead_r) / math.log(2.0)
 
         if fixed_size is None:
             # match the fixed scheme's mean bitrate to the adaptive one
             fixed_size = max(1, round(D / adaptive.num_blocks))
-        fixed = split_blocks_fixed(D, fixed_size)
+        fixed = BlockPartition(D, tuple(range(0, D, fixed_size)))
         fixed_bits = fixed.num_blocks * params.index_bits
         budget = params.d_kl_target
         realized = np.array([float(kl[lo:hi].sum()) for lo, hi in fixed.ranges()])

@@ -17,8 +17,9 @@ coefficients built once per message, over candidate chunks of at most
 
 K is uniform across blocks and derived from the block KL *target*, not the
 realized block KL: the greedy partitioner aims every block at the same target,
-the optimal sample budget is then the same for every block, and the decoder
-needs no client-side KL values.
+the optimal sample budget is then the same for every block, and the index
+width is a session constant, so the parser checks that the whole body fits
+before it reads any block.
 
 Wire layout (bit-packed, MSB first within bytes, zero-padded to a byte):
 
