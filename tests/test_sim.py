@@ -222,7 +222,7 @@ class TestMethodBehavior:
             run_experiment(parse_experiment_config(obj))
             return len(calls)
 
-        assert builds() == 4  # 10 clients per round
+        assert builds() == 4  # not one per client, 10 a round
         assert builds(variant="baseline") <= 1
         assert builds(method="none") <= 1
 
