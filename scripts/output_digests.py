@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of every full-length output file the outputs are pinned by.
+"""Run every shipped config at full length and print what its outputs are pinned by.
 
 Runs, as `fedklms train` would, the five shipped separable configs, the
 qsgd/signsgd/sgld separable configs with `variant: baseline`, and the qsgd
 config with `method: none`; then both toy configs as `fedklms toy` would.
-Each line is `<case> <metrics CSV sha256> <summary JSON sha256>`.  The files
-are written to a temporary directory that is removed afterwards.
+Each line starts `<case> <metrics CSV sha256> <summary JSON sha256>`; a train
+line goes on with the run's final accuracy, best accuracy, mean payload bpp
+and mean total bpp to 4 decimals, so the four codec-versus-baseline pairs
+read as a bitrate/accuracy table.  The files are written to a temporary
+directory that is removed afterwards.
 
 A change that must not move any output runs this before and after and diffs
 the two printouts:
@@ -40,6 +43,8 @@ TRAIN_CASES = {
     "none": ("qsgd_separable", {"method": "none"}),
 }
 TOY_CASES = ("toy_default", "toy_heterogeneity")
+# the summary fields a train line reports after its digests
+SUMMARY_KEYS = ("final_accuracy", "best_accuracy", "mean_bpp_payload", "mean_bpp_total")
 
 
 def _sha256(path: Path) -> str:
@@ -56,7 +61,7 @@ def main() -> int:
             write_metrics_csv(rows, str(out / f"{case}.csv"))
             write_summary_json(summary, str(out / f"{case}.json"))
             print(case, _sha256(out / f"{case}.csv"), _sha256(out / f"{case}.json"),
-                  flush=True)
+                  *(f"{summary[key]:.4f}" for key in SUMMARY_KEYS), flush=True)
         for case in TOY_CASES:
             cfg = parse_toy_config(load_config_file(str(ROOT / "configs" / f"{case}.json")))
             cells, summary = run_toy(cfg)

@@ -263,6 +263,7 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
 
 def parse_toy_config(obj: dict) -> ToyConfig:
     errors, given = _validate(obj, "toy")
+    schema_ok = not errors
     for i, r in enumerate(given.get("r_grid", ())):
         if r is None:  # _walk has reported the entry
             continue
@@ -270,16 +271,17 @@ def parse_toy_config(obj: dict) -> ToyConfig:
             ToyConfig.codec_params(r)
         except ValueError as err:
             errors.append(f"r_grid[{i}]: {err}")
-    _raise_if(errors)
+    if not schema_ok:  # the rules below read the merged values
+        _raise_if(errors)
     cfg = _merge(ToyConfig(), given)
     # a client's K follows its own KL mu_n^2 / (2 sigma^2), |mu_n| <= |mu| + eta,
     # not the 1-nat target (ratio * ratio overflows to inf, ratio ** 2 raises)
     ratio = (abs(cfg.mu) + max(cfg.eta_grid)) / cfg.sigma
     nats = ratio * ratio / 2.0 + max(cfg.r_grid)
     if not nats / math.log(2.0) <= 63:
-        _raise_if([f"mu: the largest client KL plus max r_grid is {nats} nats, which needs "
-                   "index fields wider than 63 bits; at most 63 ln 2 = 43.6683 nats fit"])
-    _raise_if(_sigma_errors("sigma", cfg.sigma))
+        errors.append(f"mu: the largest client KL plus max r_grid is {nats} nats, which needs "
+                      "index fields wider than 63 bits; at most 63 ln 2 = 43.6683 nats fit")
+    _raise_if(errors + _sigma_errors("sigma", cfg.sigma))
     return cfg
 
 

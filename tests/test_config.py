@@ -247,6 +247,18 @@ class TestToyParsing:
         with pytest.raises(ConfigError, match=r"sigma: its square must be a normal"):
             parse_toy_config({"mu": 0.0, "sigma": sigma})
 
+    # the r_grid, mu and sigma rules report together, one line each; with
+    # sigma 1e-200 the client KL is inf nats, so mu is named as well
+    @pytest.mark.parametrize("obj, paths", [
+        ({"r_grid": [50.0], "sigma": 1e-200}, ["r_grid[0]", "mu", "sigma"]),
+        ({"mu": 12.0, "sigma": 1e-200}, ["mu", "sigma"]),
+    ])
+    def test_every_rule_fault_reported_at_once(self, obj, paths):
+        with pytest.raises(ConfigError) as info:
+            parse_toy_config(obj)
+        named = [line.split(": ")[0] for line in str(info.value).splitlines()[1:]]
+        assert [name.strip() for name in named] == paths
+
 
 class TestConfigFiles:
     def test_load_config_file_round_trip(self, tmp_path):

@@ -1,6 +1,7 @@
 """End-to-end simulator checks: accounting, partition protocol, determinism."""
 
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -320,6 +321,20 @@ def test_outputs_pinned(case, tmp_path):
     write_summary_json(summary, str(json_path))
     digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
     assert (digest(csv_path), digest(json_path)) == (csv_sha, json_sha)
+
+
+# scripts/output_digests.py runs the shipped configs at full length: its train
+# cases are the ones pinned above, and every shipped config is one of its
+# cases but qsgd_mnist, whose IDX files are not bundled
+def test_full_length_report_covers_every_shipped_config():
+    path = CONFIG_DIR.parent / "scripts" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", path)
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    assert report.TRAIN_CASES == {case: (name, overrides) for case, (name, overrides, _, _)
+                                  in PINNED_OUTPUTS.items()}
+    run = {name for name, _ in report.TRAIN_CASES.values()} | set(report.TOY_CASES)
+    assert run == {config.stem for config in CONFIG_DIR.glob("*.json")} - {"qsgd_mnist"}
 
 
 def _digests_without(case, csv_columns, summary_keys, tmp_path):
