@@ -10,14 +10,18 @@ and mean total bpp to 4 decimals, so the four codec-versus-baseline pairs
 read as a bitrate/accuracy table.  The files are written to a temporary
 directory that is removed afterwards.
 
-A change that must not move any output runs this before and after and diffs
-the two printouts:
+The tier-1 suite loads this script and calls `outputs` for each case, once
+per session: `tests/test_sim.py` pins the nine train digest pairs, and each
+toy case must equal the committed files its config's `output` block names.
+A change that moves a full-length output therefore fails tier-1.  A change
+that means to move one reruns this script and copies the new train pairs
+into `FULL_LENGTH_OUTPUTS`, or reruns `fedklms toy configs/<toy case>.json`
+from the checkout root and commits the new `results/` files:
 
-    python3 scripts/output_digests.py > before.txt   # on the parent commit
-    python3 scripts/output_digests.py > after.txt
-    diff before.txt after.txt
+    python3 scripts/output_digests.py
 """
 
+import functools
 import hashlib
 import sys
 import tempfile
@@ -47,28 +51,33 @@ TOY_CASES = ("toy_default", "toy_heterogeneity")
 SUMMARY_KEYS = ("final_accuracy", "best_accuracy", "mean_bpp_payload", "mean_bpp_total")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def main() -> int:
+@functools.cache
+def outputs(case: str) -> tuple[bytes, bytes, dict]:
+    """Run one case and return its metrics CSV bytes, summary JSON bytes and
+    summary, as the command-line entry point writes them; each case runs once
+    per process."""
     with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        for case, (name, overrides) in TRAIN_CASES.items():
+        csv_path, json_path = Path(tmp) / "metrics.csv", Path(tmp) / "summary.json"
+        if case in TRAIN_CASES:
+            name, overrides = TRAIN_CASES[case]
             obj = load_config_file(str(ROOT / "configs" / f"{name}.json"))
             obj.update(overrides)
             rows, summary = run_experiment(parse_experiment_config(obj))
-            write_metrics_csv(rows, str(out / f"{case}.csv"))
-            write_summary_json(summary, str(out / f"{case}.json"))
-            print(case, _sha256(out / f"{case}.csv"), _sha256(out / f"{case}.json"),
-                  *(f"{summary[key]:.4f}" for key in SUMMARY_KEYS), flush=True)
-        for case in TOY_CASES:
+            write_metrics_csv(rows, str(csv_path))
+        else:
             cfg = parse_toy_config(load_config_file(str(ROOT / "configs" / f"{case}.json")))
             cells, summary = run_toy(cfg)
-            write_toy_csv(cells, str(out / f"{case}.csv"))
-            write_summary_json(summary, str(out / f"{case}.json"))
-            print(case, _sha256(out / f"{case}.csv"), _sha256(out / f"{case}.json"),
-                  flush=True)
+            write_toy_csv(cells, str(csv_path))
+        write_summary_json(summary, str(json_path))
+        return csv_path.read_bytes(), json_path.read_bytes(), summary
+
+
+def main() -> int:
+    sha = lambda data: hashlib.sha256(data).hexdigest()
+    for case in (*TRAIN_CASES, *TOY_CASES):
+        csv, summary_json, summary = outputs(case)
+        stats = [f"{summary[key]:.4f}" for key in SUMMARY_KEYS] if case in TRAIN_CASES else []
+        print(case, sha(csv), sha(summary_json), *stats, flush=True)
     return 0
 
 

@@ -5,7 +5,8 @@ Each round the per-coordinate KL profile (a sinusoid spanning a 10x range)
 shifts phase.  The adaptive partition re-cuts blocks to its KL budget, so its
 payload should hug total KL/ln2 plus the per-block overhead; a fixed
 equal-size partition at the same mean bitrate ends up with blocks far off
-their budget in both directions.  Writes results/bitrate_trace.csv.
+their budget in both directions.  Writes results/bitrate_trace.csv under the
+checkout root, wherever it is run from.
 """
 
 import math
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from fedklms.codec import BlockPartition, CodecParams, split_blocks_adaptive
 from fedklms.distributions import BernoulliVector, kl_per_coordinate
@@ -30,13 +32,12 @@ def kl_profile(round_index: int) -> np.ndarray:
     return KL_LOW * 10.0 ** ((1.0 + np.sin(phase)) / 2.0)
 
 
-def main() -> int:
+def trace_rows() -> list[tuple[int, float, float, int, int, float]]:
+    """One (round, kl_nats, ideal_bits, adaptive_bits, fixed_bits,
+    fixed_violation_frac) row per round; writes nothing."""
     params = CodecParams(d_kl_target=3.0, overhead_r=2.0, max_block_size=4096)
     p = BernoulliVector(np.full(D, 0.5))
-    lines = ["round,kl_nats,ideal_bits,adaptive_bits,fixed_bits,fixed_violation_frac"]
-    adaptive_total = 0
-    ideal_total = 0.0
-    viol_total = 0.0
+    rows = []
     fixed_size = None
     for t in range(ROUNDS):
         q = BernoulliVector(np.clip(0.5 + np.sqrt(kl_profile(t) / 2.0), 0.5, 0.99))
@@ -55,20 +56,28 @@ def main() -> int:
         budget = params.d_kl_target
         realized = np.array([float(kl[lo:hi].sum()) for lo, hi in fixed.ranges()])
         violation = float(np.mean((realized > 2.0 * budget) | (realized < 0.5 * budget)))
+        rows.append((t, total_kl, ideal, adaptive_bits, fixed_bits, violation))
+    return rows
 
-        adaptive_total += adaptive_bits
-        ideal_total += ideal
-        viol_total += violation
-        lines.append(
-            f"{t},{total_kl!r},{ideal!r},{adaptive_bits},{fixed_bits},{violation!r}"
-        )
 
-    out = Path("results/bitrate_trace.csv")
+def trace_csv(rows) -> str:
+    """The CSV text of `trace_rows()`, as results/bitrate_trace.csv holds it."""
+    lines = ["round,kl_nats,ideal_bits,adaptive_bits,fixed_bits,fixed_violation_frac"]
+    lines += [f"{t},{kl!r},{ideal!r},{adaptive},{fixed},{violation!r}"
+              for t, kl, ideal, adaptive, fixed, violation in rows]
+    return "\n".join(lines) + "\n"
+
+
+def main() -> int:
+    rows = trace_rows()
+    out = ROOT / "results" / "bitrate_trace.csv"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
-    ratio = adaptive_total / ideal_total
+    out.write_text(trace_csv(rows))
+    _, _, ideal, adaptive, _, violations = zip(*rows)
+    ratio = sum(adaptive) / sum(ideal)
+    violation = sum(violations) / ROUNDS
     print(f"adaptive payload / (KL + M*r)/ln2 over {ROUNDS} rounds: {ratio:.3f}")
-    print(f"fixed-block budget violations (mean fraction): {viol_total / ROUNDS:.3f}")
+    print(f"fixed-block budget violations (mean fraction): {violation:.3f}")
     print(f"trace -> {out}")
     return 0
 

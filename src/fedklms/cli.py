@@ -31,6 +31,28 @@ from .streams import StreamKey, derive_stream
 from .toy import run_toy, write_toy_csv
 
 
+def _seed(text: str) -> int:
+    """A root seed: an integer in [0, 2^64)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2^64): {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """A coordinate count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1: {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedklms",
@@ -49,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     toy.add_argument("--out", default=None, help="override CSV path")
 
     bench = sub.add_parser("codec-bench", help="codec throughput and determinism")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--coords", type=int, default=1_000_000)
+    bench.add_argument("--seed", type=_seed, default=0)
+    bench.add_argument("--coords", type=_count, default=1_000_000)
 
     val = sub.add_parser("validate", help="check a config file")
     val.add_argument("config", help="config file (JSON)")

@@ -1,18 +1,20 @@
 """Acceptance suite: one test per shipped guarantee.
 
-Each test is self-contained and runs on a desk machine; together they cover
-codec exactness on the wire, estimator fidelity versus overhead bits, the
-scalar mean-estimation study, bitrate adaptivity under drift, quantizer
-unbiasedness, end-to-end federated runs under a bitrate budget, server noise
-calibration, and byte-level determinism of the command-line entry points.
+Each test runs on a desk machine; together they cover codec exactness on the
+wire, estimator fidelity versus overhead bits, the scalar mean-estimation
+study, bitrate adaptivity under drift, quantizer unbiasedness, end-to-end
+federated runs under a bitrate budget, server noise calibration, and
+byte-level determinism of the command-line entry points.  The shipped
+studies are read from the scripts that produce them (the `report` and
+`bitrate_trace` fixtures of conftest.py), so each runs once per session.
 The digit-subset run needs IDX files under data/mnist/ and is skipped when
 they are absent.
 """
 
 import json
-import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,14 +30,11 @@ from fedklms.codec import (
     decode_update,
     samples_per_block,
     serialize_update,
-    split_blocks_adaptive,
-    split_blocks_fixed,
 )
 from fedklms.config import (
     DatasetConfig,
     ExperimentConfig,
     ModelConfig,
-    ToyConfig,
     load_config_file,
     parse_experiment_config,
 )
@@ -58,10 +57,10 @@ from fedklms.methods import (
 from fedklms.models import build_model
 from fedklms.sim import _load_dataset, init_state, run_experiment, run_round
 from fedklms.streams import StreamKey, derive_stream
-from fedklms.toy import run_toy
 from reference import aggregate_noise_var, sgld_noisy_message
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+RESULTS_DIR = CONFIG_DIR.parent / "results"
 
 MNIST_FILES = (
     "data/mnist/train-images-idx3-ubyte",
@@ -194,12 +193,17 @@ def test_2_discrepancy_decays_with_overhead():
     assert disc[-1] <= 0.02
 
 
-def test_3_toy_estimator_orderings():
+def _toy_cells(report, case):
+    """The cells of a shipped toy study's summary, with attribute access."""
+    return [SimpleNamespace(**cell) for cell in report.outputs(case)[2]["cells"]]
+
+
+def test_3_toy_estimator_orderings(report):
     """Scalar study: averaging over more clients shrinks the spread, more
     overhead bits shrink the bias, and client heterogeneity degrades the
     estimate only mildly."""
-    cells, _ = run_toy(ToyConfig(seed=0))
-    by = {(c.overhead_r, c.num_clients): c for c in cells}
+    cells = _toy_cells(report, "toy_default")
+    by = {(c.r, c.N): c for c in cells}
     client_grid = (1, 5, 10, 50, 100)
     for r in (2.0, 4.0, 6.0):
         stds = [by[(r, n)].std_gap for n in client_grid]
@@ -207,48 +211,21 @@ def test_3_toy_estimator_orderings():
     for n in client_grid:
         assert by[(6.0, n)].mean_abs_gap < by[(0.0, n)].mean_abs_gap
 
-    het, _ = run_toy(ToyConfig(
-        r_grid=(6.0,), client_grid=(100,),
-        eta_grid=(0.0, 0.05, 0.1, 0.25, 0.4), seed=0,
-    ))
+    het = _toy_cells(report, "toy_heterogeneity")
     base = het[0].mean_abs_gap
     for cell in het[1:]:
         assert cell.mean_abs_gap <= 1.5 * base
 
 
-def test_4_bits_track_divergence():
+def test_4_bits_track_divergence(bitrate_trace):
     """Adaptive partitions keep payload near the information content of a
     drifting Bernoulli stream; a fixed partition at the same mean bitrate
     leaves many blocks far off their budget."""
-    dim, rounds, kl_low = 10_000, 50, 2e-3
-    params = CodecParams(d_kl_target=3.0, overhead_r=2.0, max_block_size=4096)
-    p = BernoulliVector(np.full(dim, 0.5))
-    i = np.arange(dim)
-    adaptive_bits = 0.0
-    ideal_bits = 0.0
-    violations = []
-    fixed_size = None
-    for t in range(rounds):
-        phase = 2.0 * np.pi * (4.0 * i / dim + t / rounds)
-        profile = kl_low * 10.0 ** ((1.0 + np.sin(phase)) / 2.0)
-        q = BernoulliVector(np.clip(0.5 + np.sqrt(profile / 2.0), 0.5, 0.99))
-        kl = kl_per_coordinate(q, p)
-
-        adaptive = split_blocks_adaptive(kl, params)
-        adaptive_bits += adaptive.num_blocks * params.index_bits
-        ideal_bits += (
-            float(kl.sum()) + adaptive.num_blocks * params.overhead_r
-        ) / math.log(2.0)
-
-        if fixed_size is None:
-            # match the fixed scheme's mean bitrate to the adaptive one
-            fixed_size = max(1, round(dim / adaptive.num_blocks))
-        fixed = split_blocks_fixed(dim, fixed_size)
-        realized = np.array([float(kl[lo:hi].sum()) for lo, hi in fixed.ranges()])
-        violations.append(float(np.mean(
-            (realized > 2.0 * params.d_kl_target)
-            | (realized < 0.5 * params.d_kl_target)
-        )))
+    rows = bitrate_trace.trace_rows()
+    assert bitrate_trace.trace_csv(rows) == (RESULTS_DIR / "bitrate_trace.csv").read_text()
+    _, _, ideal, adaptive, _, violations = zip(*rows)
+    adaptive_bits = sum(adaptive)
+    ideal_bits = sum(ideal)
 
     ratio = adaptive_bits / ideal_bits
     assert 0.75 <= ratio <= 1.25
@@ -288,27 +265,25 @@ def test_5_quantizer_unbiasedness():
         assert np.all(np.abs(mean - v) <= 3.0 * se + 1e-12)
 
 
-def test_6_desk_runs_synthetic():
+def test_6_desk_runs_synthetic(report):
     """On the separable desk task the compressed variants match their
     uncompressed or 1-bit counterparts at a fraction of the bitrate."""
+    summary = lambda case: report.outputs(case)[2]
     # probability-mask training against the uncompressed mask baseline
-    _, klms = run_experiment(_experiment("fedpm_separable.json"))
-    _, base = run_experiment(_experiment("fedpm_separable_baseline.json"))
+    klms, base = summary("fedpm_separable"), summary("fedpm_separable_baseline")
     assert klms["mean_bpp_payload"] <= 0.15
     assert klms["final_accuracy"] >= base["final_accuracy"] - 0.02
     assert klms["mean_bpp_total"] <= base["mean_bpp_total"] / 80
     assert klms["total_bits_sent"] * 80 <= base["total_bits_sent"]
 
     # sign updates against the 1-bit stochastic sign baseline
-    _, klms = run_experiment(_experiment("signsgd_separable.json"))
-    _, base = run_experiment(_experiment("signsgd_separable.json", variant="baseline"))
+    klms, base = summary("signsgd_separable"), summary("signsgd_baseline")
     assert base["mean_bpp_total"] == pytest.approx(1.0)
     assert klms["mean_bpp_payload"] <= 0.1
     assert klms["final_accuracy"] >= base["final_accuracy"] - 0.02
 
     # ternary quantization against the universal-code baseline
-    _, klms = run_experiment(_experiment("qsgd_separable.json"))
-    _, base = run_experiment(_experiment("qsgd_separable.json", variant="baseline"))
+    klms, base = summary("qsgd_separable"), summary("qsgd_baseline")
     assert klms["mean_bpp_payload"] < base["mean_bpp_payload"]
     assert abs(klms["final_accuracy"] - base["final_accuracy"]) <= 0.01
 
@@ -393,33 +368,33 @@ def test_8_deterministic_reruns(tmp_path):
     assert toy_outs[0].read_bytes() == toy_outs[1].read_bytes()
 
 
-def _assert_total_bits_below_baseline(name):
-    _, klms = run_experiment(_experiment(name))
-    _, base = run_experiment(_experiment(name, variant="baseline"))
+def _assert_total_bits_below_baseline(report, method):
+    klms = report.outputs(f"{method}_separable")[2]
+    base = report.outputs(f"{method}_baseline")[2]
     assert klms["mean_bpp_total"] < base["mean_bpp_total"]
     assert klms["total_bits_sent"] < base["total_bits_sent"]
     assert klms["final_accuracy"] >= base["final_accuracy"] - 0.02
 
 
-def test_8_sgld_total_bits_below_baseline():
+def test_8_sgld_total_bits_below_baseline(report):
     """Langevin updates through the codec cost fewer total bits, headers and
     block locations included, than the Elias-coded baseline message, at the
     same final accuracy."""
-    _assert_total_bits_below_baseline("sgld_separable.json")
+    _assert_total_bits_below_baseline(report, "sgld")
 
 
-def test_8_signsgd_total_bits_below_baseline():
+def test_8_signsgd_total_bits_below_baseline(report):
     """Sign updates through the codec cost fewer total bits, headers and block
     locations included, than the 1-bit stochastic sign baseline, at the same
     final accuracy."""
-    _assert_total_bits_below_baseline("signsgd_separable.json")
+    _assert_total_bits_below_baseline(report, "signsgd")
 
 
-def test_8_qsgd_total_bits_below_baseline():
+def test_8_qsgd_total_bits_below_baseline(report):
     """Ternary updates through the codec cost fewer total bits, headers, norms
     and block locations included, than the Elias-coded baseline message, at
     the same final accuracy."""
-    _assert_total_bits_below_baseline("qsgd_separable.json")
+    _assert_total_bits_below_baseline(report, "qsgd")
 
 
 def test_training_convergence_all_methods():

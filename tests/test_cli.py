@@ -220,6 +220,23 @@ class TestToyCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestCodecBenchArguments:
+    @pytest.mark.parametrize("flag, value", [
+        ("--coords", "0"),
+        ("--coords", "-3"),
+        ("--coords", "many"),
+        ("--seed", "-1"),
+        ("--seed", str(2**64)),
+    ])
+    def test_out_of_range_is_a_usage_error(self, flag, value, capsys):
+        assert main(["codec-bench", flag, value]) == 1
+        assert f"argument {flag}: must be an integer" in capsys.readouterr().err
+
+    def test_range_edges_run(self, capsys):
+        assert main(["codec-bench", "--coords", "1", "--seed", str(2**64 - 1)]) == 0
+        assert "checksum" in capsys.readouterr().out
+
+
 class TestCodecBench:
     def test_reports_rates_and_checksum(self, capsys):
         assert main(["codec-bench", "--coords", "20000"]) == 0

@@ -1,7 +1,6 @@
 """End-to-end simulator checks: accounting, partition protocol, determinism."""
 
 import hashlib
-import importlib.util
 import json
 from pathlib import Path
 
@@ -323,18 +322,76 @@ def test_outputs_pinned(case, tmp_path):
     assert (digest(csv_path), digest(json_path)) == (csv_sha, json_sha)
 
 
-# scripts/output_digests.py runs the shipped configs at full length: its train
-# cases are the ones pinned above, and every shipped config is one of its
-# cases but qsgd_mnist, whose IDX files are not bundled
-def test_full_length_report_covers_every_shipped_config():
-    path = CONFIG_DIR.parent / "scripts" / "output_digests.py"
-    spec = importlib.util.spec_from_file_location("output_digests", path)
-    report = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(report)
+# SHA-256 of the metrics CSV and the summary JSON of each train case of
+# scripts/output_digests.py at full length.  A change that must not move any
+# output leaves these as they are; one that moves them re-pins them from the
+# script's printout, with the reason in CHANGES.
+FULL_LENGTH_OUTPUTS = {
+    "fedpm_separable": (
+        "6fe6ec9258f39ec55c17a0f4844a3ba550d1b7ec0004ce157cab515746484c8f",
+        "61074c373e19e0ab5463b9180bf9c2d8a2738fb7394f94c1aab6c91887938900"),
+    "fedpm_separable_baseline": (
+        "4a3914f1eb83b7fbca4274a71b19436dd812937045ca38980af176afec593153",
+        "7db68938f3257eb1f39ce064bc9219de1cf14c509d3a540595d386c056b8c306"),
+    "qsgd_separable": (
+        "76ec9c7f2d5e4342c88ae84e60238bb9a1f5ebb843268168c566b4f7c2d80ae7",
+        "63a2033adb0cea4bc8545b42e4c1d96b162d8b4d1efcb9afb798a88cb46eef26"),
+    "signsgd_separable": (
+        "e97cd872cea89a1cb103acd5352376f08d3b465626c7a0a9900514ab69a75007",
+        "9fb4da1f02800a58f54f82daf30b08d2130a288f1f77c28d6e51e678faab90c0"),
+    "sgld_separable": (
+        "993d8e040c8967c912dc81df2f6e7c1750e61125f13072b41ec26f9a0e418a1e",
+        "4ccba90ba706067add1afe4752db184c3e7d5d69b8c9a0d8902590fb5af06956"),
+    "qsgd_baseline": (
+        "1420f1faf7e9fb4bcb019b72363b9d85c3242bf52e5156aa1fdc9b56bfd82ba0",
+        "d893f9b6f899444a68ec275afc1be30882f975533d6ef166b5ed2f5a34cfa134"),
+    "signsgd_baseline": (
+        "21ea10dc65fcb1385f0c76b7b3de4271f768c2027e203f781dde8a0d45c22f0f",
+        "7b61e9aaa16497f1bf2ca5ffae20850b1bde131d8c6a4e79793b7c0735d16e79"),
+    "sgld_baseline": (
+        "9c9a719e12a91bfd6bf8e84480c53fc20ad81b2a2e6785dbc9b1cbb2470ed3a6",
+        "f9152ec39cd5223175feceba51eead0a7126528d161c90be9a53e50f071321f3"),
+    "none": (
+        "ed63635202200314162c48766a212636824f791fd7bc36cf7d2c73aef530e3d8",
+        "c96295190c6b2a6073bf6191763dad8e94029e7ff5b305afa847d0d6a669b337"),
+}
+# a toy case's outputs must be the committed files its config's output block names
+TOY_CASES = ("toy_default", "toy_heterogeneity")
+
+
+def _full_length_pin(case):
+    if case in FULL_LENGTH_OUTPUTS:
+        return FULL_LENGTH_OUTPUTS[case]
+    output = load_config_file(str(CONFIG_DIR / f"{case}.json"))["output"]
+    return tuple(hashlib.sha256((CONFIG_DIR.parent / output[key]).read_bytes()).hexdigest()
+                 for key in ("metrics_csv", "summary_json"))
+
+
+# the report's train cases are the ones pinned above, and every shipped config
+# is one of its cases but qsgd_mnist, whose IDX files are not bundled
+def test_full_length_report_covers_every_shipped_config(report):
     assert report.TRAIN_CASES == {case: (name, overrides) for case, (name, overrides, _, _)
                                   in PINNED_OUTPUTS.items()}
+    assert set(report.TRAIN_CASES) == set(FULL_LENGTH_OUTPUTS)
+    assert report.TOY_CASES == TOY_CASES
     run = {name for name, _ in report.TRAIN_CASES.values()} | set(report.TOY_CASES)
     assert run == {config.stem for config in CONFIG_DIR.glob("*.json")} - {"qsgd_mnist"}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_LENGTH_OUTPUTS) + list(TOY_CASES))
+def test_full_length_outputs_pinned(case, report):
+    csv, summary_json, _ = report.outputs(case)
+    digest = lambda data: hashlib.sha256(data).hexdigest()
+    assert (digest(csv), digest(summary_json)) == _full_length_pin(case)
+
+
+# runs after the pins above have filled the report's cache, so it starts no run
+def test_report_prints_the_pins(report, capsys):
+    assert report.main() == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [fields[0] for fields in lines] == [*report.TRAIN_CASES, *TOY_CASES]
+    for case, csv_sha, json_sha, *_ in lines:
+        assert (csv_sha, json_sha) == _full_length_pin(case)
 
 
 def _digests_without(case, csv_columns, summary_keys, tmp_path):
