@@ -121,13 +121,10 @@ def _cmd_codec_bench(args) -> int:
     setup = derive_stream(root.child("probs"))
     q = BernoulliVector(0.45 + 0.1 * setup.uniforms(d))
     p = BernoulliVector(np.full(d, 0.5))
-    kl = kl_per_coordinate(q, p)
-    partition = split_blocks_adaptive(kl, params)
+    partition = split_blocks_adaptive(kl_per_coordinate(q, p), params)
 
     t0 = time.perf_counter()
-    upd, cost = encode_update(
-        q, p, partition, params, root, round_index=0, client_id=0, kl=kl
-    )
+    upd, cost = encode_update(q, p, partition, params, root, round_index=0, client_id=0)
     encode_s = time.perf_counter() - t0
 
     blob = serialize_update(upd, params)

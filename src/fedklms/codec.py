@@ -21,6 +21,14 @@ the optimal sample budget is then the same for every block, and the index
 width is a session constant, so the parser checks that the whole body fits
 before it reads any block.
 
+The block partition's lifecycle: a round without a shared partition, such as
+the first, is a location round.  Every client cuts its own blocks from its
+per-coordinate KL (:func:`encode_update` with no partition) and ships their
+lengths.  :func:`next_partition` then merges the partitions that crossed the
+wire into the shared one.  On ordinary rounds it drops that partition only
+when the mean transmitted block KL drifts strictly outside the configured
+band, so the next round is a location round again.
+
 Wire layout (bit-packed, MSB first within bytes, zero-padded to a byte):
 
     [locations: 1 bit, set when block lengths follow the header]
@@ -60,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (LogRatio, ProductDistribution, _check_coordinates,
-                            kl_per_coordinate, log_ratio)
+                            _is_integer, kl_per_coordinate, log_ratio)
 from .streams import SampleStream, StreamKey, derive_stream
 
 _LN2 = math.log(2.0)
@@ -111,8 +119,9 @@ class CodecParams:
             raise ValueError(f"d_kl_target must be positive: {self.d_kl_target}")
         if self.overhead_r < 0:
             raise ValueError(f"overhead_r must be nonnegative: {self.overhead_r}")
-        if self.max_block_size < 1:
-            raise ValueError(f"max_block_size must be >= 1: {self.max_block_size}")
+        if not _is_integer(self.max_block_size) or self.max_block_size < 1:
+            raise ValueError(f"max_block_size must be an integer >= 1: {self.max_block_size!r}")
+        object.__setattr__(self, "max_block_size", int(self.max_block_size))  # numpy ints too
         if not self.kl_min_threshold <= self.d_kl_target <= self.kl_max_threshold:
             raise ValueError(
                 "thresholds must bracket the target: "
@@ -153,13 +162,10 @@ class BlockPartition:
             raise ValueError(f"dimension must be positive: {self.dim}")
         if not self.starts or self.starts[0] != 0:
             raise ValueError("partition must start at coordinate 0")
-        prev = -1
-        for s in self.starts:
-            if s <= prev:
-                raise ValueError(f"starts must be strictly increasing: {self.starts}")
-            prev = s
-        if prev >= self.dim:
-            raise ValueError(f"start {prev} out of range for dim {self.dim}")
+        if any(b <= a for a, b in zip(self.starts, self.starts[1:])):
+            raise ValueError(f"starts must be strictly increasing: {self.starts}")
+        if self.starts[-1] >= self.dim:
+            raise ValueError(f"start {self.starts[-1]} out of range for dim {self.dim}")
 
     @property
     def num_blocks(self) -> int:
@@ -172,13 +178,6 @@ class BlockPartition:
     def ranges(self) -> list[tuple[int, int]]:
         ends = self.starts[1:] + (self.dim,)
         return list(zip(self.starts, ends))
-
-    def check_max_block_size(self, max_block_size: int) -> None:
-        for lo, hi in self.ranges():
-            if hi - lo > max_block_size:
-                raise ValueError(
-                    f"block [{lo}, {hi}) exceeds max_block_size {max_block_size}"
-                )
 
     @staticmethod
     def from_lengths(lengths: Iterable[int]) -> "BlockPartition":
@@ -197,9 +196,7 @@ def _kl_code(kl: float) -> int:
 
 
 def _kl_of_code(code: int) -> float:
-    if code == 0:
-        return 0.0
-    return 2.0 ** ((code - _KL_CODE_OF_ONE_NAT) / _KL_STEPS_PER_OCTAVE)
+    return 0.0 if code == 0 else 2.0 ** ((code - _KL_CODE_OF_ONE_NAT) / _KL_STEPS_PER_OCTAVE)
 
 
 @dataclass
@@ -219,13 +216,19 @@ class EncodedUpdate:
             raise ValueError(f"avg_block_kl must be finite and nonnegative: "
                              f"{self.avg_block_kl!r}")
         self.avg_block_kl = _kl_of_code(_kl_code(self.avg_block_kl))
-        self.indices = np.asarray(self.indices, dtype=np.int64)
+        # types only: serialize_update checks that each value fits its field
+        indices = np.asarray(self.indices)
+        if indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer):
+            raise ValueError(f"indices must be a 1-D integer array: {self.indices!r}")
+        self.indices = indices.astype(np.int64, copy=False)
         if self.indices.size == 0:
             # a partition has at least one block, and the gamma code of
             # num_blocks has no word for zero
             raise ValueError("an update carries at least one block index")
-        if self.block_lengths is not None and len(self.block_lengths) != self.num_blocks:
-            raise ValueError("block_lengths needs one length per index")
+        lengths = self.block_lengths
+        if lengths is not None and (len(lengths) != self.num_blocks
+                                    or not all(map(_is_integer, lengths))):
+            raise ValueError(f"block_lengths needs one integer length per index: {lengths!r}")
 
     @property
     def num_blocks(self) -> int:
@@ -307,8 +310,6 @@ def split_blocks_adaptive(kl: np.ndarray, params: CodecParams) -> BlockPartition
 
 def split_blocks_fixed(dim: int, block_size: int) -> BlockPartition:
     """Equal-size blocks (last one possibly shorter)."""
-    if dim < 1:
-        raise ValueError(f"dimension must be positive: {dim}")
     if block_size < 1:
         raise ValueError(f"block_size must be positive: {block_size}")
     return BlockPartition(dim=dim, starts=tuple(range(0, dim, block_size)))
@@ -327,9 +328,8 @@ def aggregate_block_locations(
     if not partitions:
         raise ValueError("need at least one client partition")
     dim = partitions[0].dim
-    for p in partitions:
-        if p.dim != dim:
-            raise ValueError(f"partitions disagree on dimension: {p.dim} vs {dim}")
+    if any(p.dim != dim for p in partitions):
+        raise ValueError(f"partitions disagree on dimension: {[p.dim for p in partitions]}")
     deepest = max(p.num_blocks for p in partitions)
     starts = []
     for m in range(deepest):
@@ -463,32 +463,35 @@ def bit_cost(num_blocks: int, params: CodecParams, includes_locations: bool) -> 
 def encode_update(
     q: ProductDistribution,
     p: ProductDistribution,
-    partition: BlockPartition,
+    partition: BlockPartition | None,
     params: CodecParams,
     key_base: StreamKey,
     round_index: int,
     client_id: int,
     include_locations: bool = False,
-    *,
-    kl: np.ndarray | None = None,
 ) -> tuple[EncodedUpdate, BitCost]:
     """Encode a full parameter vector block by block.
+
+    With no ``partition`` the client cuts its own blocks from its KL vector
+    (:func:`split_blocks_adaptive`) and must ship their lengths.
 
     key_base must identify (round, client) uniquely; the per-block stream keys
     are derived from it, so the stream for block m never depends on how other
     blocks were processed.  ``round_index`` and ``client_id`` name that
     message; they are neither stored in the update nor sent, because the
-    receiver knows both (it derives the same key).  ``kl`` is
-    ``kl_per_coordinate(q, p)`` when the caller has already computed it.
+    receiver knows both (it derives the same key).
     """
-    if q.dim != p.dim or q.dim != partition.dim:
-        raise ValueError(
-            f"dimension mismatch: q {q.dim}, p {p.dim}, partition {partition.dim}"
-        )
-    partition.check_max_block_size(params.max_block_size)
+    if partition is None and not include_locations:
+        raise ValueError("an update without a partition must include its locations")
+    kl = kl_per_coordinate(q, p)  # refuses a q and p of different dimensions
+    partition = partition or split_blocks_adaptive(kl, params)
+    if partition.dim != q.dim:
+        raise ValueError(f"dimension mismatch: q {q.dim}, partition {partition.dim}")
     num_samples, _ = samples_per_block(params.d_kl_target, params)
-    kl = kl_per_coordinate(q, p) if kl is None else kl
     ranges = partition.ranges()
+    wide = [f"[{lo}, {hi})" for lo, hi in ranges if hi - lo > params.max_block_size]
+    if wide:
+        raise ValueError(f"block {wide[0]} exceeds max_block_size {params.max_block_size}")
     with np.errstate(over="ignore"):
         block_kls = np.array([kl[lo:hi].sum() for lo, hi in ranges])
         avg_block_kl = float(block_kls.mean())
@@ -543,6 +546,19 @@ def decode_update(
 def should_update_partition(avg_block_kl: float, params: CodecParams) -> bool:
     """Strictly outside [kl_min_threshold, kl_max_threshold] means repartition."""
     return avg_block_kl > params.kl_max_threshold or avg_block_kl < params.kl_min_threshold
+
+
+def next_partition(partition: BlockPartition | None, updates: list[EncodedUpdate],
+                   params: CodecParams) -> BlockPartition | None:
+    """The server's partition for the next round, from this round's updates:
+    after a location round (no ``partition``) the merge of the block lengths
+    they shipped; otherwise the same partition, or None (a location round
+    next) when :func:`should_update_partition` fires on their mean block KL."""
+    if partition is None:
+        shipped = [BlockPartition.from_lengths(u.block_lengths) for u in updates]
+        return aggregate_block_locations(shipped, params.max_block_size)
+    mean_avg_kl = float(np.mean([u.avg_block_kl for u in updates]))
+    return None if should_update_partition(mean_avg_kl, params) else partition
 
 
 def _field_bits(values, width: int) -> np.ndarray:

@@ -77,6 +77,11 @@ def _check_coordinates(ok: np.ndarray, message: str, *values: np.ndarray) -> Non
         raise ValueError(f"{message}: coordinate {i} is {shown}")
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer; a bool or a whole float is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_rows(rows: np.ndarray, width: int) -> np.ndarray:
     rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     if rows.shape[1] != width:
@@ -254,8 +259,8 @@ class UniformSign:
     dim_: int
 
     def __post_init__(self) -> None:
-        if self.dim_ < 1:
-            raise ValueError("dimension must be positive")
+        if not _is_integer(self.dim_) or self.dim_ < 1:
+            raise ValueError(f"dimension must be a positive integer: {self.dim_!r}")
 
     @property
     def dim(self) -> int:

@@ -15,14 +15,8 @@ Every method-specific step lives in one table, _METHODS, with one _Method
 entry per method, and no other code names a method.  `none` is the qsgd
 entry with the raw float32 delta as its message and no codec pair, so it
 runs the same under either variant.  _client_message holds the single codec
-round trip and _aggregate the partition bookkeeping shared by every method.
-
-Block-partition lifecycle for codec variants: a round without a shared
-partition, such as the first, is a location round (every client cuts its own
-blocks from its per-coordinate KL and ships their lengths); the server merges
-the partitions that crossed the wire into the shared one.  On ordinary rounds
-it drops that partition only when the mean transmitted block KL drifts
-strictly outside the configured band.
+round trip and _aggregate the fold shared by every method; the block
+partition's lifecycle is the codec's (see fedklms.codec.next_partition).
 
 mean_kl_per_param is reconstructed from the transmitted 8-bit per-client
 averages (avg_kl * num_blocks / d); for non-codec variants it is reported
@@ -41,13 +35,11 @@ import numpy as np
 from .codec import (
     BlockPartition,
     EncodedUpdate,
-    aggregate_block_locations,
     decode_update,
     deserialize_update,
     encode_update,
+    next_partition,
     serialize_update,
-    should_update_partition,
-    split_blocks_adaptive,
 )
 from .config import ExperimentConfig
 from .data import (
@@ -59,7 +51,7 @@ from .data import (
     split_iid,
     split_skewed,
 )
-from .distributions import UniformSign, kl_per_coordinate
+from .distributions import UniformSign
 from .methods import (
     FLOAT32_BITS,
     FedPMState,
@@ -333,7 +325,7 @@ def run_round(
 
 def _client_message(state, cfg, model, X, y, client_key, c):
     """Local training, then the native message or one codec round trip:
-    encode with the round's partition policy, serialize, parse, decode."""
+    encode with the round's partition, or none, serialize, parse, decode."""
     method = _METHODS[cfg.method]
     local = method.local(state, cfg, model, X, y,
                          derive_stream(client_key.child("local")))
@@ -343,12 +335,10 @@ def _client_message(state, cfg, model, X, y, client_key, c):
 
     codec = cfg.codec
     q, p = method.pair(local, state, cfg)
-    kl_vec = kl_per_coordinate(q, p)
-    partition = state.partition or split_blocks_adaptive(kl_vec, codec)
     upd, cost = encode_update(
-        q, p, partition, codec, client_key,
+        q, p, state.partition, codec, client_key,
         round_index=state.round_index, client_id=c,
-        include_locations=state.partition is None, kl=kl_vec,
+        include_locations=state.partition is None,
     )
     blob = serialize_update(upd, codec)
     if len(blob) != (cost.total_bits + 7) // 8:
@@ -364,18 +354,10 @@ def _client_message(state, cfg, model, X, y, client_key, c):
 
 
 def _aggregate(state, cfg, messages, round_key):
-    """Merge or re-check the block partition, then fold the decoded vectors."""
-    coded = _uses_codec(cfg)
+    """The next round's block partition, then the fold of the decoded vectors."""
     partition = state.partition
-    if coded and partition is None:
-        partition = aggregate_block_locations(
-            [BlockPartition.from_lengths(m.update.block_lengths) for m in messages],
-            cfg.codec.max_block_size,
-        )
-    elif coded:
-        mean_avg_kl = float(np.mean([m.update.avg_block_kl for m in messages]))
-        if should_update_partition(mean_avg_kl, cfg.codec):
-            partition = None
+    if _uses_codec(cfg):
+        partition = next_partition(partition, [m.update for m in messages], cfg.codec)
     folded = _METHODS[cfg.method].fold(state, cfg, [m.vector for m in messages], round_key)
     return replace(folded, partition=partition)
 

@@ -30,6 +30,7 @@ from fedklms.codec import (
     deserialize_update,
     encode_block,
     encode_update,
+    next_partition,
     samples_per_block,
     selection_weights,
     serialize_update,
@@ -373,16 +374,34 @@ def test_avg_block_kl_refuses_values_without_a_code(kl):
         EncodedUpdate(avg_block_kl=kl, indices=np.array([0]))
 
 
-def test_encode_update_uses_the_callers_kl():
-    params = params_with(target=2.0)
+def test_encode_update_cuts_its_own_blocks_without_a_partition():
+    params = params_with(target=0.5, r=1.0, max_block=16)
+    q, p = make_bernoulli_pair(4, 40)
+    key = StreamKey(31, (("own", 0),))
+    part = split_blocks_adaptive(kl_per_coordinate(q, p), params)
+    assert part.num_blocks > 1
+    given_part, given_cost = encode_update(q, p, part, params, key, round_index=0,
+                                           client_id=0, include_locations=True)
+    own, own_cost = encode_update(q, p, None, params, key, round_index=0, client_id=0,
+                                  include_locations=True)
+    assert np.array_equal(own.indices, given_part.indices)
+    assert own.block_lengths == given_part.block_lengths == part.lengths
+    assert own.avg_block_kl == given_part.avg_block_kl
+    assert own_cost == given_cost
+
+
+def test_encode_update_refuses_no_partition_without_locations():
     q, p = make_bernoulli_pair(4, 9)
-    part = split_blocks_fixed(9, 4)
-    key = StreamKey(31, (("kl", 0),))
-    upd, _ = encode_update(q, p, part, params, key, round_index=0, client_id=0)
-    passed, _ = encode_update(q, p, part, params, key, round_index=0, client_id=0,
-                              kl=np.zeros(9))
-    assert np.array_equal(passed.indices, upd.indices)
-    assert upd.avg_block_kl > 0.0 and passed.avg_block_kl == 0.0
+    with pytest.raises(ValueError, match="without a partition must include its locations"):
+        encode_update(q, p, None, params_with(target=2.0), StreamKey(31), round_index=0,
+                      client_id=0)
+
+
+def test_encode_update_refuses_a_block_over_max_block_size():
+    q, p = make_bernoulli_pair(4, 9)
+    with pytest.raises(ValueError, match=r"block \[4, 9\) exceeds max_block_size 4"):
+        encode_update(q, p, BlockPartition(dim=9, starts=(0, 4)), params_with(max_block=4),
+                      StreamKey(31), round_index=0, client_id=0)
 
 
 def _gaussian_update(*distances):
@@ -431,6 +450,38 @@ def test_should_update_partition_strict():
     assert should_update_partition(2.0000001, params)
     assert should_update_partition(0.4999999, params)
     assert not should_update_partition(1.0, params)
+
+
+def _update(avg_block_kl, block_lengths=None):
+    indices = np.zeros(len(block_lengths or (1,)), dtype=np.int64)
+    return EncodedUpdate(avg_block_kl=avg_block_kl, indices=indices,
+                         block_lengths=block_lengths)
+
+
+def test_next_partition_merges_the_shipped_lengths():
+    params = params_with(target=1.0, max_block=40)
+    updates = [_update(1.0, (10, 10, 20)), _update(1.0, (12, 12, 6, 10))]
+    merged = next_partition(None, updates, params)
+    assert merged == aggregate_block_locations(
+        [BlockPartition(dim=40, starts=(0, 10, 20)),
+         BlockPartition(dim=40, starts=(0, 12, 24, 30))], max_block_size=40)
+    assert merged.starts == (0, 11, 22, 30)
+
+
+# each KL is a point of the 8-bit wire code's grid, so each mean is exact
+@pytest.mark.parametrize("kls, kept", [
+    pytest.param((1.0, 1.0), True, id="keep-inside"),
+    pytest.param((0.0, 4.0), True, id="keep-mean-at-upper-edge"),
+    pytest.param((0.0, 1.0), True, id="keep-mean-at-lower-edge"),
+    pytest.param((1.0, 4.0), False, id="drop-above"),
+    pytest.param((0.25, 0.5), False, id="drop-below"),
+])
+def test_next_partition_keeps_or_drops(kls, kept):
+    params = params_with(target=1.0, kl_min=0.5, kl_max=2.0)
+    part = BlockPartition(dim=8, starts=(0, 4))
+    updates = [_update(kl) for kl in kls]
+    assert [u.avg_block_kl for u in updates] == list(kls)
+    assert next_partition(part, updates, params) is (part if kept else None)
 
 
 # --- wire format ------------------------------------------------------------
@@ -600,6 +651,42 @@ def test_serialize_refuses_values_outside_their_fields(field, value, match):
     serialize_update(upd, params)  # the unaltered update fits
     with pytest.raises(ValueError, match=match):
         serialize_update(dataclasses.replace(upd, **{field: value}), params)
+
+
+@pytest.mark.parametrize("fields, match", [
+    # one block in num_blocks and bit_cost, but two index fields on the wire
+    pytest.param(dict(indices=[[1, 2]]), "1-D integer array", id="2-d-indices"),
+    pytest.param(dict(indices=[1.9, 2.2]), "1-D integer array", id="float-indices"),
+    pytest.param(dict(indices=np.array([True, False])), "1-D integer array",
+                 id="bool-indices"),
+    pytest.param(dict(indices=[1], block_lengths=(5.5,)), "integer length",
+                 id="float-length"),
+    pytest.param(dict(indices=[1], block_lengths=(True,)), "integer length",
+                 id="bool-length"),
+])
+def test_encoded_update_refuses_malformed_fields(fields, match):
+    with pytest.raises(ValueError, match=match):
+        EncodedUpdate(avg_block_kl=1.0, **fields)
+
+
+def test_encoded_update_accepts_numpy_integers():
+    params = params_with(target=2.0, r=1.0, max_block=8)
+    upd = EncodedUpdate(avg_block_kl=1.0, indices=np.array([3, 30], dtype=np.uint8),
+                        block_lengths=(np.int64(5), 2))
+    assert upd.indices.dtype == np.int64 and upd.block_lengths == (5, 2)
+    back = deserialize_update(serialize_update(upd, params), params)
+    assert np.array_equal(back.indices, upd.indices) and back.block_lengths == (5, 2)
+
+
+@pytest.mark.parametrize("size", [2.5, 16.0, True, "16"])
+def test_params_refuse_a_max_block_size_that_is_not_an_integer(size):
+    with pytest.raises(ValueError, match="max_block_size must be an integer"):
+        params_with(max_block=size)
+
+
+def test_params_take_a_numpy_max_block_size():
+    params = params_with(max_block=np.int64(16))
+    assert params == params_with(max_block=16) and params.length_field_bits == 4
 
 
 def _wire_params(max_block):

@@ -193,6 +193,12 @@ def test_gaussian_refuses_non_finite_mean(mean, bad):
         DiagonalGaussian(np.array(mean), 1.0)
 
 
+@pytest.mark.parametrize("dim", [2.5, 3.0, True, 0, -1])
+def test_uniform_sign_refuses_a_dimension_that_is_not_a_positive_integer(dim):
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        UniformSign(dim)
+
+
 @pytest.mark.parametrize("sigma", [_INF, _NAN, 0.0, -1.0])
 def test_gaussian_refuses_bad_sigma(sigma):
     with pytest.raises(ValueError, match="sigma"):

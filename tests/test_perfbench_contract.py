@@ -47,15 +47,19 @@ def test_traced_round_trip_with_locations():
 
 def test_traced_run_covers_every_phase():
     obj = load_config_file(str(REPO / "configs" / "qsgd_separable.json"))
-    obj["rounds"] = 2
+    obj["rounds"] = 3
     cfg = parse_experiment_config(obj)
     tracer = spans.Tracer()
     undo = spans.install(tracer)
     try:
-        run_experiment(cfg)
+        rows, _ = run_experiment(cfg)
     finally:
         spans.uninstall(undo)
-    assert len(tracer.round_s) == 2
+    assert len(tracer.round_s) == 3
+    # the tracer reads each location round from encode_update's include_locations
+    located = {(0, r.round_index) for r in rows if r.partition_updated}
+    assert tracer.location_rounds == located
+    assert len(located) == 2  # rounds 0 and 2
     values, _, errors = spans.layer_metrics([tracer], 1.0)
     assert errors == []
     for phase in ("local", "codec", "aggregate", "eval"):
