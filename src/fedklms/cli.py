@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import CodecParams, decode_update, encode_update, split_blocks_adaptive
+from .codec import CodecParams, decode_update, encode_update
 from .codec import deserialize_update, serialize_update
 from .config import (
     TOY_ONLY_KEYS,
@@ -25,7 +25,7 @@ from .config import (
     parse_experiment_config,
     parse_toy_config,
 )
-from .distributions import BernoulliVector, kl_per_coordinate
+from .distributions import BernoulliVector
 from .sim import run_experiment, write_metrics_csv, write_summary_json
 from .streams import StreamKey, derive_stream
 from .toy import run_toy, write_toy_csv
@@ -121,24 +121,24 @@ def _cmd_codec_bench(args) -> int:
     setup = derive_stream(root.child("probs"))
     q = BernoulliVector(0.45 + 0.1 * setup.uniforms(d))
     p = BernoulliVector(np.full(d, 0.5))
-    partition = split_blocks_adaptive(kl_per_coordinate(q, p), params)
 
-    t0 = time.perf_counter()
-    upd, cost = encode_update(q, p, partition, params, root, round_index=0, client_id=0)
+    t0 = time.perf_counter()  # the block cut is part of the encode
+    upd, cost = encode_update(q, p, None, params, root, round_index=0, client_id=0,
+                              include_locations=True)
     encode_s = time.perf_counter() - t0
 
     blob = serialize_update(upd, params)
     received = deserialize_update(blob, params)
 
     t0 = time.perf_counter()
-    decoded = decode_update(p, partition, params, root, received)
+    decoded = decode_update(p, None, params, root, received)
     decode_s = time.perf_counter() - t0
-    decoded_again = decode_update(p, partition, params, root, received)
+    decoded_again = decode_update(p, None, params, root, received)
     if not np.array_equal(decoded, decoded_again):
         raise RuntimeError("decode is not deterministic")
 
     digest = hashlib.sha256(decoded.astype(np.uint8).tobytes()).hexdigest()
-    print(f"coords: {d}, blocks: {partition.num_blocks}, index bits: {params.index_bits}")
+    print(f"coords: {d}, blocks: {upd.num_blocks}, index bits: {params.index_bits}")
     print(f"encode: {d / encode_s:,.0f} coords/s")
     print(f"decode: {d / decode_s:,.0f} coords/s")
     print(f"payload: {cost.payload_bits} bits ({cost.payload_bits / d:.4f} bpp)")

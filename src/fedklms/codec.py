@@ -14,6 +14,8 @@ The encoder's log importance weights are affine in the candidate and its
 square (see :func:`fedklms.distributions.log_ratio`).  They are computed from
 coefficients built once per message, over candidate chunks of at most
 ``ENCODE_CHUNK_FLOATS`` values, so encode memory is bounded whatever K is.
+The encoder keeps no candidate past its chunk and returns only the index:
+the selected row exists once the decoder regenerates it.
 
 K is uniform across blocks and derived from the block KL *target*, not the
 realized block KL: the greedy partitioner aims every block at the same target,
@@ -117,7 +119,7 @@ class CodecParams:
     def __post_init__(self) -> None:
         if not self.d_kl_target > 0:
             raise ValueError(f"d_kl_target must be positive: {self.d_kl_target}")
-        if self.overhead_r < 0:
+        if not self.overhead_r >= 0:
             raise ValueError(f"overhead_r must be nonnegative: {self.overhead_r}")
         if not _is_integer(self.max_block_size) or self.max_block_size < 1:
             raise ValueError(f"max_block_size must be an integer >= 1: {self.max_block_size!r}")
@@ -384,7 +386,9 @@ def selection_weights(
     return weights
 
 
-def _select(weights: np.ndarray, selector_stream: SampleStream) -> int:
+def select_index(weights: np.ndarray, selector_stream: SampleStream) -> int:
+    """Draw one index with probability given by normalized ``weights``,
+    consuming one uniform of the selector stream."""
     u = selector_stream.next_uniform()
     k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
     if k >= weights.size:
@@ -403,28 +407,22 @@ def encode_block(
     shared_stream: SampleStream,
     selector_stream: SampleStream,
     ratio: LogRatio | None = None,
-) -> tuple[int, np.ndarray]:
+) -> int:
     """Pick one of num_samples candidates drawn from p, importance-weighted by q.
 
-    Returns (index, selected row).  The shared stream is consumed identically
-    by :func:`decode_block`; the selector stream is client-only randomness.
-    Candidates are drawn in chunks of an even number of rows (Gaussian pairs
-    and the two halves of a Bernoulli word never straddle two chunks); when
-    there is more than one chunk, the
-    selected row is regenerated by skipping to it.
+    Returns the index, the only thing the message carries: the decoder
+    regenerates its row with :func:`decode_block`.  The shared stream is
+    consumed identically by both sides; the selector stream is client-only
+    randomness.  Candidates are drawn in chunks of an even number of rows
+    (Gaussian pairs and the two halves of a Bernoulli word never straddle two
+    chunks), so at most ``ENCODE_CHUNK_FLOATS`` values are held at once.
     """
     if num_samples < 1:
         raise ValueError(f"need at least one candidate: {num_samples}")
     rows = max(2, ENCODE_CHUNK_FLOATS // (hi - lo) // 2 * 2)
-    if num_samples <= rows:
-        candidates = p.sample(lo, hi, shared_stream, count=num_samples)
-        k = _select(selection_weights(q, p, lo, hi, candidates, ratio), selector_stream)
-        return k, candidates[k]
-    replay = shared_stream.copy()
     chunks = (p.sample(lo, hi, shared_stream, count=min(rows, num_samples - start))
               for start in range(0, num_samples, rows))
-    k = _select(selection_weights(q, p, lo, hi, chunks, ratio), selector_stream)
-    return k, p.sample(lo, hi, replay, start=k)[0]
+    return select_index(selection_weights(q, p, lo, hi, chunks, ratio), selector_stream)
 
 
 def decode_block(
@@ -503,7 +501,7 @@ def encode_update(
     indices = np.empty(partition.num_blocks, dtype=np.int64)
     for m, (lo, hi) in enumerate(ranges):
         shared, selector = _block_streams(key_base, m)
-        indices[m], _ = encode_block(q, p, lo, hi, num_samples, shared, selector, ratio)
+        indices[m] = encode_block(q, p, lo, hi, num_samples, shared, selector, ratio)
     upd = EncodedUpdate(
         avg_block_kl=avg_block_kl,
         indices=indices,

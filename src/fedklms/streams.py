@@ -47,7 +47,9 @@ gaussians from offset j on are reached by skipping 2 * (j // 2) uniforms and,
 when j is odd, dropping the first value of the next pair; half-word j is
 reached the same way, by skipping j // 2 words and, when j is odd, dropping
 the low half of the next word.  This is how the decoder regenerates one
-candidate row without the K - 1 before it.
+candidate row without the K - 1 before it, and the only way to revisit a
+position: a stream has no copy, so a second view of it is a fresh stream for
+the same key, skipped there.
 """
 
 from __future__ import annotations
@@ -225,12 +227,6 @@ class SampleStream:
             self._philox.advance(groups)
             self._drawn += 4 * groups
         self._draw((n - lead) % 4)
-
-    def copy(self) -> "SampleStream":
-        """An independent stream for the same key at the same position."""
-        twin = SampleStream(self.key)
-        twin.skip(self._drawn)
-        return twin
 
     def gaussians(self, n: int) -> np.ndarray:
         """n standard normals via the frozen trigonometric transform."""

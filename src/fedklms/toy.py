@@ -12,6 +12,10 @@ codec, applied to the client's own realized KL, so the nominal r is honored
 only up to the ceiling; realized bits are therefore reported per cell in the
 summary next to the nominal grid value.
 
+Each client's message is the codec's for a one-coordinate block.  The study
+draws and weighs the K candidates itself and keeps the one
+:func:`~fedklms.codec.select_index` picks, the value a decode would give.
+
 Cells are written in r -> N -> eta loop order, one CSV row per cell, so a
 rerun with the same seed is byte-identical.
 """
@@ -23,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import encode_block, samples_per_block
+from .codec import samples_per_block, select_index, selection_weights
 from .config import ToyConfig
 from .distributions import DiagonalGaussian
 from .streams import StreamKey, derive_stream
@@ -67,16 +71,12 @@ def _run_cell(
             num_samples, bits = samples_per_block(kl, params)
             bits_sum += bits
             client_key = rep_key.child("client", n)
-            _, row = encode_block(
-                DiagonalGaussian(np.array([mu_n]), sigma),
-                prior,
-                0,
-                1,
-                num_samples,
-                derive_stream(client_key.child("shared")),
-                derive_stream(client_key.child("select")),
-            )
-            decoded[n] = row[0]
+            candidates = prior.sample(0, 1, derive_stream(client_key.child("shared")),
+                                      count=num_samples)
+            weights = selection_weights(DiagonalGaussian(np.array([mu_n]), sigma),
+                                        prior, 0, 1, candidates)
+            k = select_index(weights, derive_stream(client_key.child("select")))
+            decoded[n] = candidates[k, 0]
         gaps[rep] = decoded.mean() - cfg.mu
     return ToyCell(
         overhead_r=r,

@@ -24,6 +24,7 @@ from fedklms.codec import (
     BlockPartition,
     CodecParams,
     _block_streams,
+    decode_block,
     deserialize_update,
     encode_block,
     encode_update,
@@ -137,9 +138,10 @@ def test_1_codec_round_trip_exact():
         expected_idx = []
         for m, (lo, hi) in enumerate(partition.ranges()):
             shared, selector = _block_streams(key, m)
-            k, row = encode_block(q, p, lo, hi, num_samples, shared, selector)
+            k = encode_block(q, p, lo, hi, num_samples, shared, selector)
             expected_idx.append(k)
-            expected[lo:hi] = row
+            regenerated = _block_streams(key, m)[0]
+            expected[lo:hi] = p.sample(lo, hi, regenerated, count=num_samples)[k]
 
         upd, cost = encode_update(
             q, p, partition, params, key,
@@ -181,12 +183,12 @@ def test_2_discrepancy_decays_with_overhead():
         acc = np.empty((reps, 4))
         for i in range(reps):
             rep_key = root.child("decay", r_idx).child("rep", i)
-            _, row = encode_block(
+            k = encode_block(
                 q, p, 0, 4, num_samples,
                 derive_stream(rep_key.child("shared")),
                 derive_stream(rep_key.child("select")),
             )
-            acc[i] = row
+            acc[i] = decode_block(p, 0, 4, num_samples, derive_stream(rep_key.child("shared")), k)
         disc.append(abs(float(acc.mean()) - 0.8))
     for lo_r, hi_r in zip(disc, disc[1:]):
         assert hi_r <= lo_r + 0.005

@@ -46,7 +46,7 @@ from fedklms.distributions import (
     UniformSign,
     kl_per_coordinate,
 )
-from fedklms.streams import StreamKey, derive_stream
+from fedklms.streams import SampleStream, StreamKey, derive_stream
 from reference import split_starts
 
 
@@ -203,9 +203,10 @@ def test_block_round_trip_determinism():
     key = StreamKey(1, (("blk", 0),))
     shared1 = derive_stream(key)
     sel = derive_stream(key.child("sel"))
-    k, chosen = encode_block(q, p, 0, 4, 16, shared1, sel)
+    k = encode_block(q, p, 0, 4, 16, shared1, sel)
+    assert type(k) is int and 0 <= k < 16
     decoded = decode_block(p, 0, 4, 16, derive_stream(key), k)
-    assert np.array_equal(chosen, decoded)
+    assert np.array_equal(decoded, p.sample(0, 4, derive_stream(key), count=16)[k])
     again = decode_block(p, 0, 4, 16, derive_stream(key), k)
     assert np.array_equal(decoded, again)
 
@@ -225,10 +226,10 @@ def test_zero_mass_candidates_never_selected():
     q = BernoulliVector(np.ones(2))
     p = BernoulliVector(np.full(2, 0.5))
     key = StreamKey(17, (("zm", 0),))
-    k, chosen = encode_block(
+    k = encode_block(
         q, p, 0, 2, 32, derive_stream(key), derive_stream(key.child("sel"))
     )
-    assert np.array_equal(chosen, np.ones(2))
+    assert np.array_equal(decode_block(p, 0, 2, 32, derive_stream(key), k), np.ones(2))
 
 
 def test_all_zero_mass_raises():
@@ -684,6 +685,12 @@ def test_params_refuse_a_max_block_size_that_is_not_an_integer(size):
         params_with(max_block=size)
 
 
+@pytest.mark.parametrize("r", [math.nan, -0.5, -math.inf])
+def test_params_refuse_an_overhead_that_is_not_nonnegative(r):
+    with pytest.raises(ValueError, match="overhead_r must be nonnegative"):
+        CodecParams(d_kl_target=1.0, overhead_r=r)
+
+
 def test_params_take_a_numpy_max_block_size():
     params = params_with(max_block=np.int64(16))
     assert params == params_with(max_block=16) and params.length_field_bits == 4
@@ -832,12 +839,12 @@ def test_selection_bias_shrinks_with_more_samples():
         acc = 0.0
         for i in range(reps):
             key = StreamKey(60, (("decay", r_exp), ("rep", i)))
-            _, chosen = encode_block(
+            k = encode_block(
                 q, p, 0, 4, num_samples,
                 derive_stream(key.child("shared")),
                 derive_stream(key.child("select")),
             )
-            acc += chosen.mean()
+            acc += decode_block(p, 0, 4, num_samples, derive_stream(key.child("shared")), k).mean()
         means[r_exp] = acc / reps
     assert abs(means[6] - 0.8) < abs(means[0] - 0.8)
     assert abs(means[6] - 0.8) < 0.03
@@ -992,9 +999,7 @@ def test_chunked_encode_keeps_selections(kind, chunk_floats, monkeypatch):
 
     whole = encode()
     monkeypatch.setattr(codec, "ENCODE_CHUNK_FLOATS", chunk_floats)
-    for (k, row), (k_chunked, row_chunked) in zip(whole, encode()):
-        assert k == k_chunked
-        assert np.array_equal(row, row_chunked)
+    assert encode() == whole
 
 
 def test_chunked_encode_memory_is_bounded(monkeypatch):
@@ -1008,13 +1013,35 @@ def test_chunked_encode_memory_is_bounded(monkeypatch):
     full_matrix_bytes = num_samples * width * 8
     tracemalloc.start()
     try:
-        k, row = encode_block(q, p, 0, width, num_samples,
-                              derive_stream(key), derive_stream(key.child("select")))
+        k = encode_block(q, p, 0, width, num_samples,
+                         derive_stream(key), derive_stream(key.child("select")))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < full_matrix_bytes / 32, peak
-    assert np.array_equal(row, decode_block(p, 0, width, num_samples, derive_stream(key), k))
+    assert 0 <= k < num_samples
+
+
+def test_chunked_encode_builds_two_streams_per_block(monkeypatch):
+    # each block's shared and selector streams and no other: the encoder
+    # returns the index, so no chunked block replays its stream for a row
+    params = params_with(target=2.0, r=1.0, max_block=8)
+    q, p = make_bernoulli_pair(7, 20)
+    partition = split_blocks_fixed(20, 8)
+    key = StreamKey(83, (("streams", 0),))
+    whole, _ = encode_update(q, p, partition, params, key, round_index=0, client_id=0)
+    monkeypatch.setattr(codec, "ENCODE_CHUNK_FLOATS", 16)  # 2 or 4 rows per chunk
+    built = []
+    init = SampleStream.__init__
+
+    def spy(self, stream_key):
+        built.append(stream_key)
+        init(self, stream_key)
+
+    monkeypatch.setattr(SampleStream, "__init__", spy)
+    chunked, _ = encode_update(q, p, partition, params, key, round_index=0, client_id=0)
+    assert len(built) == 2 * partition.num_blocks == 6
+    assert np.array_equal(chunked.indices, whole.indices)
 
 
 # --- affine log-weights ---------------------------------------------------------

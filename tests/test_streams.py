@@ -193,7 +193,8 @@ def test_stream_is_philox_keyed_by_the_digest(root_seed, labels, offset, n):
     expected = ref.random(2 * n)
     s = derive_stream(key)
     s.skip(offset)
-    twin = s.copy()
+    twin = derive_stream(key)
+    twin.skip(offset)
     assert np.array_equal(s.uniforms(2 * n), expected)
     assert np.array_equal(twin.gaussians(2 * n), _reference_gaussians(expected))
 
@@ -266,15 +267,6 @@ def test_gaussians_from_an_offset(offset):
         s.skip(2 * (offset // 2))
         tail = s.gaussians(m + offset % 2)[offset % 2:]
         assert np.array_equal(tail, derive_stream(key).gaussians(offset + m)[offset:])
-
-
-def test_copy_continues_independently():
-    s = derive_stream(StreamKey(8, (("copy", 0),)))
-    s.uniforms(3)
-    twin = s.copy()
-    assert np.array_equal(twin.uniforms(9), s.uniforms(9))
-    twin.uniforms(2)
-    assert np.array_equal(twin.uniforms(5), derive_stream(s.key).uniforms(19)[14:])
 
 
 def test_negative_skip_rejected():
