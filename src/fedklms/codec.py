@@ -356,8 +356,8 @@ class ZeroMassCandidatesError(ValueError):
 
     def __init__(self, lo: int, hi: int):
         super().__init__(
-            f"all candidates for block [{lo}, {hi}) have zero client mass; "
-            "the posterior is not absolutely continuous enough for this budget"
+            f"all candidates for block [{lo}, {hi}) have zero client mass: "
+            "every draw from the global prior missed the client posterior's support"
         )
 
 
@@ -471,7 +471,9 @@ def encode_update(
     """Encode a full parameter vector block by block.
 
     With no ``partition`` the client cuts its own blocks from its KL vector
-    (:func:`split_blocks_adaptive`) and must ship their lengths.
+    (:func:`split_blocks_adaptive`) and must ship their lengths.  A block
+    whose K candidates all miss q's support sends a uniform pick, drawn with
+    its selector stream.
 
     key_base must identify (round, client) uniquely; the per-block stream keys
     are derived from it, so the stream for block m never depends on how other
@@ -501,7 +503,13 @@ def encode_update(
     indices = np.empty(partition.num_blocks, dtype=np.int64)
     for m, (lo, hi) in enumerate(ranges):
         shared, selector = _block_streams(key_base, m)
-        indices[m] = encode_block(q, p, lo, hi, num_samples, shared, selector, ratio)
+        try:
+            indices[m] = encode_block(q, p, lo, hi, num_samples, shared, selector, ratio)
+        except ZeroMassCandidatesError:
+            # q's support can carry little prior mass, so all K candidates
+            # may miss it; the block then carries a uniform pick, a draw from
+            # p, which the decoder regenerates like any other index
+            indices[m] = select_index(np.full(num_samples, 1.0 / num_samples), selector)
     upd = EncodedUpdate(
         avg_block_kl=avg_block_kl,
         indices=indices,

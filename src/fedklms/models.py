@@ -1,7 +1,11 @@
 """Desk-scale models with hand-written gradients.
 
 Both models expose one flat float64 parameter vector, logits, and closed-form
-loss_and_grad (softmax cross entropy averaged over the batch).
+loss_and_grad (softmax cross entropy averaged over the batch).  Both take an
+optional leading client axis: w (B, d), X (B, n, F) and y (B, n) give each
+client's logits, loss and gradient, each bit-identical to a call on that
+client alone (the products are per-client matrix products, the reductions
+run over the same axis in the same order).
 Gradients are deliberately manual: nothing here depends on an autodiff
 framework, and the test suite checks every path against central finite
 differences.  The hidden layer uses tanh so the finite-difference checks see
@@ -16,9 +20,9 @@ from .streams import SampleStream
 
 
 def softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
@@ -27,14 +31,25 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
     return out
 
 
-def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Softmax cross entropy averaged over the batch, and its gradient with
-    respect to the logits."""
+def _t(a: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix of a stack (of one matrix: a.T)."""
+    return np.swapaxes(a, -1, -2)
+
+
+def _flat(a: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack as one row (of one matrix: a.ravel())."""
+    return a.reshape(a.shape[:-2] + (-1,))
+
+
+def _cross_entropy(logits: np.ndarray, y: np.ndarray):
+    """Softmax cross entropy averaged over each batch, and its gradient with
+    respect to the logits; the loss is a float, or one per client of a stack."""
     probs = softmax_rows(logits)
-    targets = one_hot(y, logits.shape[1])
+    targets = one_hot(y.ravel(), logits.shape[-1]).reshape(probs.shape)
     # clip only inside the log; the gradient uses the exact probs
-    loss = -np.log(np.clip(probs[targets == 1.0], 1e-12, None)).mean()
-    return float(loss), (probs - targets) / logits.shape[0]
+    picked = probs[targets == 1.0].reshape(y.shape)
+    loss = -np.log(np.clip(picked, 1e-12, None)).mean(axis=-1)
+    return (float(loss) if loss.ndim == 0 else loss), (probs - targets) / logits.shape[-2]
 
 
 class LogisticModel:
@@ -57,21 +72,19 @@ class LogisticModel:
 
     def _unpack(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         cut = self.num_classes * self.num_features
-        weight = w[:cut].reshape(self.num_classes, self.num_features)
-        bias = w[cut:]
+        weight = w[..., :cut].reshape(w.shape[:-1] + (self.num_classes, self.num_features))
+        bias = w[..., None, cut:]
         return weight, bias
 
     def logits(self, w: np.ndarray, X: np.ndarray) -> np.ndarray:
         weight, bias = self._unpack(w)
-        return X @ weight.T + bias
+        return X @ _t(weight) + bias
 
-    def loss_and_grad(
-        self, w: np.ndarray, X: np.ndarray, y: np.ndarray
-    ) -> tuple[float, np.ndarray]:
+    def loss_and_grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray):
         loss, delta = _cross_entropy(self.logits(w, X), y)
-        grad_w = delta.T @ X
-        grad_b = delta.sum(axis=0)
-        return loss, np.concatenate([grad_w.ravel(), grad_b])
+        grad_w = _t(delta) @ X
+        grad_b = delta.sum(axis=-2)
+        return loss, np.concatenate([_flat(grad_w), grad_b], axis=-1)
 
 
 class MLPModel:
@@ -101,32 +114,31 @@ class MLPModel:
 
     def _unpack(self, w: np.ndarray):
         h, f, c = self.hidden_units, self.num_features, self.num_classes
+        lead = w.shape[:-1]
         i = 0
-        w1 = w[i : i + h * f].reshape(h, f); i += h * f
-        b1 = w[i : i + h]; i += h
-        w2 = w[i : i + c * h].reshape(c, h); i += c * h
-        b2 = w[i : i + c]
+        w1 = w[..., i : i + h * f].reshape(lead + (h, f)); i += h * f
+        b1 = w[..., None, i : i + h]; i += h
+        w2 = w[..., i : i + c * h].reshape(lead + (c, h)); i += c * h
+        b2 = w[..., None, i : i + c]
         return w1, b1, w2, b2
 
     def logits(self, w: np.ndarray, X: np.ndarray) -> np.ndarray:
         w1, b1, w2, b2 = self._unpack(w)
-        hidden = np.tanh(X @ w1.T + b1)
-        return hidden @ w2.T + b2
+        hidden = np.tanh(X @ _t(w1) + b1)
+        return hidden @ _t(w2) + b2
 
-    def loss_and_grad(
-        self, w: np.ndarray, X: np.ndarray, y: np.ndarray
-    ) -> tuple[float, np.ndarray]:
+    def loss_and_grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray):
         w1, b1, w2, b2 = self._unpack(w)
-        pre = X @ w1.T + b1
+        pre = X @ _t(w1) + b1
         hidden = np.tanh(pre)
-        loss, delta = _cross_entropy(hidden @ w2.T + b2, y)  # delta: (n, C)
-        grad_w2 = delta.T @ hidden              # (C, H)
-        grad_b2 = delta.sum(axis=0)
-        back = (delta @ w2) * (1.0 - hidden**2)  # (n, H)
-        grad_w1 = back.T @ X
-        grad_b1 = back.sum(axis=0)
+        loss, delta = _cross_entropy(hidden @ _t(w2) + b2, y)  # delta: ([B,] n, C)
+        grad_w2 = _t(delta) @ hidden            # ([B,] C, H)
+        grad_b2 = delta.sum(axis=-2)
+        back = (delta @ w2) * (1.0 - hidden**2)  # ([B,] n, H)
+        grad_w1 = _t(back) @ X
+        grad_b1 = back.sum(axis=-2)
         grad = np.concatenate(
-            [grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2]
+            [_flat(grad_w1), grad_b1, _flat(grad_w2), grad_b2], axis=-1
         )
         return loss, grad
 

@@ -4,19 +4,24 @@ One process plays the server and every client.  All randomness flows from the
 config seed through labeled stream keys, so a rerun of the same config is
 bit-identical, including the metrics files.
 
-Per round: sample participants without replacement, run each client's local
-computation, turn it into a message (codec-compressed, method-specific
+Per round: sample participants without replacement and train them as stacks:
+participants with equal shard sizes run their local computation as one stack
+(equal shards give one stack a round), each drawing its minibatches from its
+own stream, so every client's result is bit-identical to training it alone.
+Then turn each result into a message (codec-compressed, method-specific
 baseline, or raw), pass every compressed message through the real wire format,
-decode, aggregate, evaluate.  Bits are accounted per client message and
-averaged into bits per parameter (payload = the index/sign/level content;
-total additionally counts codec header and block-location overhead).
+decode, aggregate in participant order, evaluate.  Bits are accounted per
+client message and averaged into bits per parameter (payload = the
+index/sign/level content; total additionally counts codec header and
+block-location overhead).
 
 Every method-specific step lives in one table, _METHODS, with one _Method
 entry per method, and no other code names a method.  `none` is the qsgd
 entry with the raw float32 delta as its message and no codec pair, so it
-runs the same under either variant.  _client_message holds the single codec
-round trip and _aggregate the fold shared by every method; the block
-partition's lifecycle is the codec's (see fedklms.codec.next_partition).
+runs the same under either variant.  _client_message is the client step of
+one stack, _send holds the single codec round trip and _aggregate the fold
+shared by every method; the block partition's lifecycle is the codec's (see
+fedklms.codec.next_partition).
 
 mean_kl_per_param is reconstructed from the transmitted 8-bit per-client
 averages (avg_kl * num_blocks / d); for non-codec variants it is reported
@@ -130,24 +135,33 @@ def _load_dataset(cfg: ExperimentConfig, root: StreamKey) -> tuple[Dataset, Data
     raise ValueError(f"unknown dataset kind: {d.kind}")
 
 
-def _local_sgd(model, w0, X, y, lr, epochs, batch_size, stream):
-    """Plain minibatch SGD from w0; returns the final weights."""
-    w = w0.copy()
-    n = X.shape[0]
+def _minibatches(X, y, batch, streams):
+    """One minibatch per client of a stack, client b's indices drawn from
+    streams[b]."""
+    idx = np.stack([stream.integers(batch, y.shape[1]) for stream in streams])
+    rows = np.arange(len(streams))[:, None]
+    return X[rows, idx], y[rows, idx]
+
+
+def _local_sgd(model, w0, X, y, lr, epochs, batch_size, streams):
+    """Plain minibatch SGD from w0 for a stack of clients with equal shard
+    sizes (X (B, n, F), y (B, n)); returns the final weights, (B, d)."""
+    w = np.tile(w0, (len(streams), 1))
+    n = y.shape[1]
     batch = min(batch_size, n)
     for _ in range(local_iterations(n, epochs, batch_size)):
-        idx = stream.integers(batch, n)
-        _, g = model.loss_and_grad(w, X[idx], y[idx])
+        _, g = model.loss_and_grad(w, *_minibatches(X, y, batch, streams))
         w -= lr * g
     return w
 
 
-def _stochastic_gradient(model, w, X, y, batch_size, stream):
-    """N_c * mean-batch gradient, the unbiased full-sum estimate."""
-    n = X.shape[0]
+def _stochastic_gradient(model, w, X, y, batch_size, streams):
+    """N_c * mean-batch gradient, the unbiased full-sum estimate, for each
+    client of a stack; (B, d)."""
+    n = y.shape[1]
     batch = min(batch_size, n)
-    idx = stream.integers(batch, n)
-    _, g = model.loss_and_grad(w, X[idx], y[idx])
+    _, g = model.loss_and_grad(np.tile(w, (len(streams), 1)),
+                               *_minibatches(X, y, batch, streams))
     return n * g
 
 
@@ -159,18 +173,18 @@ class _Message:
     update: EncodedUpdate | None = None  # the parsed codec message
 
 
-def _local_delta(state, model, X, y, params, stream):
-    """Weight change of plain local SGD from the global weights."""
+def _local_delta(state, model, X, y, params, streams):
+    """Each client's weight change of plain local SGD from the global weights."""
     w_local = _local_sgd(model, state.weights, X, y, params.local_lr,
-                         params.local_epochs, params.batch_size, stream)
+                         params.local_epochs, params.batch_size, streams)
     return w_local - state.weights
 
 
-def _signsgd_local(state, cfg, model, X, y, stream):
-    delta = _local_delta(state, model, X, y, cfg.signsgd, stream)
-    iters = local_iterations(X.shape[0], cfg.signsgd.local_epochs, cfg.signsgd.batch_size)
-    temperature = signsgd_temperature(delta, cfg.signsgd, iters)
-    return signsgd_client_distribution(delta, temperature)
+def _signsgd_local(state, cfg, model, X, y, streams):
+    deltas = _local_delta(state, model, X, y, cfg.signsgd, streams)
+    iters = local_iterations(y.shape[1], cfg.signsgd.local_epochs, cfg.signsgd.batch_size)
+    return [signsgd_client_distribution(delta, signsgd_temperature(delta, cfg.signsgd, iters))
+            for delta in deltas]
 
 
 def _quantized(v, cfg, client_key):
@@ -202,7 +216,8 @@ def _sgld_fold(state, cfg, vectors, round_key):
 class _Method:
     """How one method trains, prices its native message, pairs and folds.
 
-    local(state, cfg, model, X, y, stream) -> the client's local result
+    local(state, cfg, model, X, y, streams) -> one local result per client of
+        a stack with equal shard sizes (X (B, n, F), y (B, n), B streams)
     baseline(local, cfg, client_key) -> (vector, bits) of the native message
     pair(local, state, cfg) -> codec (q, p); None: the method has no codec
     fold(state, cfg, vectors, round_key) -> state after the update
@@ -227,8 +242,12 @@ class _Method:
 # installed on the module (tracing) sees every call.
 _METHODS = {
     "fedpm": _Method(
-        local=lambda state, cfg, model, X, y, stream: fedpm_client_train(
-            state.carried.probs, state.weights, model, X, y, cfg.fedpm, stream),
+        # one client at a time: mask training is element-bound over d, so a
+        # stack gains no time and holds B copies of its d-wide arrays
+        local=lambda state, cfg, model, X, y, streams: [
+            fedpm_client_train(state.carried.probs, state.weights, model,
+                               Xc, yc, cfg.fedpm, stream)
+            for Xc, yc, stream in zip(X, y, streams)],
         baseline=lambda probs, cfg, client_key: (
             fedpm_sample_mask(probs, derive_stream(client_key.child("mask"))), probs.size),
         pair=lambda probs, state, cfg: fedpm_codec_pair(probs, state.carried.probs),
@@ -240,8 +259,8 @@ _METHODS = {
             state.carried.probs, derive_stream(root.child("eval"))) * state.weights,
     ),
     "qsgd": _Method(
-        local=lambda state, cfg, model, X, y, stream: _local_delta(
-            state, model, X, y, cfg.qsgd, stream),
+        local=lambda state, cfg, model, X, y, streams: _local_delta(
+            state, model, X, y, cfg.qsgd, streams),
         baseline=_quantized,
         pair=lambda delta, state, cfg: (qsgd_client_distribution(delta), state.carried),
         fold=_qsgd_fold,
@@ -259,8 +278,8 @@ _METHODS = {
             state, weights=state.weights + cfg.signsgd.server_lr * np.mean(vectors, axis=0)),
     ),
     "sgld": _Method(
-        local=lambda state, cfg, model, X, y, stream: _stochastic_gradient(
-            model, state.weights, X, y, cfg.sgld.batch_size, stream),
+        local=lambda state, cfg, model, X, y, streams: _stochastic_gradient(
+            model, state.weights, X, y, cfg.sgld.batch_size, streams),
         baseline=_quantized,
         pair=lambda grad, state, cfg: sgld_client_distributions(
             grad, cfg.sgld.sigma_s(cfg.clients_per_round)),
@@ -294,11 +313,15 @@ def run_round(
     participants = sorted(int(c) for c in order[: cfg.clients_per_round])
 
     dim = model.dim
-    messages = [
-        _client_message(state, cfg, model, train.features[shards[c]],
-                        train.labels[shards[c]], round_key.child("client", c), c)
-        for c in participants
-    ]
+    # participants with equal shard sizes train as one stack
+    groups: dict[int, list[int]] = {}
+    for c in participants:
+        groups.setdefault(shards[c].size, []).append(c)
+    sent = {}
+    for clients in groups.values():
+        sent.update(zip(clients, _client_message(state, cfg, model, train, shards,
+                                                 round_key, clients)))
+    messages = [sent[c] for c in participants]
     new_state = _aggregate(state, cfg, messages, round_key)
 
     payload = float(np.mean([m.payload_bits for m in messages]))
@@ -323,12 +346,22 @@ def run_round(
     return replace(new_state, round_index=t + 1), metrics
 
 
-def _client_message(state, cfg, model, X, y, client_key, c):
-    """Local training, then the native message or one codec round trip:
-    encode with the round's partition, or none, serialize, parse, decode."""
+def _client_message(state, cfg, model, train, shards, round_key, clients):
+    """The client step of participants with equal shard sizes: stack their
+    shards, train the stack, then build each one's message in the order of
+    clients (see _send)."""
     method = _METHODS[cfg.method]
-    local = method.local(state, cfg, model, X, y,
-                         derive_stream(client_key.child("local")))
+    rows = np.stack([shards[c] for c in clients])
+    keys = [round_key.child("client", c) for c in clients]
+    results = method.local(state, cfg, model, train.features[rows], train.labels[rows],
+                           [derive_stream(key.child("local")) for key in keys])
+    return [_send(method, local, state, cfg, key, c)
+            for local, key, c in zip(results, keys, clients)]
+
+
+def _send(method, local, state, cfg, client_key, c):
+    """One client's native message, or one codec round trip: encode with the
+    round's partition, or none, serialize, parse, decode."""
     if not _uses_codec(cfg):
         vector, bits = method.baseline(local, cfg, client_key)
         return _Message(vector=vector, payload_bits=bits, total_bits=bits)

@@ -7,7 +7,7 @@ import path).
 import numpy as np
 
 from fedklms.distributions import _check_range, _uniform_rows, kl_per_coordinate
-from fedklms.methods import SGLDParams
+from fedklms.methods import SGLDParams, local_iterations
 from fedklms.streams import SampleStream
 
 
@@ -31,6 +31,27 @@ def sgld_noisy_message(grad, sigma_s: float, stream: SampleStream) -> np.ndarray
     """Compression-disabled SGLD message: an exact sample of q = N(grad, sigma_s)."""
     grad = np.asarray(grad, dtype=np.float64)
     return grad + sigma_s * stream.gaussians(grad.shape[0])
+
+
+def local_sgd(model, w0, X, y, lr, epochs, batch_size, stream: SampleStream) -> np.ndarray:
+    """Plain minibatch SGD of one client from w0; returns the final weights."""
+    w = w0.copy()
+    n = X.shape[0]
+    batch = min(batch_size, n)
+    for _ in range(local_iterations(n, epochs, batch_size)):
+        idx = stream.integers(batch, n)
+        _, g = model.loss_and_grad(w, X[idx], y[idx])
+        w -= lr * g
+    return w
+
+
+def stochastic_gradient(model, w, X, y, batch_size, stream: SampleStream) -> np.ndarray:
+    """One client's N_c * mean-batch gradient, the unbiased full-sum estimate."""
+    n = X.shape[0]
+    batch = min(batch_size, n)
+    idx = stream.integers(batch, n)
+    _, g = model.loss_and_grad(w, X[idx], y[idx])
+    return n * g
 
 
 def aggregate_noise_var(params: SGLDParams, num_clients: int) -> float:

@@ -32,6 +32,7 @@ from fedklms.codec import (
     encode_update,
     next_partition,
     samples_per_block,
+    select_index,
     selection_weights,
     serialize_update,
     should_update_partition,
@@ -403,6 +404,36 @@ def test_encode_update_refuses_a_block_over_max_block_size():
     with pytest.raises(ValueError, match=r"block \[4, 9\) exceeds max_block_size 4"):
         encode_update(q, p, BlockPartition(dim=9, starts=(0, 4)), params_with(max_block=4),
                       StreamKey(31), round_index=0, client_id=0)
+
+
+def test_encode_update_sends_a_uniform_pick_when_every_candidate_misses(monkeypatch):
+    # q (all ones) is absolutely continuous w.r.t. p (fair coins), but its
+    # support has prior mass 2^-12 in the block, so K = 4 candidates all miss
+    # it; the block still carries a draw from p, picked uniformly with the
+    # block's selector stream, and decode regenerates it
+    params = params_with(target=1.0)
+    num_samples = 2 ** params.index_bits
+    q, p = BernoulliVector(np.ones(12)), BernoulliVector(np.full(12, 0.5))
+    part = split_blocks_fixed(12, 12)
+    key = StreamKey(33, (("miss", 0),))
+    selectors = []
+    block = codec.encode_block
+
+    def spy(*args):
+        selectors.append(args[6].key)
+        with pytest.raises(ZeroMassCandidatesError, match="missed the client posterior's support"):
+            block(*args)
+        raise ZeroMassCandidatesError(args[2], args[3])
+
+    monkeypatch.setattr(codec, "encode_block", spy)
+    upd, cost = encode_update(q, p, part, params, key, round_index=0, client_id=0)
+    assert num_samples == 4 and len(selectors) == 1
+    uniform = np.full(num_samples, 1.0 / num_samples)
+    assert upd.indices[0] == select_index(uniform, derive_stream(selectors[0]))
+    received = deserialize_update(serialize_update(upd, params), params)
+    row = decode_update(p, part, params, key, received)
+    assert not np.array_equal(row, np.ones(12))  # q gives it no mass: a draw from p
+    assert set(np.unique(row)) <= {0.0, 1.0}
 
 
 def _gaussian_update(*distances):

@@ -46,6 +46,28 @@ def test_gradients_match_finite_differences(model):
     assert grad[probe] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
 
 
+@pytest.mark.parametrize("clients", [1, 3])
+@pytest.mark.parametrize(
+    "model",
+    [LogisticModel(7, 3), MLPModel(7, 3, hidden_units=5)],
+    ids=["logistic", "mlp"],
+)
+def test_stacked_calls_equal_one_call_per_client(model, clients):
+    # a leading client axis gives each client exactly its own call's result
+    n = 9
+    w = 0.5 * stream("stack-w").gaussians(clients * model.dim).reshape(clients, model.dim)
+    X = stream("stack-x").gaussians(clients * n * 7).reshape(clients, n, 7)
+    y = stream("stack-y").integers(clients * n, 3).reshape(clients, n)
+    loss, grad = model.loss_and_grad(w, X, y)
+    logits = model.logits(w, X)
+    assert loss.shape == (clients,) and grad.shape == (clients, model.dim)
+    for b in range(clients):
+        one_loss, one_grad = model.loss_and_grad(w[b], X[b], y[b])
+        assert type(one_loss) is float and loss[b] == one_loss
+        assert np.array_equal(grad[b], one_grad)
+        assert np.array_equal(logits[b], model.logits(w[b], X[b]))
+
+
 def test_dim_frozen():
     assert LogisticModel(20, 2).dim == 42
     assert MLPModel(4, 3, hidden_units=5).dim == 5 * 4 + 5 + 3 * 5 + 3

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedklms import sim
+from fedklms import codec, sim
+from fedklms.codec import ZeroMassCandidatesError
 from fedklms.config import load_config_file, parse_experiment_config
 from fedklms.sim import (
     CSV_HEADER,
@@ -21,6 +22,8 @@ from fedklms.data import split_iid
 from fedklms.models import build_model
 from fedklms.streams import StreamKey, derive_stream
 from fedklms.data import make_separable
+
+import reference
 
 
 def make_config(**overrides):
@@ -252,6 +255,94 @@ class TestMethodBehavior:
         )
         rows, _ = run_experiment(cfg)
         assert len(rows) == 2
+
+
+def _client_stack(kind, clients, n, tag):
+    """A model, its start weights and a stack of client shards and streams."""
+    model = build_model(kind, 6, 3, hidden_units=5)
+    root = StreamKey(11).child(tag)
+    w0 = model.init_params(derive_stream(root.child("w")))
+    X = derive_stream(root.child("x")).gaussians(clients * n * 6).reshape(clients, n, 6)
+    y = derive_stream(root.child("y")).integers(clients * n, 3).reshape(clients, n)
+    streams = lambda: [derive_stream(root.child("local", b)) for b in range(clients)]
+    return model, w0, X, y, streams
+
+
+def _one_client_at_a_time(monkeypatch):
+    """Replace the stacked trainers with the one-client references."""
+    monkeypatch.setattr(sim, "_local_sgd", lambda model, w0, X, y, lr, epochs, batch, streams:
+                        np.stack([reference.local_sgd(model, w0, Xc, yc, lr, epochs, batch, s)
+                                  for Xc, yc, s in zip(X, y, streams)]))
+    monkeypatch.setattr(sim, "_stochastic_gradient", lambda model, w, X, y, batch, streams:
+                        np.stack([reference.stochastic_gradient(model, w, Xc, yc, batch, s)
+                                  for Xc, yc, s in zip(X, y, streams)]))
+
+
+class TestStackedTraining:
+    @pytest.mark.parametrize("clients", [1, 4])
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_local_sgd_equals_one_client_at_a_time(self, kind, clients):
+        model, w0, X, y, streams = _client_stack(kind, clients, 20, "sgd")
+        stacked = sim._local_sgd(model, w0, X, y, 0.3, 2, 7, streams())
+        assert stacked.shape == (clients, model.dim)
+        for b, stream in enumerate(streams()):
+            one = reference.local_sgd(model, w0, X[b], y[b], 0.3, 2, 7, stream)
+            assert np.array_equal(stacked[b], one), b
+
+    @pytest.mark.parametrize("clients", [1, 4])
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_stochastic_gradient_equals_one_client_at_a_time(self, kind, clients):
+        model, w0, X, y, streams = _client_stack(kind, clients, 20, "grad")
+        stacked = sim._stochastic_gradient(model, w0, X, y, 7, streams())
+        assert stacked.shape == (clients, model.dim)
+        for b, stream in enumerate(streams()):
+            one = reference.stochastic_gradient(model, w0, X[b], y[b], 7, stream)
+            assert np.array_equal(stacked[b], one), b
+
+    @pytest.mark.parametrize("method", ["qsgd", "sgld", "signsgd"])
+    @pytest.mark.parametrize("split, num_points", [
+        ({"mode": "skewed", "max_classes_per_client": 2}, 240),
+        ({"mode": "iid"}, 242),  # shards of 61, 61, 60 and 60 points
+    ])
+    def test_unequal_shards_train_in_groups(self, monkeypatch, method, split, num_points):
+        # participants with equal shard sizes train as one stack; every run
+        # of these configs trains several stacks a round, repeats itself, and
+        # equals training one client at a time
+        cfg = make_config(
+            method=method, rounds=3, split=split,
+            dataset={"kind": "blobs", "num_points": num_points, "num_features": 10,
+                     "num_classes": 4, "spread": 0.5, "test_points": 80},
+        )
+        stacks = []
+        step = sim._client_message
+        monkeypatch.setattr(sim, "_client_message", lambda *args: (
+            stacks.append(len(args[-1])) or step(*args)))
+        rows = [r.csv_row() for r in run_experiment(cfg)[0]]
+        assert len(stacks) > cfg.rounds and sum(stacks) == cfg.rounds * cfg.clients_per_round
+        assert [r.csv_row() for r in run_experiment(cfg)[0]] == rows
+        _one_client_at_a_time(monkeypatch)
+        assert [r.csv_row() for r in run_experiment(cfg)[0]] == rows
+
+
+def test_qsgd_run_survives_a_block_whose_candidates_all_miss(monkeypatch):
+    # with seed 95, every one of the 256 candidates of one block misses q's
+    # support (round 137, client 8); the block sends a uniform pick, and the
+    # run completes
+    missed = []
+    block = codec.encode_block
+
+    def spy(*args):
+        try:
+            return block(*args)
+        except ZeroMassCandidatesError:
+            missed.append(1)
+            raise
+
+    monkeypatch.setattr(codec, "encode_block", spy)
+    obj = load_config_file(str(CONFIG_DIR / "qsgd_separable.json"))
+    obj.update(seed=95)
+    rows, summary = run_experiment(parse_experiment_config(obj))
+    assert missed and len(rows) == summary["rounds"] == 150
 
 
 class TestConvergenceSmoke:
