@@ -817,6 +817,25 @@ def test_wire_error_offsets_pinned(name):
         assert err.value.byte_offset == len(blob)
 
 
+# (header, location, payload) bits of each golden message: the wire tests
+# compare totals only, so these keep bits from moving between the parts
+WIRE_GOLDEN_PARTS = {
+    "indices_only": (14, 0, 25),  # 1 + 8 + gamma(5) = 5; 5 x 5-bit indices
+    "with_locations": (12, 15, 15),  # gamma(3) = 3; 3 x 5-bit lengths
+    "zero_width_lengths": (14, 0, 20),  # max_block_size 1: 0-bit lengths
+    "many_blocks": (20, 200, 200),  # gamma(40) = 11
+}
+
+
+@pytest.mark.parametrize("name", list(WIRE_GOLDEN_PARTS))
+def test_wire_golden_bit_cost_parts_pinned(name):
+    params, _, golden, _ = WIRE_GOLDEN[name]
+    upd = _golden_update(name)
+    cost = bit_cost(upd.num_blocks, params, upd.includes_locations)
+    assert (cost.header_bits, cost.location_bits, cost.payload_bits) == WIRE_GOLDEN_PARTS[name]
+    assert math.ceil(cost.total_bits / 8) == len(golden) // 2
+
+
 def _located_message(lengths):
     """Locations, KL code 0, the gamma code of 3 blocks, a 5-bit length field
     per block (holding length - 1) and 5-bit indices of 1, zero-padded."""
