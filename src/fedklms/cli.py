@@ -142,6 +142,7 @@ def _cmd_codec_bench(args) -> int:
     print(f"encode: {d / encode_s:,.0f} coords/s")
     print(f"decode: {d / decode_s:,.0f} coords/s")
     print(f"payload: {cost.payload_bits} bits ({cost.payload_bits / d:.4f} bpp)")
+    print(f"total: {cost.total_bits} bits ({cost.total_bits / d:.4f} bpp), {len(blob)} wire bytes")
     print(f"decoded checksum: {digest}")
     return 0
 

@@ -31,23 +31,17 @@ wire into the shared one.  On ordinary rounds it drops that partition only
 when the mean transmitted block KL drifts strictly outside the configured
 band, so the next round is a location round again.
 
-Wire layout (bit-packed, MSB first within bytes, zero-padded to a byte):
+The wire layout is bit-packed, MSB first within bytes, zero-padded to a
+byte.  Its one statement is the list of fields that :func:`_wire_fields`
+gives for an update: :func:`serialize_update` packs that list, and
+:func:`bit_cost` sums it, so the wire length equals the accounting.
 
-    [locations: 1 bit, set when block lengths follow the header]
-    [avg_block_kl: 8 bits, the code of the mean block KL on a log2 grid]
-    [num_blocks n >= 1: Elias-gamma code, floor(log2 n) zero bits, then n in
-     binary from its leading 1, 2 floor(log2 n) + 1 bits in all]
-    [if locations: n fields of ceil(log2 max_block_size) bits, each holding
-     block_length - 1]
-    [n index fields of index_bits bits]
-
-A one-block message has a 10-bit header, one of 2-3 blocks 12 bits.
-
-The reader mirrors the writer: it unpacks the whole message into one bit
-array and reads each field as the dot product of its bits with their weights.
-It checks that the whole body fits before it reads any block field, and it
-refuses a block length above max_block_size, so every message it accepts is
-one the writer writes, up to the pad bits, which it does not read.
+The reader mirrors that list, reading each field at the width the list
+names: it unpacks the whole message into one bit array and reads each field
+as the dot product of its bits with their weights.  It checks that the
+whole body fits before it reads any block field, and it refuses a block
+length above max_block_size, so every message it accepts is one the writer
+writes, up to the pad bits, which it does not read.
 
 The mean block KL only reports how far the client's blocks drift from the
 target, so it is sent at 1/8-octave precision: code 0 is a KL of exactly 0,
@@ -75,8 +69,9 @@ from .streams import SampleStream, StreamKey, derive_stream
 
 _LN2 = math.log(2.0)
 
-# widest index field the wire reader handles: fields are read as uint64
-_MAX_INDEX_BITS = 63
+# widest index or length field the wire handles: fields are read as uint64,
+# and the writer takes block lengths as int64
+_MAX_FIELD_BITS = 63
 
 # the weight of each bit of a wire field, 2^63 ... 2^0; a w-bit field is the
 # dot product of its bits with the last w of them
@@ -121,8 +116,10 @@ class CodecParams:
             raise ValueError(f"d_kl_target must be positive: {self.d_kl_target}")
         if not self.overhead_r >= 0:
             raise ValueError(f"overhead_r must be nonnegative: {self.overhead_r}")
-        if not _is_integer(self.max_block_size) or self.max_block_size < 1:
-            raise ValueError(f"max_block_size must be an integer >= 1: {self.max_block_size!r}")
+        if (not _is_integer(self.max_block_size)
+                or not 1 <= self.max_block_size < 1 << _MAX_FIELD_BITS):
+            raise ValueError(f"max_block_size must be an integer in [1, 2^{_MAX_FIELD_BITS} - 1]: "
+                             f"{self.max_block_size!r}")
         object.__setattr__(self, "max_block_size", int(self.max_block_size))  # numpy ints too
         if not self.kl_min_threshold <= self.d_kl_target <= self.kl_max_threshold:
             raise ValueError(
@@ -130,11 +127,11 @@ class CodecParams:
                 f"{self.kl_min_threshold} <= {self.d_kl_target} <= {self.kl_max_threshold}"
             )
         nats = self.d_kl_target + self.overhead_r
-        if not nats / _LN2 <= _MAX_INDEX_BITS:  # the quotient samples_per_block rounds up
+        if not nats / _LN2 <= _MAX_FIELD_BITS:  # the quotient samples_per_block rounds up
             raise ValueError(
                 f"d_kl_target + overhead_r is {nats} nats, which needs index fields "
-                f"wider than {_MAX_INDEX_BITS} bits; at most {_MAX_INDEX_BITS} ln 2 = "
-                f"{_MAX_INDEX_BITS * _LN2:.4f} nats fit"
+                f"wider than {_MAX_FIELD_BITS} bits; at most {_MAX_FIELD_BITS} ln 2 = "
+                f"{_MAX_FIELD_BITS * _LN2:.4f} nats fit"
             )
 
     @property
@@ -243,7 +240,8 @@ class EncodedUpdate:
 
 @dataclass(frozen=True)
 class BitCost:
-    """Exact bit accounting for one message; mirrors the wire layout."""
+    """Exact bit accounting for one message: :func:`bit_cost` sums its wire
+    fields into these parts."""
 
     payload_bits: int
     location_bits: int
@@ -252,22 +250,6 @@ class BitCost:
     @property
     def total_bits(self) -> int:
         return self.payload_bits + self.location_bits + self.header_bits
-
-
-# the fixed-width header fields, (field, bits) in wire order: their one
-# statement, read by the writer, the reader and the bit accounting.  The
-# Elias-gamma code of num_blocks follows them (see _gamma_bits).
-_HEADER = (
-    ("locations", 1),  # 1: block lengths follow the header
-    ("avg_block_kl", _KL_CODE_BITS),  # the KL's log2-grid code
-)
-
-
-def _gamma_bits(n: int) -> int:
-    """Length of the Elias-gamma code of n >= 1: 2 floor(log2 n) + 1 bits."""
-    if n < 1:
-        raise ValueError(f"Elias gamma codes positive integers: {n}")
-    return 2 * n.bit_length() - 1
 
 
 def samples_per_block(block_kl: float, params: CodecParams) -> tuple[int, int]:
@@ -449,15 +431,6 @@ def _block_streams(key_base: StreamKey, m: int) -> tuple[SampleStream, SampleStr
     )
 
 
-def bit_cost(num_blocks: int, params: CodecParams, includes_locations: bool) -> BitCost:
-    location = num_blocks * params.length_field_bits if includes_locations else 0
-    return BitCost(
-        payload_bits=num_blocks * params.index_bits,
-        location_bits=location,
-        header_bits=sum(bits for _, bits in _HEADER) + _gamma_bits(num_blocks),
-    )
-
-
 def encode_update(
     q: ProductDistribution,
     p: ProductDistribution,
@@ -515,7 +488,7 @@ def encode_update(
         indices=indices,
         block_lengths=partition.lengths if include_locations else None,
     )
-    return upd, bit_cost(partition.num_blocks, params, include_locations)
+    return upd, bit_cost(upd, params)
 
 
 def decode_update(
@@ -549,22 +522,19 @@ def decode_update(
     return out
 
 
-def should_update_partition(avg_block_kl: float, params: CodecParams) -> bool:
-    """Strictly outside [kl_min_threshold, kl_max_threshold] means repartition."""
-    return avg_block_kl > params.kl_max_threshold or avg_block_kl < params.kl_min_threshold
-
-
 def next_partition(partition: BlockPartition | None, updates: list[EncodedUpdate],
                    params: CodecParams) -> BlockPartition | None:
     """The server's partition for the next round, from this round's updates:
     after a location round (no ``partition``) the merge of the block lengths
     they shipped; otherwise the same partition, or None (a location round
-    next) when :func:`should_update_partition` fires on their mean block KL."""
+    next) when their mean block KL lies strictly outside
+    [kl_min_threshold, kl_max_threshold]."""
     if partition is None:
         shipped = [BlockPartition.from_lengths(u.block_lengths) for u in updates]
         return aggregate_block_locations(shipped, params.max_block_size)
     mean_avg_kl = float(np.mean([u.avg_block_kl for u in updates]))
-    return None if should_update_partition(mean_avg_kl, params) else partition
+    inside = params.kl_min_threshold <= mean_avg_kl <= params.kl_max_threshold
+    return partition if inside else None
 
 
 def _field_bits(values, width: int) -> np.ndarray:
@@ -573,12 +543,41 @@ def _field_bits(values, width: int) -> np.ndarray:
     return ((values & _BIT_WEIGHTS[64 - width:]) != 0).astype(np.uint8).ravel()
 
 
+def _wire_fields(upd: EncodedUpdate, params: CodecParams) -> list[tuple[str, object, int]]:
+    """The update's wire fields in order, as (part, values, width) runs: each
+    value fills a field width bits wide, and part names the :class:`BitCost`
+    field that the run counts toward.
+
+    The header is a 1-bit flag, set when block lengths follow it, the 8-bit
+    code of the mean block KL, and the Elias-gamma code of the block count
+    n >= 1: n in 2 floor(log2 n) + 1 bits, so floor(log2 n) zero bits come
+    before its leading 1.  A one-block message has a 10-bit header, one of
+    2-3 blocks 12 bits.  Location rounds then send the n block lengths, each
+    as length - 1, and every message ends with its n indices.
+    """
+    n = upd.num_blocks
+    fields = [("header_bits", [int(upd.includes_locations)], 1),
+              ("header_bits", [_kl_code(upd.avg_block_kl)], _KL_CODE_BITS),
+              ("header_bits", [n], 2 * n.bit_length() - 1)]
+    if upd.includes_locations:
+        fields.append(("location_bits", np.asarray(upd.block_lengths, dtype=np.int64) - 1,
+                       params.length_field_bits))
+    fields.append(("payload_bits", upd.indices, params.index_bits))
+    return fields
+
+
+def bit_cost(upd: EncodedUpdate, params: CodecParams) -> BitCost:
+    """The bits of the update's wire fields, summed per part; only
+    :func:`encode_update` calls it, once per message (perfbench sums every call)."""
+    bits = dict.fromkeys(("header_bits", "location_bits", "payload_bits"), 0)
+    for part, values, width in _wire_fields(upd, params):
+        bits[part] += len(values) * width
+    return BitCost(**bits)
+
+
 def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
-    """Pack an update per the wire layout in the module docstring."""
-    header = {"locations": int(upd.includes_locations),
-              "avg_block_kl": _kl_code(upd.avg_block_kl)}
-    fields = [_field_bits([header[name]], width) for name, width in _HEADER]
-    fields.append(_field_bits([upd.num_blocks], _gamma_bits(upd.num_blocks)))
+    """Pack an update's wire fields (:func:`_wire_fields`) once each block
+    length and index is checked to fit its field."""
     if upd.includes_locations:
         lengths = np.asarray(upd.block_lengths, dtype=np.int64)
         bad = (lengths < 1) | (lengths > params.max_block_size)
@@ -586,12 +585,11 @@ def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
             raise ValueError(
                 f"block length {lengths[bad][0]} outside [1, {params.max_block_size}]"
             )
-        fields.append(_field_bits(lengths - 1, params.length_field_bits))
     width = params.index_bits
     bad = (upd.indices < 0) | (upd.indices >= 1 << width)
     if bad.any():
         raise ValueError(f"index {upd.indices[bad][0]} does not fit in {width} bits")
-    fields.append(_field_bits(upd.indices, width))
+    fields = [_field_bits(values, w) for _, values, w in _wire_fields(upd, params)]
     return np.packbits(np.concatenate(fields)).tobytes()  # zero-pads the tail
 
 
@@ -618,7 +616,8 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
         pos = end
         return fields
 
-    header = {name: int(take(width)[0]) for name, width in _HEADER}
+    locations = bool(take(1)[0])
+    kl_code = int(take(_KL_CODE_BITS)[0])
     # the Elias-gamma block count: z zero bits, then the count in z + 1 bits
     run = bits[pos:pos + 64]
     if not run.any():
@@ -632,10 +631,10 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
     num_blocks = int(take(zeros + 1)[0])
     # the whole body must fit before any of it is read: the count can be
     # near 2^64 when the length fields are zero bits wide
-    length_bits = params.length_field_bits if header["locations"] else 0
+    length_bits = params.length_field_bits if locations else 0
     fits(params.index_bits, num_blocks, fits(length_bits, num_blocks, pos))
     lengths: tuple[int, ...] | None = None
-    if header["locations"]:
+    if locations:
         start = pos
         values = take(length_bits, num_blocks) + 1
         bad = np.flatnonzero(values > params.max_block_size)
@@ -652,7 +651,7 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
             expected_bytes,
         )
     return EncodedUpdate(
-        avg_block_kl=_kl_of_code(header["avg_block_kl"]),
+        avg_block_kl=_kl_of_code(kl_code),
         indices=indices,
         block_lengths=lengths,
     )

@@ -1,6 +1,8 @@
 """CLI behavior: subcommands, exit codes, overrides, reproducible outputs."""
 
 import json
+import math
+import re
 from pathlib import Path
 
 import pytest
@@ -172,6 +174,14 @@ class TestValidate:
         path = write_json(tmp_path / "c.json", {"rounds": -2, "method": "fedpm"})
         assert main(["validate", path]) == 1
 
+    def test_max_block_size_over_63_bits_is_a_codec_error(self, tmp_path, capsys):
+        # the schema takes any integer >= 1, but length fields are read as uint64
+        obj = json.loads(SGLD_SEPARABLE.with_name("signsgd_separable.json").read_text())
+        obj["rounds"] = 2
+        obj["codec"]["max_block_size"] = 2**65
+        assert main(["validate", write_json(tmp_path / "c.json", obj)]) == 1
+        assert "codec: max_block_size must be an integer in" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_metrics_and_summary(self, tmp_path, capsys):
@@ -253,6 +263,13 @@ class TestCodecBench:
         assert main(["codec-bench", "--coords", "20000", "--seed", "8"]) == 0
         third = capsys.readouterr().out.splitlines()[-1]
         assert first != third
+
+    def test_total_counts_the_wire_bytes(self, capsys):
+        assert main(["codec-bench", "--coords", "20000", "--seed", "7"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        match = re.fullmatch(r"total: (\d+) bits \(\S+ bpp\), (\d+) wire bytes", lines[-2])
+        total_bits, wire_bytes = map(int, match.groups())
+        assert wire_bytes == math.ceil(total_bits / 8)
 
     def test_checksum_pinned(self, capsys):
         # recorded when Bernoulli candidates moved to 32-bit words

@@ -35,7 +35,6 @@ from fedklms.codec import (
     select_index,
     selection_weights,
     serialize_update,
-    should_update_partition,
     split_blocks_adaptive,
     split_blocks_fixed,
 )
@@ -292,7 +291,8 @@ def test_params_refuse_index_fields_over_63_bits(target, r):
 
 def test_location_bits_frozen():
     params = params_with(target=1.2, max_block=1024)
-    cost = bit_cost(3, params, includes_locations=True)
+    cost = bit_cost(EncodedUpdate(avg_block_kl=0.0, indices=np.zeros(3, dtype=np.int64),
+                                  block_lengths=(1, 1, 1)), params)
     assert cost.location_bits == 30  # 3 blocks x ceil(log2 1024) = 10 bits
 
 
@@ -475,15 +475,6 @@ def test_avg_block_kl_saturates(distance, code):
 # --- partition update rule --------------------------------------------------
 
 
-def test_should_update_partition_strict():
-    params = params_with(target=1.0, kl_min=0.5, kl_max=2.0)
-    assert not should_update_partition(2.0, params)  # boundary: not strict above
-    assert not should_update_partition(0.5, params)
-    assert should_update_partition(2.0000001, params)
-    assert should_update_partition(0.4999999, params)
-    assert not should_update_partition(1.0, params)
-
-
 def _update(avg_block_kl, block_lengths=None):
     indices = np.zeros(len(block_lengths or (1,)), dtype=np.int64)
     return EncodedUpdate(avg_block_kl=avg_block_kl, indices=indices,
@@ -523,8 +514,6 @@ def test_serialize_empty_update_length():
     # a partition has at least one block, and gamma has no code for zero
     with pytest.raises(ValueError, match="at least one block"):
         EncodedUpdate(avg_block_kl=0.25, indices=np.array([], dtype=np.int64))
-    with pytest.raises(ValueError, match="positive"):
-        bit_cost(0, params_with(target=1.2), includes_locations=False)
 
 
 def test_serialize_length_equals_bit_cost():
@@ -592,7 +581,7 @@ def test_wire_property(num_blocks, index_bits, max_pow, include, kl, seed):
         block_lengths=lengths if include else None,
     )
     blob = serialize_update(upd, params)
-    assert len(blob) == math.ceil(bit_cost(num_blocks, params, include).total_bits / 8)
+    assert len(blob) == math.ceil(bit_cost(upd, params).total_bits / 8)
     back = deserialize_update(blob, params)
     assert back.avg_block_kl == kl
     assert np.array_equal(back.indices, upd.indices)
@@ -727,6 +716,25 @@ def test_params_take_a_numpy_max_block_size():
     assert params == params_with(max_block=16) and params.length_field_bits == 4
 
 
+def test_wire_carries_a_block_of_the_widest_max_block_size():
+    # 63-bit length fields, the index fields' limit: the field holds
+    # length - 1 = 2^63 - 2, and length fits an int64
+    params = params_with(target=1.2, max_block=2**63 - 1)
+    assert params.length_field_bits == 63
+    upd = EncodedUpdate(avg_block_kl=1.0, indices=np.array([3]), block_lengths=(2**63 - 1,))
+    blob = serialize_update(upd, params)
+    assert len(blob) == math.ceil(bit_cost(upd, params).total_bits / 8)
+    assert deserialize_update(blob, params).block_lengths == (2**63 - 1,)
+
+
+# 2^64: an all-ones field plus 1 wraps to a length of 0 in uint64; 2^65: a
+# 65-bit field is wider than the uint64 the reader sums it in
+@pytest.mark.parametrize("size", [2**63, 2**64, 2**65])
+def test_params_refuse_a_max_block_size_over_63_bits(size):
+    with pytest.raises(ValueError, match=r"max_block_size must be an integer in \[1, 2\^63 - 1\]"):
+        params_with(max_block=size)
+
+
 def _wire_params(max_block):
     # index fields 5 bits wide: ceil((2 + 1) / ln 2)
     return CodecParams(d_kl_target=2.0, overhead_r=1.0, max_block_size=max_block)
@@ -831,7 +839,7 @@ WIRE_GOLDEN_PARTS = {
 def test_wire_golden_bit_cost_parts_pinned(name):
     params, _, golden, _ = WIRE_GOLDEN[name]
     upd = _golden_update(name)
-    cost = bit_cost(upd.num_blocks, params, upd.includes_locations)
+    cost = bit_cost(upd, params)
     assert (cost.header_bits, cost.location_bits, cost.payload_bits) == WIRE_GOLDEN_PARTS[name]
     assert math.ceil(cost.total_bits / 8) == len(golden) // 2
 
@@ -873,7 +881,7 @@ def test_deserialize_accepts_only_what_serialize_writes(data, locations, max_blo
     except WireFormatError:
         return
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    bits[bit_cost(upd.num_blocks, params, upd.includes_locations).total_bits:] = 0
+    bits[bit_cost(upd, params).total_bits:] = 0
     assert serialize_update(upd, params) == np.packbits(bits).tobytes()
 
 
