@@ -485,6 +485,25 @@ def test_report_prints_the_pins(report, capsys):
         assert (csv_sha, json_sha) == _full_length_pin(case)
 
 
+# SHA-256 of the accuracy and bpp_payload columns of the full-length fedpm and
+# signsgd runs.  The partition rule decides which rounds ship locations, and on
+# these one-block configs not the blocks themselves, so a change to that rule
+# alone leaves their selections, and with them these columns, as they are.
+FULL_LENGTH_COLUMNS_PINNED = {
+    "fedpm_separable": "1c21d3d2bd4d4853d28b97b9840b1f77881ba7c6f3315fcac605be7cd4e4fdd8",
+    "signsgd_separable": "cc0a56c109f93750e44773594b199cd20e5e31f745a20c68bf45c3acb8351f16",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FULL_LENGTH_COLUMNS_PINNED))
+def test_full_length_accuracy_and_payload_pinned(case, report):
+    csv, _, _ = report.outputs(case)
+    lines = [line.split(",") for line in csv.decode().splitlines()]
+    cols = [lines[0].index(name) for name in ("accuracy", "bpp_payload")]
+    kept = "".join(",".join(line[i] for i in cols) + "\n" for line in lines)
+    assert hashlib.sha256(kept.encode()).hexdigest() == FULL_LENGTH_COLUMNS_PINNED[case]
+
+
 def _digests_without(case, csv_columns, summary_keys, tmp_path):
     """SHA-256 of a klms config's four-round metrics CSV and summary JSON,
     with the named CSV columns and summary keys taken out."""
