@@ -100,7 +100,9 @@ def _cmd_train(args) -> int:
     print(
         f"{cfg.method}/{cfg.variant}: {cfg.rounds} rounds, "
         f"final accuracy {summary['final_accuracy']:.4f}, "
-        f"mean payload {summary['mean_bpp_payload']:.4f} bpp -> {metrics_path}"
+        f"mean payload {summary['mean_bpp_payload']:.4f} bpp, "
+        f"total {summary['mean_bpp_total']:.4f} bpp, "
+        f"{summary['location_rounds']} location rounds -> {metrics_path}"
     )
     return 0
 

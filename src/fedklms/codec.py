@@ -29,7 +29,11 @@ per-coordinate KL (:func:`encode_update` with no partition) and ships their
 lengths.  :func:`next_partition` then merges the partitions that crossed the
 wire into the shared one.  On ordinary rounds it drops that partition only
 when the mean transmitted block KL drifts strictly outside the configured
-band, so the next round is a location round again.
+band and a re-cut could change the partition: below the band only if it has
+blocks to merge, above it only if it has a block to split.  A dropped
+partition makes the next round a location round again; a one-block
+partition below the band is kept, so while a model's whole KL stays under
+the target it ships its locations on the first round only.
 
 The wire layout is bit-packed, MSB first within bytes, zero-padded to a
 byte.  Its one statement is the list of fields that :func:`_wire_fields`
@@ -215,7 +219,7 @@ class EncodedUpdate:
             raise ValueError(f"avg_block_kl must be finite and nonnegative: "
                              f"{self.avg_block_kl!r}")
         self.avg_block_kl = _kl_of_code(_kl_code(self.avg_block_kl))
-        # types only: serialize_update checks that each value fits its field
+        # indices: types only; serialize_update checks that each fits its field
         indices = np.asarray(self.indices)
         if indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer):
             raise ValueError(f"indices must be a 1-D integer array: {self.indices!r}")
@@ -225,9 +229,16 @@ class EncodedUpdate:
             # num_blocks has no word for zero
             raise ValueError("an update carries at least one block index")
         lengths = self.block_lengths
-        if lengths is not None and (len(lengths) != self.num_blocks
-                                    or not all(map(_is_integer, lengths))):
-            raise ValueError(f"block_lengths needs one integer length per index: {lengths!r}")
+        if lengths is not None:
+            if len(lengths) != self.num_blocks or not all(map(_is_integer, lengths)):
+                raise ValueError(f"block_lengths needs one integer length per index: "
+                                 f"{lengths!r}")
+            # the writer takes lengths as int64; serialize_update bounds them
+            # by max_block_size
+            low, high = min(lengths), max(lengths)
+            if low < 1 or high >= 1 << _MAX_FIELD_BITS:
+                raise ValueError(f"block length {low if low < 1 else high} outside "
+                                 f"[1, 2^{_MAX_FIELD_BITS} - 1]")
 
     @property
     def num_blocks(self) -> int:
@@ -527,14 +538,17 @@ def next_partition(partition: BlockPartition | None, updates: list[EncodedUpdate
     """The server's partition for the next round, from this round's updates:
     after a location round (no ``partition``) the merge of the block lengths
     they shipped; otherwise the same partition, or None (a location round
-    next) when their mean block KL lies strictly outside
-    [kl_min_threshold, kl_max_threshold]."""
+    next) when a re-cut could change it: their mean block KL lies strictly
+    below kl_min_threshold and the partition has blocks to merge, or
+    strictly above kl_max_threshold and it has a block to split."""
     if partition is None:
         shipped = [BlockPartition.from_lengths(u.block_lengths) for u in updates]
         return aggregate_block_locations(shipped, params.max_block_size)
     mean_avg_kl = float(np.mean([u.avg_block_kl for u in updates]))
-    inside = params.kl_min_threshold <= mean_avg_kl <= params.kl_max_threshold
-    return partition if inside else None
+    merge = mean_avg_kl < params.kl_min_threshold and partition.num_blocks > 1
+    # fewer blocks than coordinates: some block is wider than one
+    split = mean_avg_kl > params.kl_max_threshold and partition.num_blocks < partition.dim
+    return None if merge or split else partition
 
 
 def _field_bits(values, width: int) -> np.ndarray:

@@ -195,6 +195,13 @@ class TestTrain:
         assert len(lines) == 1 + obj["rounds"]
         summary = json.loads((tmp_path / "s.json").read_text())
         assert summary["method"] == "qsgd"
+        # bitrates are compared on total bits, so the line prints them
+        assert capsys.readouterr().out == (
+            f"qsgd/klms: {obj['rounds']} rounds, "
+            f"final accuracy {summary['final_accuracy']:.4f}, "
+            f"mean payload {summary['mean_bpp_payload']:.4f} bpp, "
+            f"total {summary['mean_bpp_total']:.4f} bpp, "
+            f"{summary['location_rounds']} location rounds -> {tmp_path / 'm.csv'}\n")
 
     def test_out_override(self, tmp_path):
         path = write_json(tmp_path / "c.json", EXPERIMENT)

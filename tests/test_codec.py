@@ -507,6 +507,23 @@ def test_next_partition_keeps_or_drops(kls, kept):
     assert next_partition(part, updates, params) is (part if kept else None)
 
 
+# outside the band the partition is dropped only if a re-cut could change it:
+# a merge needs two blocks, a split a block wider than one coordinate
+@pytest.mark.parametrize("starts, kl, kept", [
+    pytest.param((0,), 0.25, True, id="keep-one-block-below"),
+    pytest.param(tuple(range(8)), 4.0, True, id="keep-unit-blocks-above"),
+    pytest.param((0, 4), 0.25, False, id="drop-two-blocks-below"),
+    pytest.param((0, 1, 2, 3, 4, 5, 6), 4.0, False, id="drop-a-two-wide-block-above"),
+    pytest.param((0,), 4.0, False, id="drop-one-block-above"),
+    pytest.param(tuple(range(8)), 0.25, False, id="drop-unit-blocks-below"),
+])
+def test_next_partition_drops_only_what_a_re_cut_can_change(starts, kl, kept):
+    params = params_with(target=1.0, kl_min=0.5, kl_max=2.0)
+    part = BlockPartition(dim=8, starts=starts)
+    updates = [_update(kl), _update(kl)]
+    assert next_partition(part, updates, params) is (part if kept else None)
+
+
 # --- wire format ------------------------------------------------------------
 
 
@@ -684,6 +701,11 @@ def test_serialize_refuses_values_outside_their_fields(field, value, match):
                  id="float-length"),
     pytest.param(dict(indices=[1], block_lengths=(True,)), "integer length",
                  id="bool-length"),
+    # refused where it enters, not as an OverflowError when the writer or
+    # bit_cost takes it as an int64
+    *[pytest.param(dict(indices=[1], block_lengths=(n,)),
+                   rf"block length {n} outside \[1, 2\^63 - 1\]", id=f"length-{n}")
+      for n in (2**63, -2**64, 0, -1)],
 ])
 def test_encoded_update_refuses_malformed_fields(fields, match):
     with pytest.raises(ValueError, match=match):

@@ -92,14 +92,24 @@ def _variants(path, node, cfg):
         return [({}, {path: value - 1})]  # one more would exceed num_clients
     if path == "codec.kl_min_threshold":
         # a nudge of the default edge leaves 3 rounds as they are; an edge at
-        # 0 or at the target moves the decision of round 1 on one side of it
-        return [({}, {path: 0.0}), ({}, {path: cfg.codec.d_kl_target})]
+        # 0 or at the target moves the decision of round 1 on one side of it,
+        # where the partition has blocks to merge.  signsgd's shipped target
+        # leaves it one block; under a target of 0.3 it has three, and a
+        # round-1 mean block KL between the default edge of 0.15 and 0.3
+        finer = {"codec.d_kl_target": 0.3}
+        return [({}, {path: 0.0}), ({}, {path: cfg.codec.d_kl_target}),
+                (finer, {**finer, path: 0.3})]
     if path == "codec.kl_max_threshold":
         # at the shipped targets the mean block KL of round 1 is below the
         # target, where no upper edge can act; under a target of 0.1 it lies
-        # above the target and either below or above the default edge of 0.2
-        shared = {"codec.d_kl_target": 0.1}
-        return [(shared, {**shared, path: 0.1}), (shared, {**shared, path: 10.0})]
+        # above the target and either below or above the default edge of 0.2,
+        # but qsgd's blocks are then single coordinates, with nothing to split.
+        # With one client a round and a target of 0.6, qsgd's blocks are up to
+        # two wide and their round-1 mean KL lies above the target
+        low = {"codec.d_kl_target": 0.1}
+        one = {"codec.d_kl_target": 0.6, "clients_per_round": 1}
+        return [(low, {**low, path: 0.1}), (low, {**low, path: 10.0}),
+                (one, {**one, path: 0.6})]
     if path == "model.kind":
         # logistic does not read hidden_units; 2 keeps the mlp near dim 42
         shared = {"model.hidden_units": 2}
