@@ -12,10 +12,12 @@ posteriors instead of the raw parameter width.
 
 The encoder's log importance weights are affine in the candidate and its
 square (see :func:`fedklms.distributions.log_ratio`).  They are computed from
-coefficients built once per message, over candidate chunks of at most
-``ENCODE_CHUNK_FLOATS`` values, so encode memory is bounded whatever K is.
-The encoder keeps no candidate past its chunk and returns only the index:
-the selected row exists once the decoder regenerates it.
+coefficients built once per message, one tile of candidates at a time.  A
+tile holds at most ``ENCODE_CHUNK_FLOATS`` values (256 KiB of float64) or
+four rows, so it stays in cache while it is drawn and weighed, and encode
+memory is the tile plus the K log-weights, however wide the block.  The
+encoder keeps no candidate past its tile and returns only the index: the
+selected row exists once the decoder regenerates it.
 
 K is uniform across blocks and derived from the block KL *target*, not the
 realized block KL: the greedy partitioner aims every block at the same target,
@@ -67,8 +69,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (LogRatio, ProductDistribution, _check_coordinates,
-                            _is_integer, kl_per_coordinate, log_ratio)
+from .distributions import (ENCODE_CHUNK_FLOATS, LogRatio, ProductDistribution,
+                            _check_coordinates, _is_integer, kl_per_coordinate, log_ratio)
 from .streams import SampleStream, StreamKey, derive_stream
 
 _LN2 = math.log(2.0)
@@ -86,10 +88,6 @@ _BIT_WEIGHTS = np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64)
 _KL_CODE_BITS = 8
 _KL_STEPS_PER_OCTAVE = 8
 _KL_CODE_OF_ONE_NAT = 128
-
-# most candidate values one encode holds at once (8 MB of float64); a block
-# wider than half of this still takes two rows per chunk
-ENCODE_CHUNK_FLOATS = 1 << 20
 
 # stream role labels; both sides must derive identical keys
 _BLOCK_TAG = "block"
@@ -366,13 +364,14 @@ def selection_weights(
     (max-shifted softmax of the log ratios, so extreme ratios stay finite).
 
     ``candidates`` is the K x (hi-lo) matrix or an iterable of its consecutive
-    row chunks; ``ratio`` is ``log_ratio(q, p)`` when the caller has it.
+    row tiles; ``ratio`` is ``log_ratio(q, p)`` when the caller has it.
     """
     ratio = log_ratio(q, p) if ratio is None else ratio
-    chunks = [candidates] if isinstance(candidates, np.ndarray) else candidates
-    log_w = np.concatenate([ratio.rows(lo, hi, c) for c in chunks])
+    tiles = [candidates] if isinstance(candidates, np.ndarray) else candidates
+    rows = ratio.block(lo, hi)
+    log_w = np.concatenate([rows(c) for c in tiles])
     top = np.max(log_w)
-    if np.isneginf(top):
+    if top == -np.inf:
         raise ZeroMassCandidatesError(lo, hi)
     weights = np.exp(log_w - top)
     weights /= weights.sum()
@@ -406,16 +405,24 @@ def encode_block(
     Returns the index, the only thing the message carries: the decoder
     regenerates its row with :func:`decode_block`.  The shared stream is
     consumed identically by both sides; the selector stream is client-only
-    randomness.  Candidates are drawn in chunks of an even number of rows
-    (Gaussian pairs and the two halves of a Bernoulli word never straddle two
-    chunks), so at most ``ENCODE_CHUNK_FLOATS`` values are held at once.
+    randomness.
+
+    Candidates are drawn, weighed and dropped one tile at a time, so at most
+    ``ENCODE_CHUNK_FLOATS`` values, or four rows, are held at once; only the
+    K log-weights outlive their tile.  A tile's rows are a multiple of 4.
+    An even count keeps Gaussian pairs and the two halves of a Bernoulli word
+    from straddling two tiles.  A multiple of 4 also keeps the log-weights
+    bit for bit: with OpenBLAS 0.3.31 (Haswell kernels), the matrix-vector
+    product of tiles of 4, 8, 12 or 64 rows equals the whole product, where
+    tiles of 2, 6 or 14 rows differ in the last bits (the selections survive
+    even that).
     """
     if num_samples < 1:
         raise ValueError(f"need at least one candidate: {num_samples}")
-    rows = max(2, ENCODE_CHUNK_FLOATS // (hi - lo) // 2 * 2)
-    chunks = (p.sample(lo, hi, shared_stream, count=min(rows, num_samples - start))
-              for start in range(0, num_samples, rows))
-    return select_index(selection_weights(q, p, lo, hi, chunks, ratio), selector_stream)
+    rows = max(4, ENCODE_CHUNK_FLOATS // (hi - lo) // 4 * 4)
+    tiles = (p.sample(lo, hi, shared_stream, count=min(rows, num_samples - start))
+             for start in range(0, num_samples, rows))
+    return select_index(selection_weights(q, p, lo, hi, tiles, ratio), selector_stream)
 
 
 def decode_block(

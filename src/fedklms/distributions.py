@@ -31,7 +31,12 @@ stores probs = floor(p * 2^32) / 2^32, and ``sample``, ``log_mass_rows``,
 :func:`kl_per_coordinate` and :func:`log_ratio` all read that one value, which
 keeps the importance weights exact.  p = 0 and p = 1 stay exact (thresholds 0
 and 2^32), and a probability below 2^-32 rounds to 0 and takes the zero-mass
-path below.  Row k of a w-wide block starts at half-word k * w.
+path below.  Row k of a w-wide block starts at half-word k * w.  The uint32
+thresholds and the mask of p = 1 coordinates (t = 2^32 does not fit a uint32,
+so those are set to 1 after the compare) are derived once, with the grid
+rounding, so a sample costs only its draw and its compare; it draws its words
+in pieces of at most ``ENCODE_CHUNK_FLOATS``, the size of the codec's encode
+tile.
 
 Zero mass is reported as -inf, never as an exception; absolute-continuity
 violations (client support exceeding global support) are errors raised by the
@@ -53,9 +58,11 @@ from .streams import SampleStream
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 _GRID = 2.0**32  # Bernoulli thresholds are whole numbers of 2^-32
-# most 32-bit words a Bernoulli sample holds at once (128 KiB); a block wider
-# than half of this still takes two rows per piece
-_PIECE_WORDS = 1 << 15
+# most candidate values the codec's encoder holds at once: it draws, maps and
+# weighs a block's candidates one tile of this many float64 (256 KiB) at a
+# time, small enough to stay in a core's L2 cache.  A Bernoulli sample draws its 32-bit
+# words in pieces of the same size, so one number bounds both.
+ENCODE_CHUNK_FLOATS = 1 << 15
 
 
 class AbsoluteContinuityError(ValueError):
@@ -119,6 +126,10 @@ class BernoulliVector:
         _check_coordinates((probs >= 0.0) & (probs <= 1.0),
                            "Bernoulli probabilities must lie in [0, 1]", probs)
         self.probs = np.floor(probs * _GRID) / _GRID
+        # sample's thresholds, derived once (see the module docstring)
+        threshold = self.probs * _GRID  # whole numbers in [0, 2^32]
+        self._certain = threshold == _GRID
+        self._threshold = np.minimum(threshold, _GRID - 1.0).astype(np.uint32)
 
     @property
     def dim(self) -> int:
@@ -128,9 +139,7 @@ class BernoulliVector:
                start: int = 0) -> np.ndarray:
         _check_range(lo, hi, self.dim)
         width = hi - lo
-        threshold = self.probs[lo:hi] * _GRID  # whole numbers in [0, 2^32]
-        certain = threshold == _GRID  # 2^32 does not fit a uint32: set apart
-        threshold = np.minimum(threshold, _GRID - 1.0).astype(np.uint32)
+        threshold = self._threshold[lo:hi]
         # coordinate j of the stream is half-word j: skip whole words, and at
         # an odd start draw the first row alone, dropping the half before it;
         # that row ends on a word boundary
@@ -142,11 +151,12 @@ class BernoulliVector:
             np.less(stream.uniforms(width + 1, bits=32)[1:], threshold, out=out[0])
         # an even number of rows per piece, so that every piece but the last
         # ends on a word boundary
-        step = max(2, _PIECE_WORDS // width // 2 * 2)
+        step = max(2, ENCODE_CHUNK_FLOATS // width // 2 * 2)
         for r in range(head, count, step):
             rows = out[r:r + step]
             words = stream.uniforms(rows.size, bits=32).reshape(rows.shape)
             np.less(words, threshold, out=rows)
+        certain = self._certain[lo:hi]
         if certain.any():
             out[:, certain] = 1.0
         return out
@@ -393,17 +403,27 @@ class LogRatio:
     square: np.ndarray | None
     zero_mass: tuple[tuple[float, np.ndarray], ...]
 
-    def rows(self, lo: int, hi: int, candidates: np.ndarray) -> np.ndarray:
-        """The log-ratio of each row of a (n, hi-lo) candidate matrix."""
-        out = candidates @ self.linear[lo:hi]
-        if self.square is not None:
-            out += (candidates * candidates) @ self.square[lo:hi]
-        out += self.const[lo:hi].sum()
-        for value, mask in self.zero_mass:
-            cols = np.flatnonzero(mask[lo:hi])
-            if cols.size:
+    def block(self, lo: int, hi: int):
+        """The function that gives the log-ratio of each row of an (n, hi-lo)
+        candidate matrix.  The block's constant and its zero-mass columns are
+        found here, once, so that weighing a block tile by tile passes over
+        its width only in the products."""
+        linear = self.linear[lo:hi]
+        square = None if self.square is None else self.square[lo:hi]
+        const = self.const[lo:hi].sum()
+        dead = [(value, cols) for value, mask in self.zero_mass
+                if (cols := np.flatnonzero(mask[lo:hi])).size]
+
+        def rows(candidates: np.ndarray) -> np.ndarray:
+            out = candidates @ linear
+            if square is not None:
+                out += (candidates * candidates) @ square
+            out += const
+            for value, cols in dead:
                 out[(candidates[:, cols] == value).any(axis=1)] = -np.inf
-        return out
+            return out
+
+        return rows
 
 
 def _outcome_terms(outcomes) -> tuple[list[np.ndarray], tuple]:

@@ -219,6 +219,8 @@ class SampleStream:
         """Move past the next n words at the cost of at most six draws."""
         if n < 0:
             raise ValueError(f"skip count must be nonnegative: {n}")
+        if n == 0:  # each tile of an encode samples from start 0
+            return
         # advance discards Philox's buffered group of four, so finish it first
         lead = min(n, -self._drawn % 4)
         self._draw(lead)

@@ -12,9 +12,10 @@ codec, applied to the client's own realized KL, so the nominal r is honored
 only up to the ceiling; realized bits are therefore reported per cell in the
 summary next to the nominal grid value.
 
-Each client's message is the codec's for a one-coordinate block.  The study
-draws and weighs the K candidates itself and keeps the one
-:func:`~fedklms.codec.select_index` picks, the value a decode would give.
+Each client's message is the codec's for a one-coordinate block: the client
+encodes it with :func:`~fedklms.codec.encode_block`, which weighs the K
+candidates one tile at a time, and the server regenerates the chosen one with
+:func:`~fedklms.codec.decode_block` from a stream of its own.
 
 Cells are written in r -> N -> eta loop order, one CSV row per cell, so a
 rerun with the same seed is byte-identical.
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import samples_per_block, select_index, selection_weights
+from .codec import decode_block, encode_block, samples_per_block
 from .config import ToyConfig
 from .distributions import DiagonalGaussian
 from .streams import StreamKey, derive_stream
@@ -71,12 +72,11 @@ def _run_cell(
             num_samples, bits = samples_per_block(kl, params)
             bits_sum += bits
             client_key = rep_key.child("client", n)
-            candidates = prior.sample(0, 1, derive_stream(client_key.child("shared")),
-                                      count=num_samples)
-            weights = selection_weights(DiagonalGaussian(np.array([mu_n]), sigma),
-                                        prior, 0, 1, candidates)
-            k = select_index(weights, derive_stream(client_key.child("select")))
-            decoded[n] = candidates[k, 0]
+            shared = client_key.child("shared")
+            k = encode_block(DiagonalGaussian(np.array([mu_n]), sigma), prior, 0, 1,
+                             num_samples, derive_stream(shared),
+                             derive_stream(client_key.child("select")))
+            decoded[n] = decode_block(prior, 0, 1, num_samples, derive_stream(shared), k)[0]
         gaps[rep] = decoded.mean() - cfg.mu
     return ToyCell(
         overhead_r=r,

@@ -74,6 +74,21 @@ def ternary_sample(dist, lo: int, hi: int, stream: SampleStream, count: int = 1,
     return out
 
 
+def bernoulli_sample(dist, lo: int, hi: int, stream: SampleStream, count: int = 1,
+                     start: int = 0) -> np.ndarray:
+    """Bernoulli candidate rows with thresholds derived on each call: half-word
+    j of the stream, from half-word start * width on, gives 1 when it lies
+    below floor(p * 2^32), compared in float64, where every word and 2^32
+    itself are exact."""
+    _check_range(lo, hi, dist.dim)
+    width = hi - lo
+    first = start * width
+    stream.skip(first // 2)
+    words = stream.uniforms(first % 2 + count * width, bits=32)[first % 2:]
+    threshold = np.floor(dist.probs[lo:hi] * 2.0**32)
+    return (words.reshape(count, width) < threshold).astype(np.float64)
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function by boolean masks: 1 / (1 + exp(-x)) where x >= 0,
     exp(x) / (1 + exp(x)) elsewhere."""

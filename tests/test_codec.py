@@ -1064,9 +1064,9 @@ def test_decode_block_equals_full_regeneration(kind, width, lo, num_samples):
 @pytest.mark.parametrize("kind", P_KINDS)
 @pytest.mark.parametrize("chunk_floats", [1, 37 * 6, 37 * 9 + 5])
 def test_chunked_encode_keeps_selections(kind, chunk_floats, monkeypatch):
-    # width 37 is odd, so Gaussian chunks stay pair-aligned only because the
-    # chunks hold an even number of rows (2, 6 and 8 here); 201 candidates
-    # leave a ragged last chunk in each case
+    # width 37 is odd, so Gaussian tiles stay pair-aligned only because the
+    # tiles hold an even number of rows (4, 4 and 8 here); 201 candidates
+    # leave a ragged last tile in each case
     lo, hi, num_samples = 4, 41, 201
     q, p = _q_of_kind(kind, 45), _p_of_kind(kind, 45)
     key = StreamKey(80, (("chunks", len(kind)),))
@@ -1082,10 +1082,9 @@ def test_chunked_encode_keeps_selections(kind, chunk_floats, monkeypatch):
     assert encode() == whole
 
 
-def test_chunked_encode_memory_is_bounded(monkeypatch):
-    # K = 2^14 candidates of width 1024 would be a 128 MiB matrix; chunks of
-    # 2^16 values keep the encoder to a few MiB
-    monkeypatch.setattr(codec, "ENCODE_CHUNK_FLOATS", 1 << 16)
+def test_chunked_encode_memory_is_bounded():
+    # K = 2^14 candidates of width 1024 would be a 128 MiB matrix; tiles of
+    # ENCODE_CHUNK_FLOATS values keep the encoder to the tile and K weights
     width, num_samples = 1024, 1 << 14
     q = BernoulliVector(np.linspace(0.45, 0.55, width))
     p = BernoulliVector(np.full(width, 0.5))
@@ -1102,6 +1101,46 @@ def test_chunked_encode_memory_is_bounded(monkeypatch):
     assert 0 <= k < num_samples
 
 
+def _fedpm_size_message(seed: int):
+    # the fedpm MLP's codec setting: d = 2,210 in one Bernoulli block, and
+    # K = 2^ceil((3 + 2) / ln 2) = 256 candidates
+    params = params_with(target=3.0, r=2.0, max_block=4096)
+    gen = derive_stream(StreamKey(84, (("fedpm-size", seed),)))
+    q = BernoulliVector(0.5 + 0.3 * (2.0 * gen.uniforms(2210) - 1.0))
+    p = BernoulliVector(0.5 + 0.3 * (2.0 * gen.uniforms(2210) - 1.0))
+    return q, p, BlockPartition(2210, (0,)), params
+
+
+def test_fedpm_size_encode_holds_one_tile():
+    # the whole 256 x 2,210 candidate matrix would be 4.3 MiB
+    q, p, partition, params = _fedpm_size_message(0)
+    assert samples_per_block(params.d_kl_target, params)[0] == 256
+    key = StreamKey(85, (("fedpm-peak", 0),))
+    tracemalloc.start()
+    try:
+        upd, _ = encode_update(q, p, partition, params, key, round_index=0, client_id=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert upd.num_blocks == 1
+    assert peak < 1.5 * 2**20, peak
+
+
+def test_tiled_encode_picks_what_the_whole_matrix_picks(monkeypatch):
+    # at 2^20 values a fedpm-size block is one 256-row tile
+    messages = [_fedpm_size_message(seed) for seed in range(20)]
+    keys = [StreamKey(86, (("tiles", seed),)) for seed in range(20)]
+
+    def indices():
+        return [int(encode_update(q, p, partition, params, key,
+                                  round_index=0, client_id=0)[0].indices[0])
+                for (q, p, partition, params), key in zip(messages, keys)]
+
+    tiled = indices()
+    monkeypatch.setattr(codec, "ENCODE_CHUNK_FLOATS", 1 << 20)
+    assert indices() == tiled
+
+
 def test_chunked_encode_builds_two_streams_per_block(monkeypatch):
     # each block's shared and selector streams and no other: the encoder
     # returns the index, so no chunked block replays its stream for a row
@@ -1110,7 +1149,7 @@ def test_chunked_encode_builds_two_streams_per_block(monkeypatch):
     partition = split_blocks_fixed(20, 8)
     key = StreamKey(83, (("streams", 0),))
     whole, _ = encode_update(q, p, partition, params, key, round_index=0, client_id=0)
-    monkeypatch.setattr(codec, "ENCODE_CHUNK_FLOATS", 16)  # 2 or 4 rows per chunk
+    monkeypatch.setattr(codec, "ENCODE_CHUNK_FLOATS", 16)  # 4 rows per tile
     built = []
     init = SampleStream.__init__
 

@@ -24,7 +24,7 @@ from fedklms.distributions import (
     log_ratio,
 )
 from fedklms.streams import StreamKey, derive_stream
-from reference import kl_block, log_mass, scaled, ternary_sample
+from reference import bernoulli_sample, kl_block, log_mass, scaled, ternary_sample
 
 
 def enumerate_support(dist):
@@ -338,6 +338,21 @@ def test_bernoulli_certain_coordinates():
     assert row[0, 0] == 1.0 and row[0, 2] == 1.0
 
 
+@pytest.mark.parametrize("start", [0, 3])
+def test_bernoulli_sample_matches_per_call_threshold_reference(start):
+    # each edge of the grid: 0, a probability that rounds to 0, one half,
+    # the top grid point below 1, and 1 (threshold 2^32), three times over,
+    # so that width 15 and start 3 begin at an odd half-word
+    probs = np.array([0.0, 2.0**-33, 0.5, 1.0 - 2.0**-32, 1.0])
+    dist = BernoulliVector(np.tile(probs, 3))
+    for lo, hi, count in ((0, 15, 5000), (2, 9, 7), (4, 5, 1)):
+        key = StreamKey(17, (("bern-ref", start), ("lo", lo)))
+        ours = dist.sample(lo, hi, derive_stream(key), count=count, start=start)
+        ref = bernoulli_sample(dist, lo, hi, derive_stream(key), count=count, start=start)
+        assert ours.dtype == ref.dtype and ours.shape == ref.shape
+        assert ours.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("p", [1e-6, 0.3, 0.5])
 def test_bernoulli_frequency_matches_grid_law(p):
     # 10^6 draws: 1000 candidates of 1000 coordinates
@@ -420,7 +435,7 @@ def test_log_ratio_matches_log_mass_difference(name, lo, hi):
     rows = p.sample(lo, hi, derive_stream(StreamKey(15, (("rows", lo),))), count=4096)
     log_q, log_p = q.log_mass_rows(lo, hi, rows), p.log_mass_rows(lo, hi, rows)
     expected = log_q - log_p
-    got = log_ratio(q, p).rows(lo, hi, rows)
+    got = log_ratio(q, p).block(lo, hi)(rows)
     assert np.array_equal(np.isneginf(got), np.isneginf(expected))
     assert not np.isnan(got).any()
     # relative to the log masses: where they nearly cancel, the difference
@@ -434,7 +449,7 @@ def test_log_ratio_zero_mass_rows_occur():
     # the cases above do reach the -inf branch, and not for every row
     q, p = _ratio_pairs()["bernoulli"]
     rows = p.sample(0, 40, derive_stream(StreamKey(15, (("rows", 0),))), count=4096)
-    dead = np.isneginf(log_ratio(q, p).rows(0, 40, rows))
+    dead = np.isneginf(log_ratio(q, p).block(0, 40)(rows))
     assert 0 < dead.sum() < dead.size
 
 
