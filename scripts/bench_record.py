@@ -14,8 +14,8 @@ another one.  It writes, and checks nothing:
   time of ``outputs(case)``, the sha256 of the metrics CSV and summary JSON
   it returns, and for a train case the accuracy and bpp it reports.
 
-The runs take about seven minutes and go one after another, perfbench first,
-so that they do not compete for the machine.
+The runs take about five minutes on 2 vCPUs.  They go one after another,
+perfbench first, so that they do not compete for the machine.
 """
 
 import argparse

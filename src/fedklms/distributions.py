@@ -50,6 +50,7 @@ leaves its pattern log-mass unchanged.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,8 +61,8 @@ _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 _GRID = 2.0**32  # Bernoulli thresholds are whole numbers of 2^-32
 # most candidate values the codec's encoder holds at once: it draws, maps and
 # weighs a block's candidates one tile of this many float64 (256 KiB) at a
-# time, small enough to stay in a core's L2 cache.  A Bernoulli sample draws its 32-bit
-# words in pieces of the same size, so one number bounds both.
+# time, small enough to stay in a core's L2 cache.  A Bernoulli sample draws
+# its 32-bit words in pieces of the same size, so one number bounds both.
 ENCODE_CHUNK_FLOATS = 1 << 15
 
 
@@ -403,7 +404,7 @@ class LogRatio:
     square: np.ndarray | None
     zero_mass: tuple[tuple[float, np.ndarray], ...]
 
-    def block(self, lo: int, hi: int):
+    def block(self, lo: int, hi: int) -> Callable[[np.ndarray], np.ndarray]:
         """The function that gives the log-ratio of each row of an (n, hi-lo)
         candidate matrix.  The block's constant and its zero-mass columns are
         found here, once, so that weighing a block tile by tile passes over
