@@ -4,9 +4,12 @@
 Each round the per-coordinate KL profile (a sinusoid spanning a 10x range)
 shifts phase.  The adaptive partition re-cuts blocks to its KL budget, so its
 payload should hug total KL/ln2 plus the per-block overhead; a fixed
-equal-size partition at the same mean bitrate ends up with blocks far off
-their budget in both directions.  Writes results/bitrate_trace.csv under the
-checkout root, wherever it is run from.
+equal-size partition with as many blocks as the first round's adaptive one
+ends up with blocks far off their budget in both directions.  Each round
+encodes the vector over both partitions, and a partition's bits are the
+payload the codec accounts for that message: the index codes it sends.
+Writes results/bitrate_trace.csv under the checkout root, wherever it is run
+from.
 """
 
 import math
@@ -18,12 +21,20 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from fedklms.codec import BlockPartition, CodecParams, split_blocks_adaptive
+from fedklms.codec import BlockPartition, CodecParams, encode_update, split_blocks_adaptive
 from fedklms.distributions import BernoulliVector, kl_per_coordinate
+from fedklms.streams import StreamKey
 
 D = 10_000
 ROUNDS = 50
 KL_LOW = 2e-3
+SEED = 2025
+
+
+def payload_bits(q, p, partition: BlockPartition, params: CodecParams, key: StreamKey) -> int:
+    """The payload bits of q's message over the partition, keyed by key."""
+    _, cost = encode_update(q, p, partition, params, key, round_index=0, client_id=0)
+    return cost.payload_bits
 
 
 def kl_profile(round_index: int) -> np.ndarray:
@@ -44,15 +55,16 @@ def trace_rows() -> list[tuple[int, float, float, int, int, float]]:
         kl = kl_per_coordinate(q, p)
         total_kl = float(kl.sum())
 
+        key = StreamKey(SEED).child("round", t)
         adaptive = split_blocks_adaptive(kl, params)
-        adaptive_bits = adaptive.num_blocks * params.index_bits
+        adaptive_bits = payload_bits(q, p, adaptive, params, key.child("adaptive"))
         ideal = (total_kl + adaptive.num_blocks * params.overhead_r) / math.log(2.0)
 
         if fixed_size is None:
             # match the fixed scheme's mean bitrate to the adaptive one
             fixed_size = max(1, round(D / adaptive.num_blocks))
         fixed = BlockPartition(D, tuple(range(0, D, fixed_size)))
-        fixed_bits = fixed.num_blocks * params.index_bits
+        fixed_bits = payload_bits(q, p, fixed, params, key.child("fixed"))
         budget = params.d_kl_target
         realized = np.array([float(kl[lo:hi].sum()) for lo, hi in fixed.ranges()])
         violation = float(np.mean((realized > 2.0 * budget) | (realized < 0.5 * budget)))

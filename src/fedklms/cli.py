@@ -140,7 +140,8 @@ def _cmd_codec_bench(args) -> int:
         raise RuntimeError("decode is not deterministic")
 
     digest = hashlib.sha256(decoded.astype(np.uint8).tobytes()).hexdigest()
-    print(f"coords: {d}, blocks: {upd.num_blocks}, index bits: {params.index_bits}")
+    print(f"coords: {d}, blocks: {upd.num_blocks}, "
+          f"index bits: {cost.payload_bits / upd.num_blocks:.2f} mean, K = {2**params.index_bits}")
     print(f"encode: {d / encode_s:,.0f} coords/s")
     print(f"decode: {d / decode_s:,.0f} coords/s")
     print(f"payload: {cost.payload_bits} bits ({cost.payload_bits / d:.4f} bpp)")

@@ -1,29 +1,36 @@
-"""Shared-seed importance-sampling codec.
+"""Shared-seed codec: ordered random coding over candidates drawn from p.
 
 A client holding a local posterior q and the broadcast global prior p sends a
 parameter vector by (1) cutting coordinates into blocks of bounded KL, (2)
 regenerating, per block, K pseudo-random candidates from p using a stream whose
-key both sides can derive, (3) picking one candidate with probability
-proportional to the importance ratio q/p, and (4) transmitting only the
-candidate's index.  The decoder derives the same key and regenerates only the
-indexed candidate: the stream is counter based, so it skips the rows before
-it without computing them.  The bit cost therefore tracks the KL between the
-posteriors instead of the raw parameter width.
+key both sides can derive, (3) picking one candidate by ordered random coding,
+and (4) transmitting only the candidate's index.  The decoder derives the same
+key and regenerates only the indexed candidate: the stream is counter based,
+so it skips the rows before it without computing them.  The bit cost therefore
+tracks the KL between the posteriors instead of the raw parameter width.
+
+Ordered random coding is Li & El Gamal's Poisson functional representation
+truncated to K candidates (Theis & Yosri, ICML 2022).  The encoder gives the
+candidates increasing arrival times T_1 < ... < T_K, running sums of Exp(1)
+draws from its own selector stream, and picks n = argmin T_n / w_n, where w
+is the importance weight q/p.  When q is near p the weights are near equal,
+so early candidates win and small indices are likely; each index is sent as
+the Elias-gamma code of n + 1, and costs about the block's KL in bits rather
+than log2 K.
 
 The encoder's log importance weights are affine in the candidate and its
 square (see :func:`fedklms.distributions.log_ratio`).  They are computed from
 coefficients built once per message, one tile of candidates at a time.  A
 tile holds at most ``ENCODE_CHUNK_FLOATS`` values (256 KiB of float64) or
 four rows, so it stays in cache while it is drawn and weighed, and encode
-memory is the tile plus the K log-weights, however wide the block.  The
-encoder keeps no candidate past its tile and returns only the index: the
-selected row exists once the decoder regenerates it.
+memory is the tile plus K weights and K arrival times, however wide the
+block.  The encoder keeps no candidate past its tile and returns only the
+index: the selected row exists once the decoder regenerates it.
 
 K is uniform across blocks and derived from the block KL *target*, not the
 realized block KL: the greedy partitioner aims every block at the same target,
-the optimal sample budget is then the same for every block, and the index
-width is a session constant, so the parser checks that the whole body fits
-before it reads any block.
+the optimal sample budget is then the same for every block, and K is a
+session constant, the bound the parser holds every index to.
 
 The block partition's lifecycle: a round without a shared partition, such as
 the first, is a location round.  Every client cuts its own blocks from its
@@ -39,15 +46,20 @@ the target it ships its locations on the first round only.
 
 The wire layout is bit-packed, MSB first within bytes, zero-padded to a
 byte.  Its one statement is the list of fields that :func:`_wire_fields`
-gives for an update: :func:`serialize_update` packs that list, and
-:func:`bit_cost` sums it, so the wire length equals the accounting.
+gives for an update: a 1-bit location flag, the 8-bit code of the mean block
+KL and the Elias-gamma block count, then on location rounds one fixed-width
+length field per block, then one Elias-gamma index code per block.
+:func:`serialize_update` packs that list, and :func:`bit_cost` sums it, so
+the wire length equals the accounting.
 
-The reader mirrors that list, reading each field at the width the list
-names: it unpacks the whole message into one bit array and reads each field
-as the dot product of its bits with their weights.  It checks that the
-whole body fits before it reads any block field, and it refuses a block
-length above max_block_size, so every message it accepts is one the writer
-writes, up to the pad bits, which it does not read.
+The reader mirrors that list: it unpacks the whole message into one bit array,
+reads each fixed-width field as the dot product of its bits with their
+weights, and reads the block count and the index codes with one Elias-gamma
+reader.  Before it reads any block field it checks that the length fields and
+at least one bit per index fit, and it refuses a block length above
+max_block_size, an index of K or more and a code the message cuts short, so
+every message it accepts is one the writer writes, up to the pad bits, which
+it does not read.
 
 The mean block KL only reports how far the client's blocks drift from the
 target, so it is sent at 1/8-octave precision: code 0 is a KL of exactly 0,
@@ -55,10 +67,11 @@ and code c >= 1 is 2^((c - 128) / 8) nats, from 1.6e-5 to 6.0e4.  The encoder
 sends the code nearest the KL in log2, within a factor 2^(1/16); a KL outside
 that range saturates to code 1 or 255.
 
-index_bits and max_block_size are session constants carried in
-:class:`CodecParams`, never in-band.  Neither are the round and the client:
-the receiver derives the message's stream key from both, so it already knows
-them, and a message read under another key decodes to other candidates.
+K (from d_kl_target and overhead_r) and max_block_size are session constants
+carried in :class:`CodecParams`, never in-band.  Neither are the round and the
+client: the receiver derives the message's stream key from both, so it
+already knows them, and a message read under another key decodes to other
+candidates.
 """
 
 from __future__ import annotations
@@ -74,6 +87,7 @@ from .distributions import (ENCODE_CHUNK_FLOATS, LogRatio, ProductDistribution,
 from .streams import SampleStream, StreamKey, derive_stream
 
 _LN2 = math.log(2.0)
+_TINY = np.finfo(np.float64).tiny
 
 # widest index or length field the wire handles: fields are read as uint64,
 # and the writer takes block lengths as int64
@@ -138,7 +152,8 @@ class CodecParams:
 
     @property
     def index_bits(self) -> int:
-        """Per-block index width; uniform across blocks (see module docstring)."""
+        """log2 K, uniform across blocks (see module docstring); an index's
+        Elias-gamma code has at most 2 index_bits + 1 bits."""
         return samples_per_block(self.d_kl_target, self)[1]
 
     @property
@@ -380,7 +395,9 @@ def selection_weights(
 
 def select_index(weights: np.ndarray, selector_stream: SampleStream) -> int:
     """Draw one index with probability given by normalized ``weights``,
-    consuming one uniform of the selector stream."""
+    consuming one uniform of the selector stream: the importance sampler the
+    scalar study (:mod:`fedklms.toy`) measures; the codec itself picks by
+    ordered random coding (:func:`encode_block`)."""
     u = selector_stream.next_uniform()
     k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
     if k >= weights.size:
@@ -388,6 +405,25 @@ def select_index(weights: np.ndarray, selector_stream: SampleStream) -> int:
         # use the last candidate that carries mass
         k = int(np.flatnonzero(weights > 0.0)[-1])
     return k
+
+
+def candidate_tiles(
+    p: ProductDistribution, lo: int, hi: int, num_samples: int, shared_stream: SampleStream
+) -> Iterable[np.ndarray]:
+    """The block's num_samples candidates drawn from p, as consecutive row
+    tiles drawn one at a time from the shared stream.
+
+    A tile holds at most ``ENCODE_CHUNK_FLOATS`` values, or four rows, and
+    its rows are a multiple of 4.  An even count keeps Gaussian pairs and the
+    two halves of a Bernoulli word from straddling two tiles.  A multiple of
+    4 also keeps the log-weights bit for bit: with OpenBLAS 0.3.31 (Haswell
+    kernels), the matrix-vector product of tiles of 4, 8, 12 or 64 rows
+    equals the whole product, where tiles of 2, 6 or 14 rows differ in the
+    last bits (the selections survive even that).
+    """
+    rows = max(4, ENCODE_CHUNK_FLOATS // (hi - lo) // 4 * 4)
+    return (p.sample(lo, hi, shared_stream, count=min(rows, num_samples - start))
+            for start in range(0, num_samples, rows))
 
 
 def encode_block(
@@ -400,29 +436,26 @@ def encode_block(
     selector_stream: SampleStream,
     ratio: LogRatio | None = None,
 ) -> int:
-    """Pick one of num_samples candidates drawn from p, importance-weighted by q.
+    """Pick one of num_samples candidates drawn from p by ordered random
+    coding: n = argmin T_n / w_n over importance weights w = q/p and
+    increasing arrival times T (see the module docstring).
 
     Returns the index, the only thing the message carries: the decoder
     regenerates its row with :func:`decode_block`.  The shared stream is
     consumed identically by both sides; the selector stream is client-only
-    randomness.
-
-    Candidates are drawn, weighed and dropped one tile at a time, so at most
-    ``ENCODE_CHUNK_FLOATS`` values, or four rows, are held at once; only the
-    K log-weights outlive their tile.  A tile's rows are a multiple of 4.
-    An even count keeps Gaussian pairs and the two halves of a Bernoulli word
-    from straddling two tiles.  A multiple of 4 also keeps the log-weights
-    bit for bit: with OpenBLAS 0.3.31 (Haswell kernels), the matrix-vector
-    product of tiles of 4, 8, 12 or 64 rows equals the whole product, where
-    tiles of 2, 6 or 14 rows differ in the last bits (the selections survive
-    even that).
+    randomness, num_samples uniforms of it.  Candidates are drawn, weighed
+    and dropped one tile at a time (:func:`candidate_tiles`); only the K
+    weights outlive their tile.
     """
     if num_samples < 1:
         raise ValueError(f"need at least one candidate: {num_samples}")
-    rows = max(4, ENCODE_CHUNK_FLOATS // (hi - lo) // 4 * 4)
-    tiles = (p.sample(lo, hi, shared_stream, count=min(rows, num_samples - start))
-             for start in range(0, num_samples, rows))
-    return select_index(selection_weights(q, p, lo, hi, tiles, ratio), selector_stream)
+    tiles = candidate_tiles(p, lo, hi, num_samples, shared_stream)
+    weights = selection_weights(q, p, lo, hi, tiles, ratio)
+    # arrival times of a unit-rate Poisson process, one per candidate in
+    # order; the first is 0 only for a uniform of exactly 0, which the floor
+    # turns into a huge score (or 0 for a candidate q gives no mass)
+    arrivals = np.cumsum(-np.log1p(-selector_stream.uniforms(num_samples)))
+    return int(np.argmax(weights / np.maximum(arrivals, _TINY)))
 
 
 def decode_block(
@@ -463,8 +496,7 @@ def encode_update(
 
     With no ``partition`` the client cuts its own blocks from its KL vector
     (:func:`split_blocks_adaptive`) and must ship their lengths.  A block
-    whose K candidates all miss q's support sends a uniform pick, drawn with
-    its selector stream.
+    whose K candidates all miss q's support sends index 0.
 
     key_base must identify (round, client) uniquely; the per-block stream keys
     are derived from it, so the stream for block m never depends on how other
@@ -498,9 +530,9 @@ def encode_update(
             indices[m] = encode_block(q, p, lo, hi, num_samples, shared, selector, ratio)
         except ZeroMassCandidatesError:
             # q's support can carry little prior mass, so all K candidates
-            # may miss it; the block then carries a uniform pick, a draw from
-            # p, which the decoder regenerates like any other index
-            indices[m] = select_index(np.full(num_samples, 1.0 / num_samples), selector)
+            # may miss it; the block then carries index 0, the ordered pick
+            # under equal weights, whose candidate is a draw from p
+            indices[m] = 0
     upd = EncodedUpdate(
         avg_block_kl=avg_block_kl,
         indices=indices,
@@ -558,32 +590,50 @@ def next_partition(partition: BlockPartition | None, updates: list[EncodedUpdate
     return None if merge or split else partition
 
 
-def _field_bits(values, width: int) -> np.ndarray:
-    """The bits of each value in a field width bits wide, back to back."""
-    values = np.asarray(values, dtype=np.uint64).reshape(-1, 1)
-    return ((values & _BIT_WEIGHTS[64 - width:]) != 0).astype(np.uint8).ravel()
+def _gamma_widths(values: np.ndarray) -> np.ndarray:
+    """The Elias-gamma code length of each uint64 value v >= 1:
+    2 floor(log2 v) + 1 bits, the floor(log2 v) zeros before its leading 1
+    included."""
+    return 2 * np.searchsorted(_BIT_WEIGHTS[::-1], values, side="right") - 1
 
 
-def _wire_fields(upd: EncodedUpdate, params: CodecParams) -> list[tuple[str, object, int]]:
+def _pack(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Each uint64 value in a field of its width, fields back to back, one
+    bit per element: a value's bits end its field and zeros fill the rest."""
+    span = int(widths.max())
+    bits = np.unpackbits(values.astype(">u8").view(np.uint8)).reshape(-1, 64)
+    # one row per field, right-aligned in span columns; every value fits its
+    # field, so the mask keeps each row's last width bits and drops only zeros
+    table = np.zeros((values.size, span), dtype=np.uint8)
+    kept = min(span, 64)
+    table[:, span - kept:] = bits[:, 64 - kept:]
+    return table[np.arange(span) >= span - widths[:, None]]
+
+
+def _wire_fields(upd: EncodedUpdate, params: CodecParams) -> list[tuple[str, object, object]]:
     """The update's wire fields in order, as (part, values, width) runs: each
-    value fills a field width bits wide, and part names the :class:`BitCost`
-    field that the run counts toward.
+    value fills a field width bits wide, where width is one number for the
+    whole run or one per value, and part names the :class:`BitCost` field
+    that the run counts toward.
 
+    A value v >= 1 in a field of 2 floor(log2 v) + 1 bits is its Elias-gamma
+    code: the field's floor(log2 v) leading zeros come before v's leading 1.
     The header is a 1-bit flag, set when block lengths follow it, the 8-bit
-    code of the mean block KL, and the Elias-gamma code of the block count
-    n >= 1: n in 2 floor(log2 n) + 1 bits, so floor(log2 n) zero bits come
-    before its leading 1.  A one-block message has a 10-bit header, one of
-    2-3 blocks 12 bits.  Location rounds then send the n block lengths, each
-    as length - 1, and every message ends with its n indices.
+    code of the mean block KL, and the gamma code of the block count n >= 1.
+    A one-block message has a 10-bit header, one of 2-3 blocks 12 bits.
+    Location rounds then send the n block lengths, each as length - 1, and
+    every message ends with the gamma codes of its n indices plus 1: 1 bit
+    for index 0, 3 bits for 1-2, 5 bits for 3-6.
     """
     n = upd.num_blocks
     fields = [("header_bits", [int(upd.includes_locations)], 1),
               ("header_bits", [_kl_code(upd.avg_block_kl)], _KL_CODE_BITS),
               ("header_bits", [n], 2 * n.bit_length() - 1)]
     if upd.includes_locations:
-        fields.append(("location_bits", np.asarray(upd.block_lengths, dtype=np.int64) - 1,
+        fields.append(("location_bits", np.asarray(upd.block_lengths, dtype=np.uint64) - 1,
                        params.length_field_bits))
-    fields.append(("payload_bits", upd.indices, params.index_bits))
+    codes = upd.indices.astype(np.uint64) + np.uint64(1)
+    fields.append(("payload_bits", codes, _gamma_widths(codes)))
     return fields
 
 
@@ -592,13 +642,13 @@ def bit_cost(upd: EncodedUpdate, params: CodecParams) -> BitCost:
     :func:`encode_update` calls it, once per message (perfbench sums every call)."""
     bits = dict.fromkeys(("header_bits", "location_bits", "payload_bits"), 0)
     for part, values, width in _wire_fields(upd, params):
-        bits[part] += len(values) * width
+        bits[part] += len(values) * width if isinstance(width, int) else int(width.sum())
     return BitCost(**bits)
 
 
 def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
     """Pack an update's wire fields (:func:`_wire_fields`) once each block
-    length and index is checked to fit its field."""
+    length is checked to fit its field and each index to be below K."""
     if upd.includes_locations:
         lengths = np.asarray(upd.block_lengths, dtype=np.int64)
         bad = (lengths < 1) | (lengths > params.max_block_size)
@@ -606,12 +656,16 @@ def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
             raise ValueError(
                 f"block length {lengths[bad][0]} outside [1, {params.max_block_size}]"
             )
-    width = params.index_bits
-    bad = (upd.indices < 0) | (upd.indices >= 1 << width)
+    num_samples = 1 << params.index_bits
+    bad = (upd.indices < 0) | (upd.indices >= num_samples)
     if bad.any():
-        raise ValueError(f"index {upd.indices[bad][0]} does not fit in {width} bits")
-    fields = [_field_bits(values, w) for _, values, w in _wire_fields(upd, params)]
-    return np.packbits(np.concatenate(fields)).tobytes()  # zero-pads the tail
+        raise ValueError(f"index {upd.indices[bad][0]} out of range for "
+                         f"{num_samples} candidates")
+    runs = _wire_fields(upd, params)
+    # every value is nonnegative, the header's Python ints too
+    values = np.concatenate([v for _, v, _ in runs], dtype=np.uint64, casting="unsafe")
+    widths = np.concatenate([np.full(len(v), w) if isinstance(w, int) else w for _, v, w in runs])
+    return np.packbits(_pack(values, widths)).tobytes()  # zero-pads the tail
 
 
 def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
@@ -637,23 +691,45 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
         pos = end
         return fields
 
+    def gamma(count: int, limit: int, name: str) -> list[int]:
+        """count Elias-gamma codes from pos, each of a value in [1, limit]:
+        z zero bits, then the value in z + 1 bits.  A code whose zero run is
+        too long for limit, that the message cuts short or whose value is
+        above limit is refused at the byte where it starts."""
+        nonlocal pos
+        longest = limit.bit_length() - 1  # the longest zero run of a value <= limit
+        values = []
+        for _ in range(count):
+            # the bytes that hold the longest code from pos, as one integer
+            skip = pos % 8
+            window = data[pos // 8:(pos + 2 * longest + 8) // 8]
+            left = 8 * len(window) - skip
+            rest = int.from_bytes(window, "big") & ((1 << left) - 1)
+            zeros = left - rest.bit_length()
+            if zeros > longest:
+                raise WireFormatError(f"{name} code has {longest + 1} or more leading zeros",
+                                      pos // 8)
+            if 2 * zeros + 1 > left:
+                raise WireFormatError(f"truncated: needed {2 * zeros + 1} bits, {left} left",
+                                      pos // 8)
+            value = rest >> (left - 2 * zeros - 1)
+            if value > limit:
+                raise WireFormatError(f"{name} code {value} out of range [1, {limit}]",
+                                      pos // 8)
+            values.append(value)
+            pos += 2 * zeros + 1
+        return values
+
     locations = bool(take(1)[0])
     kl_code = int(take(_KL_CODE_BITS)[0])
-    # the Elias-gamma block count: z zero bits, then the count in z + 1 bits
-    run = bits[pos:pos + 64]
-    if not run.any():
-        if run.size == 64:  # 2^64 blocks or more: no message is that long
-            raise WireFormatError("num_blocks code has 64 or more leading zeros",
-                                  pos // 8)
-        fits(run.size + 1, 1, pos)  # the zeros reach the end of the message
-    zeros = int(run.argmax())
-    fits(2 * zeros + 1, 1, pos)  # the whole code, refused from where it starts
-    pos += zeros
-    num_blocks = int(take(zeros + 1)[0])
-    # the whole body must fit before any of it is read: the count can be
-    # near 2^64 when the length fields are zero bits wide
+    num_blocks = gamma(1, (1 << 64) - 1, "num_blocks")[0]
+    # the length fields and at least one bit per index code must fit before
+    # any of them is read: the count can be near 2^64
     length_bits = params.length_field_bits if locations else 0
-    fits(params.index_bits, num_blocks, fits(length_bits, num_blocks, pos))
+    body = fits(length_bits, num_blocks, pos)
+    if bits.size - body < num_blocks:
+        raise WireFormatError(f"truncated: {num_blocks} index codes need at least "
+                              f"{num_blocks} bits, {bits.size - body} left", body // 8)
     lengths: tuple[int, ...] | None = None
     if locations:
         start = pos
@@ -664,7 +740,9 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
                 f"block length {values[bad[0]]} outside [1, {params.max_block_size}]",
                 (start + int(bad[0]) * length_bits) // 8)
         lengths = tuple(values.tolist())
-    indices = take(params.index_bits, num_blocks).astype(np.int64)
+    # each index n < K is sent as the gamma code of n + 1
+    codes = np.array(gamma(num_blocks, 1 << params.index_bits, "index"), dtype=np.uint64)
+    indices = (codes - np.uint64(1)).astype(np.int64)
     expected_bytes = (pos + 7) // 8
     if len(data) != expected_bytes:
         raise WireFormatError(

@@ -12,9 +12,13 @@ codec, applied to the client's own realized KL, so the nominal r is honored
 only up to the ceiling; realized bits are therefore reported per cell in the
 summary next to the nominal grid value.
 
-Each client's message is the codec's for a one-coordinate block: the client
-encodes it with :func:`~fedklms.codec.encode_block`, which weighs the K
-candidates one tile at a time, and the server regenerates the chosen one with
+Each client's message is one index into the K candidates of a
+one-coordinate block, as in the codec, but the client picks it with the
+paper's importance sampler, whose estimators this study measures: it weighs
+the candidates one tile at a time (:func:`~fedklms.codec.candidate_tiles`,
+:func:`~fedklms.codec.selection_weights`) and draws the index with
+probability proportional to q/p (:func:`~fedklms.codec.select_index`).  The
+server regenerates the chosen candidate with
 :func:`~fedklms.codec.decode_block` from a stream of its own.
 
 Cells are written in r -> N -> eta loop order, one CSV row per cell, so a
@@ -28,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import decode_block, encode_block, samples_per_block
+from .codec import (candidate_tiles, decode_block, samples_per_block, select_index,
+                    selection_weights)
 from .config import ToyConfig
 from .distributions import DiagonalGaussian
 from .streams import StreamKey, derive_stream
@@ -73,9 +78,10 @@ def _run_cell(
             bits_sum += bits
             client_key = rep_key.child("client", n)
             shared = client_key.child("shared")
-            k = encode_block(DiagonalGaussian(np.array([mu_n]), sigma), prior, 0, 1,
-                             num_samples, derive_stream(shared),
-                             derive_stream(client_key.child("select")))
+            tiles = candidate_tiles(prior, 0, 1, num_samples, derive_stream(shared))
+            weights = selection_weights(DiagonalGaussian(np.array([mu_n]), sigma), prior,
+                                        0, 1, tiles)
+            k = select_index(weights, derive_stream(client_key.child("select")))
             decoded[n] = decode_block(prior, 0, 1, num_samples, derive_stream(shared), k)[0]
         gaps[rep] = decoded.mean() - cfg.mu
     return ToyCell(

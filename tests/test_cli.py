@@ -278,9 +278,19 @@ class TestCodecBench:
         total_bits, wire_bytes = map(int, match.groups())
         assert wire_bytes == math.ceil(total_bits / 8)
 
+    def test_index_bits_are_the_mean_code_sent(self, capsys):
+        assert main(["codec-bench", "--coords", "20000", "--seed", "7"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        match = re.fullmatch(r"coords: 20000, blocks: (\d+), index bits: (\S+) mean, K = 256",
+                             lines[0])
+        blocks, mean_bits = int(match.group(1)), float(match.group(2))
+        payload = int(re.match(r"payload: (\d+) bits", lines[3]).group(1))
+        assert mean_bits == round(payload / blocks, 2)
+        assert mean_bits < 8  # log2 K, what every index cost before ordered random coding
+
     def test_checksum_pinned(self, capsys):
-        # recorded when Bernoulli candidates moved to 32-bit words
+        # recorded when the encoder moved to ordered random coding
         assert main(["codec-bench", "--coords", "20000", "--seed", "7"]) == 0
         assert capsys.readouterr().out.splitlines()[-1] == (
             "decoded checksum: "
-            "52bbec49ac1cae03e7726e6ddfc632d5b5b8663f96b4ad3eec3892492f1bf61a")
+            "e644969a1c1a1af4006dcd16934f7446d877dbb8bbc2842c21befb399f31036b")

@@ -1,8 +1,10 @@
 """Codec oracles: sample budgets, partitioning, round trips, wire format.
 
 Frozen values were worked out by hand from the budget rule
-bits = ceil((kl + r)/ln 2) and the wire layout (header: a 1-bit location
-flag, the 8-bit code of the mean block KL and the Elias-gamma block count).
+bits = ceil((kl + r)/ln 2), K = 2^bits, and the wire layout (header: a 1-bit
+location flag, the 8-bit code of the mean block KL and the Elias-gamma block
+count; then the block lengths on location rounds, and the Elias-gamma code of
+each index plus 1).
 """
 
 import dataclasses
@@ -258,14 +260,15 @@ def make_bernoulli_pair(seed, dim):
 
 
 def test_encode_update_cost_frozen():
-    # bits=2 needs target+r in (ln2, 2 ln2]; d=4 split into 2 blocks
+    # K = 4 needs target+r in (ln2, 2 ln2]; d=4 split into 2 blocks
     params = params_with(target=1.2, max_block=2)
     assert params.index_bits == 2
     q, p = make_bernoulli_pair(0, 4)
     part = split_blocks_fixed(4, 2)
     key = StreamKey(3, (("cf", 0),))
     upd, cost = encode_update(q, p, part, params, key, round_index=0, client_id=0)
-    assert cost.payload_bits == 4
+    assert upd.indices.tolist() == [0, 1]
+    assert cost.payload_bits == 4  # the codes of 1 and 2: 1 and 010
     assert cost.header_bits == 12  # 1 + 8 + gamma(2) = 3
     assert cost.location_bits == 0
     assert cost.total_bits == 16
@@ -406,34 +409,33 @@ def test_encode_update_refuses_a_block_over_max_block_size():
                       StreamKey(31), round_index=0, client_id=0)
 
 
-def test_encode_update_sends_a_uniform_pick_when_every_candidate_misses(monkeypatch):
+def test_encode_update_sends_index_0_when_every_candidate_misses(monkeypatch):
     # q (all ones) is absolutely continuous w.r.t. p (fair coins), but its
     # support has prior mass 2^-12 in the block, so K = 4 candidates all miss
-    # it; the block still carries a draw from p, picked uniformly with the
-    # block's selector stream, and decode regenerates it
+    # it; the block still carries index 0, the ordered pick under equal
+    # weights, whose candidate is a draw from p, and decode regenerates it
     params = params_with(target=1.0)
     num_samples = 2 ** params.index_bits
     q, p = BernoulliVector(np.ones(12)), BernoulliVector(np.full(12, 0.5))
     part = split_blocks_fixed(12, 12)
     key = StreamKey(33, (("miss", 0),))
-    selectors = []
+    shared_keys = []
     block = codec.encode_block
 
     def spy(*args):
-        selectors.append(args[6].key)
+        shared_keys.append(args[5].key)
         with pytest.raises(ZeroMassCandidatesError, match="missed the client posterior's support"):
             block(*args)
         raise ZeroMassCandidatesError(args[2], args[3])
 
     monkeypatch.setattr(codec, "encode_block", spy)
     upd, cost = encode_update(q, p, part, params, key, round_index=0, client_id=0)
-    assert num_samples == 4 and len(selectors) == 1
-    uniform = np.full(num_samples, 1.0 / num_samples)
-    assert upd.indices[0] == select_index(uniform, derive_stream(selectors[0]))
+    assert num_samples == 4 and len(shared_keys) == 1
+    assert upd.indices.tolist() == [0] and cost.payload_bits == 1
     received = deserialize_update(serialize_update(upd, params), params)
     row = decode_update(p, part, params, key, received)
+    assert np.array_equal(row, p.sample(0, 12, derive_stream(shared_keys[0]), count=4)[0])
     assert not np.array_equal(row, np.ones(12))  # q gives it no mass: a draw from p
-    assert set(np.unique(row)) <= {0.0, 1.0}
 
 
 def _gaussian_update(*distances):
@@ -584,17 +586,20 @@ def test_wire_round_trip(num_blocks, include, max_pow, kl):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_wire_property(num_blocks, index_bits, max_pow, include, kl, seed):
-    """Exact round trip, wire length equal to the accounting, every proper
-    prefix refused at an offset inside it, and trailing bytes refused."""
+    """Exact round trip, wire length equal to the accounting, proper prefixes
+    refused at an offset inside them, and trailing bytes refused."""
     # ceil(index_bits - 1/2) = index_bits
     params = CodecParams(d_kl_target=(index_bits - 0.5) * math.log(2.0),
                          max_block_size=2**max_pow)
     assert params.index_bits == index_bits
     rng = np.random.default_rng(seed)
     lengths = tuple(int(x) for x in rng.integers(1, 2**max_pow + 1, num_blocks))
+    # K - 1, the index with the longest code, 2 index_bits + 1 bits, and 0,
+    # with the shortest, 1 bit, take turns
+    indices = np.where(np.arange(num_blocks) % 2, 0, 2**index_bits - 1)
     upd = EncodedUpdate(
         avg_block_kl=kl,
-        indices=np.full(num_blocks, 2**index_bits - 1),  # all-ones fields
+        indices=indices,
         block_lengths=lengths if include else None,
     )
     blob = serialize_update(upd, params)
@@ -603,7 +608,9 @@ def test_wire_property(num_blocks, index_bits, max_pow, include, kl, seed):
     assert back.avg_block_kl == kl
     assert np.array_equal(back.indices, upd.indices)
     assert back.block_lengths == upd.block_lengths
-    for n in range(len(blob)):
+    # a prefix that holds a bit per index is read code by code, so long
+    # messages are cut at 200 places, the last byte's among them
+    for n in sorted({*range(0, len(blob), max(1, len(blob) // 200)), len(blob) - 1}):
         with pytest.raises(WireFormatError) as err:
             deserialize_update(blob[:n], params)
         assert err.value.byte_offset <= n
@@ -650,8 +657,9 @@ def test_deserialize_refuses_unterminated_block_count(size, match):
 def test_deserialize_refuses_a_body_longer_than_the_message():
     # location flag, KL code 0 and the gamma code of 2^62 (62 zeros, a 1, 62
     # zeros) fill 134 of 136 bits.  Zero-width length fields take no room,
-    # so the 2^62 8-bit index fields are the first that do not fit; the body
-    # is refused before any of it is read, not by allocating 2^62 fields
+    # so the 2^62 index codes, a bit or more each, are the first that do not
+    # fit; the body is refused where it starts, before any of it is read,
+    # not by reading 2^62 codes
     params = CodecParams(d_kl_target=3.0, overhead_r=2.0, max_block_size=1)
     assert (params.length_field_bits, params.index_bits) == (0, 8)
     blob = int("1" + "0" * 70 + "1" + "0" * 64, 2).to_bytes(17, "big")
@@ -673,7 +681,7 @@ def test_deserialize_overlong():
 
 # the ids are the ones these cases had when two header-field cases came first
 @pytest.mark.parametrize("field, value, match", [
-    # index fields are 5 bits wide
+    # K = 32 candidates
     pytest.param("indices", np.array([2**5, 0]), "index", id="indices-value2-index"),
     pytest.param("block_lengths", (0, 4), "block length",
                  id="block_lengths-value3-block length"),
@@ -758,42 +766,49 @@ def test_params_refuse_a_max_block_size_over_63_bits(size):
 
 
 def _wire_params(max_block):
-    # index fields 5 bits wide: ceil((2 + 1) / ln 2)
+    # K = 2^ceil((2 + 1) / ln 2) = 32 candidates: indices 0-31, whose codes
+    # (of index + 1) are 1 to 11 bits long
     return CodecParams(d_kl_target=2.0, overhead_r=1.0, max_block_size=max_block)
 
 
 # Bytes and truncation offsets recorded from the writer and reader when the
-# header became a 1-bit location flag, the 8-bit KL code and the gamma-coded
-# block count; indices_only was also worked out by hand.  offsets[n] is the byte_offset of the WireFormatError raised for the
-# first n bytes of the message.  A case without bytes is one the codec refuses.
+# indices became the Elias-gamma codes of index + 1, after the header became
+# a 1-bit location flag, the 8-bit KL code and the gamma-coded block count.
+# indices_only was also worked out by hand: 0 10000011 00101 (no locations,
+# KL code 131, 5 blocks), then 1, 00000100000, 00110, 000010010 and 0001001
+# (indices 0, 31, 5, 17 and 8), and a pad bit.  offsets[n] is the byte_offset
+# of the WireFormatError raised for the first n bytes of the message: byte 1
+# for a body shorter than a bit per index, else the byte where the first cut
+# index code starts.  A case without bytes is one the codec refuses.
 WIRE_GOLDEN = {
     "indices_only": (
         _wire_params(64),
         dict(avg_block_kl=1.25, indices=np.array([0, 31, 5, 17, 8])),
-        "41941f2c50",
-        [0, 0, 1, 3, 3],
+        "4196080c1212",
+        [0, 0, 1, 1, 3, 5],
     ),
     "with_locations": (
         _wire_params(20),
         dict(avg_block_kl=3.5, indices=np.array([1, 30, 12]), block_lengths=(20, 1, 7)),
-        "c73980c1f300",
-        [0, 0, 1, 2, 4, 4],
+        "c73980c83e34",
+        [0, 0, 1, 2, 3, 4],
     ),
     "zero_width_lengths": (
         _wire_params(1),
         dict(avg_block_kl=0.0, indices=np.array([3, 0, 31, 16]), block_lengths=(1, 1, 1, 1)),
-        "801060fc00",
-        [0, 0, 1, 3, 3],
+        "8010904011",
+        [0, 0, 1, 2, 3],
     ),
     "many_blocks": (
         _wire_params(20),
         dict(avg_block_kl=2.75, indices=np.arange(40) * 7 % 32,
              block_lengths=tuple(i * 3 % 20 + 1 for i in range(40))),
-        "c602800cc963e4121d4d84c4542dd100cc963e4121d4d84c4542dd101dd5e0d51c7ccda6c498"
-        "5fc564f4143edd22e5901dd5e0d510",
+        "c602800cc963e4121d4d84c4542dd100cc963e4121d4d84c4542dd1881e160e90584832080e38"
+        "2a1c62822180f98685036848402e1e28c0986a2078583a41612",
         [0, 0, 1, 2, 3, 5, 5, 6, 7, 8, 10, 10, 11, 12, 13, 15, 15, 16, 17, 18, 20, 20,
-         21, 22, 23, 25, 25, 26, 27, 28, 30, 30, 31, 32, 33, 35, 35, 36, 37, 38, 40, 40,
-         41, 42, 43, 45, 45, 46, 47, 48, 50, 50, 51],
+         21, 22, 23, 25, 25, 26, 27, 27, 27, 27, 27, 32, 33, 34, 35, 36, 37, 38, 39, 40,
+         41, 42, 44, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 55, 55, 56, 57, 58, 59, 60,
+         62, 62],
     ),
     "no_blocks": (
         _wire_params(64),
@@ -850,10 +865,10 @@ def test_wire_error_offsets_pinned(name):
 # (header, location, payload) bits of each golden message: the wire tests
 # compare totals only, so these keep bits from moving between the parts
 WIRE_GOLDEN_PARTS = {
-    "indices_only": (14, 0, 25),  # 1 + 8 + gamma(5) = 5; 5 x 5-bit indices
-    "with_locations": (12, 15, 15),  # gamma(3) = 3; 3 x 5-bit lengths
-    "zero_width_lengths": (14, 0, 20),  # max_block_size 1: 0-bit lengths
-    "many_blocks": (20, 200, 200),  # gamma(40) = 11
+    "indices_only": (14, 0, 33),  # 1 + 8 + gamma(5) = 5; index codes 1 + 11 + 5 + 9 + 7
+    "with_locations": (12, 15, 19),  # gamma(3) = 3; 3 x 5-bit lengths; codes 3 + 9 + 7
+    "zero_width_lengths": (14, 0, 26),  # max_block_size 1: 0-bit lengths
+    "many_blocks": (20, 200, 292),  # gamma(40) = 11
 }
 
 
@@ -868,8 +883,9 @@ def test_wire_golden_bit_cost_parts_pinned(name):
 
 def _located_message(lengths):
     """Locations, KL code 0, the gamma code of 3 blocks, a 5-bit length field
-    per block (holding length - 1) and 5-bit indices of 1, zero-padded."""
-    fields = "1" + "0" * 8 + "011" + "".join(f"{n - 1:05b}" for n in lengths) + "00001" * 3
+    per block (holding length - 1) and the gamma codes of three indices of 1,
+    zero-padded."""
+    fields = "1" + "0" * 8 + "011" + "".join(f"{n - 1:05b}" for n in lengths) + "010" * 3
     fields += "0" * (-len(fields) % 8)
     return int(fields, 2).to_bytes(len(fields) // 8, "big")
 
@@ -888,10 +904,54 @@ def test_deserialize_refuses_block_lengths_over_max_block_size(second):
     assert err.value.byte_offset == 2  # the second length field starts at bit 17
 
 
+def _bit_message(fields: str) -> bytes:
+    """The bytes of a bit string, zero-padded."""
+    fields += "0" * (-len(fields) % 8)
+    return int(fields, 2).to_bytes(len(fields) // 8, "big")
+
+
+# no locations, KL code 0, then the gamma code of the block count and the
+# index codes; with K = 32, 00000100000 is index 31, the longest code
+_INDEX_31 = "00000100000"
+
+
+@pytest.mark.parametrize("fields, match, offset", [
+    # a code of 33, index 32 = K, after index 31: refused where it starts, bit 23
+    ("0" + "0" * 8 + "011" + _INDEX_31 + "00000100001" + "1", r"index code 33 out of range \[1, 32\]", 2),
+    # a zero run too long for any index below K, at bit 24
+    ("0" + "0" * 8 + "011" + _INDEX_31 + "1" + "0000001", "index code has 6 or more leading zeros",
+     3),
+    # the third code cut short: it starts at bit 24, 8 bits are left
+    (("0" + "0" * 8 + "011" + _INDEX_31 + "1" + _INDEX_31)[:32], "truncated: needed 11 bits, 8 left",
+     3),
+    # cut at bit 24, where the third code would start
+    (("0" + "0" * 8 + "011" + _INDEX_31 + "1" + _INDEX_31)[:24], "truncated", 3),
+    # the first code's zero run reaches the end of the message
+    (("0" + "0" * 8 + "011" + _INDEX_31 + "1" + _INDEX_31)[:16], "truncated", 1),
+    # fewer bits than codes: refused where the body starts, bit 12
+    ("0" + "0" * 8 + "00100" + "1" * 2, "4 index codes need at least 4 bits, 2 left", 1),
+])
+def test_deserialize_refuses_index_codes_out_of_range_or_cut(fields, match, offset):
+    with pytest.raises(WireFormatError, match=match) as err:
+        deserialize_update(_bit_message(fields), _wire_params(64))
+    assert err.value.byte_offset == offset
+
+
+def test_deserialize_reads_index_codes_of_every_length():
+    # the whole message of the truncation cases above: indices 31, 0 and 31
+    blob = _bit_message("0" + "0" * 8 + "011" + _INDEX_31 + "1" + _INDEX_31)
+    upd = deserialize_update(blob, _wire_params(64))
+    assert upd.indices.tolist() == [31, 0, 31]
+    assert serialize_update(upd, _wire_params(64)) == blob
+
+
 @settings(max_examples=300)
 @given(data=st.binary(max_size=64), locations=st.booleans(),
        max_block=st.sampled_from([1, 2, 20, 64, 4096]))
 @example(data=_located_message((20, 32, 1)), locations=True, max_block=20)
+@example(data=bytes.fromhex("4196080c1212"), locations=False, max_block=64)
+@example(data=_bit_message("0" + "0" * 8 + "011" + _INDEX_31 + "1" + _INDEX_31),
+         locations=False, max_block=64)
 def test_deserialize_accepts_only_what_serialize_writes(data, locations, max_block):
     """Arbitrary bytes are refused, or they re-serialize to themselves with
     the pad bits cleared."""
@@ -966,29 +1026,30 @@ def _pin_digests(q, p, params, lengths, key):
 # odd block widths, so every block but the first starts at an odd or
 # non-multiple-of-4 offset and spans a non-multiple-of-4 number of draws
 _PIN_LENGTHS = (7, 13, 3, 21, 1, 5, 51)
-# (indices SHA-256, decoded vector SHA-256), recorded before the encoder's
-# log-weights became affine and the decoder began skipping to the indexed row;
-# the Bernoulli cases re-recorded when Bernoulli candidates moved to 32-bit words
+# (indices SHA-256, decoded vector SHA-256), re-recorded when the encoder
+# moved from importance sampling to ordered random coding.  The indices are
+# bernoulli 12, 15, 0, 21, 0, 6, 56; ternary 0, 108, 4, 196, 0, 14, 230; sign
+# 0, 20, 2, 72, 0, 0, 146; gaussian 0, 2, 0, 2, 0, 0, 173; bernoulli_k4096 985
 SELECTION_GOLDEN = {
     "bernoulli": (
-        "175e92972d9d1a936616af615be79d2623221bd1eb405539a874a531261ed890",
-        "deadf3c1e92cd8a59b30da2cfabeceeeaf53e42fd104b086e76d073a877dd96f",
+        "62addb104ba928fbedc59ae11c75299293fc49b98a0db1778d1c6018141ae258",
+        "a253a45b90a938862a7f9356aa9be0995a8a8ddb692d85cd56e0b136e42c871c",
     ),
     "ternary": (
-        "724f5fd3e6f72c0c378001efd79828770856278d35ad7fbcb37093290e33975b",
-        "960c2517b7f516db448ff61848385c6de411c2379914994045ac5126794983cd",
+        "5947d23edc686db4e7f728286c38cd00697301846ee8a988ff1c8a1aff04c8c0",
+        "ba5e86fc89a07348bc395ffcacedcb962b0feca4b60ea2b509c0bab3748ba998",
     ),
     "sign": (
-        "1e801cbc52dcd38e7de315aa86d71be69deb1dfb00a9e5453c1d2fd00cce0ded",
-        "416ef9b0578327da13fbb7faff151052310b3132a9c0271bb66ff87382dcf4bf",
+        "7648885378662a77d9f98c8b0099c867fba345c10c8f5c1735947a7e57773a73",
+        "691323b28d10590c6b1110b532637ce7ff58e2584b6d9672ce40db78cc04ca2c",
     ),
     "gaussian": (
-        "f80311ea0416729b196e719a6d310c921363786f7af1a188ad6862b21946d5b3",
-        "5d6eec8bde2b14674264241d35310c61e600245f42e9259b634c68e02dfab37c",
+        "b343a7d84ace962c23aa110db36137df7d21486bc9f3abc1fc9ab81bc8d3696b",
+        "409358be8d986c804051c80a1b9c81d629fbfc95b3f36715d8139d0f59e25275",
     ),
     "bernoulli_k4096": (
-        "84426d23f5232cdc3874a0d1eee5d8eae12cc7bfe6d944426336329bc6b496f3",
-        "841cd8faac6202dadfb201a1df76ed287fbbd071e1540bba0bb1a6c068143225",
+        "2db4a87b0c24fa8bede74baa49c344f301700581bf03e6885e035568bd3e2c35",
+        "7657c390d0caba03b7ecf9703f4f9f6af02277e6c6bef19c2010a6c93373bae1",
     ),
 }
 
@@ -1126,6 +1187,16 @@ def test_fedpm_size_encode_holds_one_tile():
     assert peak < 1.5 * 2**20, peak
 
 
+def _whole_matrix_pick(q, p, num_samples, key):
+    """The ordered random coding pick of a one-block message, from the whole
+    K-row candidate matrix: argmin T_n / w_n, with arrival times T the running
+    sums of -log(1 - u) over K uniforms of the block's selector stream."""
+    shared, selector = codec._block_streams(key, 0)
+    weights = selection_weights(q, p, 0, q.dim, p.sample(0, q.dim, shared, count=num_samples))
+    arrivals = np.cumsum(-np.log1p(-selector.uniforms(num_samples)))
+    return int(np.argmin(arrivals / weights))
+
+
 def test_tiled_encode_picks_what_the_whole_matrix_picks(monkeypatch):
     # at 2^20 values a fedpm-size block is one 256-row tile
     messages = [_fedpm_size_message(seed) for seed in range(20)]
@@ -1137,6 +1208,9 @@ def test_tiled_encode_picks_what_the_whole_matrix_picks(monkeypatch):
                 for (q, p, partition, params), key in zip(messages, keys)]
 
     tiled = indices()
+    assert tiled == [_whole_matrix_pick(q, p, 256, key)
+                     for (q, p, _, _), key in zip(messages, keys)]
+    assert len(set(tiled)) > 10  # the 20 blocks pick apart
     monkeypatch.setattr(codec, "ENCODE_CHUNK_FLOATS", 1 << 20)
     assert indices() == tiled
 
@@ -1161,6 +1235,39 @@ def test_chunked_encode_builds_two_streams_per_block(monkeypatch):
     chunked, _ = encode_update(q, p, partition, params, key, round_index=0, client_id=0)
     assert len(built) == 2 * partition.num_blocks == 6
     assert np.array_equal(chunked.indices, whole.indices)
+
+
+@pytest.mark.parametrize("kind", P_KINDS)
+def test_decode_equals_a_full_regeneration_for_every_sent_index(kind):
+    # 60 coordinates in blocks of 1 to 13; K = 2^ceil((3 + 2) / ln 2) = 256
+    q, p = _q_of_kind(kind, 60), _p_of_kind(kind, 60)
+    params = CodecParams(d_kl_target=3.0, overhead_r=2.0)
+    partition = BlockPartition.from_lengths((1, 4, 13, 7, 2, 9, 11, 5, 8))
+    for rep in range(4):
+        key = StreamKey(87, (("regen-sent", len(kind)), ("rep", rep)))
+        upd, cost = encode_update(q, p, partition, params, key, round_index=0, client_id=0,
+                                  include_locations=True)
+        blob = serialize_update(upd, params)
+        assert len(blob) == math.ceil(cost.total_bits / 8)
+        received = deserialize_update(blob, params)
+        decoded = decode_update(p, None, params, key, received)
+        for m, (lo, hi) in enumerate(partition.ranges()):
+            shared = codec._block_streams(key, m)[0]
+            full = p.sample(lo, hi, shared, count=256)
+            assert np.array_equal(decoded[lo:hi], full[received.indices[m]]), (rep, m)
+
+
+@pytest.mark.parametrize("kind", P_KINDS)
+def test_a_block_whose_q_is_p_sends_index_0(kind):
+    # equal weights: the earliest arrival, candidate 0, wins in every block,
+    # and its code is one bit
+    p = _p_of_kind(kind, 30)
+    q = BinarySign(np.full(30, 0.5)) if kind == "uniform_sign" else p
+    params = CodecParams(d_kl_target=3.0, overhead_r=2.0)
+    partition = BlockPartition.from_lengths((10, 1, 19))
+    upd, cost = encode_update(q, p, partition, params, StreamKey(88, (("same", len(kind)),)),
+                              round_index=0, client_id=0)
+    assert upd.indices.tolist() == [0, 0, 0] and cost.payload_bits == 3
 
 
 # --- affine log-weights ---------------------------------------------------------

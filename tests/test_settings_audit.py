@@ -110,6 +110,15 @@ def _variants(path, node, cfg):
         one = {"codec.d_kl_target": 0.6, "clients_per_round": 1}
         return [(low, {**low, path: 0.1}), (low, {**low, path: 10.0}),
                 (one, {**one, path: 0.6})]
+    if path == "codec.overhead_r":
+        # ordered random coding keeps its pick when K grows and the winner is
+        # among the first K candidates, which it was in qsgd's 3 rounds at
+        # r = 3; a smaller K drops candidates that won
+        return [({}, {path: 1.5 * value}), ({}, {path: value / 2})]
+    if path == "signsgd.local_lr":
+        # a 1.5 times larger step moves signsgd's one-block posterior too
+        # little to change an ordered pick in 3 rounds; twice the step does
+        return [({}, {path: 1.5 * value}), ({}, {path: 2 * value})]
     if path == "model.kind":
         # logistic does not read hidden_units; 2 keeps the mlp near dim 42
         shared = {"model.hidden_units": 2}

@@ -326,9 +326,8 @@ class TestStackedTraining:
 
 
 def test_qsgd_run_survives_a_block_whose_candidates_all_miss(monkeypatch):
-    # with seed 95, every one of the 256 candidates of one block misses q's
-    # support (round 137, client 8); the block sends a uniform pick, and the
-    # run completes
+    # with seed 72, every one of the 256 candidates of one block misses q's
+    # support; the block sends index 0, a draw from p, and the run completes
     missed = []
     block = codec.encode_block
 
@@ -341,7 +340,7 @@ def test_qsgd_run_survives_a_block_whose_candidates_all_miss(monkeypatch):
 
     monkeypatch.setattr(codec, "encode_block", spy)
     obj = load_config_file(str(CONFIG_DIR / "qsgd_separable.json"))
-    obj.update(seed=95)
+    obj.update(seed=72)
     rows, summary = run_experiment(parse_experiment_config(obj))
     assert missed and len(rows) == summary["rounds"] == 150
 
@@ -371,22 +370,25 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # codec variants, a location round the KL band re-triggers (the one-block
 # fedpm and signsgd partitions have nothing to merge).  Any change to a stream
 # label, a bit price or the operation order of a server update shows here.
+# The four klms pairs here and below were re-pinned when the encoder moved to
+# ordered random coding, which moved the selections, and the indices to
+# Elias-gamma codes, which moved the payload bits.
 PINNED_OUTPUTS = {
     "fedpm_separable": ("fedpm_separable", {},
-        "9a1180488c89af1f82153daba068820dd8ee594f0aee7595cebc1e2381a9eb46",
-        "d54de1e009af50f179461ea79e6d925141801dc8601c32629efd1d7dc4b4b519"),
+        "c32a6cf608b6a3542e8512c93b23ae0dcf44bdb79cf1d3fb7a9223f90887c267",
+        "a7231a3152ab33fe27022265bea8a3a90b5fbf76cdd8df9ee16a47ec94603cbd"),
     "fedpm_separable_baseline": ("fedpm_separable_baseline", {},
         "737412e9fa061a8148c55476315c5f622de12dcaa7e49857b642f97f0ab1de4f",
         "304d46ae231dff58c0257194b9bab79a48dc61d7e48ef1c12846d813e192fa94"),
     "qsgd_separable": ("qsgd_separable", {},
-        "4b435d97e829959980bc2c0f578c3f2f766e8931df30faf079b9e7a3ed9e93a9",
-        "cf7f073b1c8a26820c17fbf27a62ded6f5a2c2fa2e837e23939d910996962c93"),
+        "dac798e014829f64e46b721d7a79171ddebfdb2a64514be69be47ca22cb915c4",
+        "ff6c9530ecc35d90c699b6370fc87214c04e2ba91bd299a427a2570594ac7a30"),
     "signsgd_separable": ("signsgd_separable", {},
-        "552882b50aaa8c31b423e3d9d8ae8c78aae45a235e1f68609adf34ef66ef6db3",
-        "d60c0b17b87f97cee6b89efedd1af8ece84f047b025bf46aa527e69840da9f56"),
+        "8f6316069260f61918a7ccdda5732a690466d8df6604a5e0fab634b0c3d42a91",
+        "c4e96f2608a1f3c3a102a834c2121df70b15b50d132b5cacc985c1ace9f5e2dd"),
     "sgld_separable": ("sgld_separable", {},
-        "4bc56b4db5819ee1f46aa18d78f60c09f6eda919061833c0054d4e5ca7f9b09c",
-        "0690ad59b324931288768ed4edc9a6e2d14be17728c65f0af8f79cee0489df54"),
+        "5c1773eda4775aa6d4d3d0441703b0414289f2b405cfd68c36e157f15d09894e",
+        "4cc0133c8784b963dc7e15e7aba4f5e7ca286daea6dbf70f5d55adef7fa8316a"),
     "qsgd_baseline": ("qsgd_separable", {"variant": "baseline"},
         "7f87a37ed44f2d205c8f1875d973b7fbac99de0fe677b79d6f2e3f7c25cf22d4",
         "45054f1d8c9fa165d2b21917ad438412787933aca57242beb7d72dcf9d6ab8a1"),
@@ -421,20 +423,20 @@ def test_outputs_pinned(case, tmp_path):
 # script's printout, with the reason in CHANGES.
 FULL_LENGTH_OUTPUTS = {
     "fedpm_separable": (
-        "348e25627889da824f71fd17c409aa5c493bc6f0b0eb291ab4d7077497197e02",
-        "883b8f29f22dc61768a29a0280e721b2c500a661a5fd69a5fd9c0c28e279aba5"),
+        "6b0371aefd9cd734ac7af5ed64744d817610fbdb5d01a3253de92677b7e295e1",
+        "8553d86ee89babd555d0f3f992dfc71b558ed04faaf3656cf76572a17df9646e"),
     "fedpm_separable_baseline": (
         "4a3914f1eb83b7fbca4274a71b19436dd812937045ca38980af176afec593153",
         "7db68938f3257eb1f39ce064bc9219de1cf14c509d3a540595d386c056b8c306"),
     "qsgd_separable": (
-        "76ec9c7f2d5e4342c88ae84e60238bb9a1f5ebb843268168c566b4f7c2d80ae7",
-        "63a2033adb0cea4bc8545b42e4c1d96b162d8b4d1efcb9afb798a88cb46eef26"),
+        "21c1fb47d025b3c1bb4475e9a582b21550bc78003c63fab94bdb3ba2c2fd783a",
+        "c2ab2a8f9cac75c2bdc64db48a32a22e0cce2b71dadf3c6e725d9427783ea4fa"),
     "signsgd_separable": (
-        "7ff0cb88a3216b99403be3c8c113e9a1f3a266339c3c12966f1d3a2f4fe057f1",
-        "3c199f62d9569a088c8420c3fc91593fb5573ee9801ed91fdc94a514479f4c39"),
+        "725366b660547be009cf85140e1c44d616d6ec48c704e425acfee47eb3513e32",
+        "ceab7ee0448534ad711e0571082fa79030e1e4a405d0b6f0f8ee7e456ada6b81"),
     "sgld_separable": (
-        "f6ee0eb1d7cb2b5b7496c01d5284b7ae99a9a5d3bd9909242620717fa6e3e237",
-        "196c4ffc026cc1ee9e1038c966203e48fd1a37704c721614a0b4bb4383bc73ae"),
+        "bbc726f3ff102a4d27c6c976bd14596ec83d642a76472420eb68e23151f5016c",
+        "23514a3c6c6e86c90e6ce2025eadda57f7d087f5724b8e172ee6d279483f23ca"),
     "qsgd_baseline": (
         "1420f1faf7e9fb4bcb019b72363b9d85c3242bf52e5156aa1fdc9b56bfd82ba0",
         "d893f9b6f899444a68ec275afc1be30882f975533d6ef166b5ed2f5a34cfa134"),
@@ -491,9 +493,10 @@ def test_report_prints_the_pins(report, capsys):
 # signsgd runs.  The partition rule decides which rounds ship locations, and on
 # these one-block configs not the blocks themselves, so a change to that rule
 # alone leaves their selections, and with them these columns, as they are.
+# Re-pinned for ordered random coding and its gamma-coded indices.
 FULL_LENGTH_COLUMNS_PINNED = {
-    "fedpm_separable": "1c21d3d2bd4d4853d28b97b9840b1f77881ba7c6f3315fcac605be7cd4e4fdd8",
-    "signsgd_separable": "cc0a56c109f93750e44773594b199cd20e5e31f745a20c68bf45c3acb8351f16",
+    "fedpm_separable": "e9bf8e578eef4da029068f26b3b01662127043d0a59b1eca8f0b697022535951",
+    "signsgd_separable": "bae687165fd9c4fcea07794dc52686d94e639e1fa9fa3d6ef65acf1f7e2cfb55",
 }
 
 
@@ -545,17 +548,17 @@ def _digests_without(case, csv_columns, summary_keys, tmp_path):
 # as it is leaves these digests as they are.
 DECISIONS_PINNED = {
     "fedpm_separable": (
-        "026dd6357809d601c6835d1a618c2df8dfa090b7ad15ea03bd92821e6c9a017f",
-        "8309d863d0c93ce7b253dae8d92b8dc9b9ef354d138bd916f27071d606255774"),
+        "a917bbafc8bea7401c63ee86ae97a50e34d6439eef5bfb87a0d61ace9e2fac7d",
+        "6143662237a68b9e2f2d389d338ed74889732df0d720c1e81eceae48628148a8"),
     "qsgd_separable": (
-        "83469c0bb03b1b762ec7e512783156b58bffefcd6053f7a2911dd583deaed15b",
-        "90ffc253cd098facd8d25f2dc09ebb3eebec0e9a72a3dd18c9ca8909d8aeb03a"),
+        "3c4cdc951dd97443d637559b50eb3620e362153fcd3ba832009b16e9c04cabee",
+        "c740c9f581e0475ae80b63f792e535c862a0f4d8eba820eea38f5c8bb466be1d"),
     "sgld_separable": (
-        "62f05ce575be775e739d00eafbc90e7a766c74df5bf1c460e92d13c4feae7f40",
-        "8cf6e3d7e87862d814f83612382f606c2aed2755f8922c7d3d4dd8cd6afef269"),
+        "d82c53aa4e6f466748a2fcd7293af975d75494cdfe11b4f62eba1646e19d2d03",
+        "a68368525f480a432ad84a1a64c39df36a8af475e748f8595e1edff652d057c9"),
     "signsgd_separable": (
-        "60255a4dc22b4d7c4db96b72c95d73c2f920e93810654590ad56a12dbaa35fdc",
-        "2643a1c0a101a3aa7f2a37d167b5ca45f7bad7c3cec37bf1e323f866c05f9580"),
+        "4151934d35e4b1667b042638eba9d4597bc05afc3b7fcbdac7a01a4d5b941eae",
+        "8ec556e40f6003803de6642f6b3f16ed5c0ca3a731933b4b02ae36a7ae93fb2a"),
 }
 
 
@@ -573,17 +576,17 @@ def test_decisions_pinned(case, tmp_path):
 # code alone leaves these digests as they are.
 SELECTIONS_PINNED = {
     "fedpm_separable": (
-        "fd56be5b523e7e62d6a5f90d2a1216fc69aec4827b6b29816dfa653b0145e764",
-        "8309d863d0c93ce7b253dae8d92b8dc9b9ef354d138bd916f27071d606255774"),
+        "968c2766f4e0caea96619178f3b4d3e9735371414301d1faa9bacf033d64ded5",
+        "6143662237a68b9e2f2d389d338ed74889732df0d720c1e81eceae48628148a8"),
     "qsgd_separable": (
-        "d5fe1130990593708f730cf45f8c5ab9ea675c1c8e964ff56e9b029405268e80",
-        "90ffc253cd098facd8d25f2dc09ebb3eebec0e9a72a3dd18c9ca8909d8aeb03a"),
+        "5081dabe512feeb50c142497bcce912dc6bc1ae905532a0df585ce1f670870c6",
+        "c740c9f581e0475ae80b63f792e535c862a0f4d8eba820eea38f5c8bb466be1d"),
     "sgld_separable": (
-        "4c5db9331bb1fb2f2b26e0a78b4955ca65392b29e84b387c3490d4b57fa82b43",
-        "8cf6e3d7e87862d814f83612382f606c2aed2755f8922c7d3d4dd8cd6afef269"),
+        "f392fc6529039ffddc3b8a6328307328223d96efbecc07f005d3fee59a065978",
+        "a68368525f480a432ad84a1a64c39df36a8af475e748f8595e1edff652d057c9"),
     "signsgd_separable": (
-        "591db4b32b4217df8da9420878d45b0e5776b645ad37a036b10e00f21bc19440",
-        "2643a1c0a101a3aa7f2a37d167b5ca45f7bad7c3cec37bf1e323f866c05f9580"),
+        "238a42768ffd9646154395f8e454223fbc135d3cb29516304441ea9b6f209017",
+        "8ec556e40f6003803de6642f6b3f16ed5c0ca3a731933b4b02ae36a7ae93fb2a"),
 }
 
 
