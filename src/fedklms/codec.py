@@ -232,11 +232,13 @@ class EncodedUpdate:
             raise ValueError(f"avg_block_kl must be finite and nonnegative: "
                              f"{self.avg_block_kl!r}")
         self.avg_block_kl = _kl_of_code(_kl_code(self.avg_block_kl))
-        # indices: types only; serialize_update checks that each fits its field
+        # indices: types and sign only; serialize_update checks each against K
         indices = np.asarray(self.indices)
         if indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer):
             raise ValueError(f"indices must be a 1-D integer array: {self.indices!r}")
         self.indices = indices.astype(np.int64, copy=False)
+        if (self.indices < 0).any():  # bit_cost prices index n as the code of n + 1
+            raise ValueError(f"index {self.indices.min()} is negative")
         if self.indices.size == 0:
             # a partition has at least one block, and the gamma code of
             # num_blocks has no word for zero

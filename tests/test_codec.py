@@ -705,6 +705,7 @@ def test_serialize_refuses_values_outside_their_fields(field, value, match):
     pytest.param(dict(indices=[1.9, 2.2]), "1-D integer array", id="float-indices"),
     pytest.param(dict(indices=np.array([True, False])), "1-D integer array",
                  id="bool-indices"),
+    pytest.param(dict(indices=[3, -1]), "index -1 is negative", id="negative-index"),
     pytest.param(dict(indices=[1], block_lengths=(5.5,)), "integer length",
                  id="float-length"),
     pytest.param(dict(indices=[1], block_lengths=(True,)), "integer length",
