@@ -34,7 +34,6 @@ from fedklms.codec import (
     encode_update,
     next_partition,
     samples_per_block,
-    select_index,
     selection_weights,
     serialize_update,
     split_blocks_adaptive,
@@ -911,24 +910,24 @@ def _bit_message(fields: str) -> bytes:
     return int(fields, 2).to_bytes(len(fields) // 8, "big")
 
 
-# no locations, KL code 0, then the gamma code of the block count and the
-# index codes; with K = 32, 00000100000 is index 31, the longest code
-_INDEX_31 = "00000100000"
+# no locations and KL code 0; then, with K = 32, the gamma code of 3 blocks
+# and the longest index code, index 31's
+_THREE_BLOCKS, _INDEX_31 = "0" + "0" * 8 + "011", "00000100000"
+# indices 31, 0 and 31
+_THREE_INDICES = _THREE_BLOCKS + _INDEX_31 + "1" + _INDEX_31
 
 
 @pytest.mark.parametrize("fields, match, offset", [
     # a code of 33, index 32 = K, after index 31: refused where it starts, bit 23
-    ("0" + "0" * 8 + "011" + _INDEX_31 + "00000100001" + "1", r"index code 33 out of range \[1, 32\]", 2),
+    (_THREE_BLOCKS + _INDEX_31 + "00000100001" + "1", r"index code 33 out of range \[1, 32\]", 2),
     # a zero run too long for any index below K, at bit 24
-    ("0" + "0" * 8 + "011" + _INDEX_31 + "1" + "0000001", "index code has 6 or more leading zeros",
-     3),
+    (_THREE_BLOCKS + _INDEX_31 + "1" + "0000001", "index code has 6 or more leading zeros", 3),
     # the third code cut short: it starts at bit 24, 8 bits are left
-    (("0" + "0" * 8 + "011" + _INDEX_31 + "1" + _INDEX_31)[:32], "truncated: needed 11 bits, 8 left",
-     3),
+    (_THREE_INDICES[:32], "truncated: needed 11 bits, 8 left", 3),
     # cut at bit 24, where the third code would start
-    (("0" + "0" * 8 + "011" + _INDEX_31 + "1" + _INDEX_31)[:24], "truncated", 3),
+    (_THREE_INDICES[:24], "truncated", 3),
     # the first code's zero run reaches the end of the message
-    (("0" + "0" * 8 + "011" + _INDEX_31 + "1" + _INDEX_31)[:16], "truncated", 1),
+    (_THREE_INDICES[:16], "truncated", 1),
     # fewer bits than codes: refused where the body starts, bit 12
     ("0" + "0" * 8 + "00100" + "1" * 2, "4 index codes need at least 4 bits, 2 left", 1),
 ])
@@ -939,8 +938,8 @@ def test_deserialize_refuses_index_codes_out_of_range_or_cut(fields, match, offs
 
 
 def test_deserialize_reads_index_codes_of_every_length():
-    # the whole message of the truncation cases above: indices 31, 0 and 31
-    blob = _bit_message("0" + "0" * 8 + "011" + _INDEX_31 + "1" + _INDEX_31)
+    # the whole message of the truncation cases above
+    blob = _bit_message(_THREE_INDICES)
     upd = deserialize_update(blob, _wire_params(64))
     assert upd.indices.tolist() == [31, 0, 31]
     assert serialize_update(upd, _wire_params(64)) == blob
@@ -951,8 +950,7 @@ def test_deserialize_reads_index_codes_of_every_length():
        max_block=st.sampled_from([1, 2, 20, 64, 4096]))
 @example(data=_located_message((20, 32, 1)), locations=True, max_block=20)
 @example(data=bytes.fromhex("4196080c1212"), locations=False, max_block=64)
-@example(data=_bit_message("0" + "0" * 8 + "011" + _INDEX_31 + "1" + _INDEX_31),
-         locations=False, max_block=64)
+@example(data=_bit_message(_THREE_INDICES), locations=False, max_block=64)
 def test_deserialize_accepts_only_what_serialize_writes(data, locations, max_block):
     """Arbitrary bytes are refused, or they re-serialize to themselves with
     the pad bits cleared."""
