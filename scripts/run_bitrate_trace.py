@@ -61,7 +61,7 @@ def trace_rows() -> list[tuple[int, float, float, int, int, float]]:
         ideal = (total_kl + adaptive.num_blocks * params.overhead_r) / math.log(2.0)
 
         if fixed_size is None:
-            # match the fixed scheme's mean bitrate to the adaptive one
+            # as many fixed blocks as the first round's adaptive partition has
             fixed_size = max(1, round(D / adaptive.num_blocks))
         fixed = BlockPartition(D, tuple(range(0, D, fixed_size)))
         fixed_bits = payload_bits(q, p, fixed, params, key.child("fixed"))

@@ -55,11 +55,11 @@ the wire length equals the accounting.
 The reader mirrors that list: it unpacks the whole message into one bit array,
 reads each fixed-width field as the dot product of its bits with their
 weights, and reads the block count and the index codes with one Elias-gamma
-reader.  Before it reads any block field it checks that the length fields and
-at least one bit per index fit, and it refuses a block length above
-max_block_size, an index of K or more and a code the message cuts short, so
-every message it accepts is one the writer writes, up to the pad bits, which
-it does not read.
+reader, one step per 1 bit of the codes.  Before it reads any block field it
+checks that the length fields and at least one bit per index fit, and it
+refuses a block length above max_block_size, an index of K or more and a code
+the message cuts short, so every message it accepts is one the writer writes,
+up to the pad bits, which it does not read.
 
 The mean block KL only reports how far the client's blocks drift from the
 target, so it is sent at 1/8-octave precision: code 0 is a KL of exactly 0,
@@ -612,11 +612,10 @@ def _pack(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return table[np.arange(span) >= span - widths[:, None]]
 
 
-def _wire_fields(upd: EncodedUpdate, params: CodecParams) -> list[tuple[str, object, object]]:
-    """The update's wire fields in order, as (part, values, width) runs: each
-    value fills a field width bits wide, where width is one number for the
-    whole run or one per value, and part names the :class:`BitCost` field
-    that the run counts toward.
+def _wire_fields(upd: EncodedUpdate, params: CodecParams) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    """The update's wire fields in order, as (part, values, widths) runs of
+    uint64 values, each in a field as many bits wide as its entry in widths;
+    part names the :class:`BitCost` field that the run counts toward.
 
     A value v >= 1 in a field of 2 floor(log2 v) + 1 bits is its Elias-gamma
     code: the field's floor(log2 v) leading zeros come before v's leading 1.
@@ -628,12 +627,12 @@ def _wire_fields(upd: EncodedUpdate, params: CodecParams) -> list[tuple[str, obj
     for index 0, 3 bits for 1-2, 5 bits for 3-6.
     """
     n = upd.num_blocks
-    fields = [("header_bits", [int(upd.includes_locations)], 1),
-              ("header_bits", [_kl_code(upd.avg_block_kl)], _KL_CODE_BITS),
-              ("header_bits", [n], 2 * n.bit_length() - 1)]
+    fields = [("header_bits",
+               np.array([upd.includes_locations, _kl_code(upd.avg_block_kl), n], dtype=np.uint64),
+               np.array([1, _KL_CODE_BITS, 2 * n.bit_length() - 1]))]
     if upd.includes_locations:
         fields.append(("location_bits", np.asarray(upd.block_lengths, dtype=np.uint64) - 1,
-                       params.length_field_bits))
+                       np.full(n, params.length_field_bits)))
     codes = upd.indices.astype(np.uint64) + np.uint64(1)
     fields.append(("payload_bits", codes, _gamma_widths(codes)))
     return fields
@@ -643,8 +642,8 @@ def bit_cost(upd: EncodedUpdate, params: CodecParams) -> BitCost:
     """The bits of the update's wire fields, summed per part; only
     :func:`encode_update` calls it, once per message (perfbench sums every call)."""
     bits = dict.fromkeys(("header_bits", "location_bits", "payload_bits"), 0)
-    for part, values, width in _wire_fields(upd, params):
-        bits[part] += len(values) * width if isinstance(width, int) else int(width.sum())
+    for part, _, widths in _wire_fields(upd, params):
+        bits[part] += int(widths.sum())
     return BitCost(**bits)
 
 
@@ -664,9 +663,8 @@ def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
         raise ValueError(f"index {upd.indices[bad][0]} out of range for "
                          f"{num_samples} candidates")
     runs = _wire_fields(upd, params)
-    # every value is nonnegative, the header's Python ints too
-    values = np.concatenate([v for _, v, _ in runs], dtype=np.uint64, casting="unsafe")
-    widths = np.concatenate([np.full(len(v), w) if isinstance(w, int) else w for _, v, w in runs])
+    values = np.concatenate([v for _, v, _ in runs])
+    widths = np.concatenate([w for _, _, w in runs])
     return np.packbits(_pack(values, widths)).tobytes()  # zero-pads the tail
 
 
@@ -700,26 +698,43 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
         above limit is refused at the byte where it starts."""
         nonlocal pos
         longest = limit.bit_length() - 1  # the longest zero run of a value <= limit
-        values = []
-        for _ in range(count):
-            # the bytes that hold the longest code from pos, as one integer
-            skip = pos % 8
-            window = data[pos // 8:(pos + 2 * longest + 8) // 8]
-            left = 8 * len(window) - skip
-            rest = int.from_bytes(window, "big") & ((1 << left) - 1)
-            zeros = left - rest.bit_length()
-            if zeros > longest:
+        left = bits.size - pos
+        # A code's leading 1 is the first 1 from its start, and the code ends
+        # as many bits after that 1 as it starts before it.  So one pass over
+        # the 1s from pos reads the codes: a 1 before the end of the code so
+        # far is one of its value bits, and any other leads the next code.
+        # count codes within limit span at most 2 longest + 1 bits each, so
+        # no later 1 is needed, and a 1 just past the message leads a code
+        # whose zero run reaches its end: only the last code read can be cut.
+        ones = bits[pos:pos + count * (2 * longest + 1)].view(bool).nonzero()[0].tolist()
+        ones.append(left)
+        values = [0]  # after a placeholder, the values of the codes read
+        end = 0  # where the last code read ends, from pos
+        for one in ones:
+            if one < end:
+                values[-1] |= 1 << (end - 1 - one)
+            else:
+                values.append(1 << (one - end))
+                end = 2 * one + 1 - end
+        # a code of value v is 2 bitlen(v) - 1 bits long; drop the codes
+        # read past the first count
+        past = values[count + 1:]
+        del values[0], values[count:]
+        end -= 2 * sum(map(int.bit_length, past)) - len(past)
+        if max(values) > limit or end > left:
+            last = len(values) - 1
+            i = next((i for i, value in enumerate(values) if value > limit), last)
+            start = (2 * sum(map(int.bit_length, values[:i])) - i if i < last
+                     else end - 2 * values[last].bit_length() + 1)
+            if values[i].bit_length() - 1 > longest:
                 raise WireFormatError(f"{name} code has {longest + 1} or more leading zeros",
-                                      pos // 8)
-            if 2 * zeros + 1 > left:
-                raise WireFormatError(f"truncated: needed {2 * zeros + 1} bits, {left} left",
-                                      pos // 8)
-            value = rest >> (left - 2 * zeros - 1)
-            if value > limit:
-                raise WireFormatError(f"{name} code {value} out of range [1, {limit}]",
-                                      pos // 8)
-            values.append(value)
-            pos += 2 * zeros + 1
+                                      (pos + start) // 8)
+            if i == last and end > left:
+                raise WireFormatError(f"truncated: needed {end - start} bits, "
+                                      f"{left - start} left", (pos + start) // 8)
+            raise WireFormatError(f"{name} code {values[i]} out of range [1, {limit}]",
+                                  (pos + start) // 8)
+        pos += end
         return values
 
     locations = bool(take(1)[0])
