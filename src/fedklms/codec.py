@@ -722,8 +722,10 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
         del values[0], values[count:]
         end -= 2 * sum(map(int.bit_length, past)) - len(past)
         if max(values) > limit or end > left:
+            # the first code above limit, or else the last, which may be cut
             last = len(values) - 1
-            i = next((i for i, value in enumerate(values) if value > limit), last)
+            i = (next(i for i, value in enumerate(values) if value > limit)
+                 if max(values[:last], default=0) > limit else last)
             start = (2 * sum(map(int.bit_length, values[:i])) - i if i < last
                      else end - 2 * values[last].bit_length() + 1)
             if values[i].bit_length() - 1 > longest:

@@ -116,3 +116,23 @@ def split_starts(kl: np.ndarray, d_kl_target: float, max_block_size: int) -> tup
             running = 0.0
             length = 0
     return tuple(starts)
+
+
+def gamma_codes(bits: str, pos: int, count: int, limit: int, name: str):
+    """count Elias-gamma codes of values in [1, limit] from bit pos of a
+    '0'/'1' string, read one code at a time: (values, the bit after them),
+    or (None, (message, the bit where the refused code starts))."""
+    longest = limit.bit_length() - 1
+    values = []
+    for _ in range(count):
+        zeros = len(bits[pos:]) - len(bits[pos:].lstrip("0"))
+        if zeros > longest:
+            return None, (f"{name} code has {longest + 1} or more leading zeros", pos)
+        if pos + 2 * zeros + 1 > len(bits):
+            return None, (f"truncated: needed {2 * zeros + 1} bits, {len(bits) - pos} left", pos)
+        value = int(bits[pos + zeros:pos + 2 * zeros + 1], 2)
+        if value > limit:
+            return None, (f"{name} code {value} out of range [1, {limit}]", pos)
+        values.append(value)
+        pos += 2 * zeros + 1
+    return values, pos

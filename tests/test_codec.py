@@ -48,7 +48,7 @@ from fedklms.distributions import (
     kl_per_coordinate,
 )
 from fedklms.streams import SampleStream, StreamKey, derive_stream
-from reference import split_starts
+from reference import gamma_codes, split_starts
 
 
 def params_with(target=1.0, r=0.0, max_block=1024, kl_min=0.0, kl_max=math.inf):
@@ -943,6 +943,55 @@ def test_deserialize_reads_index_codes_of_every_length():
     upd = deserialize_update(blob, _wire_params(64))
     assert upd.indices.tolist() == [31, 0, 31]
     assert serialize_update(upd, _wire_params(64)) == blob
+
+
+def _gamma(value: int) -> str:
+    """The Elias-gamma code of value >= 1, as a bit string."""
+    return f"{value:b}".zfill(2 * value.bit_length() - 1)
+
+
+# a block count and the bits after the count: random bytes, or the gamma
+# codes of that many values, some of them above K or with too many zeros
+_INDEX_BODIES = st.one_of(
+    st.tuples(st.integers(1, 40),
+              st.binary(max_size=48).map(lambda b: "".join(f"{x:08b}" for x in b))),
+    st.lists(st.integers(1, 2**64 - 1), min_size=1, max_size=40).map(
+        lambda values: (len(values), "".join(map(_gamma, values)))),
+)
+
+
+@settings(max_examples=300)
+@given(count_body=_INDEX_BODIES, index_bits=st.sampled_from([1, 2, 5, 8, 63]))
+def test_index_codes_read_as_one_code_at_a_time(count_body, index_bits):
+    """Any bits after a valid header are read, or refused with the same
+    message at the same byte, as a reader that takes one code at a time
+    (reference.gamma_codes) reads or refuses them."""
+    count, body = count_body
+    params = CodecParams(d_kl_target=(index_bits - 0.5) * math.log(2.0))
+    # no locations, KL code 0 and the gamma code of count
+    header = "0" * 9 + _gamma(count)
+    data = _bit_message(header + body)
+    bits = "".join(f"{b:08b}" for b in data)
+    start = len(header)
+    if len(bits) - start < count:
+        want = ("truncated: "
+                f"{count} index codes need at least {count} bits, {len(bits) - start} left",
+                start // 8)
+    else:
+        values, after = gamma_codes(bits, start, count, 2**index_bits, "index")
+        if values is None:
+            message, bit = after
+            want = (message, bit // 8)
+        elif len(data) != (after + 7) // 8:
+            want = (f"overlong: message is {(after + 7) // 8} bytes, got {len(data)}",
+                    (after + 7) // 8)
+        else:
+            want = [v - 1 for v in values]
+    try:
+        got = deserialize_update(data, params).indices.tolist()
+    except WireFormatError as err:
+        got = (str(err).removesuffix(f" (byte offset {err.byte_offset})"), err.byte_offset)
+    assert got == want
 
 
 @settings(max_examples=300)
