@@ -612,7 +612,8 @@ def _pack(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
     return table[np.arange(span) >= span - widths[:, None]]
 
 
-def _wire_fields(upd: EncodedUpdate, params: CodecParams) -> list[tuple[str, np.ndarray, np.ndarray]]:
+def _wire_fields(upd: EncodedUpdate,
+                 params: CodecParams) -> list[tuple[str, np.ndarray, np.ndarray]]:
     """The update's wire fields in order, as (part, values, widths) runs of
     uint64 values, each in a field as many bits wide as its entry in widths;
     part names the :class:`BitCost` field that the run counts toward.
