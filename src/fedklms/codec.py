@@ -36,21 +36,33 @@ The block partition's lifecycle: a round without a shared partition, such as
 the first, is a location round.  Every client cuts its own blocks from its
 per-coordinate KL (:func:`encode_update` with no partition) and ships their
 lengths.  :func:`next_partition` then merges the partitions that crossed the
-wire into the shared one.  On ordinary rounds it drops that partition only
-when the mean transmitted block KL drifts strictly outside the configured
-band and a re-cut could change the partition: below the band only if it has
-blocks to merge, above it only if it has a block to split.  A dropped
-partition makes the next round a location round again; a one-block
+wire into the shared one.  On ordinary rounds each message says only which
+side of the configured band [kl_min_threshold, kl_max_threshold] its
+client's mean block KL lies on, and the server drops the partition only
+when more than half of the round's messages lie strictly outside the band
+on one side and a re-cut could change the partition: below the band only
+if it has blocks to merge, above it only if it has a block to split.  A
+dropped partition makes the next round a location round again; a one-block
 partition below the band is kept, so while a model's whole KL stays under
 the target it ships its locations on the first round only.
 
 The wire layout is bit-packed, MSB first within bytes, zero-padded to a
 byte.  Its one statement is the list of fields that :func:`_wire_fields`
-gives for an update: a 1-bit location flag, the 8-bit code of the mean block
-KL and the Elias-gamma block count, then on location rounds one fixed-width
-length field per block, then one Elias-gamma index code per block.
-:func:`serialize_update` packs that list, and :func:`bit_cost` sums it, so
-the wire length equals the accounting.
+gives for an update: a kind code, the Elias-gamma block count, then on
+location rounds one fixed-width length field per block, then one
+Elias-gamma index code per block.  :func:`serialize_update` packs that
+list, and :func:`bit_cost` sums it, so the wire length equals the
+accounting.
+
+The kind code is a prefix code over the four kinds of message: 0 for a mean
+block KL below the band, 10 inside it, 110 above it and 111 for a location
+message.  Every bit string starts with exactly one of the four.  The client
+takes its symbol from the exact mean block KL it computes for its blocks;
+a KL equal to a threshold is inside.  A location message carries no KL at
+all, because the round after it only merges the shipped lengths.  So no KL
+value crosses the wire: a report of the clients' KL (the simulator's
+mean_kl_per_param) reads each client's own figure,
+:attr:`EncodedUpdate.avg_block_kl`, which the parser leaves as None.
 
 The reader mirrors that list: it unpacks the whole message into one bit array,
 reads each fixed-width field as the dot product of its bits with their
@@ -60,12 +72,6 @@ checks that the length fields and at least one bit per index fit, and it
 refuses a block length above max_block_size, an index of K or more and a code
 the message cuts short, so every message it accepts is one the writer writes,
 up to the pad bits, which it does not read.
-
-The mean block KL only reports how far the client's blocks drift from the
-target, so it is sent at 1/8-octave precision: code 0 is a KL of exactly 0,
-and code c >= 1 is 2^((c - 128) / 8) nats, from 1.6e-5 to 6.0e4.  The encoder
-sends the code nearest the KL in log2, within a factor 2^(1/16); a KL outside
-that range saturates to code 1 or 255.
 
 K (from d_kl_target and overhead_r) and max_block_size are session constants
 carried in :class:`CodecParams`, never in-band.  Neither are the round and the
@@ -96,12 +102,18 @@ _MAX_FIELD_BITS = 63
 # the weight of each bit of a wire field, 2^63 ... 2^0; a w-bit field is the
 # dot product of its bits with the last w of them
 _BIT_WEIGHTS = np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64)
+_POWERS_OF_TWO = _BIT_WEIGHTS[::-1].copy()  # 2^0 ... 2^63, for searchsorted
+# the most fields the writer shifts into one Python integer; a message with
+# more is packed into 64-bit words by numpy
+_FEW_FIELDS = 64
 
-# the mean block KL's wire code: 8 bits on a log2 grid of 8 steps per octave,
-# code 0 for a KL of exactly 0 (see the module docstring)
-_KL_CODE_BITS = 8
-_KL_STEPS_PER_OCTAVE = 8
-_KL_CODE_OF_ONE_NAT = 128
+# which side of [kl_min_threshold, kl_max_threshold] a message's mean block
+# KL lies on; a location message (band None) carries none
+BANDS = ("below", "inside", "above")
+# (value, width) of each kind's code, in the order of _KINDS: the kind's
+# place in that order as that many 1s, then a 0 for all but the last
+_KINDS = (*BANDS, None)
+_KIND_CODES = ((0b0, 1), (0b10, 2), (0b110, 3), (0b111, 3))
 
 # stream role labels; both sides must derive identical keys
 _BLOCK_TAG = "block"
@@ -202,36 +214,25 @@ class BlockPartition:
         return BlockPartition(dim=ends[-1], starts=tuple(ends[:-1]))
 
 
-def _kl_code(kl: float) -> int:
-    """The wire code of a finite KL >= 0: the nearest grid point in log2,
-    saturating at the ends of the grid."""
-    if kl == 0.0:
-        return 0
-    code = round(_KL_STEPS_PER_OCTAVE * math.log2(kl)) + _KL_CODE_OF_ONE_NAT
-    return min(max(code, 1), (1 << _KL_CODE_BITS) - 1)
-
-
-def _kl_of_code(code: int) -> float:
-    return 0.0 if code == 0 else 2.0 ** ((code - _KL_CODE_OF_ONE_NAT) / _KL_STEPS_PER_OCTAVE)
-
-
 @dataclass
 class EncodedUpdate:
     """One client-to-server message before/after serialization.
 
-    ``avg_block_kl`` is snapped to the grid of its 8-bit wire code on
-    construction, so it holds exactly the KL the receiver reads.
+    A message without ``block_lengths`` has a ``band``, one of
+    :data:`BANDS`; a location message has none.  ``avg_block_kl`` is the
+    client's exact mean block KL in nats, as :func:`encode_update` computed
+    it.  It is not sent, so a parsed update has None there.
     """
 
-    avg_block_kl: float
     indices: np.ndarray  # one candidate index per block
     block_lengths: tuple[int, ...] | None = None  # shipped on location rounds
+    band: str | None = None
+    avg_block_kl: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.avg_block_kl) and self.avg_block_kl >= 0.0):
-            raise ValueError(f"avg_block_kl must be finite and nonnegative: "
-                             f"{self.avg_block_kl!r}")
-        self.avg_block_kl = _kl_of_code(_kl_code(self.avg_block_kl))
+        kl = self.avg_block_kl
+        if kl is not None and not (math.isfinite(kl) and kl >= 0.0):
+            raise ValueError(f"avg_block_kl must be finite and nonnegative: {kl!r}")
         # indices: types and sign only; serialize_update checks each against K
         indices = np.asarray(self.indices)
         if indices.ndim != 1 or not np.issubdtype(indices.dtype, np.integer):
@@ -254,6 +255,11 @@ class EncodedUpdate:
             if low < 1 or high >= 1 << _MAX_FIELD_BITS:
                 raise ValueError(f"block length {low if low < 1 else high} outside "
                                  f"[1, 2^{_MAX_FIELD_BITS} - 1]")
+            if self.band is not None:
+                raise ValueError(f"a location message carries no band: {self.band!r}")
+        elif self.band not in BANDS:
+            raise ValueError(f"a message without block lengths needs a band, one of "
+                             f"{', '.join(BANDS)}: {self.band!r}")
 
     @property
     def num_blocks(self) -> int:
@@ -505,6 +511,10 @@ def encode_update(
     blocks were processed.  ``round_index`` and ``client_id`` name that
     message; they are neither stored in the update nor sent, because the
     receiver knows both (it derives the same key).
+
+    The update holds the mean block KL, and a message without locations
+    also its band: "below" kl_min_threshold, "above" kl_max_threshold, or
+    "inside" (a KL equal to a threshold is inside).
     """
     if partition is None and not include_locations:
         raise ValueError("an update without a partition must include its locations")
@@ -535,10 +545,19 @@ def encode_update(
             # may miss it; the block then carries index 0, the ordered pick
             # under equal weights, whose candidate is a draw from p
             indices[m] = 0
+    if include_locations:
+        band = None
+    elif avg_block_kl < params.kl_min_threshold:
+        band = "below"
+    elif avg_block_kl > params.kl_max_threshold:
+        band = "above"
+    else:
+        band = "inside"
     upd = EncodedUpdate(
-        avg_block_kl=avg_block_kl,
         indices=indices,
         block_lengths=partition.lengths if include_locations else None,
+        band=band,
+        avg_block_kl=avg_block_kl,
     )
     return upd, bit_cost(upd, params)
 
@@ -579,16 +598,16 @@ def next_partition(partition: BlockPartition | None, updates: list[EncodedUpdate
     """The server's partition for the next round, from this round's updates:
     after a location round (no ``partition``) the merge of the block lengths
     they shipped; otherwise the same partition, or None (a location round
-    next) when a re-cut could change it: their mean block KL lies strictly
-    below kl_min_threshold and the partition has blocks to merge, or
-    strictly above kl_max_threshold and it has a block to split."""
+    next) when a re-cut could change it: more than half of the updates lie
+    below the band and the partition has blocks to merge, or more than half
+    lie above it and it has a block to split.  An exact half keeps it."""
     if partition is None:
         shipped = [BlockPartition.from_lengths(u.block_lengths) for u in updates]
         return aggregate_block_locations(shipped, params.max_block_size)
-    mean_avg_kl = float(np.mean([u.avg_block_kl for u in updates]))
-    merge = mean_avg_kl < params.kl_min_threshold and partition.num_blocks > 1
+    bands = [u.band for u in updates]
+    merge = 2 * bands.count("below") > len(bands) and partition.num_blocks > 1
     # fewer blocks than coordinates: some block is wider than one
-    split = mean_avg_kl > params.kl_max_threshold and partition.num_blocks < partition.dim
+    split = 2 * bands.count("above") > len(bands) and partition.num_blocks < partition.dim
     return None if merge or split else partition
 
 
@@ -596,84 +615,95 @@ def _gamma_widths(values: np.ndarray) -> np.ndarray:
     """The Elias-gamma code length of each uint64 value v >= 1:
     2 floor(log2 v) + 1 bits, the floor(log2 v) zeros before its leading 1
     included."""
-    return 2 * np.searchsorted(_BIT_WEIGHTS[::-1], values, side="right") - 1
+    return 2 * np.searchsorted(_POWERS_OF_TWO, values, side="right") - 1
 
 
-def _pack(values: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Each uint64 value in a field of its width, fields back to back, one
-    bit per element: a value's bits end its field and zeros fill the rest."""
-    span = int(widths.max())
-    bits = np.unpackbits(values.astype(">u8").view(np.uint8)).reshape(-1, 64)
-    # one row per field, right-aligned in span columns; every value fits its
-    # field, so the mask keeps each row's last width bits and drops only zeros
-    table = np.zeros((values.size, span), dtype=np.uint8)
-    kept = min(span, 64)
-    table[:, span - kept:] = bits[:, 64 - kept:]
-    return table[np.arange(span) >= span - widths[:, None]]
+def _pack(values: np.ndarray, ends: np.ndarray) -> bytes:
+    """The bytes of uint64 fields back to back, MSB first and zero-padded:
+    field i ends at bit ends[i], its value's bits end it, and zeros fill the
+    rest."""
+    total = int(ends[-1])
+    if values.size <= _FEW_FIELDS:
+        message, at = 0, 0
+        for value, end in zip(values.tolist(), ends.tolist()):
+            message, at = message << (end - at) | value, end
+        return (message << (-total % 8)).to_bytes((total + 7) // 8, "big")
+    # Each value is shifted into the 64-bit word that holds its field's last
+    # bit, and what the shift pushes out goes into the word before: a value
+    # has at most 64 bits, so at most 63 of them spill.  The array has a
+    # word more than the message, where the fields of word 0 spill nothing.
+    words = np.zeros(total // 64 + 2, dtype=np.uint64)
+    last = (ends - 1) >> 6
+    shift = ((last + 1) * 64 - ends).astype(np.uint64)  # 0 to 63 bits after the field
+    np.bitwise_or.at(words, last, values << shift)
+    np.bitwise_or.at(words, last - 1, values >> (np.uint64(63) - shift) >> np.uint64(1))
+    return words.astype(">u8").tobytes()[:(total + 7) // 8]
 
 
 def _wire_fields(upd: EncodedUpdate,
-                 params: CodecParams) -> list[tuple[str, np.ndarray, np.ndarray]]:
-    """The update's wire fields in order, as (part, values, widths) runs of
-    uint64 values, each in a field as many bits wide as its entry in widths;
-    part names the :class:`BitCost` field that the run counts toward.
+                 params: CodecParams) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
+    """The update's wire fields in order: their uint64 values, the bit at
+    which each field ends, and the positions of the first location field and
+    the first index field in that order.  The fields before them are the
+    header and count toward :attr:`BitCost.header_bits`, those between them
+    toward location_bits, the rest toward payload_bits.
 
     A value v >= 1 in a field of 2 floor(log2 v) + 1 bits is its Elias-gamma
     code: the field's floor(log2 v) leading zeros come before v's leading 1.
-    The header is a 1-bit flag, set when block lengths follow it, the 8-bit
-    code of the mean block KL, and the gamma code of the block count n >= 1.
-    A one-block message has a 10-bit header, one of 2-3 blocks 12 bits.
-    Location rounds then send the n block lengths, each as length - 1, and
+    The header is the kind code (1 bit below the band, 2 inside, 3 above or
+    for a location message) and the gamma code of the block count n >= 1:
+    an ordinary one-block message below the band has a 2-bit header.
+    Location messages then send the n block lengths, each as length - 1, and
     every message ends with the gamma codes of its n indices plus 1: 1 bit
     for index 0, 3 bits for 1-2, 5 bits for 3-6.
     """
     n = upd.num_blocks
-    fields = [("header_bits",
-               np.array([upd.includes_locations, _kl_code(upd.avg_block_kl), n], dtype=np.uint64),
-               np.array([1, _KL_CODE_BITS, 2 * n.bit_length() - 1]))]
+    body = 2 + (n if upd.includes_locations else 0)
+    values = np.empty(body + n, dtype=np.uint64)
+    widths = np.empty(body + n, dtype=np.int64)
+    values[0], widths[0] = _KIND_CODES[_KINDS.index(upd.band)]
+    values[1], widths[1] = n, 2 * n.bit_length() - 1
     if upd.includes_locations:
-        fields.append(("location_bits", np.asarray(upd.block_lengths, dtype=np.uint64) - 1,
-                       np.full(n, params.length_field_bits)))
-    codes = upd.indices.astype(np.uint64) + np.uint64(1)
-    fields.append(("payload_bits", codes, _gamma_widths(codes)))
-    return fields
+        values[2:body] = upd.block_lengths
+        values[2:body] -= np.uint64(1)
+        widths[2:body] = params.length_field_bits
+    codes = values[body:]
+    codes[:] = upd.indices
+    codes += np.uint64(1)
+    widths[body:] = _gamma_widths(codes)
+    return values, np.cumsum(widths), (2, body)
 
 
 def bit_cost(upd: EncodedUpdate, params: CodecParams) -> BitCost:
     """The bits of the update's wire fields, summed per part; only
     :func:`encode_update` calls it, once per message (perfbench sums every call)."""
-    bits = dict.fromkeys(("header_bits", "location_bits", "payload_bits"), 0)
-    for part, _, widths in _wire_fields(upd, params):
-        bits[part] += int(widths.sum())
-    return BitCost(**bits)
+    _, ends, (located, body) = _wire_fields(upd, params)
+    header, before_payload = int(ends[located - 1]), int(ends[body - 1])
+    return BitCost(payload_bits=int(ends[-1]) - before_payload,
+                   location_bits=before_payload - header, header_bits=header)
 
 
 def serialize_update(upd: EncodedUpdate, params: CodecParams) -> bytes:
     """Pack an update's wire fields (:func:`_wire_fields`) once each block
     length is checked to fit its field and each index to be below K."""
+    values, ends, (located, body) = _wire_fields(upd, params)
     if upd.includes_locations:
-        lengths = np.asarray(upd.block_lengths, dtype=np.int64)
-        bad = (lengths < 1) | (lengths > params.max_block_size)
-        if bad.any():
-            raise ValueError(
-                f"block length {lengths[bad][0]} outside [1, {params.max_block_size}]"
-            )
+        # each field holds length - 1; a length below 1 wraps above any bound
+        over = np.flatnonzero(values[located:body] >= params.max_block_size)
+        if over.size:
+            raise ValueError(f"block length {upd.block_lengths[over[0]]} outside "
+                             f"[1, {params.max_block_size}]")
     num_samples = 1 << params.index_bits
-    bad = (upd.indices < 0) | (upd.indices >= num_samples)
-    if bad.any():
-        raise ValueError(f"index {upd.indices[bad][0]} out of range for "
-                         f"{num_samples} candidates")
-    runs = _wire_fields(upd, params)
-    values = np.concatenate([v for _, v, _ in runs])
-    widths = np.concatenate([w for _, _, w in runs])
-    return np.packbits(_pack(values, widths)).tobytes()  # zero-pads the tail
+    if upd.indices.min() < 0 or upd.indices.max() >= num_samples:
+        bad = upd.indices[(upd.indices < 0) | (upd.indices >= num_samples)][0]
+        raise ValueError(f"index {bad} out of range for {num_samples} candidates")
+    return _pack(values, ends)
 
 
 def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
     """Inverse of :func:`serialize_update`: refuses truncated or overlong
     input, and any field the writer would refuse."""
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    pos = 0
 
     def fits(width: int, count: int, start: int) -> int:
         """The end of count width-bit fields from start, if they fit."""
@@ -740,8 +770,13 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
         pos += end
         return values
 
-    locations = bool(take(1)[0])
-    kl_code = int(take(_KL_CODE_BITS)[0])
+    # the kind code: as many 1s as the kind's place in _KINDS, ended by a 0,
+    # or the last kind's three 1s
+    lead = bits[:3].tolist()
+    kind = lead.index(0) if 0 in lead else len(lead)
+    pos = fits(_KIND_CODES[kind][1], 1, 0)
+    band = _KINDS[kind]
+    locations = band is None
     num_blocks = gamma(1, (1 << 64) - 1, "num_blocks")[0]
     # the length fields and at least one bit per index code must fit before
     # any of them is read: the count can be near 2^64
@@ -769,8 +804,4 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
             f"overlong: message is {expected_bytes} bytes, got {len(data)}",
             expected_bytes,
         )
-    return EncodedUpdate(
-        avg_block_kl=_kl_of_code(kl_code),
-        indices=indices,
-        block_lengths=lengths,
-    )
+    return EncodedUpdate(indices=indices, block_lengths=lengths, band=band)

@@ -23,9 +23,11 @@ one stack, _send holds the single codec round trip and _aggregate the fold
 shared by every method; the block partition's lifecycle is the codec's (see
 fedklms.codec.next_partition).
 
-mean_kl_per_param is reconstructed from the transmitted 8-bit per-client
-averages (avg_kl * num_blocks / d); for non-codec variants it is reported
-as 0.0 rather than computed out of band.
+mean_kl_per_param is the mean over the round's clients of each one's own
+KL per parameter (its exact mean block KL * num_blocks / d), which the
+encoder returns with the update.  It is neither read off the wire, which
+carries only which side of the KL band each client is on, nor recomputed;
+for non-codec variants it is reported as 0.0.
 """
 
 from __future__ import annotations
@@ -171,6 +173,7 @@ class _Message:
     payload_bits: int
     total_bits: int
     update: EncodedUpdate | None = None  # the parsed codec message
+    kl_nats: float = 0.0  # the client's own KL over its blocks; not sent
 
 
 def _local_delta(state, model, X, y, params, streams):
@@ -327,8 +330,7 @@ def run_round(
     payload = float(np.mean([m.payload_bits for m in messages]))
     total = float(np.mean([m.total_bits for m in messages]))
     coded = _uses_codec(cfg)
-    mean_kl = float(np.mean([m.update.avg_block_kl * m.update.num_blocks / dim
-                             for m in messages])) if coded else 0.0
+    mean_kl = float(np.mean([m.kl_nats / dim for m in messages])) if coded else 0.0
 
     eval_w = _METHODS[cfg.method].eval_weights(new_state, root)
     accuracy = evaluate_accuracy(model, eval_w, test.features, test.labels)
@@ -383,6 +385,7 @@ def _send(method, local, state, cfg, client_key, c):
         payload_bits=cost.payload_bits + method.side_bits,
         total_bits=cost.total_bits + method.side_bits,
         update=received,
+        kl_nats=upd.avg_block_kl * upd.num_blocks,
     )
 
 

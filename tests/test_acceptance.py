@@ -155,7 +155,7 @@ def test_1_codec_round_trip_exact():
         received = deserialize_update(blob, params)
         assert received.num_blocks == upd.num_blocks
         assert received.includes_locations == include
-        assert received.avg_block_kl == upd.avg_block_kl
+        assert received.band == upd.band
         assert np.array_equal(received.indices, upd.indices)
         if include:
             assert received.block_lengths == partition.lengths

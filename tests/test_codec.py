@@ -1,10 +1,10 @@
 """Codec oracles: sample budgets, partitioning, round trips, wire format.
 
 Frozen values were worked out by hand from the budget rule
-bits = ceil((kl + r)/ln 2), K = 2^bits, and the wire layout (header: a 1-bit
-location flag, the 8-bit code of the mean block KL and the Elias-gamma block
-count; then the block lengths on location rounds, and the Elias-gamma code of
-each index plus 1).
+bits = ceil((kl + r)/ln 2), K = 2^bits, and the wire layout (header: the kind
+code, 0 below the KL band, 10 inside it, 110 above it and 111 for a location
+message, and the Elias-gamma block count; then the block lengths on location
+rounds, and the Elias-gamma code of each index plus 1).
 """
 
 import dataclasses
@@ -268,10 +268,11 @@ def test_encode_update_cost_frozen():
     upd, cost = encode_update(q, p, part, params, key, round_index=0, client_id=0)
     assert upd.indices.tolist() == [0, 1]
     assert cost.payload_bits == 4  # the codes of 1 and 2: 1 and 010
-    assert cost.header_bits == 12  # 1 + 8 + gamma(2) = 3
+    # the thresholds' defaults, 0 and inf, put every KL inside the band
+    assert cost.header_bits == 5  # kind code 10 + gamma(2) = 3
     assert cost.location_bits == 0
-    assert cost.total_bits == 16
-    assert cost.total_bits / q.dim == pytest.approx(16 / 4)
+    assert cost.total_bits == 9
+    assert cost.total_bits / q.dim == pytest.approx(9 / 4)
 
 
 # (63 ln 2) / ln 2 is exactly 63.0 in float64: the boundary itself
@@ -330,52 +331,85 @@ def test_update_with_locations_round_trip():
     assert len(blob) * 8 >= cost.total_bits > (len(blob) - 1) * 8
 
 
-def _kl_of(code):
-    """The KL an 8-bit wire code stands for: exactly 0 for code 0, else
-    2^((code - 128) / 8) nats."""
-    return 0.0 if code == 0 else 2.0 ** ((code - 128) / 8)
+def _gaussian_update(*distances, params=None):
+    """Encode one block of Gaussian coordinates whose client and global means
+    lie the given distances apart, so each has KL distance^2 / 2."""
+    half = np.array(distances) / 2
+    q = DiagonalGaussian(half, 1.0)
+    p = DiagonalGaussian(-half, 1.0)
+    return encode_update(q, p, split_blocks_fixed(half.size, half.size),
+                         params or params_with(target=2.0),
+                         StreamKey(32, (("inf", 0),)), round_index=0, client_id=0)
 
 
-def _wire_kl_code(kl):
-    """The code a one-block update with this mean block KL sends: bits 1-8,
-    after the location flag."""
-    upd = EncodedUpdate(avg_block_kl=kl, indices=np.array([0]))
-    blob = serialize_update(upd, params_with(target=1.2))
-    return int.from_bytes(blob[:2], "big") >> 7 & 0xFF
+# the band of each mean block KL when the band is [0.5, 2.0]: distances 0.5,
+# 1, 1.5, 2 and 4 give KLs of exactly 0.125, 0.5, 1.125, 2 and 8 nats
+_BAND_PARAMS = params_with(target=1.0, kl_min=0.5, kl_max=2.0)
+_KL_OF_DISTANCE = {0.5: 0.125, 1.0: 0.5, 1.5: 1.125, 2.0: 2.0, 4.0: 8.0}
 
 
-def test_avg_block_kl_code_grid():
-    params = params_with(target=1.2)
-    for code in range(256):
-        kl = _kl_of(code)
-        upd = EncodedUpdate(avg_block_kl=kl, indices=np.array([1]))
-        assert upd.avg_block_kl == kl  # a grid point stays as it is
-        assert _wire_kl_code(kl) == code  # code -> KL -> code
-        back = deserialize_update(serialize_update(upd, params), params)
-        assert back.avg_block_kl == kl
-    # past both ends of the grid, 1.6e-5 and 6.0e4 nats
-    kls = np.geomspace(1e-7, 1e6, 4001)
-    codes = np.array([_wire_kl_code(kl) for kl in kls])
-    assert np.all(np.diff(codes) >= 0)
-    assert codes[0] == 1 and codes[-1] == 255
-    inside = (kls >= _kl_of(1)) & (kls <= _kl_of(255))
-    snapped = np.array([EncodedUpdate(avg_block_kl=kl, indices=np.array([0])).avg_block_kl
-                        for kl in kls[inside]])
-    assert np.all(np.abs(snapped / kls[inside] - 1.0) <= 2.0 ** (1 / 16) - 1.0)
-    assert _wire_kl_code(0.0) == 0 and _wire_kl_code(1e300) == 255
-    # the encoder's KL is the mean block KL, snapped to the grid
-    q, p = make_bernoulli_pair(3, 6)
-    upd, _ = encode_update(q, p, split_blocks_fixed(6, 3), params_with(target=2.0),
+@pytest.mark.parametrize("distance, band", [
+    pytest.param(0.5, "below", id="below"),
+    pytest.param(1.0, "inside", id="at-kl-min"),
+    pytest.param(1.5, "inside", id="inside"),
+    pytest.param(2.0, "inside", id="at-kl-max"),
+    pytest.param(4.0, "above", id="above"),
+])
+def test_encoder_sends_the_band_of_its_exact_mean_block_kl(distance, band):
+    upd, cost = _gaussian_update(distance, params=_BAND_PARAMS)
+    assert upd.avg_block_kl == _KL_OF_DISTANCE[distance]
+    assert upd.band == band
+    received = deserialize_update(serialize_update(upd, _BAND_PARAMS), _BAND_PARAMS)
+    assert received.band == band and received.avg_block_kl is None
+    # the kind code, then gamma(1) = 1
+    assert cost.header_bits == {"below": 1, "inside": 2, "above": 3}[band] + 1
+
+
+def test_encoder_band_is_the_mean_over_blocks():
+    # blocks of 0.125 and 8 nats: the mean, 4.0625, is above the band
+    q = DiagonalGaussian(np.array([0.25, 2.0]), 1.0)
+    p = DiagonalGaussian(np.array([-0.25, -2.0]), 1.0)
+    upd, _ = encode_update(q, p, split_blocks_fixed(2, 1), _BAND_PARAMS,
                            StreamKey(30, (("f32", 0),)), round_index=0, client_id=0)
-    mean = kl_per_coordinate(q, p).reshape(2, 3).sum(axis=1).mean()
-    assert upd.avg_block_kl == EncodedUpdate(avg_block_kl=mean,
-                                             indices=np.array([0])).avg_block_kl
+    assert upd.avg_block_kl == 4.0625 and upd.band == "above"
 
 
+def test_location_messages_carry_no_band():
+    q = DiagonalGaussian(np.array([2.0]), 1.0)
+    p = DiagonalGaussian(np.array([-2.0]), 1.0)
+    upd, cost = encode_update(q, p, None, _BAND_PARAMS, StreamKey(30), round_index=0,
+                              client_id=0, include_locations=True)
+    assert upd.band is None and upd.avg_block_kl == 8.0
+    assert cost.header_bits == 3 + 1  # kind code 111, gamma(1)
+
+
+def _kind_of(code: str) -> str | None:
+    """The band the parser reads from a kind code, followed by a block count
+    of 1 and an index of 0 (and, after the location code, a length of 1 in a
+    0-bit field)."""
+    return deserialize_update(_bit_message(code + "1" + "1"), params_with(max_block=1)).band
+
+
+def test_kind_codes_form_a_complete_prefix_code():
+    codes = {band: format(value, f"0{width}b")
+             for band, (value, width) in zip(codec._KINDS, codec._KIND_CODES)}
+    assert codes == {"below": "0", "inside": "10", "above": "110", None: "111"}
+    # no code starts another, and the lengths fill the Kraft sum exactly
+    assert not any(a != b and b.startswith(a) for a in codes.values() for b in codes.values())
+    assert sum(2.0 ** -len(code) for code in codes.values()) == 1.0
+    # so every 3-bit string starts with exactly one of them
+    for head in range(8):
+        assert sum(f"{head:03b}".startswith(code) for code in codes.values()) == 1
+    # and the parser reads each code as its kind
+    for band, code in codes.items():
+        assert _kind_of(code) == band
+
+
+# a KL that is not finite and nonnegative has no band
 @pytest.mark.parametrize("kl", [-1.0, math.nan, math.inf])
 def test_avg_block_kl_refuses_values_without_a_code(kl):
     with pytest.raises(ValueError, match="finite and nonnegative"):
-        EncodedUpdate(avg_block_kl=kl, indices=np.array([0]))
+        EncodedUpdate(avg_block_kl=kl, indices=np.array([0]), band="inside")
 
 
 def test_encode_update_cuts_its_own_blocks_without_a_partition():
@@ -437,16 +471,6 @@ def test_encode_update_sends_index_0_when_every_candidate_misses(monkeypatch):
     assert not np.array_equal(row, np.ones(12))  # q gives it no mass: a draw from p
 
 
-def _gaussian_update(*distances):
-    """Encode one block of Gaussian coordinates whose client and global means
-    lie the given distances apart, so each has KL distance^2 / 2."""
-    half = np.array(distances) / 2
-    q = DiagonalGaussian(half, 1.0)
-    p = DiagonalGaussian(-half, 1.0)
-    return encode_update(q, p, split_blocks_fixed(half.size, half.size), params_with(target=2.0),
-                         StreamKey(32, (("inf", 0),)), round_index=0, client_id=0)
-
-
 @pytest.mark.parametrize("run, match", [
     pytest.param(lambda: split_blocks_adaptive(np.array([0.5, np.nan, 0.5, 0.5, 0.5, 0.5]),
                                                params_with(target=1.0)),
@@ -464,27 +488,23 @@ def test_non_finite_kl_refused_where_it_enters(run, match):
         run()
 
 
-@pytest.mark.parametrize("distance, code", [
-    (1e154, 255),  # 5e307 nats, past the top of the grid
-    (1e-4, 1),  # 5e-9 nats, below its lowest nonzero point
+@pytest.mark.parametrize("distance, band", [
+    pytest.param(1e154, "above", id="5e307-nats"),
+    pytest.param(1e-4, "below", id="5e-9-nats"),
 ])
-def test_avg_block_kl_saturates(distance, code):
-    upd, _ = _gaussian_update(0.0, distance)
-    assert upd.avg_block_kl == _kl_of(code)
+def test_extreme_mean_block_kls_keep_their_value_and_band(distance, band):
+    # one block of two coordinates, whose KLs are 0 and distance^2 / 2
+    upd, _ = _gaussian_update(0.0, distance, params=params_with(kl_min=1e-8, kl_max=1e300))
+    assert upd.avg_block_kl == distance**2 / 2 and upd.band == band
 
 
 # --- partition update rule --------------------------------------------------
 
 
-def _update(avg_block_kl, block_lengths=None):
-    indices = np.zeros(len(block_lengths or (1,)), dtype=np.int64)
-    return EncodedUpdate(avg_block_kl=avg_block_kl, indices=indices,
-                         block_lengths=block_lengths)
-
-
 def test_next_partition_merges_the_shipped_lengths():
     params = params_with(target=1.0, max_block=40)
-    updates = [_update(1.0, (10, 10, 20)), _update(1.0, (12, 12, 6, 10))]
+    updates = [EncodedUpdate(indices=np.zeros(len(lengths), dtype=np.int64),
+                             block_lengths=lengths) for lengths in ((10, 10, 20), (12, 12, 6, 10))]
     merged = next_partition(None, updates, params)
     assert merged == aggregate_block_locations(
         [BlockPartition(dim=40, starts=(0, 10, 20)),
@@ -492,37 +512,58 @@ def test_next_partition_merges_the_shipped_lengths():
     assert merged.starts == (0, 11, 22, 30)
 
 
-# each KL is a point of the 8-bit wire code's grid, so each mean is exact
+# Each client's mean block KL, in nats, with the band [0.5, 2.0]: 0.125 is
+# below, 8 above, and 0.5, 1.125 and 2 inside.  The partition is dropped
+# when more than half of the clients lie on one side and a re-cut could
+# change it; an exact half keeps it.
+_TWO_BLOCKS, _UNIT_BLOCKS = (0, 4), tuple(range(8))
+
+
+def _keeps(starts, kls):
+    """Whether next_partition keeps the partition with these starts over
+    dim 8, after each client sends its mean block KL's band through the
+    wire in a one-coordinate message."""
+    part = BlockPartition(dim=8, starts=starts)
+    distance = {kl: d for d, kl in _KL_OF_DISTANCE.items()}
+    updates = [_gaussian_update(distance[kl], params=_BAND_PARAMS)[0] for kl in kls]
+    assert [u.avg_block_kl for u in updates] == list(kls)
+    received = [deserialize_update(serialize_update(u, _BAND_PARAMS), _BAND_PARAMS)
+                for u in updates]
+    kept = next_partition(part, received, _BAND_PARAMS)
+    assert kept in (part, None)
+    return kept is part
+
+
 @pytest.mark.parametrize("kls, kept", [
-    pytest.param((1.0, 1.0), True, id="keep-inside"),
-    pytest.param((0.0, 4.0), True, id="keep-mean-at-upper-edge"),
-    pytest.param((0.0, 1.0), True, id="keep-mean-at-lower-edge"),
-    pytest.param((1.0, 4.0), False, id="drop-above"),
-    pytest.param((0.25, 0.5), False, id="drop-below"),
+    pytest.param((1.125, 1.125), True, id="keep-inside"),
+    pytest.param((2.0, 2.0), True, id="keep-mean-at-upper-edge"),
+    pytest.param((0.5, 0.5), True, id="keep-mean-at-lower-edge"),
+    pytest.param((1.125, 8.0, 8.0), False, id="drop-above"),
+    pytest.param((0.125, 0.125, 1.125), False, id="drop-below"),
+    # ties and split votes
+    pytest.param((0.125, 1.125), True, id="keep-half-below"),
+    pytest.param((8.0, 0.5, 8.0, 2.0), True, id="keep-half-above"),
+    pytest.param((0.125, 0.125, 8.0, 8.0), True, id="keep-halves-below-and-above"),
+    pytest.param((0.125, 8.0, 1.125), True, id="keep-no-majority"),
+    pytest.param((0.125, 0.125, 8.0), False, id="drop-majority-below"),
+    pytest.param((8.0,), False, id="drop-the-one-client-above"),
 ])
 def test_next_partition_keeps_or_drops(kls, kept):
-    params = params_with(target=1.0, kl_min=0.5, kl_max=2.0)
-    part = BlockPartition(dim=8, starts=(0, 4))
-    updates = [_update(kl) for kl in kls]
-    assert [u.avg_block_kl for u in updates] == list(kls)
-    assert next_partition(part, updates, params) is (part if kept else None)
+    assert _keeps(_TWO_BLOCKS, kls) is kept
 
 
 # outside the band the partition is dropped only if a re-cut could change it:
 # a merge needs two blocks, a split a block wider than one coordinate
 @pytest.mark.parametrize("starts, kl, kept", [
-    pytest.param((0,), 0.25, True, id="keep-one-block-below"),
-    pytest.param(tuple(range(8)), 4.0, True, id="keep-unit-blocks-above"),
-    pytest.param((0, 4), 0.25, False, id="drop-two-blocks-below"),
-    pytest.param((0, 1, 2, 3, 4, 5, 6), 4.0, False, id="drop-a-two-wide-block-above"),
-    pytest.param((0,), 4.0, False, id="drop-one-block-above"),
-    pytest.param(tuple(range(8)), 0.25, False, id="drop-unit-blocks-below"),
+    pytest.param((0,), 0.125, True, id="keep-one-block-below"),
+    pytest.param(_UNIT_BLOCKS, 8.0, True, id="keep-unit-blocks-above"),
+    pytest.param(_TWO_BLOCKS, 0.125, False, id="drop-two-blocks-below"),
+    pytest.param((0, 1, 2, 3, 4, 5, 6), 8.0, False, id="drop-a-two-wide-block-above"),
+    pytest.param((0,), 8.0, False, id="drop-one-block-above"),
+    pytest.param(_UNIT_BLOCKS, 0.125, False, id="drop-unit-blocks-below"),
 ])
 def test_next_partition_drops_only_what_a_re_cut_can_change(starts, kl, kept):
-    params = params_with(target=1.0, kl_min=0.5, kl_max=2.0)
-    part = BlockPartition(dim=8, starts=starts)
-    updates = [_update(kl), _update(kl)]
-    assert next_partition(part, updates, params) is (part if kept else None)
+    assert _keeps(starts, (kl, kl)) is kept
 
 
 # --- wire format ------------------------------------------------------------
@@ -548,27 +589,32 @@ def test_serialize_length_equals_bit_cost():
         assert len(blob) == (cost.total_bits + 7) // 8
 
 
+# a message's kind: its band, or None for a location message
+_KINDS = st.sampled_from(["below", "inside", "above", None])
+
+
+def _message(indices, lengths, band):
+    """An update of the given kind: a location message ships the lengths."""
+    return EncodedUpdate(indices=indices, block_lengths=lengths if band is None else None,
+                         band=band)
+
+
 @settings(max_examples=60)
 @given(
     st.integers(1, 20),
-    st.booleans(),
+    _KINDS,
     st.integers(1, 10),
-    st.floats(0.0, 100.0),
 )
-def test_wire_round_trip(num_blocks, include, max_pow, kl):
+def test_wire_round_trip(num_blocks, band, max_pow):
     rng = np.random.default_rng(num_blocks)
     max_block = 2**max_pow
     params = params_with(target=3.0, r=1.0, max_block=max_block)
     indices = rng.integers(0, 2**params.index_bits, num_blocks)
     lengths = tuple(int(x) for x in rng.integers(1, max_block + 1, num_blocks))
-    upd = EncodedUpdate(
-        avg_block_kl=kl,
-        indices=indices,
-        block_lengths=lengths if include else None,
-    )
+    upd = _message(indices, lengths, band)
     blob = serialize_update(upd, params)
     back = deserialize_update(blob, params)
-    assert back.avg_block_kl == upd.avg_block_kl
+    assert back.band == upd.band and back.avg_block_kl is None
     assert back.num_blocks == upd.num_blocks
     assert np.array_equal(back.indices, upd.indices)
     assert back.includes_locations == upd.includes_locations
@@ -580,11 +626,10 @@ def test_wire_round_trip(num_blocks, include, max_pow, kl):
     num_blocks=st.integers(1, 5000),
     index_bits=st.integers(1, 63),
     max_pow=st.integers(0, 20),
-    include=st.booleans(),
-    kl=st.integers(0, 255).map(_kl_of),
+    band=_KINDS,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_wire_property(num_blocks, index_bits, max_pow, include, kl, seed):
+def test_wire_property(num_blocks, index_bits, max_pow, band, seed):
     """Exact round trip, wire length equal to the accounting, every proper
     prefix refused at an offset inside it, and trailing bytes refused."""
     # ceil(index_bits - 1/2) = index_bits
@@ -596,15 +641,11 @@ def test_wire_property(num_blocks, index_bits, max_pow, include, kl, seed):
     # K - 1, the index with the longest code, 2 index_bits + 1 bits, and 0,
     # with the shortest, 1 bit, take turns
     indices = np.where(np.arange(num_blocks) % 2, 0, 2**index_bits - 1)
-    upd = EncodedUpdate(
-        avg_block_kl=kl,
-        indices=indices,
-        block_lengths=lengths if include else None,
-    )
+    upd = _message(indices, lengths, band)
     blob = serialize_update(upd, params)
     assert len(blob) == math.ceil(bit_cost(upd, params).total_bits / 8)
     back = deserialize_update(blob, params)
-    assert back.avg_block_kl == kl
+    assert back.band == band
     assert np.array_equal(back.indices, upd.indices)
     assert back.block_lengths == upd.block_lengths
     # each prefix is read up to its cut, so long messages cost this test
@@ -632,10 +673,7 @@ def test_wire_length_field_holds_max_block_size():
 
 def test_deserialize_truncated():
     params = params_with(target=1.2)
-    upd = EncodedUpdate(
-        avg_block_kl=0.0,
-        indices=np.array([0, 1]),
-    )
+    upd = EncodedUpdate(indices=np.array([0, 1]), band="below")
     blob = serialize_update(upd, params)
     with pytest.raises(WireFormatError) as err:
         deserialize_update(blob[:-1], params)
@@ -647,32 +685,30 @@ def test_deserialize_truncated():
     (20, "64 or more leading zeros"),  # 2^64 blocks or more
 ])
 def test_deserialize_refuses_unterminated_block_count(size, match):
-    # every bit zero: no location flag, KL code 0, and a gamma code with no 1
+    # every bit zero: the kind code of a message below the band, then a gamma
+    # code with no 1
     with pytest.raises(WireFormatError, match=match) as err:
         deserialize_update(bytes(size), params_with(target=1.2))
-    assert err.value.byte_offset == 1  # where the block count starts, bit 9
+    assert err.value.byte_offset == 0  # where the block count starts, bit 1
 
 
 def test_deserialize_refuses_a_body_longer_than_the_message():
-    # location flag, KL code 0 and the gamma code of 2^62 (62 zeros, a 1, 62
-    # zeros) fill 134 of 136 bits.  Zero-width length fields take no room,
+    # the location kind code and the gamma code of 2^62 (62 zeros, a 1, 62
+    # zeros) fill 128 of 136 bits.  Zero-width length fields take no room,
     # so the 2^62 index codes, a bit or more each, are the first that do not
     # fit; the body is refused where it starts, before any of it is read,
     # not by reading 2^62 codes
     params = CodecParams(d_kl_target=3.0, overhead_r=2.0, max_block_size=1)
     assert (params.length_field_bits, params.index_bits) == (0, 8)
-    blob = int("1" + "0" * 70 + "1" + "0" * 64, 2).to_bytes(17, "big")
+    blob = int("111" + "0" * 62 + "1" + "0" * 70, 2).to_bytes(17, "big")
     with pytest.raises(WireFormatError, match="truncated") as err:
         deserialize_update(blob, params)
-    assert err.value.byte_offset == 16  # the first index field starts at bit 134
+    assert err.value.byte_offset == 16  # the first index field starts at bit 128
 
 
 def test_deserialize_overlong():
     params = params_with(target=1.2)
-    upd = EncodedUpdate(
-        avg_block_kl=0.0,
-        indices=np.array([0]),
-    )
+    upd = EncodedUpdate(indices=np.array([0]), band="above")
     blob = serialize_update(upd, params) + b"\x00\x00"
     with pytest.raises(WireFormatError):
         deserialize_update(blob, params)
@@ -714,6 +750,12 @@ def test_serialize_refuses_values_outside_their_fields(field, value, match):
     *[pytest.param(dict(indices=[1], block_lengths=(n,)),
                    rf"block length {n} outside \[1, 2\^63 - 1\]", id=f"length-{n}")
       for n in (2**63, -2**64, 0, -1)],
+    # a location message has no band, and any other message one of three
+    pytest.param(dict(indices=[1], block_lengths=(4,), band="below"),
+                 "a location message carries no band: 'below'", id="band-with-locations"),
+    pytest.param(dict(indices=[1]), "needs a band, one of below, inside, above: None",
+                 id="no-band-without-locations"),
+    pytest.param(dict(indices=[1], band="low"), "needs a band", id="unknown-band"),
 ])
 def test_encoded_update_refuses_malformed_fields(fields, match):
     with pytest.raises(ValueError, match=match):
@@ -772,47 +814,58 @@ def _wire_params(max_block):
 
 
 # Bytes and truncation offsets recorded from the writer and reader when the
-# indices became the Elias-gamma codes of index + 1, after the header became
-# a 1-bit location flag, the 8-bit KL code and the gamma-coded block count.
-# indices_only was also worked out by hand: 0 10000011 00101 (no locations,
-# KL code 131, 5 blocks), then 1, 00000100000, 00110, 000010010 and 0001001
-# (indices 0, 31, 5, 17 and 8), and a pad bit.  offsets[n] is the byte_offset
-# of the WireFormatError raised for the first n bytes of the message: byte 1
-# for a body shorter than a bit per index, else the byte where the first cut
-# index code starts.  A case without bytes is one the codec refuses.
+# header became the kind code and the gamma-coded block count.  indices_only
+# was also worked out by hand: 10 00101 (inside the band, 5 blocks), then 1,
+# 00000100000, 00110, 000010010 and 0001001 (indices 0, 31, 5, 17 and 8),
+# 40 bits with no pad.  offsets[n] is the byte_offset of the WireFormatError
+# raised for the first n bytes of the message: byte 0 for no bytes, the byte
+# where the body starts for a body shorter than a bit per index, else the
+# byte where the first cut length field or index code starts.  A case
+# without bytes is one the codec refuses.
 WIRE_GOLDEN = {
     "indices_only": (
         _wire_params(64),
-        dict(avg_block_kl=1.25, indices=np.array([0, 31, 5, 17, 8])),
-        "4196080c1212",
-        [0, 0, 1, 1, 3, 5],
+        dict(indices=np.array([0, 31, 5, 17, 8]), band="inside"),
+        "8b04060909",
+        [0, 0, 1, 3, 3],
     ),
     "with_locations": (
         _wire_params(20),
-        dict(avg_block_kl=3.5, indices=np.array([1, 30, 12]), block_lengths=(20, 1, 7)),
-        "c73980c83e34",
-        [0, 0, 1, 2, 3, 4],
+        dict(indices=np.array([1, 30, 12]), block_lengths=(20, 1, 7)),
+        "ee60320f8d",
+        [0, 0, 2, 3, 3],
     ),
     "zero_width_lengths": (
         _wire_params(1),
-        dict(avg_block_kl=0.0, indices=np.array([3, 0, 31, 16]), block_lengths=(1, 1, 1, 1)),
-        "8010904011",
-        [0, 0, 1, 2, 3],
+        dict(indices=np.array([3, 0, 31, 16]), block_lengths=(1, 1, 1, 1)),
+        "e424100440",
+        [0, 1, 1, 1, 3],
     ),
     "many_blocks": (
         _wire_params(20),
-        dict(avg_block_kl=2.75, indices=np.arange(40) * 7 % 32,
+        dict(indices=np.arange(40) * 7 % 32,
              block_lengths=tuple(i * 3 % 20 + 1 for i in range(40))),
-        "c602800cc963e4121d4d84c4542dd100cc963e4121d4d84c4542dd1881e160e90584832080e38"
-        "2a1c62822180f98685036848402e1e28c0986a2078583a41612",
-        [0, 0, 1, 2, 3, 5, 5, 6, 7, 8, 10, 10, 11, 12, 13, 15, 15, 16, 17, 18, 20, 20,
-         21, 22, 23, 25, 25, 26, 27, 27, 27, 27, 27, 32, 33, 34, 35, 36, 37, 38, 39, 40,
-         41, 42, 44, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 55, 55, 56, 57, 58, 59, 60,
-         62, 62],
+        "e0a0033258f90487536131150b744033258f90487536131150b7462078583a416120c82038e0a87"
+        "18a088603e61a140da12100b878a30261a881e160e9058480",
+        [0, 0, 1, 3, 3, 4, 5, 6, 8, 8, 9, 10, 11, 13, 13, 14, 15, 16, 18, 18, 19, 20, 21,
+         23, 23, 24, 25, 26, 26, 26, 26, 26, 31, 32, 33, 34, 36, 36, 37, 38, 39, 41, 41, 42,
+         43, 45, 45, 47, 47, 48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62],
+    ),
+    "one_block_below": (
+        _wire_params(64),
+        dict(indices=np.array([0]), band="below"),
+        "60",
+        [0],
+    ),
+    "above": (
+        _wire_params(64),
+        dict(indices=np.array([2, 6]), band="above"),
+        "c99c",
+        [0, 0],
     ),
     "no_blocks": (
         _wire_params(64),
-        dict(avg_block_kl=0.5, indices=np.array([], dtype=np.int64)),
+        dict(indices=np.array([], dtype=np.int64), band="below"),
         None,
         None,
     ),
@@ -841,7 +894,7 @@ def test_wire_bytes_pinned(name):
     back = deserialize_update(blob, params)
     assert np.array_equal(back.indices, upd.indices)
     assert back.block_lengths == upd.block_lengths
-    assert back.avg_block_kl == upd.avg_block_kl
+    assert back.band == upd.band
 
 
 @pytest.mark.parametrize("name", list(WIRE_GOLDEN))
@@ -865,10 +918,12 @@ def test_wire_error_offsets_pinned(name):
 # (header, location, payload) bits of each golden message: the wire tests
 # compare totals only, so these keep bits from moving between the parts
 WIRE_GOLDEN_PARTS = {
-    "indices_only": (14, 0, 33),  # 1 + 8 + gamma(5) = 5; index codes 1 + 11 + 5 + 9 + 7
-    "with_locations": (12, 15, 19),  # gamma(3) = 3; 3 x 5-bit lengths; codes 3 + 9 + 7
-    "zero_width_lengths": (14, 0, 26),  # max_block_size 1: 0-bit lengths
-    "many_blocks": (20, 200, 292),  # gamma(40) = 11
+    "indices_only": (7, 0, 33),  # 2 + gamma(5) = 5; index codes 1 + 11 + 5 + 9 + 7
+    "with_locations": (6, 15, 19),  # 3 + gamma(3) = 3; 3 x 5-bit lengths; codes 3 + 9 + 7
+    "zero_width_lengths": (8, 0, 26),  # 3 + gamma(4) = 5; max_block_size 1: 0-bit lengths
+    "many_blocks": (14, 200, 292),  # 3 + gamma(40) = 11
+    "one_block_below": (2, 0, 1),  # 1 + gamma(1) = 1; the code of index 0
+    "above": (6, 0, 8),  # 3 + gamma(2) = 3; codes 3 + 5
 }
 
 
@@ -882,10 +937,10 @@ def test_wire_golden_bit_cost_parts_pinned(name):
 
 
 def _located_message(lengths):
-    """Locations, KL code 0, the gamma code of 3 blocks, a 5-bit length field
-    per block (holding length - 1) and the gamma codes of three indices of 1,
-    zero-padded."""
-    fields = "1" + "0" * 8 + "011" + "".join(f"{n - 1:05b}" for n in lengths) + "010" * 3
+    """The location kind code, the gamma code of 3 blocks, a 5-bit length
+    field per block (holding length - 1) and the gamma codes of three indices
+    of 1, zero-padded."""
+    fields = "111" + "011" + "".join(f"{n - 1:05b}" for n in lengths) + "010" * 3
     fields += "0" * (-len(fields) % 8)
     return int(fields, 2).to_bytes(len(fields) // 8, "big")
 
@@ -901,7 +956,7 @@ def test_deserialize_refuses_block_lengths_over_max_block_size(second):
         return
     with pytest.raises(WireFormatError, match=f"block length {second} outside") as err:
         deserialize_update(blob, params)
-    assert err.value.byte_offset == 2  # the second length field starts at bit 17
+    assert err.value.byte_offset == 1  # the second length field starts at bit 11
 
 
 def _bit_message(fields: str) -> bytes:
@@ -910,26 +965,30 @@ def _bit_message(fields: str) -> bytes:
     return int(fields, 2).to_bytes(len(fields) // 8, "big")
 
 
-# no locations and KL code 0; then, with K = 32, the gamma code of 3 blocks
-# and the longest index code, index 31's
-_THREE_BLOCKS, _INDEX_31 = "0" + "0" * 8 + "011", "00000100000"
+# the kind code of a message below the band; then, with K = 32, the gamma
+# code of 3 blocks and the longest index code, index 31's
+_THREE_BLOCKS, _INDEX_31 = "0" + "011", "00000100000"
 # indices 31, 0 and 31
 _THREE_INDICES = _THREE_BLOCKS + _INDEX_31 + "1" + _INDEX_31
 
 
 @pytest.mark.parametrize("fields, match, offset", [
-    # a code of 33, index 32 = K, after index 31: refused where it starts, bit 23
-    (_THREE_BLOCKS + _INDEX_31 + "00000100001" + "1", r"index code 33 out of range \[1, 32\]", 2),
-    # a zero run too long for any index below K, at bit 24
-    (_THREE_BLOCKS + _INDEX_31 + "1" + "0000001", "index code has 6 or more leading zeros", 3),
-    # the third code cut short: it starts at bit 24, 8 bits are left
-    (_THREE_INDICES[:32], "truncated: needed 11 bits, 8 left", 3),
-    # cut at bit 24, where the third code would start
-    (_THREE_INDICES[:24], "truncated", 3),
+    # a code of 33, index 32 = K, after index 31: refused where it starts, bit 15
+    pytest.param(_THREE_BLOCKS + _INDEX_31 + "00000100001" + "1",
+                 r"index code 33 out of range \[1, 32\]", 1, id="index-K"),
+    # a zero run too long for any index below K, at bit 16
+    pytest.param(_THREE_BLOCKS + _INDEX_31 + "1" + "0000001",
+                 "index code has 6 or more leading zeros", 2, id="zero-run-too-long"),
+    # the third code cut short: it starts at bit 16, 8 bits are left
+    pytest.param(_THREE_INDICES[:24], "truncated: needed 11 bits, 8 left", 2,
+                 id="third-code-cut"),
+    # cut at bit 16, where the third code would start
+    pytest.param(_THREE_INDICES[:16], "truncated", 2, id="cut-before-third-code"),
     # the first code's zero run reaches the end of the message
-    (_THREE_INDICES[:16], "truncated", 1),
-    # fewer bits than codes: refused where the body starts, bit 12
-    ("0" + "0" * 8 + "00100" + "1" * 2, "4 index codes need at least 4 bits, 2 left", 1),
+    pytest.param(_THREE_INDICES[:8], "truncated", 0, id="zero-run-to-the-end"),
+    # fewer bits than codes: refused where the body starts, bit 6
+    pytest.param("0" + "00100" + "1" * 2, "4 index codes need at least 4 bits, 2 left", 0,
+                 id="fewer-bits-than-codes"),
 ])
 def test_deserialize_refuses_index_codes_out_of_range_or_cut(fields, match, offset):
     with pytest.raises(WireFormatError, match=match) as err:
@@ -968,8 +1027,8 @@ def test_index_codes_read_as_one_code_at_a_time(count_body, index_bits):
     (reference.gamma_codes) reads or refuses them."""
     count, body = count_body
     params = CodecParams(d_kl_target=(index_bits - 0.5) * math.log(2.0))
-    # no locations, KL code 0 and the gamma code of count
-    header = "0" * 9 + _gamma(count)
+    # the kind code of a message below the band and the gamma code of count
+    header = "0" + _gamma(count)
     data = _bit_message(header + body)
     bits = "".join(f"{b:08b}" for b in data)
     start = len(header)
@@ -995,16 +1054,17 @@ def test_index_codes_read_as_one_code_at_a_time(count_body, index_bits):
 
 
 @settings(max_examples=300)
-@given(data=st.binary(max_size=64), locations=st.booleans(),
+@given(data=st.binary(max_size=64), head=st.sampled_from(["", "0", "10", "110", "111"]),
        max_block=st.sampled_from([1, 2, 20, 64, 4096]))
-@example(data=_located_message((20, 32, 1)), locations=True, max_block=20)
-@example(data=bytes.fromhex("4196080c1212"), locations=False, max_block=64)
-@example(data=_bit_message(_THREE_INDICES), locations=False, max_block=64)
-def test_deserialize_accepts_only_what_serialize_writes(data, locations, max_block):
+@example(data=_located_message((20, 32, 1)), head="", max_block=20)
+@example(data=bytes.fromhex("8b04060909"), head="", max_block=64)
+@example(data=_bit_message(_THREE_INDICES), head="", max_block=64)
+def test_deserialize_accepts_only_what_serialize_writes(data, head, max_block):
     """Arbitrary bytes are refused, or they re-serialize to themselves with
-    the pad bits cleared."""
-    if data:
-        data = bytes([data[0] | 0x80 if locations else data[0] & 0x7F]) + data[1:]
+    the pad bits cleared.  A kind code put at the head draws every kind of
+    message as often."""
+    if head:
+        data = _bit_message(head + "".join(f"{x:08b}" for x in data))
     params = _wire_params(max_block)
     try:
         upd = deserialize_update(data, params)

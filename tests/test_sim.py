@@ -372,23 +372,25 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # label, a bit price or the operation order of a server update shows here.
 # The four klms pairs here and below were re-pinned when the encoder moved to
 # ordered random coding, which moved the selections, and the indices to
-# Elias-gamma codes, which moved the payload bits.
+# Elias-gamma codes, which moved the payload bits; then when the header's
+# location flag and 8-bit KL code gave way to the kind code, which moved
+# bpp_total, and mean_kl_per_param became each client's exact KL.
 PINNED_OUTPUTS = {
     "fedpm_separable": ("fedpm_separable", {},
-        "c32a6cf608b6a3542e8512c93b23ae0dcf44bdb79cf1d3fb7a9223f90887c267",
-        "a7231a3152ab33fe27022265bea8a3a90b5fbf76cdd8df9ee16a47ec94603cbd"),
+        "af08fd5a5bad54544cdb855ff04cc6295d6eeb3c00cfd1f4505db1136750a98c",
+        "9b00f53234ed022395f6b1d42e4d16c07e6c88a10201cb2b56adcfd913cde67f"),
     "fedpm_separable_baseline": ("fedpm_separable_baseline", {},
         "737412e9fa061a8148c55476315c5f622de12dcaa7e49857b642f97f0ab1de4f",
         "304d46ae231dff58c0257194b9bab79a48dc61d7e48ef1c12846d813e192fa94"),
     "qsgd_separable": ("qsgd_separable", {},
-        "dac798e014829f64e46b721d7a79171ddebfdb2a64514be69be47ca22cb915c4",
-        "ff6c9530ecc35d90c699b6370fc87214c04e2ba91bd299a427a2570594ac7a30"),
+        "3b29c8c51d0d4e396a5205a1573608cc17b47e1e032d98287d371dfb23d3bc1d",
+        "cf61893c8961cae1893a59d489d0d3c9f00f77d7abee2c4680afdcab75c08021"),
     "signsgd_separable": ("signsgd_separable", {},
-        "8f6316069260f61918a7ccdda5732a690466d8df6604a5e0fab634b0c3d42a91",
-        "c4e96f2608a1f3c3a102a834c2121df70b15b50d132b5cacc985c1ace9f5e2dd"),
+        "4ac76959eef9bc364e0a6732969459ff15364bbf83946af854cf901ad66a4b12",
+        "f0f4fc8cb494064381921e5bf6d65e1c9f27146640b3500becff5a108ef5e8bb"),
     "sgld_separable": ("sgld_separable", {},
-        "5c1773eda4775aa6d4d3d0441703b0414289f2b405cfd68c36e157f15d09894e",
-        "4cc0133c8784b963dc7e15e7aba4f5e7ca286daea6dbf70f5d55adef7fa8316a"),
+        "e319f51cfaf45180d6ad9bc945e0594d90ded471ea645223f9d69347a4553b8a",
+        "3a2bede80d49fba005de2d0a42163d2c6263bddf8545d21e572b03628992a39d"),
     "qsgd_baseline": ("qsgd_separable", {"variant": "baseline"},
         "7f87a37ed44f2d205c8f1875d973b7fbac99de0fe677b79d6f2e3f7c25cf22d4",
         "45054f1d8c9fa165d2b21917ad438412787933aca57242beb7d72dcf9d6ab8a1"),
@@ -423,20 +425,20 @@ def test_outputs_pinned(case, tmp_path):
 # script's printout, with the reason in CHANGES.
 FULL_LENGTH_OUTPUTS = {
     "fedpm_separable": (
-        "6b0371aefd9cd734ac7af5ed64744d817610fbdb5d01a3253de92677b7e295e1",
-        "8553d86ee89babd555d0f3f992dfc71b558ed04faaf3656cf76572a17df9646e"),
+        "f37f30335351281d6ea7f3f849ada4cd17b93bd2a3270a41a8500e94da715d50",
+        "788c65c4fff6af136d84cb20a7f0058448fdb53183c28e6bf45c7501530eb765"),
     "fedpm_separable_baseline": (
         "4a3914f1eb83b7fbca4274a71b19436dd812937045ca38980af176afec593153",
         "7db68938f3257eb1f39ce064bc9219de1cf14c509d3a540595d386c056b8c306"),
     "qsgd_separable": (
-        "21c1fb47d025b3c1bb4475e9a582b21550bc78003c63fab94bdb3ba2c2fd783a",
-        "c2ab2a8f9cac75c2bdc64db48a32a22e0cce2b71dadf3c6e725d9427783ea4fa"),
+        "ca7c8aad653a659fad994ca184ca45350c17ca132cc7c69b34d03f760789b18d",
+        "b851a731224381fcf582c4bf1fefd74084ccce1289ba3aed8b63240863da0e1c"),
     "signsgd_separable": (
-        "725366b660547be009cf85140e1c44d616d6ec48c704e425acfee47eb3513e32",
-        "ceab7ee0448534ad711e0571082fa79030e1e4a405d0b6f0f8ee7e456ada6b81"),
+        "044481ae97e67ada6fb7dbabf00b7927d9444300848ce23d3fe977ebfa2f26e7",
+        "19f0ed2b95d663635b704a70fa0e44f9afeb7d599d63e02f3ba2f019703ea434"),
     "sgld_separable": (
-        "bbc726f3ff102a4d27c6c976bd14596ec83d642a76472420eb68e23151f5016c",
-        "23514a3c6c6e86c90e6ce2025eadda57f7d087f5724b8e172ee6d279483f23ca"),
+        "ed48295a3ab60406c7296b9c63b2070712dfa751b51ff2f47ee15d39c3ba4876",
+        "dee59e0a6663f2feeeb4ccddf34ec5cae470da2b5c3543bc763d661907eca0f5"),
     "qsgd_baseline": (
         "1420f1faf7e9fb4bcb019b72363b9d85c3242bf52e5156aa1fdc9b56bfd82ba0",
         "d893f9b6f899444a68ec275afc1be30882f975533d6ef166b5ed2f5a34cfa134"),
@@ -543,21 +545,23 @@ def _digests_without(case, csv_columns, summary_keys, tmp_path):
 # SHA-256 of the same four-round outputs with the header-dependent totals
 # taken out: the metrics CSV without its bpp_total column, and the summary
 # JSON without mean_bpp_total and total_bits_sent.  What is left records the
-# decisions (selections, partitions, location rounds, accuracy, payload bits
-# and the transmitted KL), so a change to the header that leaves the KL's code
-# as it is leaves these digests as they are.
+# decisions (selections, partitions, location rounds, accuracy, payload bits)
+# and mean_kl_per_param, each client's own exact KL, which no wire field
+# carries, so a change to the header alone leaves these digests as they are.
+# Re-recorded when mean_kl_per_param stopped being read off the header's
+# 8-bit KL code.
 DECISIONS_PINNED = {
     "fedpm_separable": (
-        "a917bbafc8bea7401c63ee86ae97a50e34d6439eef5bfb87a0d61ace9e2fac7d",
+        "a2f0fe55300e50b20977974fdd1c766c998fdf27e68ea79adcaa1de41298fe9a",
         "6143662237a68b9e2f2d389d338ed74889732df0d720c1e81eceae48628148a8"),
     "qsgd_separable": (
-        "3c4cdc951dd97443d637559b50eb3620e362153fcd3ba832009b16e9c04cabee",
+        "cbdaebf6aae107c32469aa332f78e63c956ec7a377e58b50855ec67a2daeaac8",
         "c740c9f581e0475ae80b63f792e535c862a0f4d8eba820eea38f5c8bb466be1d"),
     "sgld_separable": (
-        "d82c53aa4e6f466748a2fcd7293af975d75494cdfe11b4f62eba1646e19d2d03",
+        "589c5775e9a14a93015ee56e04e6b404662de1de8447fd29b773be8fd8362d9a",
         "a68368525f480a432ad84a1a64c39df36a8af475e748f8595e1edff652d057c9"),
     "signsgd_separable": (
-        "4151934d35e4b1667b042638eba9d4597bc05afc3b7fcbdac7a01a4d5b941eae",
+        "ac52c548517709443570f9dea8ab058877bff858a2702edd351bec560a67a2d4",
         "8ec556e40f6003803de6642f6b3f16ed5c0ca3a731933b4b02ae36a7ae93fb2a"),
 }
 
@@ -569,11 +573,12 @@ def test_decisions_pinned(case, tmp_path):
 
 
 # SHA-256 of the same four-round outputs without the header's bits and without
-# the transmitted KL: the metrics CSV without bpp_total and mean_kl_per_param,
+# the reported KL: the metrics CSV without bpp_total and mean_kl_per_param,
 # the summary JSON without mean_bpp_total and total_bits_sent.  What is left
 # (selections through accuracy and payload bits, partitions and location
-# rounds) does not depend on how the header codes the KL, so a change to that
-# code alone leaves these digests as they are.
+# rounds) depends on the header only through the server's partition rule, so
+# these digests held when the header's 8-bit KL code gave way to the band
+# kind code, whose majority rule keeps every partition these runs keep.
 SELECTIONS_PINNED = {
     "fedpm_separable": (
         "968c2766f4e0caea96619178f3b4d3e9735371414301d1faa9bacf033d64ded5",
