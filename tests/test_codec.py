@@ -383,13 +383,6 @@ def test_location_messages_carry_no_band():
     assert cost.header_bits == 3 + 1  # kind code 111, gamma(1)
 
 
-def _kind_of(code: str) -> str | None:
-    """The band the parser reads from a kind code, followed by a block count
-    of 1 and an index of 0 (and, after the location code, a length of 1 in a
-    0-bit field)."""
-    return deserialize_update(_bit_message(code + "1" + "1"), params_with(max_block=1)).band
-
-
 def test_kind_codes_form_a_complete_prefix_code():
     codes = {band: format(value, f"0{width}b")
              for band, (value, width) in zip(codec._KINDS, codec._KIND_CODES)}
@@ -400,9 +393,11 @@ def test_kind_codes_form_a_complete_prefix_code():
     # so every 3-bit string starts with exactly one of them
     for head in range(8):
         assert sum(f"{head:03b}".startswith(code) for code in codes.values()) == 1
-    # and the parser reads each code as its kind
+    # and the parser reads each code as its kind, here followed by a block
+    # count of 1 and an index of 0 (and, after the location code, a length of
+    # 1 in a 0-bit field)
     for band, code in codes.items():
-        assert _kind_of(code) == band
+        assert deserialize_update(_bit_message(code + "11"), params_with(max_block=1)).band == band
 
 
 # a KL that is not finite and nonnegative has no band
