@@ -11,6 +11,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -1091,6 +1092,82 @@ def test_selection_bias_shrinks_with_more_samples():
         means[r_exp] = acc / reps
     assert abs(means[6] - 0.8) < abs(means[0] - 0.8)
     assert abs(means[6] - 0.8) < 0.03
+
+
+# --- law of the pick ------------------------------------------------------------
+
+# Each case is a block of a few coordinates whose outcomes can be listed, laid
+# out _LAW_KEYS times side by side in one message: every copy is its own block,
+# with its own streams, so one encode_update call draws _LAW_KEYS independent
+# picks at whatever K the encoder gives the block.  The decoded outcomes'
+# empirical law must lie within a total variation (TV) threshold of q's law.
+# The threshold comes from the exact-sampling null, the empirical law of
+# _LAW_KEYS exact draws from q, whose TV from q exceeds t with probability at
+# most (2^k - 2) exp(-2 n t^2) over k outcomes and n draws (Weissman et al.,
+# "Inequalities for the L1 deviation of the empirical distribution", 2003).
+# The threshold holds that bound to _LAW_FALSE_FAILURE over all the checks
+# together, so an exact sampler fails this test on at most one root key in
+# 10^6.  For the 8-outcome cases the threshold is 0.052, and the null's
+# median and 99.99th percentile are 0.015 and 0.037 (20,000 null draws).  The
+# picks' TVs lie between 0.009 and 0.031 over the eight checks; a pick by the
+# largest weight alone, ignoring the arrival times, gives 0.30 to 0.89, and
+# two candidates per block give 0.17 to 0.19.
+_LAW_KEYS = 4000
+_LAW_KINDS = ("bernoulli", "sign", "ternary", "gaussian")
+_LAW_SETTINGS = {2.0: 3.0, 0.5: 1.5}  # overhead_r -> d_kl_target: fedpm's, signsgd's
+_LAW_FALSE_FAILURE = 1e-6
+
+
+def _law_threshold(outcomes: int) -> float:
+    per_check = _LAW_FALSE_FAILURE / (len(_LAW_KINDS) * len(_LAW_SETTINGS))
+    return math.sqrt(math.log((2**outcomes - 2) / per_check) / (2 * _LAW_KEYS))
+
+
+def _law_case(kind: str):
+    """(q, p, block width, the outcome number of each decoded row, q's law
+    over the outcome numbers) for _LAW_KEYS copies of one block."""
+    n = _LAW_KEYS
+    if kind == "gaussian":
+        # one coordinate, KL 0.32 nats, binned at q's deciles
+        mean = 0.8
+        edges = [mean + NormalDist().inv_cdf(k / 10) for k in range(1, 10)]
+        number = lambda rows: np.searchsorted(edges, rows[:, 0])
+        return (DiagonalGaussian(np.full(n, mean), 1.0), DiagonalGaussian(np.zeros(n), 1.0),
+                1, number, np.full(10, 0.1))
+    if kind == "ternary":
+        values = (-1.0, 0.0, 1.0)
+        masses = np.array([[0.5, 0.4, 0.1], [0.1, 0.4, 0.5]])  # per coordinate; KL 0.33 nats
+        q = TernaryPattern(*np.tile(masses, (n, 1)).T)
+        p = TernaryPattern(np.full(2 * n, 0.25), np.full(2 * n, 0.5), np.full(2 * n, 0.25))
+    else:
+        plus = np.array([0.8, 0.3, 0.6])  # KL 0.295 nats
+        masses = np.stack([1.0 - plus, plus], axis=1)
+        if kind == "bernoulli":
+            values = (0.0, 1.0)
+            q, p = BernoulliVector(np.tile(plus, n)), BernoulliVector(np.full(3 * n, 0.5))
+        else:
+            values = (-1.0, 1.0)
+            q, p = BinarySign(np.tile(plus, n)), UniformSign(3 * n)
+    width, base = masses.shape
+    law = masses[0]
+    for row in masses[1:]:
+        law = np.outer(law, row).ravel()  # the first coordinate's digit leads
+    number = lambda rows: np.searchsorted(values, rows) @ base ** np.arange(width - 1, -1, -1)
+    return q, p, width, number, law
+
+
+@pytest.mark.parametrize("r", list(_LAW_SETTINGS))
+@pytest.mark.parametrize("kind", _LAW_KINDS)
+def test_decoded_picks_follow_q(kind, r):
+    q, p, width, number, law = _law_case(kind)
+    params = CodecParams(d_kl_target=_LAW_SETTINGS[r], overhead_r=r)
+    partition = BlockPartition(q.dim, tuple(range(0, q.dim, width)))
+    key = StreamKey(89, (("law", _LAW_KINDS.index(kind)), ("r", int(4 * r))))
+    upd, _ = encode_update(q, p, partition, params, key, round_index=0, client_id=0)
+    rows = decode_update(p, partition, params, key, upd).reshape(_LAW_KEYS, width)
+    found = np.bincount(number(rows), minlength=law.size) / _LAW_KEYS
+    tv = 0.5 * float(np.abs(found - law).sum())
+    assert tv < _law_threshold(law.size), (tv, found.round(3).tolist())
 
 
 # --- selections pinned --------------------------------------------------------
