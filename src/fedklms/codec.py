@@ -27,10 +27,18 @@ memory is the tile plus K weights and K arrival times, however wide the
 block.  The encoder keeps no candidate past its tile and returns only the
 index: the selected row exists once the decoder regenerates it.
 
-K is uniform across blocks and derived from the block KL *target*, not the
-realized block KL: the greedy partitioner aims every block at the same target,
-the optimal sample budget is then the same for every block, and K is a
-session constant, the bound the parser holds every index to.
+Each block draws its own candidate count, K_m = min(K, 2^ceil((KL_m + sigma_m
++ r) / ln 2)) (:func:`block_samples`), where KL_m is the block's KL and
+sigma_m the standard deviation under q of its log q/p.  About exp(KL + a few
+sigma) samples cover a block (Chatterjee & Diaconis, "The sample size
+required in importance sampling", 2018), and a pick among the first K_m
+candidates is the pick of a longer run whenever that run's winner is among
+them, because the first K_m candidates and arrival times are prefixes of the
+longer run's.  The session K = 2^ceil((d_kl_target + r) / ln 2) caps K_m and
+is the bound the parser holds every index to; K_m is never sent, since the
+decoder regenerates only the indexed row.  The scalar study
+(:mod:`fedklms.toy`) keeps the paper's importance sampler, with K from its
+client's KL + r.
 
 The block partition's lifecycle: a round without a shared partition, such as
 the first, is a location round.  Every client cuts its own blocks from its
@@ -89,7 +97,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import (ENCODE_CHUNK_FLOATS, LogRatio, ProductDistribution,
-                            _check_coordinates, _is_integer, kl_per_coordinate, log_ratio)
+                            _check_coordinates, _is_integer, kl_spread_and_ratio, log_ratio)
 from .streams import SampleStream, StreamKey, derive_stream
 
 _LN2 = math.log(2.0)
@@ -164,8 +172,10 @@ class CodecParams:
 
     @property
     def index_bits(self) -> int:
-        """log2 K, uniform across blocks (see module docstring); an index's
-        Elias-gamma code has at most 2 index_bits + 1 bits."""
+        """log2 K for the session K of d_kl_target + overhead_r: the most
+        candidates any block draws (:func:`block_samples`) and the bound the
+        parser holds every index to.  An index's Elias-gamma code has at most
+        2 index_bits + 1 bits."""
         return samples_per_block(self.d_kl_target, self)[1]
 
     @property
@@ -293,6 +303,19 @@ def samples_per_block(block_kl: float, params: CodecParams) -> tuple[int, int]:
         raise ValueError(f"block KL must be nonnegative: {block_kl}")
     bits = max(1, math.ceil((block_kl + params.overhead_r) / _LN2))
     return 2**bits, bits
+
+
+def block_samples(block_kl: float, spread: float, params: CodecParams) -> int:
+    """The encoder's candidate count for one block: 2^ceil((KL + spread + r) /
+    ln 2), at least 2, and at most the session K = 2^index_bits.
+
+    ``spread`` is the standard deviation under q of the block's log q/p.  The
+    exponent is compared with index_bits before any power is formed, so a
+    huge or infinite KL or spread gives K, not a huge integer or an error."""
+    bits = (block_kl + spread + params.overhead_r) / _LN2
+    if not bits < params.index_bits:
+        return 1 << params.index_bits
+    return 1 << max(1, math.ceil(bits))
 
 
 def split_blocks_adaptive(kl: np.ndarray, params: CodecParams) -> BlockPartition:
@@ -503,8 +526,9 @@ def encode_update(
     """Encode a full parameter vector block by block.
 
     With no ``partition`` the client cuts its own blocks from its KL vector
-    (:func:`split_blocks_adaptive`) and must ship their lengths.  A block
-    whose K candidates all miss q's support sends index 0.
+    (:func:`split_blocks_adaptive`) and must ship their lengths.  Each block
+    draws :func:`block_samples` of its own KL and spread; a block whose
+    candidates all miss q's support sends index 0.
 
     key_base must identify (round, client) uniquely; the per-block stream keys
     are derived from it, so the stream for block m never depends on how other
@@ -518,11 +542,11 @@ def encode_update(
     """
     if partition is None and not include_locations:
         raise ValueError("an update without a partition must include its locations")
-    kl = kl_per_coordinate(q, p)  # refuses a q and p of different dimensions
+    # refuses a q and p of different dimensions
+    kl, variance, ratio = kl_spread_and_ratio(q, p)
     partition = partition or split_blocks_adaptive(kl, params)
     if partition.dim != q.dim:
         raise ValueError(f"dimension mismatch: q {q.dim}, partition {partition.dim}")
-    num_samples, _ = samples_per_block(params.d_kl_target, params)
     ranges = partition.ranges()
     wide = [f"[{lo}, {hi})" for lo, hi in ranges if hi - lo > params.max_block_size]
     if wide:
@@ -530,18 +554,20 @@ def encode_update(
     with np.errstate(over="ignore"):
         block_kls = np.array([kl[lo:hi].sum() for lo, hi in ranges])
         avg_block_kl = float(block_kls.mean())
+        spreads = np.sqrt([variance[lo:hi].sum() for lo, hi in ranges])
     if not math.isfinite(avg_block_kl):
         lo, hi = ranges[int(np.argmax(block_kls))]
         raise ValueError(f"mean block KL overflows float64: block "
                          f"[{lo}, {hi}) has {float(block_kls.max())!r} nats")
-    ratio = log_ratio(q, p)
     indices = np.empty(partition.num_blocks, dtype=np.int64)
-    for m, (lo, hi) in enumerate(ranges):
+    for m, ((lo, hi), block_kl, spread) in enumerate(zip(ranges, block_kls.tolist(),
+                                                         spreads.tolist())):
         shared, selector = _block_streams(key_base, m)
+        num_samples = block_samples(block_kl, spread, params)
         try:
             indices[m] = encode_block(q, p, lo, hi, num_samples, shared, selector, ratio)
         except ZeroMassCandidatesError:
-            # q's support can carry little prior mass, so all K candidates
+            # q's support can carry little prior mass, so all the candidates
             # may miss it; the block then carries index 0, the ordered pick
             # under equal weights, whose candidate is a draw from p
             indices[m] = 0

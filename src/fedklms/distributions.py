@@ -19,7 +19,9 @@ p mass) per outcome, with two Gaussians as the one closed-form case.
 :func:`kl_per_coordinate` sums q mass * (log q - log p) over it, and
 :func:`log_ratio` turns the same terms into per-coordinate coefficients of
 log q - log p on rows drawn from p: one matrix-vector product per block (two
-where a squared term is needed), with no support checks.  The codec never
+where a squared term is needed), with no support checks.  The encoder takes
+both, and the variance of each coordinate's log q - log p under q, from one
+pass over the terms (:func:`kl_spread_and_ratio`).  The codec never
 calls ``log_mass_rows``; it is the reference the tests compare
 :func:`log_ratio` against.
 
@@ -365,15 +367,46 @@ def kl_per_coordinate(q: ProductDistribution, p: ProductDistribution) -> np.ndar
     mass is 0, and a KL that overflows, naming the coordinate."""
     outcomes = _outcomes(q, p)
     if outcomes is None:
-        if abs(q.sigma - p.sigma) > 1e-12 * max(q.sigma, p.sigma):
-            raise ValueError(
-                f"Gaussian KL requires equal sigmas: client {q.sigma} vs global {p.sigma}"
-            )
+        return _gaussian_kl(q, p)
+    return _discrete_kl(outcomes)[0]
+
+
+def kl_spread_and_ratio(
+    q: ProductDistribution, p: ProductDistribution
+) -> tuple[np.ndarray, np.ndarray, LogRatio]:
+    """:func:`kl_per_coordinate`, the variance under q of each coordinate's
+    log q_i/p_i, and :func:`log_ratio`, all from one pass over the outcome
+    terms: what the codec's encoder needs of a pair.
+
+    The variance is the sum over the outcomes of q mass * term^2, less the
+    squared KL, or 2 KL for two Gaussians of one sigma (it overflows to inf
+    only where 2 KL does)."""
+    outcomes = _outcomes(q, p)
+    if outcomes is None:
+        kl = _gaussian_kl(q, p)
         with np.errstate(over="ignore"):
-            kl = (q.mean - p.mean) ** 2 / (2.0 * p.sigma**2)
-        _check_coordinates(np.isfinite(kl), "Gaussian KL overflows (client, global mean)",
-                           q.mean, p.mean)
-        return kl
+            variance = 2.0 * kl
+        return kl, variance, log_ratio(q, p)
+    kl, terms, zero = _discrete_kl(outcomes)
+    second = sum(q_mass * term * term for (_, q_mass, _), term in zip(outcomes, terms))
+    return kl, np.maximum(second - kl * kl, 0.0), _discrete_ratio(outcomes, terms, zero)
+
+
+def _gaussian_kl(q: DiagonalGaussian, p: DiagonalGaussian) -> np.ndarray:
+    if abs(q.sigma - p.sigma) > 1e-12 * max(q.sigma, p.sigma):
+        raise ValueError(
+            f"Gaussian KL requires equal sigmas: client {q.sigma} vs global {p.sigma}"
+        )
+    with np.errstate(over="ignore"):
+        kl = (q.mean - p.mean) ** 2 / (2.0 * p.sigma**2)
+    _check_coordinates(np.isfinite(kl), "Gaussian KL overflows (client, global mean)",
+                       q.mean, p.mean)
+    return kl
+
+
+def _discrete_kl(outcomes) -> tuple[np.ndarray, list[np.ndarray], tuple]:
+    """The KL of a discrete pair's outcome table, with its outcome terms and
+    zero-mass list (:func:`_outcome_terms`)."""
     for value, q_mass, p_mass in outcomes:
         bad = (q_mass > 0.0) & (p_mass == 0.0)
         if bad.any():
@@ -382,9 +415,9 @@ def kl_per_coordinate(q: ProductDistribution, p: ProductDistribution) -> np.ndar
                 f"outcome {value:+g}: client mass {q_mass[i]:.6g} at coordinate {i} "
                 "where global mass is 0"
             )
-    terms, _ = _outcome_terms(outcomes)
+    terms, zero = _outcome_terms(outcomes)
     kl = sum(q_mass * term for (_, q_mass, _), term in zip(outcomes, terms))
-    return np.maximum(kl, 0.0)  # cancellation near q=p can dip below zero
+    return np.maximum(kl, 0.0), terms, zero  # cancellation near q=p can dip below zero
 
 
 @dataclass(frozen=True)
@@ -452,7 +485,11 @@ def log_ratio(q: ProductDistribution, p: ProductDistribution) -> LogRatio:
         const = 0.5 * (ip * p.mean**2 - iq * q.mean**2) + np.log(p.sigma / q.sigma)
         square = None if q.sigma == p.sigma else np.full(q.dim, 0.5 * (ip - iq))
         return LogRatio(const, iq * q.mean - ip * p.mean, square, ())
-    terms, zero = _outcome_terms(outcomes)
+    return _discrete_ratio(outcomes, *_outcome_terms(outcomes))
+
+
+def _discrete_ratio(outcomes, terms: list[np.ndarray], zero: tuple) -> LogRatio:
+    """The :class:`LogRatio` of a discrete pair from its outcome terms."""
     if len(terms) == 3:  # {-1, 0, +1}: the square tells 0 from +-1
         tn, t0, tp = terms
         return LogRatio(t0, 0.5 * (tp - tn), 0.5 * (tp + tn) - t0, zero)

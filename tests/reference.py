@@ -4,9 +4,12 @@ Imported by the test modules as ``reference`` (pytest puts ``tests/`` on the
 import path).
 """
 
+import math
+
 import numpy as np
 
-from fedklms.distributions import _check_range, _uniform_rows, kl_per_coordinate
+from fedklms.distributions import (BernoulliVector, DiagonalGaussian, TernaryPattern,
+                                   _check_range, _uniform_rows, kl_per_coordinate)
 from fedklms.methods import SGLDParams, local_iterations
 from fedklms.streams import SampleStream
 
@@ -20,6 +23,26 @@ def kl_block(q, p, lo: int, hi: int) -> float:
     """Total KL(q || p) over one coordinate range, in nats."""
     _check_range(lo, hi, q.dim)
     return float(kl_per_coordinate(q, p)[lo:hi].sum())
+
+
+def block_spread(q, p, lo: int, hi: int) -> float:
+    """Standard deviation under q of log q(x) - log p(x) over one coordinate
+    range, from the definition: the coordinates' variances add, and each is
+    taken over its outcomes' log masses (for two Gaussians of one sigma,
+    log q - log p is x (mu_q - mu_p) / sigma^2 plus a constant)."""
+    _check_range(lo, hi, q.dim)
+    if isinstance(q, DiagonalGaussian):
+        return math.sqrt(float((((q.mean - p.mean) / q.sigma)[lo:hi] ** 2).sum()))
+    rows = np.array([[0.0], [1.0]] if isinstance(q, BernoulliVector)
+                    else [[-1.0], [0.0], [1.0]] if isinstance(q, TernaryPattern)
+                    else [[-1.0], [1.0]])
+    total = 0.0
+    for i in range(lo, hi):
+        log_q, log_p = q.log_mass_rows(i, i + 1, rows), p.log_mass_rows(i, i + 1, rows)
+        live = log_q > -np.inf
+        mass, term = np.exp(log_q[live]), log_q[live] - log_p[live]
+        total += mass @ term**2 - (mass @ term) ** 2
+    return math.sqrt(max(total, 0.0))
 
 
 def scaled(pattern_dist, pattern) -> np.ndarray:

@@ -12,6 +12,7 @@ they are absent.
 """
 
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -58,7 +59,7 @@ from fedklms.methods import (
 from fedklms.models import build_model
 from fedklms.sim import _load_dataset, init_state, run_experiment, run_round
 from fedklms.streams import StreamKey, derive_stream
-from reference import aggregate_noise_var, sgld_noisy_message
+from reference import aggregate_noise_var, block_spread, kl_block, sgld_noisy_message
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 RESULTS_DIR = CONFIG_DIR.parent / "results"
@@ -132,11 +133,14 @@ def test_1_codec_round_trip_exact():
         include = bool(rng.integers(0, 2))
         key = root.child("case", case)
 
-        # replicate the per-block selection independently of encode_update
-        num_samples, _ = samples_per_block(params.d_kl_target, params)
+        # replicate the per-block selection independently of encode_update:
+        # block m draws min(K, 2^ceil((KL_m + spread_m + r) / ln 2)) candidates
         expected = np.empty(d)
         expected_idx = []
         for m, (lo, hi) in enumerate(partition.ranges()):
+            nats = kl_block(q, p, lo, hi) + block_spread(q, p, lo, hi) + params.overhead_r
+            bits = min(params.index_bits, max(1, math.ceil(nats / math.log(2.0))))
+            num_samples = 2**bits
             shared, selector = _block_streams(key, m)
             k = encode_block(q, p, lo, hi, num_samples, shared, selector)
             expected_idx.append(k)

@@ -1,7 +1,8 @@
 """Codec oracles: sample budgets, partitioning, round trips, wire format.
 
 Frozen values were worked out by hand from the budget rule
-bits = ceil((kl + r)/ln 2), K = 2^bits, and the wire layout (header: the kind
+bits = ceil((kl + r)/ln 2), K = 2^bits, the encoder's per-block count
+min(K, 2^ceil((kl + spread + r)/ln 2)), and the wire layout (header: the kind
 code, 0 below the KL band, 10 inside it, 110 above it and 111 for a location
 message, and the Elias-gamma block count; then the block lengths on location
 rounds, and the Elias-gamma code of each index plus 1).
@@ -28,6 +29,7 @@ from fedklms.codec import (
     ZeroMassCandidatesError,
     aggregate_block_locations,
     bit_cost,
+    block_samples,
     decode_block,
     decode_update,
     deserialize_update,
@@ -80,6 +82,41 @@ def test_samples_per_block_monotone():
         assert k == 2**bits
         assert bits >= prev
         prev = bits
+
+
+def test_block_samples_frozen():
+    p = params_with(target=3.0, r=2.0)  # session K = 2^ceil(5 / ln 2) = 256
+    assert block_samples(0.0, 0.0, params_with()) == 2  # at least one bit
+    assert block_samples(0.45, 0.3, p) == 16  # 3.97 bits
+    assert block_samples(0.0, 0.0, p) == 8  # 2.89 bits
+    assert block_samples(3.0, 1.0, p) == 256  # 8.66 bits, capped at 8
+    # the exponent is compared with index_bits before any power is formed
+    assert block_samples(5e307, 1e154, p) == 256
+    assert block_samples(math.inf, math.inf, p) == 256
+
+
+@pytest.mark.parametrize("distances, width, counts", [
+    # KL d^2 / 2 and spread d per one-coordinate block; with r = 1:
+    # (0 + 0 + 1) / ln 2 = 1.44 bits, 2.34, 3.61 and 7.21, capped at 6
+    pytest.param((0.0, 0.5, 1.0, 2.0), 1, [4, 8, 16, 64], id="one-coordinate-blocks"),
+    # one block of KL 5e307 nats and spread 1e154
+    pytest.param((0.0, 1e154), 2, [64], id="5e307-nats"),
+    # one block of KL 1.21e308 nats, whose variance 2 KL overflows: spread inf
+    pytest.param((1.1e154, 1.1e154), 2, [64], id="infinite-spread"),
+])
+def test_each_block_draws_its_own_count(distances, width, counts, monkeypatch):
+    drawn = []
+    block = codec.encode_block
+
+    def spy(q, p, lo, hi, num_samples, *streams):
+        drawn.append(num_samples)
+        return block(q, p, lo, hi, num_samples, *streams)
+
+    monkeypatch.setattr(codec, "encode_block", spy)
+    params = params_with(target=3.0, r=1.0)  # session K = 2^ceil(4 / ln 2) = 64
+    upd, _ = _gaussian_update(*distances, params=params, width=width)
+    assert drawn == counts
+    assert serialize_update(upd, params)  # every index is below the session K
 
 
 # --- partitioning -----------------------------------------------------------
@@ -332,13 +369,14 @@ def test_update_with_locations_round_trip():
     assert len(blob) * 8 >= cost.total_bits > (len(blob) - 1) * 8
 
 
-def _gaussian_update(*distances, params=None):
-    """Encode one block of Gaussian coordinates whose client and global means
-    lie the given distances apart, so each has KL distance^2 / 2."""
+def _gaussian_update(*distances, params=None, width=None):
+    """Encode Gaussian coordinates whose client and global means lie the given
+    distances apart, so each has KL distance^2 / 2, in blocks of ``width``
+    (default: one block)."""
     half = np.array(distances) / 2
     q = DiagonalGaussian(half, 1.0)
     p = DiagonalGaussian(-half, 1.0)
-    return encode_update(q, p, split_blocks_fixed(half.size, half.size),
+    return encode_update(q, p, split_blocks_fixed(half.size, width or half.size),
                          params or params_with(target=2.0),
                          StreamKey(32, (("inf", 0),)), round_index=0, client_id=0)
 

@@ -110,6 +110,15 @@ def _variants(path, node, cfg):
         one = {"codec.d_kl_target": 0.6, "clients_per_round": 1}
         return [(low, {**low, path: 0.1}), (low, {**low, path: 10.0}),
                 (one, {**one, path: 0.6})]
+    if path == "codec.d_kl_target":
+        # the target sets the partition, the default band and the session K,
+        # which caps each block's own candidate count.  signsgd's one block
+        # of about 0.55 nats and spread 1.0 draws 8 candidates at r = 0.5, and
+        # a 1.5 times larger target leaves its partition and band as they
+        # are; half the target caps the count at 4, with the band held at
+        # [0.3, 3], which both targets lie in and both runs' blocks lie inside
+        band = {"codec.kl_min_threshold": 0.3, "codec.kl_max_threshold": 3.0}
+        return [({}, {path: 1.5 * value}), (band, {**band, path: value / 2})]
     if path == "codec.overhead_r":
         # ordered random coding keeps its pick when K grows and the winner is
         # among the first K candidates, which it was in qsgd's 3 rounds at

@@ -374,7 +374,11 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 # ordered random coding, which moved the selections, and the indices to
 # Elias-gamma codes, which moved the payload bits; then when the header's
 # location flag and 8-bit KL code gave way to the kind code, which moved
-# bpp_total, and mean_kl_per_param became each client's exact KL.
+# bpp_total, and mean_kl_per_param became each client's exact KL.  The sgld
+# pairs here and below were re-pinned when each block began to draw its own
+# candidate count from its KL and spread: sgld's Gaussian blocks lie far
+# enough under the target that some of their picks lay past the new count.
+# The fedpm, qsgd and signsgd pins held.
 PINNED_OUTPUTS = {
     "fedpm_separable": ("fedpm_separable", {},
         "af08fd5a5bad54544cdb855ff04cc6295d6eeb3c00cfd1f4505db1136750a98c",
@@ -389,8 +393,8 @@ PINNED_OUTPUTS = {
         "4ac76959eef9bc364e0a6732969459ff15364bbf83946af854cf901ad66a4b12",
         "f0f4fc8cb494064381921e5bf6d65e1c9f27146640b3500becff5a108ef5e8bb"),
     "sgld_separable": ("sgld_separable", {},
-        "e319f51cfaf45180d6ad9bc945e0594d90ded471ea645223f9d69347a4553b8a",
-        "3a2bede80d49fba005de2d0a42163d2c6263bddf8545d21e572b03628992a39d"),
+        "1584ab3904f7931db038844df9809e8a8e00fe93a565265fd406ef1ba77d6ca8",
+        "dad28a02ad9ca84ff70e88d764b1b3fc726d21b103570e6f67f48c4057bc7236"),
     "qsgd_baseline": ("qsgd_separable", {"variant": "baseline"},
         "7f87a37ed44f2d205c8f1875d973b7fbac99de0fe677b79d6f2e3f7c25cf22d4",
         "45054f1d8c9fa165d2b21917ad438412787933aca57242beb7d72dcf9d6ab8a1"),
@@ -437,8 +441,8 @@ FULL_LENGTH_OUTPUTS = {
         "044481ae97e67ada6fb7dbabf00b7927d9444300848ce23d3fe977ebfa2f26e7",
         "19f0ed2b95d663635b704a70fa0e44f9afeb7d599d63e02f3ba2f019703ea434"),
     "sgld_separable": (
-        "ed48295a3ab60406c7296b9c63b2070712dfa751b51ff2f47ee15d39c3ba4876",
-        "dee59e0a6663f2feeeb4ccddf34ec5cae470da2b5c3543bc763d661907eca0f5"),
+        "b4ba74a5e3df2dd3ad84b9896b464e2dc0d5894c6731e794d4148544eacaa183",
+        "cb9abbe8064a59a4618003ab1351e626aee385e1ba1405b75673344d1c75fe10"),
     "qsgd_baseline": (
         "1420f1faf7e9fb4bcb019b72363b9d85c3242bf52e5156aa1fdc9b56bfd82ba0",
         "d893f9b6f899444a68ec275afc1be30882f975533d6ef166b5ed2f5a34cfa134"),
@@ -558,8 +562,8 @@ DECISIONS_PINNED = {
         "cbdaebf6aae107c32469aa332f78e63c956ec7a377e58b50855ec67a2daeaac8",
         "c740c9f581e0475ae80b63f792e535c862a0f4d8eba820eea38f5c8bb466be1d"),
     "sgld_separable": (
-        "589c5775e9a14a93015ee56e04e6b404662de1de8447fd29b773be8fd8362d9a",
-        "a68368525f480a432ad84a1a64c39df36a8af475e748f8595e1edff652d057c9"),
+        "92d3bc765c5f75004880672dc480d5861b7f96fabaece316af3e4fe81b9946d2",
+        "d87d67f895e5d6a494f2f515dac320229fd53269f6bef9ed5d5b5b60f75e675b"),
     "signsgd_separable": (
         "ac52c548517709443570f9dea8ab058877bff858a2702edd351bec560a67a2d4",
         "8ec556e40f6003803de6642f6b3f16ed5c0ca3a731933b4b02ae36a7ae93fb2a"),
@@ -587,8 +591,8 @@ SELECTIONS_PINNED = {
         "5081dabe512feeb50c142497bcce912dc6bc1ae905532a0df585ce1f670870c6",
         "c740c9f581e0475ae80b63f792e535c862a0f4d8eba820eea38f5c8bb466be1d"),
     "sgld_separable": (
-        "f392fc6529039ffddc3b8a6328307328223d96efbecc07f005d3fee59a065978",
-        "a68368525f480a432ad84a1a64c39df36a8af475e748f8595e1edff652d057c9"),
+        "f65e443a1cdb9ca9788d56cf05cd0b7768053d49478ca51dc4d3cda00800ff4c",
+        "d87d67f895e5d6a494f2f515dac320229fd53269f6bef9ed5d5b5b60f75e675b"),
     "signsgd_separable": (
         "238a42768ffd9646154395f8e454223fbc135d3cb29516304441ea9b6f209017",
         "8ec556e40f6003803de6642f6b3f16ed5c0ca3a731933b4b02ae36a7ae93fb2a"),
