@@ -21,7 +21,8 @@ p mass) per outcome, with two Gaussians as the one closed-form case.
 log q - log p on rows drawn from p: one matrix-vector product per block (two
 where a squared term is needed), with no support checks.  The encoder takes
 both, and the variance of each coordinate's log q - log p under q, from one
-pass over the terms (:func:`kl_spread_and_ratio`).  The codec never
+pass over the terms (:func:`kl_spread_and_ratio`, which
+:func:`kl_per_coordinate` reads the KL of).  The codec never
 calls ``log_mass_rows``; it is the reference the tests compare
 :func:`log_ratio` against.
 
@@ -361,52 +362,35 @@ def _outcomes(q: ProductDistribution, p: ProductDistribution) -> tuple | None:
 
 
 def kl_per_coordinate(q: ProductDistribution, p: ProductDistribution) -> np.ndarray:
-    """KL(q_i || p_i) in nats, one entry per coordinate: the sum over the
-    outcomes of q mass * (log q - log p), or the closed form for two
-    Gaussians, which must share sigma.  Refuses client mass where the global
-    mass is 0, and a KL that overflows, naming the coordinate."""
-    outcomes = _outcomes(q, p)
-    if outcomes is None:
-        return _gaussian_kl(q, p)
-    return _discrete_kl(outcomes)[0]
+    """KL(q_i || p_i) in nats, one entry per coordinate (see
+    :func:`kl_spread_and_ratio`)."""
+    return kl_spread_and_ratio(q, p)[0]
 
 
 def kl_spread_and_ratio(
     q: ProductDistribution, p: ProductDistribution
 ) -> tuple[np.ndarray, np.ndarray, LogRatio]:
-    """:func:`kl_per_coordinate`, the variance under q of each coordinate's
-    log q_i/p_i, and :func:`log_ratio`, all from one pass over the outcome
-    terms: what the codec's encoder needs of a pair.
+    """Per coordinate, KL(q_i || p_i) in nats and the variance under q of
+    log q_i/p_i, and the pair's :func:`log_ratio`, all from one pass over
+    the outcome terms: what the codec's encoder needs of a pair.
 
-    The variance is the sum over the outcomes of q mass * term^2, less the
-    squared KL, or 2 KL for two Gaussians of one sigma (it overflows to inf
-    only where 2 KL does)."""
+    The KL is the sum over the outcomes of q mass * (log q - log p), and the
+    variance the sum of q mass * (log q - log p)^2 less the squared KL; for
+    two Gaussians, which must share sigma, the closed forms, with a variance
+    of 2 KL (inf where that overflows).  Refuses client mass where the
+    global mass is 0, and a KL that overflows, naming the coordinate."""
     outcomes = _outcomes(q, p)
     if outcomes is None:
-        kl = _gaussian_kl(q, p)
+        if abs(q.sigma - p.sigma) > 1e-12 * max(q.sigma, p.sigma):
+            raise ValueError(
+                f"Gaussian KL requires equal sigmas: client {q.sigma} vs global {p.sigma}"
+            )
         with np.errstate(over="ignore"):
+            kl = (q.mean - p.mean) ** 2 / (2.0 * p.sigma**2)
             variance = 2.0 * kl
+        _check_coordinates(np.isfinite(kl), "Gaussian KL overflows (client, global mean)",
+                           q.mean, p.mean)
         return kl, variance, log_ratio(q, p)
-    kl, terms, zero = _discrete_kl(outcomes)
-    second = sum(q_mass * term * term for (_, q_mass, _), term in zip(outcomes, terms))
-    return kl, np.maximum(second - kl * kl, 0.0), _discrete_ratio(outcomes, terms, zero)
-
-
-def _gaussian_kl(q: DiagonalGaussian, p: DiagonalGaussian) -> np.ndarray:
-    if abs(q.sigma - p.sigma) > 1e-12 * max(q.sigma, p.sigma):
-        raise ValueError(
-            f"Gaussian KL requires equal sigmas: client {q.sigma} vs global {p.sigma}"
-        )
-    with np.errstate(over="ignore"):
-        kl = (q.mean - p.mean) ** 2 / (2.0 * p.sigma**2)
-    _check_coordinates(np.isfinite(kl), "Gaussian KL overflows (client, global mean)",
-                       q.mean, p.mean)
-    return kl
-
-
-def _discrete_kl(outcomes) -> tuple[np.ndarray, list[np.ndarray], tuple]:
-    """The KL of a discrete pair's outcome table, with its outcome terms and
-    zero-mass list (:func:`_outcome_terms`)."""
     for value, q_mass, p_mass in outcomes:
         bad = (q_mass > 0.0) & (p_mass == 0.0)
         if bad.any():
@@ -417,7 +401,9 @@ def _discrete_kl(outcomes) -> tuple[np.ndarray, list[np.ndarray], tuple]:
             )
     terms, zero = _outcome_terms(outcomes)
     kl = sum(q_mass * term for (_, q_mass, _), term in zip(outcomes, terms))
-    return np.maximum(kl, 0.0), terms, zero  # cancellation near q=p can dip below zero
+    kl = np.maximum(kl, 0.0)  # cancellation near q=p can dip below zero
+    second = sum(q_mass * term * term for (_, q_mass, _), term in zip(outcomes, terms))
+    return kl, np.maximum(second - kl * kl, 0.0), _discrete_ratio(outcomes, terms, zero)
 
 
 @dataclass(frozen=True)
