@@ -1146,10 +1146,12 @@ def test_selection_bias_shrinks_with_more_samples():
 # The threshold holds that bound to _LAW_FALSE_FAILURE over all the checks
 # together, so an exact sampler fails this test on at most one root key in
 # 10^6.  For the 8-outcome cases the threshold is 0.052, and the null's
-# median and 99.99th percentile are 0.015 and 0.037 (20,000 null draws).  The
-# picks' TVs lie between 0.009 and 0.031 over the eight checks; a pick by the
-# largest weight alone, ignoring the arrival times, gives 0.30 to 0.89, and
-# two candidates per block give 0.17 to 0.19.
+# median and 99th percentile are 0.015 and 0.027 (20,000 null draws).  The
+# picks' TVs lie between 0.009 and 0.031 over the eight checks.  A pick by
+# the largest weight alone, ignoring the arrival times, gives 0.30 to 0.66;
+# two candidates per block give 0.17 to 0.19; counts from KL + r without the
+# spread give 0.052 to 0.078 at r = 0.5.  Uniform gaps between the arrival
+# times give 0.024 to 0.045, which this threshold does not separate.
 _LAW_KEYS = 4000
 _LAW_KINDS = ("bernoulli", "sign", "ternary", "gaussian")
 _LAW_SETTINGS = {2.0: 3.0, 0.5: 1.5}  # overhead_r -> d_kl_target: fedpm's, signsgd's
