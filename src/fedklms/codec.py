@@ -37,8 +37,8 @@ them, because the first K_m candidates and arrival times are prefixes of the
 longer run's.  The session K = 2^ceil((d_kl_target + r) / ln 2) caps K_m and
 is the bound the parser holds every index to; K_m is never sent, since the
 decoder regenerates only the indexed row.  The scalar study
-(:mod:`fedklms.toy`) keeps the paper's importance sampler, with K from its
-client's KL + r.
+(:mod:`fedklms.toy`) holds the paper's importance sampler itself, and takes
+only its K from :func:`samples_per_block`.
 
 The block partition's lifecycle: a round without a shared partition, such as
 the first, is a location round.  Every client cuts its own blocks from its
@@ -422,20 +422,6 @@ def selection_weights(
     weights = np.exp(log_w - top)
     weights /= weights.sum()
     return weights
-
-
-def select_index(weights: np.ndarray, selector_stream: SampleStream) -> int:
-    """Draw one index with probability given by normalized ``weights``,
-    consuming one uniform of the selector stream: the importance sampler the
-    scalar study (:mod:`fedklms.toy`) measures; the codec itself picks by
-    ordered random coding (:func:`encode_block`)."""
-    u = selector_stream.next_uniform()
-    k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
-    if k >= weights.size:
-        # float roundoff left the last cumulative weight marginally below u;
-        # use the last candidate that carries mass
-        k = int(np.flatnonzero(weights > 0.0)[-1])
-    return k
 
 
 def candidate_tiles(

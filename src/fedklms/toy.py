@@ -7,19 +7,11 @@ posterior against the shared prior N(0, sigma), and the server averages the
 decoded values.  The gap between that average and the true mean shrinks with
 more clients (variance) and with more overhead bits (bias).
 
-Per-client candidate counts follow the same power-of-two rule as the block
-codec, applied to the client's own realized KL, so the nominal r is honored
-only up to the ceiling; realized bits are therefore reported per cell in the
-summary next to the nominal grid value.
-
-Each client's message is one index into the K candidates of a
-one-coordinate block, as in the codec, but the client picks it with the
-paper's importance sampler, whose estimators this study measures: it weighs
-the candidates one tile at a time (:func:`~fedklms.codec.candidate_tiles`,
-:func:`~fedklms.codec.selection_weights`) and draws the index with
-probability proportional to q/p (:func:`~fedklms.codec.select_index`).  The
-server regenerates the chosen candidate with
-:func:`~fedklms.codec.decode_block` from a stream of its own.
+Each client sends one of K = 2^ceil((KL + r) / ln 2) candidates drawn from
+the prior (:func:`~fedklms.codec.samples_per_block` on its own KL), picked by
+the paper's importance sampler, whose estimators this study measures: with
+probability proportional to q/p (:func:`select_index`).  The nominal r is
+honored only up to the ceiling, so realized bits are reported per cell.
 
 Cells are written in r -> N -> eta loop order, one CSV row per cell, so a
 rerun with the same seed is byte-identical.
@@ -32,11 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import (candidate_tiles, decode_block, samples_per_block, select_index,
-                    selection_weights)
+from .codec import samples_per_block
 from .config import ToyConfig
 from .distributions import DiagonalGaussian
-from .streams import StreamKey, derive_stream
+from .streams import SampleStream, StreamKey, derive_stream
 
 CSV_HEADER = "r,N,eta,mean_abs_gap,std_gap"
 
@@ -57,10 +48,40 @@ class ToyCell:
         )
 
 
+def select_index(weights: np.ndarray, selector_stream: SampleStream) -> int:
+    """Draw one index with probability given by normalized ``weights``,
+    consuming one uniform of the selector stream."""
+    u = selector_stream.next_uniform()
+    k = int(np.searchsorted(np.cumsum(weights), u, side="right"))
+    if k >= weights.size:
+        # roundoff left the last cumulative weight below u: take the last with mass
+        k = int(np.flatnonzero(weights > 0.0)[-1])
+    return k
+
+
+def _log_weights(candidates: np.ndarray, mu_n: float, iq: float) -> np.ndarray:
+    """log q/p for q = N(mu_n, sigma), p = N(0, sigma), iq = 1 / sigma^2, with
+    the floating-point operations of :func:`~fedklms.distributions.log_ratio`."""
+    return candidates * (iq * mu_n) - 0.5 * (iq * mu_n**2)
+
+
+def _client_value(prior: DiagonalGaussian, iq: float, mu_n: float, num_samples: int,
+                  client_key: StreamKey) -> float:
+    """One client's decoded value: a candidate from the prior, drawn by q/p
+    under the max-shifted softmax of the codec's selection weights."""
+    candidates = prior.sample(0, 1, derive_stream(client_key.child("shared")),
+                              count=num_samples)[:, 0]
+    log_w = _log_weights(candidates, mu_n, iq)
+    weights = np.exp(log_w - np.max(log_w))
+    weights /= weights.sum()
+    return candidates[select_index(weights, derive_stream(client_key.child("select")))]
+
+
 def _run_cell(
     cfg: ToyConfig, cell_key: StreamKey, r: float, n_clients: int, eta: float
 ) -> ToyCell:
     sigma = cfg.sigma
+    iq = 1.0 / sigma**2
     prior = DiagonalGaussian(np.zeros(1), sigma)
     params = cfg.codec_params(r)
     gaps = np.empty(cfg.runs)
@@ -73,16 +94,9 @@ def _run_cell(
         decoded = np.empty(n_clients)
         for n in range(n_clients):
             mu_n = cfg.mu + offsets[n]
-            kl = mu_n**2 / (2.0 * sigma**2)
-            num_samples, bits = samples_per_block(kl, params)
+            num_samples, bits = samples_per_block(mu_n**2 / (2.0 * sigma**2), params)
             bits_sum += bits
-            client_key = rep_key.child("client", n)
-            shared = client_key.child("shared")
-            tiles = candidate_tiles(prior, 0, 1, num_samples, derive_stream(shared))
-            weights = selection_weights(DiagonalGaussian(np.array([mu_n]), sigma), prior,
-                                        0, 1, tiles)
-            k = select_index(weights, derive_stream(client_key.child("select")))
-            decoded[n] = decode_block(prior, 0, 1, num_samples, derive_stream(shared), k)[0]
+            decoded[n] = _client_value(prior, iq, mu_n, num_samples, rep_key.child("client", n))
         gaps[rep] = decoded.mean() - cfg.mu
     return ToyCell(
         overhead_r=r,

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fedklms import codec
+from fedklms import codec, toy
 from fedklms.codec import (
     BitCost,
     BlockPartition,
@@ -50,6 +50,7 @@ from fedklms.distributions import (
     UniformSign,
     kl_per_coordinate,
 )
+from fedklms.config import ToyConfig
 from fedklms.streams import SampleStream, StreamKey, derive_stream
 from reference import gamma_codes, split_starts
 
@@ -1158,8 +1159,8 @@ _LAW_SETTINGS = {2.0: 3.0, 0.5: 1.5}  # overhead_r -> d_kl_target: fedpm's, sign
 _LAW_FALSE_FAILURE = 1e-6
 
 
-def _law_threshold(outcomes: int) -> float:
-    per_check = _LAW_FALSE_FAILURE / (len(_LAW_KINDS) * len(_LAW_SETTINGS))
+def _law_threshold(outcomes: int, checks: int = len(_LAW_KINDS) * len(_LAW_SETTINGS)) -> float:
+    per_check = _LAW_FALSE_FAILURE / checks
     return math.sqrt(math.log((2**outcomes - 2) / per_check) / (2 * _LAW_KEYS))
 
 
@@ -1208,6 +1209,36 @@ def test_decoded_picks_follow_q(kind, r):
     found = np.bincount(number(rows), minlength=law.size) / _LAW_KEYS
     tv = 0.5 * float(np.abs(found - law).sum())
     assert tv < _law_threshold(law.size), (tv, found.round(3).tolist())
+
+
+# The scalar study's importance sampler (fedklms.toy) through the same check:
+# _LAW_KEYS clients of the Gaussian case each pick through the study's
+# per-client code, with the study's K from KL + r.  A self-normalized
+# importance sampler follows q only as K grows, so the check holds the TV
+# below the threshold at r = 4 (K = 128) and r = 6 (K = 1,024), and above it
+# at r = 0 (K = 2); the false-failure probability is split over those three
+# checks (threshold 0.052 over the 10 bins).  TVs over root seeds 89, 90 and
+# 91: 0.19 to 0.20 at r = 0, 0.041 to 0.049 at r = 2 (K = 16, too near the
+# threshold to check either way), 0.013 to 0.024 at r = 4 and 0.011 to 0.018
+# at r = 6.
+_TOY_LAW_SETTINGS = (0.0, 4.0, 6.0)
+
+
+@pytest.mark.parametrize("r", _TOY_LAW_SETTINGS)
+def test_toy_picks_follow_q_as_k_grows(r):
+    q, p, _, number, law = _law_case("gaussian")
+    mean, prior = q.mean[0], DiagonalGaussian(p.mean[:1], p.sigma)
+    num_samples, _ = samples_per_block(mean**2 / 2.0, ToyConfig.codec_params(r))
+    key = StreamKey(89, (("toy law", int(r)),))
+    values = np.array([toy._client_value(prior, 1.0, mean, num_samples, key.child("client", n))
+                       for n in range(_LAW_KEYS)])
+    found = np.bincount(number(values[:, None]), minlength=law.size) / _LAW_KEYS
+    tv = 0.5 * float(np.abs(found - law).sum())
+    threshold = _law_threshold(law.size, checks=len(_TOY_LAW_SETTINGS))
+    if r == 0.0:
+        assert tv > threshold, (num_samples, tv)
+    else:
+        assert tv < threshold, (num_samples, tv, found.round(3).tolist())
 
 
 # --- selections pinned --------------------------------------------------------
@@ -1333,6 +1364,7 @@ P_KINDS = ("bernoulli", "ternary", "uniform_sign", "gaussian")
     st.integers(0, 5),
     st.sampled_from([1, 2, 7, 32, 64]),
 )
+@example("gaussian", 1, 0, 64)  # a one-coordinate Gaussian block, as the scalar study draws
 def test_decode_block_equals_full_regeneration(kind, width, lo, num_samples):
     p = _p_of_kind(kind, lo + width + 3)
     key = StreamKey(79, (("regen", width), ("lo", lo), ("k", num_samples)))

@@ -1,9 +1,12 @@
 """Scalar estimation grid: determinism, format, and basic statistics."""
 
 import numpy as np
+import pytest
 
 from fedklms.config import parse_toy_config
-from fedklms.toy import CSV_HEADER, run_toy, write_toy_csv
+from fedklms.distributions import DiagonalGaussian, log_ratio
+from fedklms.streams import StreamKey, derive_stream
+from fedklms.toy import CSV_HEADER, _log_weights, run_toy, write_toy_csv
 
 
 def small_cfg(**overrides):
@@ -63,3 +66,17 @@ class TestToyGrid:
         cells, _ = run_toy(small_cfg(runs=100))
         by = {(c.overhead_r, c.num_clients): c for c in cells}
         assert by[(4.0, 10)].std_gap < by[(4.0, 1)].std_gap
+
+
+# each client's q is N(mu_n, sigma) with mu_n = mu + an offset in [-eta, eta];
+# the shipped studies run sigma = 1 only
+@pytest.mark.parametrize("sigma", [1.0, 0.3, 2.5])
+def test_log_weights_are_the_codec_log_ratio_bit_for_bit(sigma):
+    stream = derive_stream(StreamKey(17, (("sigma", int(10 * sigma)),)))
+    offsets = (stream.uniforms(6) * 2.0 - 1.0) * 0.4
+    prior = DiagonalGaussian(np.zeros(1), sigma)
+    candidates = prior.sample(0, 1, stream, count=1000)
+    for mu_n in [0.8, -0.8, -2.3, 0.0, *(0.8 + offsets)]:
+        codec_rows = log_ratio(DiagonalGaussian(np.array([mu_n]), sigma), prior).block(0, 1)
+        closed = _log_weights(candidates[:, 0], mu_n, 1.0 / sigma**2)
+        assert np.array_equal(closed, codec_rows(candidates)), mu_n
