@@ -42,6 +42,7 @@ from fedklms.codec import (
     split_blocks_adaptive,
     split_blocks_fixed,
 )
+from fedklms.config import ToyConfig
 from fedklms.distributions import (
     BernoulliVector,
     BinarySign,
@@ -50,7 +51,6 @@ from fedklms.distributions import (
     UniformSign,
     kl_per_coordinate,
 )
-from fedklms.config import ToyConfig
 from fedklms.streams import SampleStream, StreamKey, derive_stream
 from reference import gamma_codes, split_starts
 
@@ -1230,7 +1230,8 @@ def test_toy_picks_follow_q_as_k_grows(r):
     mean, prior = q.mean[0], DiagonalGaussian(p.mean[:1], p.sigma)
     num_samples, _ = samples_per_block(mean**2 / 2.0, ToyConfig.codec_params(r))
     key = StreamKey(89, (("toy law", int(r)),))
-    values = np.array([toy._client_value(prior, 1.0, mean, num_samples, key.child("client", n))
+    iq = 1.0 / p.sigma**2
+    values = np.array([toy._client_value(prior, iq, mean, num_samples, key.child("client", n))
                        for n in range(_LAW_KEYS)])
     found = np.bincount(number(values[:, None]), minlength=law.size) / _LAW_KEYS
     tv = 0.5 * float(np.abs(found - law).sum())
