@@ -12,20 +12,23 @@ tracks the KL between the posteriors instead of the raw parameter width.
 Ordered random coding is Li & El Gamal's Poisson functional representation
 truncated to K candidates (Theis & Yosri, ICML 2022).  The encoder gives the
 candidates increasing arrival times T_1 < ... < T_K, running sums of Exp(1)
-draws from its own selector stream, and picks n = argmin T_n / w_n, where w
-is the importance weight q/p.  When q is near p the weights are near equal,
-so early candidates win and small indices are likely; each index is sent as
-the Elias-gamma code of n + 1, and costs about the block's KL in bits rather
-than log2 K.
+draws from its own selector stream, and picks n = argmax (log w_n - log T_n),
+where w is the importance weight q/p.  Scaling every w by one constant moves
+no pick, so the weights are never normalized.  When q is near p the weights
+are near equal, so early candidates win and small indices are likely; each
+index is sent as the Elias-gamma code of n + 1, and costs about the block's
+KL in bits rather than log2 K.
 
 The encoder's log importance weights are affine in the candidate and its
 square (see :func:`fedklms.distributions.log_ratio`).  They are computed from
 coefficients built once per message, one tile of candidates at a time.  A
 tile holds at most ``ENCODE_CHUNK_FLOATS`` values (256 KiB of float64) or
-four rows, so it stays in cache while it is drawn and weighed, and encode
-memory is the tile plus K weights and K arrival times, however wide the
-block.  The encoder keeps no candidate past its tile and returns only the
-index: the selected row exists once the decoder regenerates it.
+four rows, so it stays in cache while it is drawn and weighed.  The arrival
+times come in chunks of at most as many values, each a whole number of
+tiles, and each chunk's scores yield one running best.  So encode memory is
+one tile and one chunk, however wide the block and however large K.  The
+encoder keeps no candidate past its tile and returns only the index: the
+selected row exists once the decoder regenerates it.
 
 Each block draws its own candidate count, K_m = min(K, 2^ceil((KL_m + sigma_m
 + r) / ln 2)) (:func:`block_samples`), where KL_m is the block's KL and
@@ -388,59 +391,31 @@ def aggregate_block_locations(
     return BlockPartition(dim=dim, starts=tuple(capped))
 
 
-class ZeroMassCandidatesError(ValueError):
-    """Every candidate in a block had zero mass under the client posterior."""
-
-    def __init__(self, lo: int, hi: int):
-        super().__init__(
-            f"all candidates for block [{lo}, {hi}) have zero client mass: "
-            "every draw from the global prior missed the client posterior's support"
-        )
-
-
 def selection_weights(
     q: ProductDistribution,
     p: ProductDistribution,
     lo: int,
     hi: int,
-    candidates: np.ndarray | Iterable[np.ndarray],
-    ratio: LogRatio | None = None,
+    candidates: np.ndarray,
 ) -> np.ndarray:
-    """Normalized importance weights q/p over candidate rows drawn from p
-    (max-shifted softmax of the log ratios, so extreme ratios stay finite).
+    """Normalized importance weights q/p over a K x (hi-lo) candidate matrix
+    drawn from p: the max-shifted softmax of their log ratios, so extreme
+    ratios stay finite.  Refuses a block whose candidates all miss q's
+    support, where no normalization exists.
 
-    ``candidates`` is the K x (hi-lo) matrix or an iterable of its consecutive
-    row tiles; ``ratio`` is ``log_ratio(q, p)`` when the caller has it.
+    These are the weights of the tests' reference pick; no program path
+    calls this function, since :func:`encode_block` never normalizes.  It
+    stays in this module only because ``perfbench/spans.py`` binds it by name,
+    which ``tests/test_perfbench_contract.py`` guards; it moves to
+    ``tests/reference.py`` once the benchmark's ESS/K hook wraps something
+    else.
     """
-    ratio = log_ratio(q, p) if ratio is None else ratio
-    tiles = [candidates] if isinstance(candidates, np.ndarray) else candidates
-    rows = ratio.block(lo, hi)
-    log_w = np.concatenate([rows(c) for c in tiles])
+    log_w = log_ratio(q, p).block(lo, hi)(candidates)
     top = np.max(log_w)
     if top == -np.inf:
-        raise ZeroMassCandidatesError(lo, hi)
+        raise ValueError(f"all candidates for block [{lo}, {hi}) have zero client mass")
     weights = np.exp(log_w - top)
-    weights /= weights.sum()
-    return weights
-
-
-def candidate_tiles(
-    p: ProductDistribution, lo: int, hi: int, num_samples: int, shared_stream: SampleStream
-) -> Iterable[np.ndarray]:
-    """The block's num_samples candidates drawn from p, as consecutive row
-    tiles drawn one at a time from the shared stream.
-
-    A tile holds at most ``ENCODE_CHUNK_FLOATS`` values, or four rows, and
-    its rows are a multiple of 4.  An even count keeps Gaussian pairs and the
-    two halves of a Bernoulli word from straddling two tiles.  A multiple of
-    4 also keeps the log-weights bit for bit: with OpenBLAS 0.3.31 (Haswell
-    kernels), the matrix-vector product of tiles of 4, 8, 12 or 64 rows
-    equals the whole product, where tiles of 2, 6 or 14 rows differ in the
-    last bits (the selections survive even that).
-    """
-    rows = max(4, ENCODE_CHUNK_FLOATS // (hi - lo) // 4 * 4)
-    return (p.sample(lo, hi, shared_stream, count=min(rows, num_samples - start))
-            for start in range(0, num_samples, rows))
+    return weights / weights.sum()
 
 
 def encode_block(
@@ -454,25 +429,51 @@ def encode_block(
     ratio: LogRatio | None = None,
 ) -> int:
     """Pick one of num_samples candidates drawn from p by ordered random
-    coding: n = argmin T_n / w_n over importance weights w = q/p and
-    increasing arrival times T (see the module docstring).
+    coding: n = argmax (log w_n - log T_n) over log importance weights
+    log w = log q/p and increasing arrival times T (see the module
+    docstring).  A block whose candidates all miss q's support scores -inf
+    everywhere, so it picks index 0, the ordered pick under equal weights,
+    whose candidate is a draw from p.
 
     Returns the index, the only thing the message carries: the decoder
     regenerates its row with :func:`decode_block`.  The shared stream is
     consumed identically by both sides; the selector stream is client-only
-    randomness, num_samples uniforms of it.  Candidates are drawn, weighed
-    and dropped one tile at a time (:func:`candidate_tiles`); only the K
-    weights outlive their tile.
+    randomness, num_samples uniforms of it.
     """
     if num_samples < 1:
         raise ValueError(f"need at least one candidate: {num_samples}")
-    tiles = candidate_tiles(p, lo, hi, num_samples, shared_stream)
-    weights = selection_weights(q, p, lo, hi, tiles, ratio)
-    # arrival times of a unit-rate Poisson process, one per candidate in
-    # order; the first is 0 only for a uniform of exactly 0, which the floor
-    # turns into a huge score (or 0 for a candidate q gives no mass)
-    arrivals = np.cumsum(-np.log1p(-selector_stream.uniforms(num_samples)))
-    return int(np.argmax(weights / np.maximum(arrivals, _TINY)))
+    weigh = (log_ratio(q, p) if ratio is None else ratio).block(lo, hi)
+    # A tile of candidates holds at most ENCODE_CHUNK_FLOATS values, or four
+    # rows, and its rows are a multiple of 4.  An even count keeps Gaussian
+    # pairs and the two halves of a Bernoulli word from straddling two tiles.
+    # A multiple of 4 also keeps the log-weights bit for bit: with OpenBLAS
+    # 0.3.31 (Haswell kernels), the matrix-vector product of tiles of 4, 8,
+    # 12 or 64 rows equals the whole product, where tiles of 2, 6 or 14 rows
+    # differ in the last bits (the selections survive even that).  A chunk
+    # of arrival times and scores holds at most as many values, in whole
+    # tiles, and at least one tile.
+    tile = max(4, ENCODE_CHUNK_FLOATS // (hi - lo) // 4 * 4)
+    chunk = max(1, ENCODE_CHUNK_FLOATS // tile) * tile
+    best, pick, clock = -np.inf, 0, 0.0
+    for start in range(0, num_samples, chunk):
+        # arrival times of a unit-rate Poisson process, one per candidate in
+        # order; the clock carried into the first gap makes them the sums of
+        # one whole cumsum, bit for bit
+        gaps = -np.log1p(-selector_stream.uniforms(min(chunk, num_samples - start)))
+        gaps[0] += clock
+        arrivals = np.cumsum(gaps)
+        clock = arrivals[-1]
+        # the first time is 0 only for a uniform of exactly 0, which the
+        # floor turns into a large score; adding log w to -log T is exactly
+        # subtracting log T from it
+        scores = -np.log(np.maximum(arrivals, _TINY))
+        for at in range(0, scores.size, tile):
+            part = scores[at:at + tile]
+            part += weigh(p.sample(lo, hi, shared_stream, count=part.size))
+        j = int(np.argmax(scores))
+        if scores[j] > best:  # a later chunk wins only outright, as in one argmax
+            best, pick = scores[j], start + j
+    return pick
 
 
 def decode_block(
@@ -514,7 +515,7 @@ def encode_update(
     With no ``partition`` the client cuts its own blocks from its KL vector
     (:func:`split_blocks_adaptive`) and must ship their lengths.  Each block
     draws :func:`block_samples` of its own KL and spread; a block whose
-    candidates all miss q's support sends index 0.
+    candidates all miss q's support sends index 0 (:func:`encode_block`).
 
     key_base must identify (round, client) uniquely; the per-block stream keys
     are derived from it, so the stream for block m never depends on how other
@@ -550,13 +551,7 @@ def encode_update(
                                                          spreads.tolist())):
         shared, selector = _block_streams(key_base, m)
         num_samples = block_samples(block_kl, spread, params)
-        try:
-            indices[m] = encode_block(q, p, lo, hi, num_samples, shared, selector, ratio)
-        except ZeroMassCandidatesError:
-            # q's support can carry little prior mass, so all the candidates
-            # may miss it; the block then carries index 0, the ordered pick
-            # under equal weights, whose candidate is a draw from p
-            indices[m] = 0
+        indices[m] = encode_block(q, p, lo, hi, num_samples, shared, selector, ratio)
     if include_locations:
         band = None
     elif avg_block_kl < params.kl_min_threshold:

@@ -68,7 +68,7 @@ def _log_weights(candidates: np.ndarray, mu_n: float, iq: float) -> np.ndarray:
 def _client_value(prior: DiagonalGaussian, iq: float, mu_n: float, num_samples: int,
                   client_key: StreamKey) -> float:
     """One client's decoded value: a candidate from the prior, drawn by q/p
-    under the max-shifted softmax of the codec's selection weights."""
+    under a max-shifted softmax of its log weights."""
     candidates = prior.sample(0, 1, derive_stream(client_key.child("shared")),
                               count=num_samples)[:, 0]
     log_w = _log_weights(candidates, mu_n, iq)

@@ -26,7 +26,6 @@ from fedklms.codec import (
     CodecParams,
     EncodedUpdate,
     WireFormatError,
-    ZeroMassCandidatesError,
     aggregate_block_locations,
     bit_cost,
     block_samples,
@@ -50,6 +49,7 @@ from fedklms.distributions import (
     TernaryPattern,
     UniformSign,
     kl_per_coordinate,
+    log_ratio,
 )
 from fedklms.streams import SampleStream, StreamKey, derive_stream
 from reference import gamma_codes, split_starts
@@ -272,13 +272,34 @@ def test_zero_mass_candidates_never_selected():
     assert np.array_equal(decode_block(p, 0, 2, 32, derive_stream(key), k), np.ones(2))
 
 
-def test_all_zero_mass_raises():
-    # q demands a value p will never produce
-    q = BernoulliVector(np.ones(1))
-    p = BernoulliVector(np.zeros(1))
-    key = StreamKey(18, (("azm", 0),))
-    with pytest.raises(ZeroMassCandidatesError):
-        encode_block(q, p, 0, 1, 8, derive_stream(key), derive_stream(key.child("s")))
+def _all_miss_pair(kind: str):
+    """(q, p) where the candidates p draws have no mass under q."""
+    if kind == "bernoulli":  # q demands a value p never produces
+        return BernoulliVector(np.ones(1)), BernoulliVector(np.zeros(1))
+    # q forbids an outcome at every coordinate that p draws often
+    dim = 12
+    if kind == "ternary":
+        return (TernaryPattern(np.zeros(dim), np.ones(dim), np.zeros(dim)),
+                TernaryPattern(np.full(dim, 0.5), np.zeros(dim), np.full(dim, 0.5)))
+    return BinarySign(np.ones(dim)), UniformSign(dim)
+
+
+@pytest.mark.parametrize("kind", ["bernoulli", "ternary", "uniform_sign"])
+def test_all_zero_mass_block_picks_index_0(kind, monkeypatch):
+    # every candidate scores -inf, so the pick is index 0, the ordered pick
+    # under equal weights, and decode regenerates p's row 0; at one value per
+    # chunk the 16 candidates span four arrival chunks of 4 rows, and no
+    # later chunk's -inf displaces the first
+    q, p = _all_miss_pair(kind)
+    key = StreamKey(82, (("allzero", len(kind)),))
+    candidates = p.sample(0, q.dim, derive_stream(key), count=16)
+    with pytest.raises(ValueError, match="zero client mass"):  # no weights to normalize
+        selection_weights(q, p, 0, q.dim, candidates)
+    for chunk_floats in (codec.ENCODE_CHUNK_FLOATS, 1):
+        monkeypatch.setattr(codec, "ENCODE_CHUNK_FLOATS", chunk_floats)
+        k = encode_block(q, p, 0, q.dim, 16, derive_stream(key), derive_stream(key.child("s")))
+        assert type(k) is int and k == 0
+    assert np.array_equal(decode_block(p, 0, q.dim, 16, derive_stream(key), k), candidates[0])
 
 
 def test_decode_index_out_of_range():
@@ -492,17 +513,17 @@ def test_encode_update_sends_index_0_when_every_candidate_misses(monkeypatch):
 
     def spy(*args):
         shared_keys.append(args[5].key)
-        with pytest.raises(ZeroMassCandidatesError, match="missed the client posterior's support"):
-            block(*args)
-        raise ZeroMassCandidatesError(args[2], args[3])
+        return block(*args)
 
     monkeypatch.setattr(codec, "encode_block", spy)
     upd, cost = encode_update(q, p, part, params, key, round_index=0, client_id=0)
     assert num_samples == 4 and len(shared_keys) == 1
+    candidates = p.sample(0, 12, derive_stream(shared_keys[0]), count=4)
+    assert (log_ratio(q, p).block(0, 12)(candidates) == -np.inf).all()
     assert upd.indices.tolist() == [0] and cost.payload_bits == 1
     received = deserialize_update(serialize_update(upd, params), params)
     row = decode_update(p, part, params, key, received)
-    assert np.array_equal(row, p.sample(0, 12, derive_stream(shared_keys[0]), count=4)[0])
+    assert np.array_equal(row, candidates[0])
     assert not np.array_equal(row, np.ones(12))  # q gives it no mass: a draw from p
 
 
@@ -1398,7 +1419,8 @@ def test_chunked_encode_keeps_selections(kind, chunk_floats, monkeypatch):
 
 def test_chunked_encode_memory_is_bounded():
     # K = 2^14 candidates of width 1024 would be a 128 MiB matrix; tiles of
-    # ENCODE_CHUNK_FLOATS values keep the encoder to the tile and K weights
+    # ENCODE_CHUNK_FLOATS values keep the encoder to one tile and one chunk of
+    # arrival times
     width, num_samples = 1024, 1 << 14
     q = BernoulliVector(np.linspace(0.45, 0.55, width))
     p = BernoulliVector(np.full(width, 0.5))
@@ -1413,6 +1435,24 @@ def test_chunked_encode_memory_is_bounded():
         tracemalloc.stop()
     assert peak < full_matrix_bytes / 32, peak
     assert 0 <= k < num_samples
+
+
+def test_encode_memory_does_not_grow_with_k():
+    # K = 2^20 candidates of a 4-wide block: K weights and K arrival times
+    # alone would be 16 MiB, where one tile and one chunk of arrival times
+    # are a few hundred KiB
+    q = BernoulliVector(np.array([0.3, 0.45, 0.55, 0.7]))
+    p = BernoulliVector(np.full(4, 0.5))
+    key = StreamKey(90, (("huge-k", 0),))
+    tracemalloc.start()
+    try:
+        k = encode_block(q, p, 0, 4, 1 << 20, derive_stream(key),
+                         derive_stream(key.child("select")))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 <= k < 1 << 20
+    assert peak < 3 * 2**20, peak
 
 
 def _fedpm_size_message(seed: int):
@@ -1447,25 +1487,33 @@ def _whole_matrix_pick(q, p, num_samples, key):
     shared, selector = codec._block_streams(key, 0)
     weights = selection_weights(q, p, 0, q.dim, p.sample(0, q.dim, shared, count=num_samples))
     arrivals = np.cumsum(-np.log1p(-selector.uniforms(num_samples)))
-    return int(np.argmin(arrivals / weights))
+    # a weight that underflows to 0, or a ratio that overflows, never wins: the
+    # largest weight is 1
+    with np.errstate(divide="ignore", over="ignore"):
+        return int(np.argmin(arrivals / weights))
 
 
 def test_tiled_encode_picks_what_the_whole_matrix_picks(monkeypatch):
-    # at 2^20 values a fedpm-size block is one 256-row tile
-    messages = [_fedpm_size_message(seed) for seed in range(20)]
+    # 20 one-block messages of 256 candidates for each kind: fedpm-size
+    # Bernoulli pairs, and each other kind's pair 555 wide under 20 keys.  A
+    # 2,210-wide block is 12-row tiles in one arrival chunk at the default
+    # size (a 555-wide one 56-row tiles), one 256-row tile at 2^20 values,
+    # and 4-row tiles in 13 arrival chunks of 20 rows (the last of 16) at 20
+    # values, so there the clock is carried from chunk to chunk
     keys = [StreamKey(86, (("tiles", seed),)) for seed in range(20)]
-
-    def indices():
-        return [int(encode_update(q, p, partition, params, key,
-                                  round_index=0, client_id=0)[0].indices[0])
-                for (q, p, partition, params), key in zip(messages, keys)]
-
-    tiled = indices()
-    assert tiled == [_whole_matrix_pick(q, p, 256, key)
-                     for (q, p, _, _), key in zip(messages, keys)]
-    assert len(set(tiled)) > 10  # the 20 blocks pick apart
-    monkeypatch.setattr(codec, "ENCODE_CHUNK_FLOATS", 1 << 20)
-    assert indices() == tiled
+    fedpm = [_fedpm_size_message(seed) for seed in range(20)]
+    for kind in P_KINDS:
+        pairs = ([message[:2] for message in fedpm] if kind == "bernoulli"
+                 else [(_q_of_kind(kind, 555), _p_of_kind(kind, 555))] * 20)
+        partition, params = BlockPartition(pairs[0][0].dim, (0,)), fedpm[0][3]
+        whole = [_whole_matrix_pick(q, p, 256, key) for (q, p), key in zip(pairs, keys)]
+        assert len(set(whole)) > 10, kind  # the 20 blocks pick apart
+        for chunk_floats in (codec.ENCODE_CHUNK_FLOATS, 1 << 20, 20):
+            monkeypatch.setattr(codec, "ENCODE_CHUNK_FLOATS", chunk_floats)
+            tiled = [int(encode_update(q, p, partition, params, key,
+                                       round_index=0, client_id=0)[0].indices[0])
+                     for (q, p), key in zip(pairs, keys)]
+            assert tiled == whole, (kind, chunk_floats)
 
 
 def test_chunked_encode_builds_two_streams_per_block(monkeypatch):
@@ -1521,20 +1569,3 @@ def test_a_block_whose_q_is_p_sends_index_0(kind):
     upd, cost = encode_update(q, p, partition, params, StreamKey(88, (("same", len(kind)),)),
                               round_index=0, client_id=0)
     assert upd.indices.tolist() == [0, 0, 0] and cost.payload_bits == 3
-
-
-# --- affine log-weights ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("kind", ["ternary", "uniform_sign"])
-def test_all_zero_mass_block_raises_for_every_discrete_kind(kind):
-    # q forbids an outcome at every coordinate that p draws often
-    dim = 12
-    if kind == "ternary":
-        q = TernaryPattern(np.zeros(dim), np.ones(dim), np.zeros(dim))
-        p = TernaryPattern(np.full(dim, 0.5), np.zeros(dim), np.full(dim, 0.5))
-    else:
-        q, p = BinarySign(np.ones(dim)), UniformSign(dim)
-    key = StreamKey(82, (("allzero", len(kind)),))
-    with pytest.raises(ZeroMassCandidatesError):
-        encode_block(q, p, 0, dim, 4, derive_stream(key), derive_stream(key.child("s")))
