@@ -287,9 +287,9 @@ def _all_miss_pair(kind: str):
 @pytest.mark.parametrize("kind", ["bernoulli", "ternary", "uniform_sign"])
 def test_all_zero_mass_block_picks_index_0(kind, monkeypatch):
     # every candidate scores -inf, so the pick is index 0, the ordered pick
-    # under equal weights, and decode regenerates p's row 0; at one value per
-    # chunk the 16 candidates span four arrival chunks of 4 rows, and no
-    # later chunk's -inf displaces the first
+    # under equal weights, and decode regenerates p's row 0; with
+    # ENCODE_CHUNK_FLOATS at 1 the 16 candidates span four arrival chunks of
+    # 4 rows, and no later chunk's -inf displaces the first
     q, p = _all_miss_pair(kind)
     key = StreamKey(82, (("allzero", len(kind)),))
     candidates = p.sample(0, q.dim, derive_stream(key), count=16)
@@ -1440,7 +1440,7 @@ def test_chunked_encode_memory_is_bounded():
 def test_encode_memory_does_not_grow_with_k():
     # K = 2^20 candidates of a 4-wide block: K weights and K arrival times
     # alone would be 16 MiB, where one tile and one chunk of arrival times
-    # are a few hundred KiB
+    # and scores peak near 1.3 MiB
     q = BernoulliVector(np.array([0.3, 0.45, 0.55, 0.7]))
     p = BernoulliVector(np.full(4, 0.5))
     key = StreamKey(90, (("huge-k", 0),))
