@@ -78,11 +78,12 @@ mean_kl_per_param) reads each client's own figure,
 The reader mirrors that list: it unpacks the whole message into one bit array,
 reads each fixed-width field as the dot product of its bits with their
 weights, and reads the block count and the index codes with one Elias-gamma
-reader, one step per 1 bit of the codes.  Before it reads any block field it
-checks that the length fields and at least one bit per index fit, and it
-refuses a block length above max_block_size, an index of K or more and a code
-the message cuts short, so every message it accepts is one the writer writes,
-up to the pad bits, which it does not read.
+reader, whose one pass over the 1 bits records each code's start as it meets
+the code's leading 1.  Before it reads any block field it checks that the
+length fields and at least one bit per index fit, and it refuses a block
+length above max_block_size, an index of K or more and a code the message cuts
+short, at the byte where the field starts, so every message it accepts is one
+the writer writes, up to the pad bits, which it does not read.
 
 K (from d_kl_target and overhead_r) and max_block_size are session constants
 carried in :class:`CodecParams`, never in-band.  Neither are the round and the
@@ -591,7 +592,7 @@ def decode_update(
         raise ValueError(
             f"partition has {partition.num_blocks} blocks, update has {upd.num_blocks}"
         )
-    num_samples, _ = samples_per_block(params.d_kl_target, params)
+    num_samples = 1 << params.index_bits
     out = np.empty(p.dim)
     for m, (lo, hi) in enumerate(partition.ranges()):
         # only the shared stream: the selector is the encoder's alone
@@ -618,10 +619,11 @@ def next_partition(partition: BlockPartition | None, updates: list[EncodedUpdate
     return None if merge or split else partition
 
 
-def _gamma_widths(values: np.ndarray) -> np.ndarray:
-    """The Elias-gamma code length of each uint64 value v >= 1:
-    2 floor(log2 v) + 1 bits, the floor(log2 v) zeros before its leading 1
-    included."""
+def gamma_widths(values: np.ndarray) -> np.ndarray:
+    """The Elias-gamma code length of each uint64 value v >= 1, its
+    floor(log2 v) leading zeros included: 2 floor(log2 v) + 1 bits.
+    :func:`_wire_fields` prices the index codes by this one rule, and
+    :func:`fedklms.methods.elias_gamma_bits` the QSGD baseline's levels."""
     return 2 * np.searchsorted(_POWERS_OF_TWO, values, side="right") - 1
 
 
@@ -677,7 +679,7 @@ def _wire_fields(upd: EncodedUpdate,
     codes = values[body:]
     codes[:] = upd.indices
     codes += np.uint64(1)
-    widths[body:] = _gamma_widths(codes)
+    widths[body:] = gamma_widths(codes)
     return values, np.cumsum(widths), (2, body)
 
 
@@ -722,13 +724,6 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
                 f"truncated: needed {width} bits, {bits.size - start} left", start // 8)
         return end
 
-    def take(width: int, count: int = 1) -> np.ndarray:
-        nonlocal pos
-        end = fits(width, count, pos)
-        fields = bits[pos:end].reshape(count, width) @ _BIT_WEIGHTS[64 - width:]
-        pos = end
-        return fields
-
     def gamma(count: int, limit: int, name: str) -> list[int]:
         """count Elias-gamma codes from pos, each of a value in [1, limit]:
         z zero bits, then the value in z + 1 bits.  A code whose zero run is
@@ -746,26 +741,25 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
         # whose zero run reaches its end: only the last code read can be cut.
         ones = bits[pos:pos + count * (2 * longest + 1)].view(bool).nonzero()[0].tolist()
         ones.append(left)
-        values = [0]  # after a placeholder, the values of the codes read
-        end = 0  # where the last code read ends, from pos
+        # the values of the codes read, where each starts from pos, and where
+        # the last one ends
+        values, starts, end = [], [], 0
         for one in ones:
             if one < end:
                 values[-1] |= 1 << (end - 1 - one)
             else:
+                starts.append(end)
                 values.append(1 << (one - end))
                 end = 2 * one + 1 - end
-        # a code of value v is 2 bitlen(v) - 1 bits long; drop the codes
-        # read past the first count
-        past = values[count + 1:]
-        del values[0], values[count:]
-        end -= 2 * sum(map(int.bit_length, past)) - len(past)
+        # keep the first count codes; starts then ends where the last one does
+        starts.append(end)
+        del values[count:], starts[count + 1:]
+        end = starts[-1]
         if max(values) > limit or end > left:
             # the first code above limit, or else the last, which may be cut
             last = len(values) - 1
-            i = (next(i for i, value in enumerate(values) if value > limit)
-                 if max(values[:last], default=0) > limit else last)
-            start = (2 * sum(map(int.bit_length, values[:i])) - i if i < last
-                     else end - 2 * values[last].bit_length() + 1)
+            i = next((i for i, value in enumerate(values) if value > limit), last)
+            start = starts[i]
             if values[i].bit_length() - 1 > longest:
                 raise WireFormatError(f"{name} code has {longest + 1} or more leading zeros",
                                       (pos + start) // 8)
@@ -794,14 +788,15 @@ def deserialize_update(data: bytes, params: CodecParams) -> EncodedUpdate:
                               f"{num_blocks} bits, {bits.size - body} left", body // 8)
     lengths: tuple[int, ...] | None = None
     if locations:
-        start = pos
-        values = take(length_bits, num_blocks) + 1
+        values = (bits[pos:body].reshape(num_blocks, length_bits)
+                  @ _BIT_WEIGHTS[64 - length_bits:]) + 1
         bad = np.flatnonzero(values > params.max_block_size)
         if bad.size:
             raise WireFormatError(
                 f"block length {values[bad[0]]} outside [1, {params.max_block_size}]",
-                (start + int(bad[0]) * length_bits) // 8)
+                (pos + int(bad[0]) * length_bits) // 8)
         lengths = tuple(values.tolist())
+        pos = body
     # each index n < K is sent as the gamma code of n + 1
     codes = np.array(gamma(num_blocks, 1 << params.index_bits, "index"), dtype=np.uint64)
     indices = (codes - np.uint64(1)).astype(np.int64)

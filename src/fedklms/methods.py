@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import gamma_widths
 from .distributions import (
     BernoulliVector,
     BinarySign,
@@ -228,12 +229,13 @@ def qsgd_quantize(
 
 def elias_gamma_bits(levels_vec: np.ndarray) -> int:
     """Bit cost of the classic universal-code accounting for integer levels:
-    gamma(level+1) per coordinate, one float32 for the norm, one sign bit
-    per nonzero level."""
+    the Elias-gamma code of level + 1 per coordinate, at the codec's exact
+    width (:func:`fedklms.codec.gamma_widths`), one float32 for the norm and
+    one sign bit per nonzero level."""
     x = np.asarray(levels_vec)
     if np.any(x < 0):
         raise ValueError("levels must be nonnegative integers")
-    gamma = (2 * np.floor(np.log2(x + 1)).astype(np.int64) + 1).sum()
+    gamma = gamma_widths(x.astype(np.uint64) + np.uint64(1)).sum()
     return int(gamma) + FLOAT32_BITS + int(np.count_nonzero(x))
 
 

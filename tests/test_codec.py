@@ -1077,6 +1077,11 @@ _INDEX_BODIES = st.one_of(
 
 @settings(max_examples=300)
 @given(count_body=_INDEX_BODIES, index_bits=st.sampled_from([1, 2, 5, 8, 63]))
+# a set bit after the count-th code, inside the bits the reader scans
+@example(count_body=(1, "11"), index_bits=5)
+# with K = 32: indices 0 and 0, the code of 33 at byte 1, then a code the
+# message cuts at byte 2
+@example(count_body=(4, "11" + "00000100001" + "00001"), index_bits=5)
 def test_index_codes_read_as_one_code_at_a_time(count_body, index_bits):
     """Any bits after a valid header are read, or refused with the same
     message at the same byte, as a reader that takes one code at a time

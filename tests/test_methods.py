@@ -211,6 +211,9 @@ def test_elias_gamma_bits_frozen():
     assert elias_gamma_bits(np.zeros(4, dtype=np.int64)) == 36
     assert elias_gamma_bits(np.array([1])) == 3 + 32 + 1
     assert elias_gamma_bits(np.array([7])) == 7 + 32 + 1
+    # exact past 2^48, where a float log2 of level + 1 rounds up a bit length
+    assert elias_gamma_bits(np.array([2**49 - 2])) == 97 + 32 + 1
+    assert elias_gamma_bits(np.array([2**53 - 2])) == 105 + 32 + 1
     with pytest.raises(ValueError):
         elias_gamma_bits(np.array([-1]))
 
