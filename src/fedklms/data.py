@@ -53,13 +53,20 @@ class Dataset:
 
 
 def load_csv(path: str) -> Dataset:
-    """Rows of label, feature...; no header."""
+    """Rows of label, feature...; no header.  A feature that is not finite is
+    refused with its data row and its column, both counted from 1, the label
+    being column 1."""
     raw = np.loadtxt(path, delimiter=",", ndmin=2)
     if raw.shape[1] < 2:
         raise ValueError(f"{path}: need a label column plus at least one feature")
     labels = raw[:, 0]
-    if np.any(labels != np.round(labels)) or np.any(labels < 0):
+    if not np.all(np.isfinite(labels) & (labels == np.round(labels)) & (labels >= 0)):
         raise ValueError(f"{path}: labels must be nonnegative integers")
+    bad = np.argwhere(~np.isfinite(raw[:, 1:]))
+    if bad.size:
+        row, feature = bad[0]
+        raise ValueError(f"{path}: features must be finite: row {row + 1}, column "
+                         f"{feature + 2} is {float(raw[row, feature + 1])!r}")
     return Dataset(raw[:, 1:], labels.astype(np.int64))
 
 

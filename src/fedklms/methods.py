@@ -30,6 +30,7 @@ from .distributions import (
     BinarySign,
     DiagonalGaussian,
     TernaryPattern,
+    _check_coordinates,
 )
 from .streams import SampleStream
 
@@ -189,8 +190,10 @@ def qsgd_client_distribution(v: np.ndarray) -> TernaryPattern:
     P(+1) = max(v_i, 0)/||v||, P(-1) = max(-v_i, 0)/||v||, rest at 0; the norm
     rides along as the magnitude.  The expectation of magnitude * pattern is
     exactly v.  A zero vector degenerates to all mass at 0 with magnitude 0.
+    A vector that is not finite is refused at its first bad coordinate.
     """
     v = np.asarray(v, dtype=np.float64)
+    _check_coordinates(np.isfinite(v), "QSGD input must be finite", v)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         zeros = np.zeros(v.shape[0])
@@ -213,10 +216,12 @@ def qsgd_quantize(
     Each |v_i|/||v|| lands between two grid points q/s and (q+1)/s and is
     rounded up with probability equal to its offset, so E[quantized] = v.
     Returns the quantized vector and its integer levels |quantized| * s / ||v||.
+    A vector that is not finite is refused at its first bad coordinate.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1: {levels}")
     v = np.asarray(v, dtype=np.float64)
+    _check_coordinates(np.isfinite(v), "QSGD input must be finite", v)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return np.zeros_like(v), np.zeros(v.shape[0], dtype=np.int64)

@@ -66,6 +66,20 @@ class TestExitCodes:
         path = write_json(tmp_path / "c.json", obj)
         assert main(["train", path]) == 2
 
+    def test_non_finite_csv_feature_names_its_file_and_row(self, tmp_path, capsys):
+        rows = [f"{i % 2},{i},{-i}" for i in range(20)]
+        good = tmp_path / "good.csv"
+        good.write_text("\n".join(rows) + "\n")
+        rows[6] = "0,6,nan"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        obj = dict(EXPERIMENT)
+        obj["dataset"] = {"kind": "csv", "train": str(bad), "test": str(good)}
+        path = write_json(tmp_path / "c.json", obj)
+        assert main(["validate", path]) == 0  # the config is sound; its data is not
+        assert main(["train", path]) == 2
+        assert f"{bad}: features must be finite: row 7, column 3 is nan" in capsys.readouterr().err
+
     def test_seed_on_non_object_config_train(self, tmp_path, capsys):
         path = write_json(tmp_path / "list.json", [1, 2])
         assert main(["train", path, "--seed", "3"]) == 1

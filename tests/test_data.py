@@ -45,6 +45,23 @@ def test_csv_rejects_bad_labels(tmp_path):
         load_csv(str(path))
 
 
+def test_csv_rejects_an_infinite_label(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("0,1.0\ninf,2.0\n")
+    with pytest.raises(ValueError, match="labels must be nonnegative integers"):
+        load_csv(str(path))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_refuses_a_non_finite_feature_at_its_row_and_column(tmp_path, value):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"1,0.5,2.0\n0,-1.0,3.25\n1,4.0,{value}\n")
+    with pytest.raises(ValueError) as err:
+        load_csv(str(path))
+    assert str(err.value) == (f"{path}: features must be finite: row 3, column 3 "
+                              f"is {float(value)!r}")
+
+
 def test_idx_round_trip(tmp_path):
     images = np.arange(2 * 3 * 4, dtype=np.uint8).reshape(2, 3, 4)
     labels = np.array([7, 2], dtype=np.uint8)

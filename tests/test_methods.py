@@ -184,6 +184,14 @@ def test_qsgd_distribution_rows_normalized(seed, dim):
     assert total == pytest.approx(np.ones(dim), abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_qsgd_client_distribution_refuses_a_non_finite_vector(bad):
+    v = np.arange(8.0)
+    v[5] = bad
+    with pytest.raises(ValueError, match=f"QSGD input must be finite: coordinate 5 is {bad!r}"):
+        qsgd_client_distribution(v)
+
+
 def test_qsgd_quantize_support_and_unbiasedness():
     v = np.array([0.3, -1.2, 0.0, 2.0])
     norm = float(np.linalg.norm(v))
@@ -205,6 +213,14 @@ def test_qsgd_quantize_exact_grid_is_deterministic():
     v = np.array([3.0, 0.0, -4.0])  # |v_i|/||v|| in {0.6, 0, 0.8}, s=5 grid exact
     out, _ = qsgd_quantize(v, 5, stream("exact"))
     assert out == pytest.approx(v, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_qsgd_quantize_refuses_a_non_finite_vector(bad):
+    v = np.arange(8.0)
+    v[5] = bad
+    with pytest.raises(ValueError, match=f"QSGD input must be finite: coordinate 5 is {bad!r}"):
+        qsgd_quantize(v, 1, stream("non-finite"))
 
 
 def test_elias_gamma_bits_frozen():
