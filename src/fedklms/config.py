@@ -13,10 +13,8 @@ the toy's sigma and of the sgld message sigma under variant klms
 KL band defaults to [d_kl_target / 2, 2 * d_kl_target] and must bracket the
 target, and no setting is accepted that the run would then ignore:
 qsgd.levels other than 1 under variant klms or method none (neither message
-has levels), and sgld.noise_enabled: false under klms (the noise rides in the
-message); an sgld.noise_sigma under variant baseline (the server draws its
-own noise); and a signsgd.temperature_scale other than 1 under
-temperature_mode iterations.
+has levels), and an sgld.noise_sigma under variant baseline (the server draws
+its own noise).
 """
 
 from __future__ import annotations
@@ -233,10 +231,8 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
     for name in _DATASET_PATHS.get(kind, ()):
         if name not in obj["dataset"]:
             errors.append(f"dataset.{name}: required when dataset.kind is {kind}")
-    if cfg.variant == "klms":  # the codec message ignores both settings
-        if cfg.method == "sgld" and not cfg.sgld.noise_enabled:
-            errors.append("sgld.noise_enabled: must be true when variant is klms")
-        if cfg.method == "qsgd" and cfg.qsgd.levels != 1:
+    if cfg.variant == "klms":
+        if cfg.method == "qsgd" and cfg.qsgd.levels != 1:  # the codec message has none
             errors.append("qsgd.levels: must be 1 when variant is klms")
         if cfg.method == "sgld":  # the sigma of both message Gaussians
             derived = "" if cfg.sgld.noise_sigma is not None else (
@@ -248,9 +244,6 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
         errors.append("sgld.noise_sigma: must be null when variant is baseline")
     if cfg.method == "none" and cfg.qsgd.levels != 1:  # none sends the raw delta
         errors.append("qsgd.levels: must be 1 when method is none")
-    if (cfg.method == "signsgd" and cfg.signsgd.temperature_mode == "iterations"
-            and cfg.signsgd.temperature_scale != 1.0):
-        errors.append("signsgd.temperature_scale: must be 1 when temperature_mode is iterations")
     target = codec.get("d_kl_target", cfg.codec.d_kl_target)
     band = {"kl_min_threshold": target / 2.0, "kl_max_threshold": target * 2.0}
     try:

@@ -273,19 +273,14 @@ class SignSGDParams:
     local_epochs: int = 3
     batch_size: int = 128
     server_lr: float = 0.01
-    # temperature = temperature_scale * mean|v| ("mean_abs") or the local
-    # iteration count ("iterations"); see the config docs
-    temperature_mode: str = "mean_abs"
     temperature_scale: float = 1.0
 
 
-def signsgd_temperature(v: np.ndarray, params: SignSGDParams, iterations: int) -> float:
-    if params.temperature_mode == "iterations":
-        return float(max(1, iterations))
-    if params.temperature_mode == "mean_abs":
-        scale = float(np.mean(np.abs(v)))
-        return params.temperature_scale * (scale if scale > 0 else 1.0)
-    raise ValueError(f"unknown temperature_mode: {params.temperature_mode}")
+def signsgd_temperature(v: np.ndarray, params: SignSGDParams) -> float:
+    """temperature_scale * mean|v|, with 1 in place of the mean when v is all
+    zero."""
+    scale = float(np.mean(np.abs(v)))
+    return params.temperature_scale * (scale if scale > 0 else 1.0)
 
 
 def signsgd_client_distribution(v: np.ndarray, temperature: float) -> BinarySign:
@@ -314,7 +309,6 @@ class SGLDParams:
     server_lr: float = 0.05
     batch_size: int = 128
     noise_sigma: float | None = None  # None derives the default above
-    noise_enabled: bool = True
 
     def sigma_s(self, num_clients: int) -> float:
         if self.noise_sigma is not None:

@@ -183,13 +183,6 @@ def _local_delta(state, model, X, y, params, streams):
     return w_local - state.weights
 
 
-def _signsgd_local(state, cfg, model, X, y, streams):
-    deltas = _local_delta(state, model, X, y, cfg.signsgd, streams)
-    iters = local_iterations(y.shape[1], cfg.signsgd.local_epochs, cfg.signsgd.batch_size)
-    return [signsgd_client_distribution(delta, signsgd_temperature(delta, cfg.signsgd, iters))
-            for delta in deltas]
-
-
 def _quantized(v, cfg, client_key):
     """The classic QSGD message: stochastic levels priced by Elias gamma."""
     quant, levels = qsgd_quantize(v, cfg.qsgd.levels,
@@ -208,7 +201,7 @@ def _qsgd_fold(state, cfg, vectors, round_key):
 
 def _sgld_fold(state, cfg, vectors, round_key):
     weights = sgld_server_step(state.weights, vectors, cfg.sgld)
-    if not _uses_codec(cfg) and cfg.sgld.noise_enabled:
+    if not _uses_codec(cfg):
         # baseline messages carry no noise, so the server injects it
         noise = derive_stream(round_key.child("servernoise")).gaussians(weights.shape[0])
         weights = weights + np.sqrt(2.0 * cfg.sgld.step_gamma) * noise
@@ -273,7 +266,9 @@ _METHODS = {
         initial=lambda cfg, model: qsgd_klms_global([], dim=model.dim),
     ),
     "signsgd": _Method(
-        local=_signsgd_local,
+        local=lambda state, cfg, model, X, y, streams: [
+            signsgd_client_distribution(delta, signsgd_temperature(delta, cfg.signsgd))
+            for delta in _local_delta(state, model, X, y, cfg.signsgd, streams)],
         baseline=lambda q, cfg, client_key: (
             q.sample(0, q.dim, derive_stream(client_key.child("sign")), count=1)[0], q.dim),
         pair=lambda q, state, cfg: (q, UniformSign(q.dim)),

@@ -79,8 +79,6 @@ def stochastic_gradient(model, w, X, y, batch_size, stream: SampleStream) -> np.
 
 def aggregate_noise_var(params: SGLDParams, num_clients: int) -> float:
     """Per-coordinate noise variance the SGLD server step injects."""
-    if not params.noise_enabled:
-        return 0.0
     return (params.server_lr * params.sigma_s(num_clients)) ** 2 / num_clients
 
 

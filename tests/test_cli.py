@@ -196,6 +196,19 @@ class TestValidate:
         assert main(["validate", write_json(tmp_path / "c.json", obj)]) == 1
         assert "codec: max_block_size must be an integer in" in capsys.readouterr().err
 
+    # SignSGD's temperature is always temperature_scale * mean|delta|, and the
+    # sgld baseline server always injects its Langevin noise
+    @pytest.mark.parametrize("config, block, key, value", [
+        ("signsgd_separable.json", "signsgd", "temperature_mode", "iterations"),
+        ("sgld_separable.json", "sgld", "noise_enabled", False),
+    ])
+    def test_removed_method_setting_is_an_unknown_field(self, tmp_path, capsys,
+                                                        config, block, key, value):
+        obj = json.loads(SGLD_SEPARABLE.with_name(config).read_text())
+        obj[block][key] = value
+        assert main(["validate", write_json(tmp_path / "c.json", obj)]) == 1
+        assert f"{block}.{key}: unknown field" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_writes_metrics_and_summary(self, tmp_path, capsys):

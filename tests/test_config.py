@@ -89,12 +89,10 @@ class TestExperimentParsing:
 
     def test_method_block_fields(self):
         cfg = parse_experiment_config(
-            {"sgld": {"noise_enabled": False, "step_gamma": 0.5},
-             "signsgd": {"temperature_mode": "iterations"}}
+            {"sgld": {"step_gamma": 0.5}, "signsgd": {"temperature_scale": 3.0}}
         )
-        assert cfg.sgld.noise_enabled is False
         assert cfg.sgld.step_gamma == 0.5
-        assert cfg.signsgd.temperature_mode == "iterations"
+        assert cfg.signsgd.temperature_scale == 3.0
 
     def test_top_level_must_be_object(self):
         with pytest.raises(ConfigError):
@@ -133,9 +131,8 @@ class TestExperimentParsing:
         with pytest.raises(ConfigError, match=field):
             parse_experiment_config(json.loads(text))
 
-    # The codec message ignores both settings; the baseline messages read them.
+    # The codec message ignores the setting; the baseline message reads it.
     @pytest.mark.parametrize("obj, field", [
-        ({"method": "sgld", "sgld": {"noise_enabled": False}}, "sgld.noise_enabled"),
         ({"method": "qsgd", "qsgd": {"levels": 4}}, "qsgd.levels"),
     ])
     def test_setting_the_codec_ignores_refused_under_klms(self, obj, field):
@@ -150,11 +147,6 @@ class TestExperimentParsing:
         ({"method": "sgld", "variant": "baseline", "sgld": {"noise_sigma": 0.5}},
          {"method": "sgld", "variant": "klms", "sgld": {"noise_sigma": 0.5}},
          "sgld.noise_sigma"),
-        ({"method": "signsgd", "signsgd": {"temperature_mode": "iterations",
-                                           "temperature_scale": 7.0}},
-         {"method": "signsgd", "signsgd": {"temperature_mode": "mean_abs",
-                                           "temperature_scale": 7.0}},
-         "signsgd.temperature_scale"),
         # none sends the raw float32 delta; the qsgd baseline quantizes
         ({"method": "none", "variant": "baseline", "qsgd": {"levels": 4}},
          {"method": "qsgd", "variant": "baseline", "qsgd": {"levels": 4}},
@@ -294,12 +286,12 @@ PARSE_CASES = [
     (name, "toy" if name.startswith("toy_") else "experiment",
      json.loads((REPO / "configs" / name).read_text()), digest)
     for name, digest in [
-        ("fedpm_separable.json", "3da93bf5a74fd9056cac663994f4773122efefd9fbcfcb544059dd4b00a4843b"),
-        ("fedpm_separable_baseline.json", "107d10bdf5c09a750a8ba73e9522dca0605bc484f849efe7e91fa999d8822844"),
-        ("qsgd_mnist.json", "96b7f6605eeceb0501eb57e1bc76afd158bc51e1957d5b07e008296cc23d6d73"),
-        ("qsgd_separable.json", "baed20b86fc62464e6acf7dcf507b5f1de50d264b2088fe24ad69de1755eeb01"),
-        ("sgld_separable.json", "af8eb9d91f0305e3576c795bf72898e4fe02eff2fbcc4055626cedb16f5a9a5b"),
-        ("signsgd_separable.json", "e525e2fdee4ad3d229decf69172fd5fe76e983f9f08f4791d4dc302f3548ce25"),
+        ("fedpm_separable.json", "6bc359576be1d7271e837e44249d59850a59515ee8f081f11c9c79fbe02d981c"),
+        ("fedpm_separable_baseline.json", "4a56c530713d25d9a1387b1fd109122bfab41838fe01c28e4b00a703d6a7727b"),
+        ("qsgd_mnist.json", "595aaf7f17031a5ed81092c7dc659fe83215e6f1d865d823143ed9fb5761aa9a"),
+        ("qsgd_separable.json", "7b7fedb164162830bbf1d2223c7851f475a623e972bc2fd2059086f8ead4d007"),
+        ("sgld_separable.json", "919d79cee38a61ece66bc215f0fc5655c90f49b305c2685e289140756e13546a"),
+        ("signsgd_separable.json", "d2003cd83bdcea9c66e09fd331b841adc2c30b5851f34eab996ecf10cc3db36a"),
         ("toy_default.json", "3b44df7e37ca9747635094e3f0a625fb8817a07f78873dc7d0dfd0993f4203fc"),
         ("toy_heterogeneity.json", "fa05610f5afbb01c18ab163754611341c102aa24ad243ac1c5a5125613b1319e"),
     ]
@@ -307,18 +299,16 @@ PARSE_CASES = [
     ("toy_partial_output", "toy", {"output": {"metrics_csv": "grid.csv"}},
      "631c28b764a6aa6119165f34abe07838d810b1861246482945cef99e574a7a43"),
     ("experiment_partial_output", "experiment", {"output": {"summary_json": "run.json"}},
-     "4319447b8f8d3306d78e9eaa7d9f95e21c3979c9e1754cb5b870ac775482761d"),
+     "f80ea8aa857a581ffcba0d1a7bfe797a71fff704fef82ac8bcbcad7d8fc6c23c"),
     ("nulls", "experiment",
      {"sgld": {"noise_sigma": None},
       "codec": {"kl_min_threshold": None, "kl_max_threshold": None},
       "dataset": {"kind": "idx", "train_images": "ti", "train_labels": "tl",
                   "test_images": "vi", "test_labels": "vl",
                   "train_limit": None, "test_limit": None}},
-     "c5e1e921a77fac23fdb635f9386f6805cd0c8365fbc436c3a68b1375f5447bac"),
+     "032b67544ca754a9573fd734ab4f78f7b6b23c41343c1c77aad7deccedbbb415"),
     ("qsgd_int_lr", "experiment", {"qsgd": {"local_lr": 1}},
-     "ab51cdb54e6d1a416a2cd378408713c9689a55bd02c52b67591b54fa672b1454"),
-    ("signsgd_iterations", "experiment", {"signsgd": {"temperature_mode": "iterations"}},
-     "f01f863281011faf1411df93284b2ec5a0f88e23c1165711b414de182cee8e9c"),
+     "d871c07df2d5f7d9269ba5f7953c9ad0de2dc246b9c6a08a0bb0706e17c933c3"),
 ]
 
 
