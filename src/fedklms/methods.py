@@ -184,17 +184,39 @@ class QSGDParams:
     server_lr: float = 1.0
 
 
+def _qsgd_norm(v: np.ndarray) -> float:
+    """||v|| of a QSGD input, refused at its first bad coordinate when v is
+    not finite.
+
+    The plain norm is kept whenever it is finite; when it overflows float64
+    (a sum of squares beyond the float range), it is taken as m * ||v / m||
+    with m = max|v|, and a norm that overflows even so is refused at the
+    coordinate with the largest |v_i|.
+    """
+    _check_coordinates(np.isfinite(v), "QSGD input must be finite", v)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+        if math.isfinite(norm):
+            return norm
+        i = int(np.argmax(np.abs(v)))
+        m = abs(float(v[i]))
+        norm = m * float(np.linalg.norm(v / m))
+    if not math.isfinite(norm):
+        raise ValueError(f"QSGD input norm overflows float64: coordinate {i} is {float(v[i])!r}")
+    return norm
+
+
 def qsgd_client_distribution(v: np.ndarray) -> TernaryPattern:
     """Ternary sign-pattern distribution of the one-level quantizer.
 
     P(+1) = max(v_i, 0)/||v||, P(-1) = max(-v_i, 0)/||v||, rest at 0; the norm
     rides along as the magnitude.  The expectation of magnitude * pattern is
     exactly v.  A zero vector degenerates to all mass at 0 with magnitude 0.
-    A vector that is not finite is refused at its first bad coordinate.
+    The norm is :func:`_qsgd_norm`'s, which refuses a vector that is not
+    finite or whose norm overflows.
     """
     v = np.asarray(v, dtype=np.float64)
-    _check_coordinates(np.isfinite(v), "QSGD input must be finite", v)
-    norm = float(np.linalg.norm(v))
+    norm = _qsgd_norm(v)
     if norm == 0.0:
         zeros = np.zeros(v.shape[0])
         return TernaryPattern(zeros, np.ones(v.shape[0]), zeros.copy(), magnitude=0.0)
@@ -216,13 +238,13 @@ def qsgd_quantize(
     Each |v_i|/||v|| lands between two grid points q/s and (q+1)/s and is
     rounded up with probability equal to its offset, so E[quantized] = v.
     Returns the quantized vector and its integer levels |quantized| * s / ||v||.
-    A vector that is not finite is refused at its first bad coordinate.
+    The norm is :func:`_qsgd_norm`'s, which refuses a vector that is not
+    finite or whose norm overflows.
     """
     if levels < 1:
         raise ValueError(f"levels must be >= 1: {levels}")
     v = np.asarray(v, dtype=np.float64)
-    _check_coordinates(np.isfinite(v), "QSGD input must be finite", v)
-    norm = float(np.linalg.norm(v))
+    norm = _qsgd_norm(v)
     if norm == 0.0:
         return np.zeros_like(v), np.zeros(v.shape[0], dtype=np.int64)
     a = levels * np.abs(v) / norm

@@ -223,6 +223,33 @@ def test_qsgd_quantize_refuses_a_non_finite_vector(bad):
         qsgd_quantize(v, 1, stream("non-finite"))
 
 
+# the sum of squares overflows float64; the norm itself does not
+HUGE = np.array([1e200, -1e200, 3.0])
+
+
+def test_qsgd_client_distribution_scales_a_norm_whose_square_overflows():
+    d = qsgd_client_distribution(HUGE)
+    assert d.magnitude == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert d.magnitude * (d.p_pos - d.p_neg) == pytest.approx(HUGE, rel=1e-15, abs=1e-12)
+
+
+def test_qsgd_quantize_scales_a_norm_whose_square_overflows():
+    out, lev = qsgd_quantize(HUGE, 1, stream("huge"))
+    assert np.isfinite(out).all()
+    assert np.all((lev == 0) | (lev == 1))
+    assert out == pytest.approx(np.sqrt(2.0) * 1e200 * np.sign(HUGE) * lev, rel=1e-15)
+
+
+@pytest.mark.parametrize("quantize", [
+    qsgd_client_distribution, lambda v: qsgd_quantize(v, 1, stream("overflow"))],
+    ids=["client_distribution", "quantize"])
+def test_qsgd_refuses_a_norm_beyond_float_range(quantize):
+    v = np.array([1.0, 1.7e308, -1.7e308])
+    with pytest.raises(ValueError,
+                       match=r"QSGD input norm overflows float64: coordinate 1 is 1\.7e\+308"):
+        quantize(v)
+
+
 def test_elias_gamma_bits_frozen():
     assert elias_gamma_bits(np.zeros(4, dtype=np.int64)) == 36
     assert elias_gamma_bits(np.array([1])) == 3 + 32 + 1
