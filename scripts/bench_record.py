@@ -12,13 +12,15 @@ another one.  It writes, and checks nothing:
 * ``tier1``: the wall time, exit code and summary line of the tier-1 suite;
 * ``full_length``: for each case of ``scripts/output_digests.py``, the wall
   time of ``outputs(case)``, the sha256 of the metrics CSV and summary JSON
-  it returns, and for a train case the accuracy and bpp it reports.
+  it returns, and for a train case the accuracy and bpp it reports;
+* ``machine``: what picks the float kernels, from :func:`machine`.
 
 The runs take about five minutes on 2 vCPUs.  They go one after another,
 perfbench first, so that they do not compete for the machine.
 """
 
 import argparse
+import ctypes
 import hashlib
 import importlib.util
 import json
@@ -71,6 +73,27 @@ def full_length(root: Path) -> dict:
     return cases
 
 
+def machine() -> dict:
+    """numpy's version, whether this CPU runs each of numpy's dispatch
+    targets, and the core OpenBLAS picked at run time (None when numpy does
+    not bundle its OpenBLAS).  A float pin can fail on another machine; these
+    name the kernels that computed it."""
+    import numpy as np
+    from numpy._core import _multiarray_umath as umath
+
+    libs = sorted(Path(np.__file__).parent.with_name("numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    core = None
+    if libs:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+        corename.restype = ctypes.c_char_p
+        core = corename().decode()
+    return {"numpy": np.__version__,
+            "cpu_dispatch": {target: umath.__cpu_features__[target]
+                             for target in umath.__cpu_dispatch__},
+            "openblas_core": core}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the JSON file to write")
@@ -80,6 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         "perfbench": {f"trace{trace}": perfbench(root, trace) for trace in (0, 1)},
         "tier1": tier1(root),
         "full_length": full_length(root),
+        "machine": machine(),
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0

@@ -31,3 +31,9 @@ def report():
 def bitrate_trace():
     """scripts/run_bitrate_trace.py, whose rows results/bitrate_trace.csv holds."""
     return _load_script("run_bitrate_trace")
+
+
+@pytest.fixture(scope="session")
+def bench_record():
+    """scripts/bench_record.py, whose machine() names the float kernels."""
+    return _load_script("bench_record")

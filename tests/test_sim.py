@@ -495,6 +495,17 @@ def test_report_prints_the_pins(report, capsys):
         assert (csv_sha, json_sha) == _full_length_pin(case)
 
 
+# the pins above compare float text that numpy's SIMD kernels and the OpenBLAS
+# core can move; the benchmark record and the CI log name both
+def test_machine_names_the_float_kernels(bench_record):
+    from numpy._core import _multiarray_umath as umath
+
+    machine = json.loads(json.dumps(bench_record.machine()))
+    assert machine["numpy"] == np.__version__
+    assert list(machine["cpu_dispatch"]) == list(umath.__cpu_dispatch__)
+    assert machine["openblas_core"] is None or machine["openblas_core"]
+
+
 # SHA-256 of the accuracy and bpp_payload columns of the full-length fedpm and
 # signsgd runs.  The partition rule decides which rounds ship locations, and on
 # these one-block configs not the blocks themselves, so a change to that rule
