@@ -30,6 +30,9 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+from numpy._core import _multiarray_umath as umath
+
 PERFBENCH = ["perfbench/run.py", "--workload", "all", "--seed", "1", "--seconds", "20"]
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
@@ -78,9 +81,6 @@ def machine() -> dict:
     targets, and the core OpenBLAS picked at run time (None when numpy does
     not bundle its OpenBLAS).  A float pin can fail on another machine; these
     name the kernels that computed it."""
-    import numpy as np
-    from numpy._core import _multiarray_umath as umath
-
     libs = sorted(Path(np.__file__).parent.with_name("numpy.libs")
                   .glob("libscipy_openblas64_*.so"))
     core = None
