@@ -38,11 +38,21 @@ _PROB_CLAMP = 1e-6
 FLOAT32_BITS = 32  # the price of one float32 value on the wire
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None,
+            spare: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function, written to out if given; spare, if given, is a
+    float64 buffer of x's shape that it uses as scratch."""
+    x = np.asarray(x, dtype=np.float64)
     # min(x, -x) is -|x|, so e is exp(-x) where x >= 0 and exp(x) below (no
     # overflow either way); unlike -|x|, it passes a NaN on with its sign
-    e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    e = np.negative(x, out=np.empty(x.shape) if out is None else out)
+    np.minimum(x, e, out=e)
+    np.exp(e, out=e)
+    denom = np.add(e, 1.0, out=spare)
+    # e <= 1, so the numerator max(e, x >= 0) is 1 where x >= 0 and e below:
+    # 1 / (1 + e) and e / (1 + e) without a masked select
+    np.maximum(e, x >= 0, out=e)
+    return np.divide(e, denom, out=e)
 
 
 def logit(p: np.ndarray) -> np.ndarray:
@@ -54,6 +64,14 @@ def local_iterations(n: int, epochs: int, batch_size: int) -> int:
     """Minibatch steps of local training: epochs passes over n points in
     batches of min(batch_size, n)."""
     return epochs * -(-n // min(batch_size, n))
+
+
+def minibatches(X: np.ndarray, y: np.ndarray, batch: int, streams) -> tuple:
+    """One minibatch per client of a stack (X (B, n, F), y (B, n)), client
+    b's indices drawn from streams[b]."""
+    idx = np.stack([stream.integers(batch, y.shape[1]) for stream in streams])
+    rows = np.arange(len(streams))[:, None]
+    return X[rows, idx], y[rows, idx]
 
 
 # --- FedPM ------------------------------------------------------------------
@@ -127,6 +145,11 @@ def bayes_agg(
     return FedPMState(probs=probs, alpha=alpha, beta=beta)
 
 
+# fedpm trains a group's clients in sub-stacks whose (B, d) arrays hold about
+# this many floats (128 KiB) each, or one client at a time when d is larger
+TRAIN_STACK_FLOATS = 1 << 14
+
+
 def fedpm_client_train(
     global_probs: np.ndarray,
     frozen_weights: np.ndarray,
@@ -134,26 +157,61 @@ def fedpm_client_train(
     features: np.ndarray,
     labels: np.ndarray,
     params: FedPMParams,
-    stream: SampleStream,
+    streams: list[SampleStream],
 ) -> np.ndarray:
-    """Run local mask training and return the trained mask probabilities.
+    """Run local mask training for a stack of clients with equal shard sizes
+    (features (B, n, F), labels (B, n), streams[b] client b's draws) and
+    return their trained mask probabilities, (B, d).
 
     Scores start at logit(theta).  Each iteration samples a binary mask from
     sigmoid(scores), evaluates the loss gradient at the masked weights, and
     pushes it back to the scores straight through the sampling:
     d loss / d score = (d loss / d w) * w_frozen * sigmoid'(score).
+    Each client draws its minibatch and then its mask uniforms from its own
+    stream, so row b is bit-identical to training client b alone.
+
+    The clients train in sub-stacks of about equal size, as few as keep each
+    sub-stack's (B, d) arrays near TRAIN_STACK_FLOATS floats: four of them
+    are live at once, next to the model's activations, and a whole-group
+    stack at fedpm_separable's shape would raise peak memory by 1 MB.  A
+    sub-stack allocates its scores, probabilities and one spare (B, d)
+    buffer (the sigmoid's scratch, then the masked weights) once and updates
+    them in place.
     """
-    scores = logit(global_probs)
-    n = features.shape[0]
+    num, d = len(streams), global_probs.shape[0]
+    parts = max(1, -(-num * d // TRAIN_STACK_FLOATS))
+    size = -(-num // parts)
+    out = np.empty((num, d))
+    for lo in range(0, num, size):
+        part = slice(lo, lo + size)
+        _train_stack(global_probs, frozen_weights, model, features[part], labels[part],
+                     params, streams[part], out[part])
+    return out
+
+
+def _train_stack(global_probs, frozen_weights, model, features, labels, params, streams, out):
+    """fedpm_client_train for one sub-stack; writes the probabilities to out."""
+    n = labels.shape[1]
     batch = min(params.batch_size, n)
+    scores = np.tile(logit(global_probs), (len(streams), 1))
+    phi = np.empty_like(scores)
+    spare = np.empty_like(scores)
     for _ in range(local_iterations(n, params.local_epochs, params.batch_size)):
-        idx = stream.integers(batch, n)
-        phi = sigmoid(scores)
-        mask = (stream.uniforms(scores.shape[0]) < phi).astype(np.float64)
-        _, grad_w = model.loss_and_grad(mask * frozen_weights, features[idx], labels[idx])
-        grad_s = grad_w * frozen_weights * phi * (1.0 - phi)
-        scores = scores - params.local_lr * grad_s
-    return sigmoid(scores)
+        X, y = minibatches(features, labels, batch, streams)
+        sigmoid(scores, out=phi, spare=spare)
+        for stream, phi_b, mask_b in zip(streams, phi, spare):
+            np.less(stream.uniforms(phi_b.shape[0]), phi_b, out=mask_b)
+        spare *= frozen_weights
+        _, grad = model.loss_and_grad(spare, X, y)
+        # grad * w_frozen * phi * (1 - phi) * lr, left to right, in place
+        grad *= frozen_weights
+        grad *= phi
+        np.subtract(1.0, phi, out=phi)
+        grad *= phi
+        grad *= params.local_lr
+        scores -= grad
+        spare = grad  # the next iteration's scratch
+    sigmoid(scores, out=out, spare=spare)
 
 
 def fedpm_codec_pair(
@@ -188,15 +246,16 @@ def _qsgd_norm(v: np.ndarray) -> float:
     """||v|| of a QSGD input, refused at its first bad coordinate when v is
     not finite.
 
-    The plain norm is kept whenever it is finite; when it overflows float64
-    (a sum of squares beyond the float range), it is taken as m * ||v / m||
+    The plain norm is kept whenever it is finite and nonzero, or v is all
+    zero; when it overflows float64 (a sum of squares beyond the float
+    range) or underflows to 0 for a nonzero v, it is taken as m * ||v / m||
     with m = max|v|, and a norm that overflows even so is refused at the
     coordinate with the largest |v_i|.
     """
     _check_coordinates(np.isfinite(v), "QSGD input must be finite", v)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
-        if math.isfinite(norm):
+        if 0.0 < norm < math.inf or not v.any():
             return norm
         i = int(np.argmax(np.abs(v)))
         m = abs(float(v[i]))
@@ -247,7 +306,8 @@ def qsgd_quantize(
     norm = _qsgd_norm(v)
     if norm == 0.0:
         return np.zeros_like(v), np.zeros(v.shape[0], dtype=np.int64)
-    a = levels * np.abs(v) / norm
+    # dividing first keeps levels * |v_i| from overflowing
+    a = levels * (np.abs(v) / norm)
     lower = np.floor(a)
     u = stream.uniforms(v.shape[0])
     grid = np.where(u < 1.0 - (a - lower), lower, lower + 1.0)

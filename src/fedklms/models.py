@@ -6,6 +6,12 @@ optional leading client axis: w (B, d), X (B, n, F) and y (B, n) give each
 client's logits, loss and gradient, each bit-identical to a call on that
 client alone (the products are per-client matrix products, the reductions
 run over the same axis in the same order).
+The MLP's gradient keeps its (B, n, H) activations and backward signal in
+one buffer, updated in place, and writes each parameter block's gradient
+straight into the (B, d) result, with the float operations of the plain
+expressions: fedpm trains a stack for every local step, and each more
+array of that size costs it peak memory and page faults.  Every returned
+array is new, so a caller may update it in place.
 Gradients are deliberately manual: nothing here depends on an autodiff
 framework, and the test suite checks every path against central finite
 differences.  The hidden layer uses tanh so the finite-difference checks see
@@ -39,6 +45,11 @@ def _t(a: np.ndarray) -> np.ndarray:
 def _flat(a: np.ndarray) -> np.ndarray:
     """Each matrix of a stack as one row (of one matrix: a.ravel())."""
     return a.reshape(a.shape[:-2] + (-1,))
+
+
+def _stack(a: np.ndarray) -> np.ndarray:
+    """The matrices of a stack as a (B, r, c) view (of one matrix: B = 1)."""
+    return a.reshape((-1,) + a.shape[-2:])
 
 
 def _cross_entropy(logits: np.ndarray, y: np.ndarray):
@@ -129,17 +140,27 @@ class MLPModel:
 
     def loss_and_grad(self, w: np.ndarray, X: np.ndarray, y: np.ndarray):
         w1, b1, w2, b2 = self._unpack(w)
-        pre = X @ _t(w1) + b1
-        hidden = np.tanh(pre)
+        # one ([B,] n, H) buffer holds the activations, then 1 - hidden**2,
+        # then the backward signal, each step in place with the float ops of
+        # tanh(X @ w1.T + b1) and (delta @ w2) * (1 - hidden**2)
+        hidden = X @ _t(w1)
+        hidden += b1
+        np.tanh(hidden, out=hidden)
         loss, delta = _cross_entropy(hidden @ _t(w2) + b2, y)  # delta: ([B,] n, C)
-        grad_w2 = _t(delta) @ hidden            # ([B,] C, H)
-        grad_b2 = delta.sum(axis=-2)
-        back = (delta @ w2) * (1.0 - hidden**2)  # ([B,] n, H)
-        grad_w1 = _t(back) @ X
-        grad_b1 = back.sum(axis=-2)
-        grad = np.concatenate(
-            [_flat(grad_w1), grad_b1, _flat(grad_w2), grad_b2], axis=-1
-        )
+        grad = np.empty(w.shape)
+        g_w1, g_b1, g_w2, g_b2 = self._unpack(grad)
+        np.matmul(_t(delta), hidden, out=g_w2)  # ([B,] C, H)
+        np.sum(delta, axis=-2, keepdims=True, out=g_b2)
+        np.square(hidden, out=hidden)
+        np.subtract(1.0, hidden, out=hidden)
+        # back = (delta @ w2) * (1 - hidden**2) replaces hidden, one client's
+        # product at a time, so no second ([B,] n, H) array is live
+        back = hidden
+        scratch = np.empty(back.shape[-2:])
+        for back_b, delta_b, w2_b in zip(_stack(back), _stack(delta), _stack(w2)):
+            back_b *= np.matmul(delta_b, w2_b, out=scratch)
+        np.matmul(_t(back), X, out=g_w1)
+        np.sum(back, axis=-2, keepdims=True, out=g_b1)
         return loss, grad
 
 

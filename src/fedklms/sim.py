@@ -68,6 +68,7 @@ from .methods import (
     fedpm_codec_pair,
     fedpm_sample_mask,
     local_iterations,
+    minibatches,
     qsgd_client_distribution,
     qsgd_klms_global,
     qsgd_quantize,
@@ -137,14 +138,6 @@ def _load_dataset(cfg: ExperimentConfig, root: StreamKey) -> tuple[Dataset, Data
     raise ValueError(f"unknown dataset kind: {d.kind}")
 
 
-def _minibatches(X, y, batch, streams):
-    """One minibatch per client of a stack, client b's indices drawn from
-    streams[b]."""
-    idx = np.stack([stream.integers(batch, y.shape[1]) for stream in streams])
-    rows = np.arange(len(streams))[:, None]
-    return X[rows, idx], y[rows, idx]
-
-
 def _local_sgd(model, w0, X, y, lr, epochs, batch_size, streams):
     """Plain minibatch SGD from w0 for a stack of clients with equal shard
     sizes (X (B, n, F), y (B, n)); returns the final weights, (B, d)."""
@@ -152,7 +145,7 @@ def _local_sgd(model, w0, X, y, lr, epochs, batch_size, streams):
     n = y.shape[1]
     batch = min(batch_size, n)
     for _ in range(local_iterations(n, epochs, batch_size)):
-        _, g = model.loss_and_grad(w, *_minibatches(X, y, batch, streams))
+        _, g = model.loss_and_grad(w, *minibatches(X, y, batch, streams))
         w -= lr * g
     return w
 
@@ -163,7 +156,7 @@ def _stochastic_gradient(model, w, X, y, batch_size, streams):
     n = y.shape[1]
     batch = min(batch_size, n)
     _, g = model.loss_and_grad(np.tile(w, (len(streams), 1)),
-                               *_minibatches(X, y, batch, streams))
+                               *minibatches(X, y, batch, streams))
     return n * g
 
 
@@ -238,12 +231,8 @@ class _Method:
 # installed on the module (tracing) sees every call.
 _METHODS = {
     "fedpm": _Method(
-        # one client at a time: a stack trains to the same bits, but its B
-        # copies of the d-wide arrays raise peak RSS by about 8%
-        local=lambda state, cfg, model, X, y, streams: [
-            fedpm_client_train(state.carried.probs, state.weights, model,
-                               Xc, yc, cfg.fedpm, stream)
-            for Xc, yc, stream in zip(X, y, streams)],
+        local=lambda state, cfg, model, X, y, streams: fedpm_client_train(
+            state.carried.probs, state.weights, model, X, y, cfg.fedpm, streams),
         baseline=lambda probs, cfg, client_key: (
             fedpm_sample_mask(probs, derive_stream(client_key.child("mask"))), probs.size),
         pair=lambda probs, state, cfg: fedpm_codec_pair(probs, state.carried.probs),

@@ -10,7 +10,7 @@ import numpy as np
 
 from fedklms.distributions import (BernoulliVector, DiagonalGaussian, TernaryPattern,
                                    _check_range, _uniform_rows, kl_per_coordinate)
-from fedklms.methods import SGLDParams, local_iterations
+from fedklms.methods import SGLDParams, local_iterations, logit
 from fedklms.streams import SampleStream
 
 
@@ -75,6 +75,24 @@ def stochastic_gradient(model, w, X, y, batch_size, stream: SampleStream) -> np.
     idx = stream.integers(batch, n)
     _, g = model.loss_and_grad(w, X[idx], y[idx])
     return n * g
+
+
+def fedpm_client_train(global_probs, frozen_weights, model, features, labels, params,
+                       stream: SampleStream) -> np.ndarray:
+    """One client's local mask training, a new array for every step: sample a
+    mask from sigmoid(scores), take the loss gradient at the masked weights
+    and step the scores straight through the sampling."""
+    scores = logit(global_probs)
+    n = features.shape[0]
+    batch = min(params.batch_size, n)
+    for _ in range(local_iterations(n, params.local_epochs, params.batch_size)):
+        idx = stream.integers(batch, n)
+        phi = sigmoid(scores)
+        mask = (stream.uniforms(scores.shape[0]) < phi).astype(np.float64)
+        _, grad_w = model.loss_and_grad(mask * frozen_weights, features[idx], labels[idx])
+        grad_s = grad_w * frozen_weights * phi * (1.0 - phi)
+        scores = scores - params.local_lr * grad_s
+    return sigmoid(scores)
 
 
 def aggregate_noise_var(params: SGLDParams, num_clients: int) -> float:

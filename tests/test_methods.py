@@ -1,6 +1,8 @@
 """Method-level oracles: aggregation closed forms, quantizer unbiasedness,
 bit accounting, noise calibration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,6 +30,7 @@ from fedklms.methods import (
     signsgd_temperature,
 )
 from fedklms.distributions import kl_per_coordinate
+from fedklms.models import build_model
 from fedklms.streams import StreamKey, derive_stream
 import reference
 from reference import aggregate_noise_var, sgld_noisy_message
@@ -110,8 +113,10 @@ class QuadraticModel:
         self.target = np.asarray(target, dtype=np.float64)
 
     def loss_and_grad(self, w, X, y):
+        # w (d,) or a stack (B, d): one loss per client, as the models do
         delta = w - self.target
-        return 0.5 * float(delta @ delta), delta
+        loss = 0.5 * (delta * delta).sum(axis=-1)
+        return (float(loss) if loss.ndim == 0 else loss), delta
 
 
 def test_fedpm_client_train_moves_probs_toward_useful_weights():
@@ -122,11 +127,77 @@ def test_fedpm_client_train_moves_probs_toward_useful_weights():
     model = QuadraticModel(np.ones(dim))
     start = np.full(dim, 0.5)
     out = fedpm_client_train(
-        start, frozen, model, np.zeros((8, 1)), np.zeros(8),
+        start, frozen, model, np.zeros((1, 8, 1)), np.zeros((1, 8)),
         FedPMParams(local_lr=1.0, local_epochs=10, batch_size=8),
-        stream("fedpm-train"),
+        [stream("fedpm-train")],
     )
     assert np.all(out > 0.5)
+
+
+def _fedpm_group(kind, clients, tag):
+    """fedpm_separable's shape: shards of 60 points with 20 features, and for
+    the MLP 96 hidden units, so d = 2,210 and 10 clients train as two
+    sub-stacks of 5.  The global probabilities include 0 and 1."""
+    model = build_model(kind, 20, 2, hidden_units=96)
+    root = StreamKey(778, (("fedpm-group", 0),)).child(tag)
+    frozen = model.init_params(derive_stream(root.child("w")))
+    probs = derive_stream(root.child("p")).uniforms(model.dim)
+    probs[:4] = [0.0, 1.0, 0.0, 1.0]
+    X = derive_stream(root.child("x")).gaussians(clients * 60 * 20).reshape(clients, 60, 20)
+    y = derive_stream(root.child("y")).integers(clients * 60, 2).reshape(clients, 60)
+    streams = lambda: [derive_stream(root.child("local", b)) for b in range(clients)]
+    return model, frozen, probs, X, y, streams
+
+
+@pytest.mark.parametrize("clients", [1, 3, 10])
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_fedpm_client_train_stack_equals_one_client_at_a_time(kind, clients):
+    # three minibatches of 25, 25 and 10 points an epoch, two epochs
+    model, frozen, probs, X, y, streams = _fedpm_group(kind, clients, "stack")
+    params = FedPMParams(local_epochs=2, batch_size=25)
+    stacked = fedpm_client_train(probs, frozen, model, X, y, params, streams())
+    assert stacked.shape == (clients, model.dim)
+    for b, s in enumerate(streams()):
+        one = fedpm_client_train(probs, frozen, model, X[b : b + 1], y[b : b + 1], params,
+                                 [derive_stream(s.key)])
+        assert stacked[b].tobytes() == one[0].tobytes(), b
+        plain = reference.fedpm_client_train(probs, frozen, model, X[b], y[b], params, s)
+        assert stacked[b].tobytes() == plain.tobytes(), b
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_training_returns_fresh_arrays(kind):
+    # fedpm steps its scores with the returned gradient in place, so a
+    # gradient must not be a buffer that the next call writes again
+    model, frozen, probs, X, y, streams = _fedpm_group(kind, 2, "fresh")
+    w = np.stack([frozen, 0.5 * frozen])
+    _, first = model.loss_and_grad(w, X, y)
+    kept = first.copy()
+    _, second = model.loss_and_grad(w[::-1].copy(), X, y)
+    assert not np.shares_memory(first, second)
+    assert first.tobytes() == kept.tobytes()
+    trained = fedpm_client_train(probs, frozen, model, X, y, FedPMParams(), streams())
+    kept = trained.copy()
+    again = fedpm_client_train(probs, frozen, model, X, y, FedPMParams(), streams())
+    assert not np.shares_memory(trained, again)
+    assert trained.tobytes() == kept.tobytes() == again.tobytes()
+
+
+def test_fedpm_training_memory_is_bounded():
+    # 10 clients at fedpm_separable's shape peak at 0.87 MB in sub-stacks of
+    # 5; the whole group as one stack peaks at 1.51 MB, and a first stack
+    # with two (B, n, H) activation arrays and fresh (B, d) temporaries
+    # peaked at 2.75 MB
+    model, frozen, probs, X, y, streams = _fedpm_group("mlp", 10, "memory")
+    group = streams()
+    tracemalloc.start()
+    try:
+        out = fedpm_client_train(probs, frozen, model, X, y, FedPMParams(), group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (10, 2210)
+    assert peak < 1.2e6, peak
 
 
 def test_fedpm_sample_mask_extremes():
@@ -147,6 +218,10 @@ def test_sigmoid_matches_masked_reference_bit_for_bit(values):
     got, want = sigmoid(x), reference.sigmoid(x)
     assert got.dtype == want.dtype == np.float64
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # the same bits written to caller buffers, as fedpm's training does
+    out, spare = np.empty_like(x), np.empty_like(x)
+    assert sigmoid(x, out=out, spare=spare) is out
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 def test_sigmoid_logit_inverse():
@@ -238,6 +313,33 @@ def test_qsgd_quantize_scales_a_norm_whose_square_overflows():
     assert np.isfinite(out).all()
     assert np.all((lev == 0) | (lev == 1))
     assert out == pytest.approx(np.sqrt(2.0) * 1e200 * np.sign(HUGE) * lev, rel=1e-15)
+
+
+def test_qsgd_quantize_levels_do_not_overflow():
+    # levels * |v_i| would be 4e308; the level of |v_i| / ||v|| = 1 is 4
+    out, lev = qsgd_quantize(np.array([1e308, 1.0]), 4, stream("levels"))
+    assert lev.tolist() == [4, 0] and out.tolist() == [1e308, 0.0]
+
+
+# the sum of squares underflows to 0; the norm itself does not
+TINY = np.array([1e-200, -1e-200])
+
+
+def test_qsgd_client_distribution_scales_a_norm_whose_square_underflows():
+    d = qsgd_client_distribution(TINY)
+    assert d.magnitude == pytest.approx(np.sqrt(2.0) * 1e-200, rel=1e-15)
+    assert d.magnitude * (d.p_pos - d.p_neg) == pytest.approx(TINY, rel=1e-15, abs=0.0)
+
+
+def test_qsgd_quantize_scales_a_norm_whose_square_underflows():
+    # each coordinate is sent at the norm with probability 1/sqrt(2); the
+    # mean over 1,000 draws is within 0.1e-200 of v (the std is 0.02e-200)
+    draws = [qsgd_quantize(TINY, 1, stream("tiny", i)) for i in range(1000)]
+    for out, lev in draws:
+        assert np.all((lev == 0) | (lev == 1))
+        assert out == pytest.approx(np.sqrt(2.0) * 1e-200 * np.sign(TINY) * lev,
+                                    rel=1e-15, abs=0.0)
+    assert np.mean([out for out, _ in draws], axis=0) == pytest.approx(TINY, abs=0.1e-200)
 
 
 @pytest.mark.parametrize("quantize", [
