@@ -41,7 +41,7 @@ FLOAT32_BITS = 32  # the price of one float32 value on the wire
 def sigmoid(x: np.ndarray, out: np.ndarray | None = None,
             spare: np.ndarray | None = None) -> np.ndarray:
     """The logistic function, written to out if given; spare, if given, is a
-    float64 buffer of x's shape that it uses as scratch."""
+    float64 buffer of x's shape that it uses as scratch.  Neither may be x."""
     x = np.asarray(x, dtype=np.float64)
     # min(x, -x) is -|x|, so e is exp(-x) where x >= 0 and exp(x) below (no
     # overflow either way); unlike -|x|, it passes a NaN on with its sign
