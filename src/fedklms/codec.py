@@ -48,9 +48,9 @@ the first, is a location round.  Every client cuts its own blocks from its
 per-coordinate KL (:func:`encode_update` with no partition) and ships their
 lengths.  :func:`next_partition` then merges the partitions that crossed the
 wire into the shared one.  On ordinary rounds each message says only which
-side of the configured band [kl_min_threshold, kl_max_threshold] its
-client's mean block KL lies on, and the server drops the partition only
-when more than half of the round's messages lie strictly outside the band
+side of the band [kl_min_threshold, kl_max_threshold] its client's mean
+block KL lies on (an experiment's band is [d_kl_target / 2,
+2 * d_kl_target]), and the server drops the partition only when more than half of the round's messages lie strictly outside the band
 on one side and a re-cut could change the partition: below the band only
 if it has blocks to merge, above it only if it has a block to split.  A
 dropped partition makes the next round a location round again; a one-block

@@ -6,15 +6,14 @@ it.  Errors are collected with dotted field paths ("codec.d_kl_target: must
 be > 0, got -1") so a bad config reports everything wrong at once.  Only the
 rules that relate two fields are written here: clients_per_round cannot
 exceed num_clients, a synthetic dataset needs at least one training point per
-client, a csv or idx dataset needs its paths, a toy r_grid entry and the
-toy's largest client KL need index fields of at most 63 bits, the square of
-the toy's sigma and of the sgld message sigma under variant klms
-(sgld.noise_sigma, or the value it defaults to) must be a normal float64, the
-KL band defaults to [d_kl_target / 2, 2 * d_kl_target] and must bracket the
-target, and no setting is accepted that the run would then ignore:
-qsgd.levels other than 1 under variant klms or method none (neither message
-has levels), and an sgld.noise_sigma under variant baseline (the server draws
-its own noise).
+client, a csv or idx dataset needs its paths, d_kl_target plus overhead_r, a
+toy r_grid entry and the toy's largest client KL need index fields of at most
+63 bits, the square of the toy's sigma and of the sgld message sigma
+sqrt(2 * step_gamma * clients_per_round) / server_lr under variant klms must
+be a normal float64, and no setting is accepted that the run would then
+ignore: qsgd.levels other than 1 under variant klms or method none (neither
+message has levels).  The KL band is not a field: it is always
+[d_kl_target / 2, 2 * d_kl_target].
 """
 
 from __future__ import annotations
@@ -235,19 +234,15 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
         if cfg.method == "qsgd" and cfg.qsgd.levels != 1:  # the codec message has none
             errors.append("qsgd.levels: must be 1 when variant is klms")
         if cfg.method == "sgld":  # the sigma of both message Gaussians
-            derived = "" if cfg.sgld.noise_sigma is not None else (
-                "is null, so sigma is sqrt(2 * step_gamma * clients_per_round) / server_lr; ")
-            errors += _sigma_errors("sgld.noise_sigma",
-                                    cfg.sgld.sigma_s(cfg.clients_per_round), derived)
-    elif cfg.method == "sgld" and cfg.sgld.noise_sigma is not None:
-        # the baseline server's noise is sqrt(2 * step_gamma), not this
-        errors.append("sgld.noise_sigma: must be null when variant is baseline")
+            errors += _sigma_errors(
+                "sgld", cfg.sgld.sigma_s(cfg.clients_per_round),
+                "the message sigma is sqrt(2 * step_gamma * clients_per_round) / server_lr; ")
     if cfg.method == "none" and cfg.qsgd.levels != 1:  # none sends the raw delta
         errors.append("qsgd.levels: must be 1 when method is none")
     target = codec.get("d_kl_target", cfg.codec.d_kl_target)
-    band = {"kl_min_threshold": target / 2.0, "kl_max_threshold": target * 2.0}
     try:
-        cfg.codec = replace(cfg.codec, **{**band, **codec})
+        cfg.codec = replace(cfg.codec, **codec, kl_min_threshold=target / 2.0,
+                            kl_max_threshold=target * 2.0)
     except ValueError as err:
         errors.append(f"codec: {err}")
     _raise_if(errors)

@@ -382,7 +382,7 @@ class SGLDParams:
 
     The server step is theta <- theta - server_lr * mean_c(H_hat_c).  With
     messages H + sigma_s * z the aggregate noise std is
-    server_lr * sigma_s / sqrt(C); the default sigma_s matches it to the
+    server_lr * sigma_s / sqrt(C); sigma_s matches it to the
     sqrt(2 * step_gamma) * xi term of the underlying Langevin update, i.e.
     sigma_s = sqrt(2 * step_gamma * C) / server_lr.
     """
@@ -390,11 +390,8 @@ class SGLDParams:
     step_gamma: float = 1e-3
     server_lr: float = 0.05
     batch_size: int = 128
-    noise_sigma: float | None = None  # None derives the default above
 
     def sigma_s(self, num_clients: int) -> float:
-        if self.noise_sigma is not None:
-            return self.noise_sigma
         return math.sqrt(2.0 * self.step_gamma * num_clients) / self.server_lr
 
 

@@ -58,7 +58,7 @@ from .data import (
     split_iid,
     split_skewed,
 )
-from .distributions import UniformSign
+from .distributions import UniformSign, _check_coordinates
 from .methods import (
     FLOAT32_BITS,
     FedPMState,
@@ -183,6 +183,13 @@ def _quantized(v, cfg, client_key):
     return quant, elias_gamma_bits(levels)
 
 
+def _raw_delta(delta, cfg, client_key):
+    """method none's message, the float32 delta itself; like every codec
+    input, it is refused at its first non-finite coordinate."""
+    _check_coordinates(np.isfinite(delta), "raw delta must be finite", delta)
+    return delta, FLOAT32_BITS * delta.shape[0]
+
+
 def _qsgd_fold(state, cfg, vectors, round_key):
     weights = state.weights + cfg.qsgd.server_lr * np.mean(vectors, axis=0)
     if not _uses_codec(cfg):
@@ -274,10 +281,7 @@ _METHODS = {
     ),
 }
 # qsgd without compression: the raw float32 delta is the only message
-_METHODS["none"] = replace(
-    _METHODS["qsgd"], pair=None,
-    baseline=lambda delta, cfg, client_key: (delta, FLOAT32_BITS * delta.shape[0]),
-)
+_METHODS["none"] = replace(_METHODS["qsgd"], pair=None, baseline=_raw_delta)
 
 
 def _uses_codec(cfg: ExperimentConfig) -> bool:

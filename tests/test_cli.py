@@ -122,11 +122,13 @@ class TestExitCodes:
                                                 "runs": 1})
         assert main(["toy", path, "--out", str(tmp_path / "toy.csv")]) == 0
 
-    # the sgld message sigma, given or derived, squares to a subnormal or
-    # overflows: the KL would divide by 0 or by inf
+    # the sgld message sigma sqrt(2 * step_gamma * clients_per_round) /
+    # server_lr squares to a subnormal or overflows: the KL would divide by 0
+    # or by inf.  With 10 clients a round sigma is about 1.4e-201, 4.5e160,
+    # 8.9e-159 and inf
     @pytest.mark.parametrize("sgld", [
-        {"noise_sigma": 1e-200},
-        {"noise_sigma": 1e200},
+        {"server_lr": 1e200},
+        {"step_gamma": 1e300, "server_lr": 1e-10},
         {"step_gamma": 1e-320},
         {"server_lr": 1e-320},
     ])
@@ -135,11 +137,13 @@ class TestExitCodes:
         obj = json.loads(SGLD_SEPARABLE.read_text())
         obj["sgld"].update(sgld)
         assert main(["validate", write_json(tmp_path / "c.json", obj)]) == 1
-        assert "sgld.noise_sigma: " in capsys.readouterr().err
+        assert ("sgld: the message sigma is sqrt(2 * step_gamma * clients_per_round)"
+                " / server_lr; its square must be") in capsys.readouterr().err
 
     def test_sgld_small_sigma_with_a_normal_square_trains(self, tmp_path):
         obj = json.loads(SGLD_SEPARABLE.read_text())
-        obj["sgld"]["noise_sigma"] = 1e-150
+        # sigma = sqrt(2 * 1.25e-304 * 10) / 0.05 = 1e-150
+        obj["sgld"]["step_gamma"] = 1.25e-304
         obj["rounds"] = 2
         path = write_json(tmp_path / "c.json", obj)
         assert main(["validate", path]) == 0
@@ -196,16 +200,21 @@ class TestValidate:
         assert main(["validate", write_json(tmp_path / "c.json", obj)]) == 1
         assert "codec: max_block_size must be an integer in" in capsys.readouterr().err
 
-    # SignSGD's temperature is always temperature_scale * mean|delta|, and the
-    # sgld baseline server always injects its Langevin noise
+    # SignSGD's temperature is always temperature_scale * mean|delta|, the
+    # sgld baseline server always injects its Langevin noise, the KL band is
+    # always [d_kl_target / 2, 2 * d_kl_target], and the sgld message sigma is
+    # always sqrt(2 * step_gamma * clients_per_round) / server_lr
     @pytest.mark.parametrize("config, block, key, value", [
         ("signsgd_separable.json", "signsgd", "temperature_mode", "iterations"),
         ("sgld_separable.json", "sgld", "noise_enabled", False),
+        ("sgld_separable.json", "codec", "kl_min_threshold", 0.5),
+        ("sgld_separable.json", "codec", "kl_max_threshold", 9.0),
+        ("sgld_separable.json", "sgld", "noise_sigma", 0.5),
     ])
     def test_removed_method_setting_is_an_unknown_field(self, tmp_path, capsys,
                                                         config, block, key, value):
         obj = json.loads(SGLD_SEPARABLE.with_name(config).read_text())
-        obj[block][key] = value
+        obj.setdefault(block, {})[key] = value
         assert main(["validate", write_json(tmp_path / "c.json", obj)]) == 1
         assert f"{block}.{key}: unknown field" in capsys.readouterr().err
 

@@ -34,14 +34,6 @@ class TestExperimentParsing:
         assert cfg.codec.kl_min_threshold == 1.0
         assert cfg.codec.kl_max_threshold == 4.0
 
-    def test_explicit_band_kept(self):
-        cfg = parse_experiment_config(
-            {"codec": {"d_kl_target": 2.0, "kl_min_threshold": 0.1,
-                       "kl_max_threshold": 9.0}}
-        )
-        assert cfg.codec.kl_min_threshold == 0.1
-        assert cfg.codec.kl_max_threshold == 9.0
-
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown field"):
             parse_experiment_config({"methd": "fedpm"})
@@ -122,7 +114,6 @@ class TestExperimentParsing:
         ('{"seed": 18446744073709551616}', "seed"),
         ('{"dataset": {"margin": NaN}}', "dataset.margin"),
         ('{"dataset": {"spread": 0}}', "dataset.spread"),
-        ('{"codec": {"kl_max_threshold": 0}}', "codec.kl_max_threshold"),
         ('{"dataset": {"train": 5}}', "dataset.train"),
         ('{"dataset": {"num_points": 5}, "num_clients": 10, "clients_per_round": 10}',
          "dataset.num_points"),
@@ -144,9 +135,6 @@ class TestExperimentParsing:
 
     # Each setting is read in one context and ignored in the other.
     @pytest.mark.parametrize("refused, accepted, field", [
-        ({"method": "sgld", "variant": "baseline", "sgld": {"noise_sigma": 0.5}},
-         {"method": "sgld", "variant": "klms", "sgld": {"noise_sigma": 0.5}},
-         "sgld.noise_sigma"),
         # none sends the raw float32 delta; the qsgd baseline quantizes
         ({"method": "none", "variant": "baseline", "qsgd": {"levels": 4}},
          {"method": "qsgd", "variant": "baseline", "qsgd": {"levels": 4}},
@@ -286,12 +274,12 @@ PARSE_CASES = [
     (name, "toy" if name.startswith("toy_") else "experiment",
      json.loads((REPO / "configs" / name).read_text()), digest)
     for name, digest in [
-        ("fedpm_separable.json", "6bc359576be1d7271e837e44249d59850a59515ee8f081f11c9c79fbe02d981c"),
-        ("fedpm_separable_baseline.json", "4a56c530713d25d9a1387b1fd109122bfab41838fe01c28e4b00a703d6a7727b"),
-        ("qsgd_mnist.json", "595aaf7f17031a5ed81092c7dc659fe83215e6f1d865d823143ed9fb5761aa9a"),
-        ("qsgd_separable.json", "7b7fedb164162830bbf1d2223c7851f475a623e972bc2fd2059086f8ead4d007"),
-        ("sgld_separable.json", "919d79cee38a61ece66bc215f0fc5655c90f49b305c2685e289140756e13546a"),
-        ("signsgd_separable.json", "d2003cd83bdcea9c66e09fd331b841adc2c30b5851f34eab996ecf10cc3db36a"),
+        ("fedpm_separable.json", "f2ea777396ae8f4fcb149f2e2e2b2da63e85a93af2f407781002f4187fb2b2d6"),
+        ("fedpm_separable_baseline.json", "ff012f13a5e3632f86973a4e35fcfcb10ab4d39b691686d1559eb647fa111537"),
+        ("qsgd_mnist.json", "13958329725c0a713e0303771ace4506e4dc63d8fbf8fc132a371a50ea4705fb"),
+        ("qsgd_separable.json", "09e1a3a792ce588d9566be0b9eb0217232cacda1b958afd18e249c04f5249a56"),
+        ("sgld_separable.json", "fcda208b25c191260c045b842ab70d88d2ca91b992795355d10b1d9bc5f1ddec"),
+        ("signsgd_separable.json", "65ccda287f3f2bf8faa500afac52d16be95253e209b0994cc92042086e02837b"),
         ("toy_default.json", "3b44df7e37ca9747635094e3f0a625fb8817a07f78873dc7d0dfd0993f4203fc"),
         ("toy_heterogeneity.json", "fa05610f5afbb01c18ab163754611341c102aa24ad243ac1c5a5125613b1319e"),
     ]
@@ -299,16 +287,14 @@ PARSE_CASES = [
     ("toy_partial_output", "toy", {"output": {"metrics_csv": "grid.csv"}},
      "631c28b764a6aa6119165f34abe07838d810b1861246482945cef99e574a7a43"),
     ("experiment_partial_output", "experiment", {"output": {"summary_json": "run.json"}},
-     "f80ea8aa857a581ffcba0d1a7bfe797a71fff704fef82ac8bcbcad7d8fc6c23c"),
+     "13c37129dea5c6f43dffab1b4c3f3168ad9a3fb1995dce4154b2e6e97be6b5b1"),
     ("nulls", "experiment",
-     {"sgld": {"noise_sigma": None},
-      "codec": {"kl_min_threshold": None, "kl_max_threshold": None},
-      "dataset": {"kind": "idx", "train_images": "ti", "train_labels": "tl",
+     {"dataset": {"kind": "idx", "train_images": "ti", "train_labels": "tl",
                   "test_images": "vi", "test_labels": "vl",
                   "train_limit": None, "test_limit": None}},
-     "032b67544ca754a9573fd734ab4f78f7b6b23c41343c1c77aad7deccedbbb415"),
+     "81aaa4517c07463b206a8c0dcc6986e83b5bb9d90eb959102f0120cc4963745e"),
     ("qsgd_int_lr", "experiment", {"qsgd": {"local_lr": 1}},
-     "d871c07df2d5f7d9269ba5f7953c9ad0de2dc246b9c6a08a0bb0706e17c933c3"),
+     "316233c19a0ff9a38b05c766d28058a961c2e5c3565a0b123f1fbda9379669ff"),
 ]
 
 

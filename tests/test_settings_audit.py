@@ -90,35 +90,13 @@ def _variants(path, node, cfg):
         return [({}, {path: value // 4})]
     if path == "clients_per_round":
         return [({}, {path: value - 1})]  # one more would exceed num_clients
-    if path == "codec.kl_min_threshold":
-        # a nudge of the default edge leaves 3 rounds as they are; an edge at
-        # 0 or at the target moves the decision of round 1 on one side of it,
-        # where the partition has blocks to merge.  signsgd's shipped target
-        # leaves it one block; under a target of 0.3 it has three, and a
-        # round-1 mean block KL between the default edge of 0.15 and 0.3
-        finer = {"codec.d_kl_target": 0.3}
-        return [({}, {path: 0.0}), ({}, {path: cfg.codec.d_kl_target}),
-                (finer, {**finer, path: 0.3})]
-    if path == "codec.kl_max_threshold":
-        # at the shipped targets the mean block KL of round 1 is below the
-        # target, where no upper edge can act; under a target of 0.1 it lies
-        # above the target and either below or above the default edge of 0.2,
-        # but qsgd's blocks are then single coordinates, with nothing to split.
-        # With one client a round and a target of 0.6, qsgd's blocks are up to
-        # two wide and their round-1 mean KL lies above the target
-        low = {"codec.d_kl_target": 0.1}
-        one = {"codec.d_kl_target": 0.6, "clients_per_round": 1}
-        return [(low, {**low, path: 0.1}), (low, {**low, path: 10.0}),
-                (one, {**one, path: 0.6})]
     if path == "codec.d_kl_target":
-        # the target sets the partition, the default band and the session K,
-        # which caps each block's own candidate count.  signsgd's one block
-        # of about 0.55 nats and spread 1.0 draws 8 candidates at r = 0.5, and
-        # a 1.5 times larger target leaves its partition and band as they
-        # are; half the target caps the count at 4, with the band held at
-        # [0.3, 3], which both targets lie in and both runs' blocks lie inside
-        band = {"codec.kl_min_threshold": 0.3, "codec.kl_max_threshold": 3.0}
-        return [({}, {path: 1.5 * value}), (band, {**band, path: value / 2})]
+        # the target sets the partition, the band [target / 2, 2 * target]
+        # and the session K, which caps each block's own candidate count.
+        # signsgd's one block of about 0.55 nats, at r = 0.5, stays one block,
+        # which no band re-cuts, under a 1.5 times larger target; half the
+        # target caps its count of 8 candidates at 4
+        return [({}, {path: 1.5 * value}), ({}, {path: value / 2})]
     if path == "codec.overhead_r":
         # ordered random coding keeps its pick when K grows and the winner is
         # among the first K candidates, which it was in qsgd's 3 rounds at
@@ -132,8 +110,6 @@ def _variants(path, node, cfg):
         # logistic does not read hidden_units; 2 keeps the mlp near dim 42
         shared = {"model.hidden_units": 2}
         return [(shared, {**shared, path: "mlp"})]
-    if path == "sgld.noise_sigma":  # null: the Langevin default
-        return [({}, {path: 1.5 * cfg.sgld.sigma_s(cfg.clients_per_round)})]
     if "enum" in node:
         return [({}, {path: next(v for v in node["enum"] if v != value)})]
     if isinstance(value, bool):
