@@ -48,11 +48,12 @@ the first, is a location round.  Every client cuts its own blocks from its
 per-coordinate KL (:func:`encode_update` with no partition) and ships their
 lengths.  :func:`next_partition` then merges the partitions that crossed the
 wire into the shared one.  On ordinary rounds each message says only which
-side of the band [kl_min_threshold, kl_max_threshold] its client's mean
-block KL lies on (an experiment's band is [d_kl_target / 2,
-2 * d_kl_target]), and the server drops the partition only when more than half of the round's messages lie strictly outside the band
-on one side and a re-cut could change the partition: below the band only
-if it has blocks to merge, above it only if it has a block to split.  A
+side of the band [d_kl_target / 2, 2 * d_kl_target] its client's mean
+block KL lies on.  The codec derives that band from the target; it is not
+a parameter.  The server drops the partition only when more than half of the
+round's messages lie strictly outside the band on one side and a re-cut
+could change the partition: below the band only if it has blocks to
+merge, above it only if it has a block to split.  A
 dropped partition makes the next round a location round again; a one-block
 partition below the band is kept, so while a model's whole KL stays under
 the target it ships its locations on the first round only.
@@ -69,10 +70,10 @@ The kind code is a prefix code over the four kinds of message: 0 for a mean
 block KL below the band, 10 inside it, 110 above it and 111 for a location
 message.  Every bit string starts with exactly one of the four.  The client
 takes its symbol from the exact mean block KL it computes for its blocks;
-a KL equal to a threshold is inside.  A location message carries no KL at
-all, because the round after it only merges the shipped lengths.  So no KL
-value crosses the wire: a report of the clients' KL (the simulator's
-mean_kl_per_param) reads each client's own figure,
+a KL equal to an edge of the band is inside.  A location message carries
+no KL at all, because the round after it only merges the shipped lengths.
+So no KL value crosses the wire: a report of the clients' KL (the
+simulator's mean_kl_per_param) reads each client's own figure,
 :attr:`EncodedUpdate.avg_block_kl`, which the parser leaves as None.
 
 The reader mirrors that list: it unpacks the whole message into one bit array,
@@ -119,8 +120,8 @@ _POWERS_OF_TWO = _BIT_WEIGHTS[::-1].copy()  # 2^0 ... 2^63, for searchsorted
 # more is packed into 64-bit words by numpy
 _FEW_FIELDS = 64
 
-# which side of [kl_min_threshold, kl_max_threshold] a message's mean block
-# KL lies on; a location message (band None) carries none
+# which side of the band [d_kl_target / 2, 2 * d_kl_target] a message's mean
+# block KL lies on; a location message (band None) carries none
 BANDS = ("below", "inside", "above")
 # (value, width) of each kind's code, in the order of _KINDS: the kind's
 # place in that order as that many 1s, then a 0 for all but the last
@@ -131,6 +132,16 @@ _KIND_CODES = ((0b0, 1), (0b10, 2), (0b110, 3), (0b111, 3))
 _BLOCK_TAG = "block"
 _SHARED_TAG = "shared"
 _SELECT_TAG = "select"
+
+
+def index_fields_too_wide(nats: float) -> str:
+    """Why a sample budget of ``nats`` (a KL plus overhead_r) needs index
+    fields wider than the wire's 63 bits, as "<nats> nats, which needs ...",
+    or "" if it fits."""
+    if nats / _LN2 <= _MAX_FIELD_BITS:  # the quotient samples_per_block rounds up
+        return ""
+    return (f"{nats} nats, which needs index fields wider than {_MAX_FIELD_BITS} bits; "
+            f"at most {_MAX_FIELD_BITS} ln 2 = {_MAX_FIELD_BITS * _LN2:.4f} nats fit")
 
 
 class WireFormatError(ValueError):
@@ -148,8 +159,6 @@ class CodecParams:
     d_kl_target: float
     overhead_r: float = 0.0
     max_block_size: int = 1024
-    kl_min_threshold: float = 0.0
-    kl_max_threshold: float = math.inf
 
     def __post_init__(self) -> None:
         if not self.d_kl_target > 0:
@@ -161,18 +170,9 @@ class CodecParams:
             raise ValueError(f"max_block_size must be an integer in [1, 2^{_MAX_FIELD_BITS} - 1]: "
                              f"{self.max_block_size!r}")
         object.__setattr__(self, "max_block_size", int(self.max_block_size))  # numpy ints too
-        if not self.kl_min_threshold <= self.d_kl_target <= self.kl_max_threshold:
-            raise ValueError(
-                "thresholds must bracket the target: "
-                f"{self.kl_min_threshold} <= {self.d_kl_target} <= {self.kl_max_threshold}"
-            )
-        nats = self.d_kl_target + self.overhead_r
-        if not nats / _LN2 <= _MAX_FIELD_BITS:  # the quotient samples_per_block rounds up
-            raise ValueError(
-                f"d_kl_target + overhead_r is {nats} nats, which needs index fields "
-                f"wider than {_MAX_FIELD_BITS} bits; at most {_MAX_FIELD_BITS} ln 2 = "
-                f"{_MAX_FIELD_BITS * _LN2:.4f} nats fit"
-            )
+        too_wide = index_fields_too_wide(self.d_kl_target + self.overhead_r)
+        if too_wide:
+            raise ValueError(f"d_kl_target + overhead_r is {too_wide}")
 
     @property
     def index_bits(self) -> int:
@@ -525,8 +525,8 @@ def encode_update(
     receiver knows both (it derives the same key).
 
     The update holds the mean block KL, and a message without locations
-    also its band: "below" kl_min_threshold, "above" kl_max_threshold, or
-    "inside" (a KL equal to a threshold is inside).
+    also its band: "below" d_kl_target / 2, "above" 2 * d_kl_target, or
+    "inside" (a KL equal to an edge is inside).
     """
     if partition is None and not include_locations:
         raise ValueError("an update without a partition must include its locations")
@@ -555,9 +555,9 @@ def encode_update(
         indices[m] = encode_block(q, p, lo, hi, num_samples, shared, selector, ratio)
     if include_locations:
         band = None
-    elif avg_block_kl < params.kl_min_threshold:
+    elif avg_block_kl < params.d_kl_target / 2.0:
         band = "below"
-    elif avg_block_kl > params.kl_max_threshold:
+    elif avg_block_kl > params.d_kl_target * 2.0:
         band = "above"
     else:
         band = "inside"

@@ -12,8 +12,8 @@ toy r_grid entry and the toy's largest client KL need index fields of at most
 sqrt(2 * step_gamma * clients_per_round) / server_lr under variant klms must
 be a normal float64, and no setting is accepted that the run would then
 ignore: qsgd.levels other than 1 under variant klms or method none (neither
-message has levels).  The KL band is not a field: it is always
-[d_kl_target / 2, 2 * d_kl_target].
+message has levels).  The KL band is not a field: the codec derives it
+from d_kl_target.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .codec import CodecParams
+from .codec import CodecParams, index_fields_too_wide
 from .methods import FedPMParams, QSGDParams, SGLDParams, SignSGDParams
 
 _DEFS = json.loads(Path(__file__).with_name("config.schema.json").read_text())["$defs"]
@@ -96,7 +96,6 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     codec: CodecParams = field(default_factory=lambda: CodecParams(
         d_kl_target=3.0, overhead_r=2.0, max_block_size=4096,
-        kl_min_threshold=1.5, kl_max_threshold=6.0,
     ))
     fedpm: FedPMParams = field(default_factory=FedPMParams)
     qsgd: QSGDParams = field(default_factory=QSGDParams)
@@ -239,10 +238,8 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
                 "the message sigma is sqrt(2 * step_gamma * clients_per_round) / server_lr; ")
     if cfg.method == "none" and cfg.qsgd.levels != 1:  # none sends the raw delta
         errors.append("qsgd.levels: must be 1 when method is none")
-    target = codec.get("d_kl_target", cfg.codec.d_kl_target)
     try:
-        cfg.codec = replace(cfg.codec, **codec, kl_min_threshold=target / 2.0,
-                            kl_max_threshold=target * 2.0)
+        cfg.codec = replace(cfg.codec, **codec)
     except ValueError as err:
         errors.append(f"codec: {err}")
     _raise_if(errors)
@@ -266,9 +263,9 @@ def parse_toy_config(obj: dict) -> ToyConfig:
     # not the 1-nat target (ratio * ratio overflows to inf, ratio ** 2 raises)
     ratio = (abs(cfg.mu) + max(cfg.eta_grid)) / cfg.sigma
     nats = ratio * ratio / 2.0 + max(cfg.r_grid)
-    if not nats / math.log(2.0) <= 63:
-        errors.append(f"mu: the largest client KL plus max r_grid is {nats} nats, which needs "
-                      "index fields wider than 63 bits; at most 63 ln 2 = 43.6683 nats fit")
+    too_wide = index_fields_too_wide(nats)
+    if too_wide:
+        errors.append(f"mu: the largest client KL plus max r_grid is {too_wide}")
     _raise_if(errors + _sigma_errors("sigma", cfg.sigma))
     return cfg
 

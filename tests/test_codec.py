@@ -55,14 +55,8 @@ from fedklms.streams import SampleStream, StreamKey, derive_stream
 from reference import gamma_codes, split_starts
 
 
-def params_with(target=1.0, r=0.0, max_block=1024, kl_min=0.0, kl_max=math.inf):
-    return CodecParams(
-        d_kl_target=target,
-        overhead_r=r,
-        max_block_size=max_block,
-        kl_min_threshold=kl_min,
-        kl_max_threshold=kl_max,
-    )
+def params_with(target=1.0, r=0.0, max_block=1024):
+    return CodecParams(d_kl_target=target, overhead_r=r, max_block_size=max_block)
 
 
 # --- sample budgets ---------------------------------------------------------
@@ -328,11 +322,28 @@ def test_encode_update_cost_frozen():
     upd, cost = encode_update(q, p, part, params, key, round_index=0, client_id=0)
     assert upd.indices.tolist() == [0, 1]
     assert cost.payload_bits == 4  # the codes of 1 and 2: 1 and 010
-    # the thresholds' defaults, 0 and inf, put every KL inside the band
+    # the mean block KL, about 0.857 nats, is inside the band [0.6, 2.4]
     assert cost.header_bits == 5  # kind code 10 + gamma(2) = 3
     assert cost.location_bits == 0
     assert cost.total_bits == 9
     assert cost.total_bits / q.dim == pytest.approx(9 / 4)
+
+
+def test_codec_bench_message_without_locations_frozen():
+    # the input of `fedklms codec-bench --coords 65536 --seed 1`, sent as an
+    # ordinary message: the benchmark's codec_sweep times it, and its mean
+    # block KL lies inside the band [1.5, 6], so its kind code is 10
+    params = CodecParams(d_kl_target=3.0, overhead_r=2.0)
+    key = StreamKey(1, (("bench", 0),))
+    q = BernoulliVector(0.45 + 0.1 * derive_stream(key.child("probs")).uniforms(65536))
+    p = BernoulliVector(np.full(65536, 0.5))
+    partition = split_blocks_adaptive(kl_per_coordinate(q, p), params)
+    upd, cost = encode_update(q, p, partition, params, key, round_index=0, client_id=0)
+    assert upd.num_blocks == 64 and round(upd.avg_block_kl, 4) == 1.7154
+    assert upd.band == "inside"
+    assert cost.header_bits == 15  # kind code 10 + gamma(64) = 13
+    assert (cost.location_bits, cost.payload_bits) == (0, 302)
+    assert len(serialize_update(upd, params)) == 40
 
 
 # (63 ln 2) / ln 2 is exactly 63.0 in float64: the boundary itself
@@ -403,24 +414,36 @@ def _gaussian_update(*distances, params=None, width=None):
                          StreamKey(32, (("inf", 0),)), round_index=0, client_id=0)
 
 
-# the band of each mean block KL when the band is [0.5, 2.0]: distances 0.5,
-# 1, 1.5, 2 and 4 give KLs of exactly 0.125, 0.5, 1.125, 2 and 8 nats
-_BAND_PARAMS = params_with(target=1.0, kl_min=0.5, kl_max=2.0)
+# the band of each mean block KL under a target of 1, so the band [0.5, 2.0]:
+# distances 0.5, 1, 1.5, 2 and 4 give KLs of exactly 0.125, 0.5, 1.125, 2
+# and 8 nats
+_BAND_PARAMS = params_with(target=1.0)
 _KL_OF_DISTANCE = {0.5: 0.125, 1.0: 0.5, 1.5: 1.125, 2.0: 2.0, 4.0: 8.0}
 
 
-@pytest.mark.parametrize("distance, band", [
-    pytest.param(0.5, "below", id="below"),
-    pytest.param(1.0, "inside", id="at-kl-min"),
-    pytest.param(1.5, "inside", id="inside"),
-    pytest.param(2.0, "inside", id="at-kl-max"),
-    pytest.param(4.0, "above", id="above"),
+# other targets move the band with them: distances d whose KLs d^2 / 2 lie
+# below t / 2, on t / 2 and 2 t, and above 2 t
+@pytest.mark.parametrize("target, distance, band", [
+    pytest.param(1.0, 0.5, "below", id="below"),
+    pytest.param(1.0, 1.0, "inside", id="at-kl-min"),
+    pytest.param(1.0, 1.5, "inside", id="inside"),
+    pytest.param(1.0, 2.0, "inside", id="at-kl-max"),
+    pytest.param(1.0, 4.0, "above", id="above"),
+    pytest.param(0.25, 0.25, "below", id="below-target-0.25"),
+    pytest.param(0.25, 0.5, "inside", id="at-kl-min-target-0.25"),
+    pytest.param(0.25, 1.0, "inside", id="at-kl-max-target-0.25"),
+    pytest.param(0.25, 2.0, "above", id="above-target-0.25"),
+    pytest.param(4.0, 1.0, "below", id="below-target-4"),
+    pytest.param(4.0, 2.0, "inside", id="at-kl-min-target-4"),
+    pytest.param(4.0, 4.0, "inside", id="at-kl-max-target-4"),
+    pytest.param(4.0, 8.0, "above", id="above-target-4"),
 ])
-def test_encoder_sends_the_band_of_its_exact_mean_block_kl(distance, band):
-    upd, cost = _gaussian_update(distance, params=_BAND_PARAMS)
-    assert upd.avg_block_kl == _KL_OF_DISTANCE[distance]
+def test_encoder_sends_the_band_of_its_exact_mean_block_kl(target, distance, band):
+    params = params_with(target=target)
+    upd, cost = _gaussian_update(distance, params=params)
+    assert upd.avg_block_kl == distance * distance / 2
     assert upd.band == band
-    received = deserialize_update(serialize_update(upd, _BAND_PARAMS), _BAND_PARAMS)
+    received = deserialize_update(serialize_update(upd, params), params)
     assert received.band == band and received.avg_block_kl is None
     # the kind code, then gamma(1) = 1
     assert cost.header_bits == {"below": 1, "inside": 2, "above": 3}[band] + 1
@@ -550,7 +573,7 @@ def test_non_finite_kl_refused_where_it_enters(run, match):
 ])
 def test_extreme_mean_block_kls_keep_their_value_and_band(distance, band):
     # one block of two coordinates, whose KLs are 0 and distance^2 / 2
-    upd, _ = _gaussian_update(0.0, distance, params=params_with(kl_min=1e-8, kl_max=1e300))
+    upd, _ = _gaussian_update(0.0, distance, params=params_with())
     assert upd.avg_block_kl == distance**2 / 2 and upd.band == band
 
 

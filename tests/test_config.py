@@ -26,13 +26,6 @@ class TestExperimentParsing:
         assert cfg.variant == "klms"
         assert cfg.rounds == 50
         assert cfg.codec.d_kl_target == 3.0
-        assert cfg.codec.kl_min_threshold == 1.5
-        assert cfg.codec.kl_max_threshold == 6.0
-
-    def test_kl_band_defaults_follow_target(self):
-        cfg = parse_experiment_config({"codec": {"d_kl_target": 2.0}})
-        assert cfg.codec.kl_min_threshold == 1.0
-        assert cfg.codec.kl_max_threshold == 4.0
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ConfigError, match="unknown field"):
@@ -269,17 +262,19 @@ class TestConfigFiles:
 # SHA-256 of repr(parse_*(obj)), recorded before the schema drove parsing:
 # every shipped config, plus inputs whose result is easy to get wrong (a
 # partial output block keeps its owner's other default, null means the
-# default, an integer given for a number comes back as a float).
+# default, an integer given for a number comes back as a float).  The
+# experiment digests were re-pinned when CodecParams lost its two KL band
+# fields: each repr is the one recorded before with those fields deleted.
 PARSE_CASES = [
     (name, "toy" if name.startswith("toy_") else "experiment",
      json.loads((REPO / "configs" / name).read_text()), digest)
     for name, digest in [
-        ("fedpm_separable.json", "f2ea777396ae8f4fcb149f2e2e2b2da63e85a93af2f407781002f4187fb2b2d6"),
-        ("fedpm_separable_baseline.json", "ff012f13a5e3632f86973a4e35fcfcb10ab4d39b691686d1559eb647fa111537"),
-        ("qsgd_mnist.json", "13958329725c0a713e0303771ace4506e4dc63d8fbf8fc132a371a50ea4705fb"),
-        ("qsgd_separable.json", "09e1a3a792ce588d9566be0b9eb0217232cacda1b958afd18e249c04f5249a56"),
-        ("sgld_separable.json", "fcda208b25c191260c045b842ab70d88d2ca91b992795355d10b1d9bc5f1ddec"),
-        ("signsgd_separable.json", "65ccda287f3f2bf8faa500afac52d16be95253e209b0994cc92042086e02837b"),
+        ("fedpm_separable.json", "ed62871e22b008dc200024f743cb1e9d4b8a8bb9494d6c450bcfc21e66778288"),
+        ("fedpm_separable_baseline.json", "0573f93d34cc77a16b8fca8eb974b6b147766d16979b2899d35e3ee75c22d928"),
+        ("qsgd_mnist.json", "cd0eafec77c2d777c2db2644182336a934a1d868586e3c5d1170ab519b1f1b4f"),
+        ("qsgd_separable.json", "776dfe9f18e59120a5b33304ff71d4b3763cc8d16981370b68f5a080f47dfbbe"),
+        ("sgld_separable.json", "71ae01f6a2e6d87dd18e2e3ee71ff1d5260cb30d9cbd75ce299ae18c718acc5b"),
+        ("signsgd_separable.json", "e834f3951d0c84ab3840fa0843368995597bb3c451e9d4ac6e3e0551eb575b44"),
         ("toy_default.json", "3b44df7e37ca9747635094e3f0a625fb8817a07f78873dc7d0dfd0993f4203fc"),
         ("toy_heterogeneity.json", "fa05610f5afbb01c18ab163754611341c102aa24ad243ac1c5a5125613b1319e"),
     ]
@@ -287,14 +282,14 @@ PARSE_CASES = [
     ("toy_partial_output", "toy", {"output": {"metrics_csv": "grid.csv"}},
      "631c28b764a6aa6119165f34abe07838d810b1861246482945cef99e574a7a43"),
     ("experiment_partial_output", "experiment", {"output": {"summary_json": "run.json"}},
-     "13c37129dea5c6f43dffab1b4c3f3168ad9a3fb1995dce4154b2e6e97be6b5b1"),
+     "34c751ad12ff0997c846d358fc455c56806c17ce867c62aae3dbeaa2fb428591"),
     ("nulls", "experiment",
      {"dataset": {"kind": "idx", "train_images": "ti", "train_labels": "tl",
                   "test_images": "vi", "test_labels": "vl",
                   "train_limit": None, "test_limit": None}},
-     "81aaa4517c07463b206a8c0dcc6986e83b5bb9d90eb959102f0120cc4963745e"),
+     "9399121a7a5b35b1d71d5f413d5ddc0fac2e4ac7ff312c1bde78668979e6d594"),
     ("qsgd_int_lr", "experiment", {"qsgd": {"local_lr": 1}},
-     "316233c19a0ff9a38b05c766d28058a961c2e5c3565a0b123f1fbda9379669ff"),
+     "0d64f068924784a6a434a927aad36c1f992bec415ef8f17790a0183d3b9a487a"),
 ]
 
 

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -122,32 +121,42 @@ class TestPartitionProtocol:
         assert rows[0].partition_updated is True
         assert rows[1].partition_updated is False
 
-    # the config always derives the band from the target, so these cases set
-    # it on the parsed config
     @staticmethod
-    def _banded(target, kl_min, kl_max):
-        cfg = make_config(rounds=6, codec={"d_kl_target": target, "overhead_r": 2.0,
-                                           "max_block_size": 256})
-        cfg.codec = replace(cfg.codec, kl_min_threshold=kl_min, kl_max_threshold=kl_max)
-        return cfg
+    def _protocol(monkeypatch, method, target):
+        """Eight rounds at this d_kl_target: each round's partition_updated
+        flag, and for each ordinary round the shared partition's block count
+        and the set of bands its messages sent."""
+        ordinary = []
 
-    def test_wide_band_never_updates_again(self):
-        rows, summary = run_experiment(self._banded(3.0, 0.0, 1e9))
-        assert summary["location_rounds"] == 1
+        def spy(partition, updates, params):
+            if partition is not None:
+                ordinary.append((partition.num_blocks, {u.band for u in updates}))
+            return codec.next_partition(partition, updates, params)
 
-    def test_empty_band_alternates_update_rounds(self):
-        # with an impossible band every ordinary round re-raises the flag,
-        # since a target of 0.1 cuts this model into blocks a re-cut can change
-        rows, _ = run_experiment(self._banded(0.1, 0.1, 0.1))
-        flags = [r.partition_updated for r in rows]
-        assert flags == [True, False, True, False, True, False]
+        monkeypatch.setattr(sim, "next_partition", spy)
+        rows, _ = run_experiment(make_config(
+            method=method, rounds=8,
+            codec={"d_kl_target": target, "overhead_r": 2.0, "max_block_size": 256}))
+        return [r.partition_updated for r in rows], ordinary
 
-    def test_one_block_under_an_empty_band_ships_locations_once(self):
+    def test_messages_inside_the_band_keep_the_partition(self, monkeypatch):
+        flags, ordinary = self._protocol(monkeypatch, "signsgd", 0.3)
+        assert flags == [True] + [False] * 7
+        assert ordinary == [(10, {"inside"})] * 7
+
+    def test_messages_above_the_band_alternate_location_rounds(self, monkeypatch):
+        # a target of 0.1 cuts this model into blocks a re-cut can split, so
+        # every ordinary round above the band drops the partition
+        flags, ordinary = self._protocol(monkeypatch, "signsgd", 0.1)
+        assert flags == [True, False] * 4
+        assert [bands for _, bands in ordinary] == [{"above"}] * 4
+
+    def test_one_block_below_the_band_ships_locations_once(self, monkeypatch):
         # under a target of 3.0 the whole model is one block below the band,
         # and no re-cut can merge it further
-        rows, summary = run_experiment(self._banded(3.0, 3.0, 3.0))
-        assert [r.partition_updated for r in rows] == [True] + [False] * 5
-        assert summary["location_rounds"] == 1
+        flags, ordinary = self._protocol(monkeypatch, "fedpm", 3.0)
+        assert flags == [True] + [False] * 7
+        assert ordinary == [(1, {"below"})] * 7
 
     def test_baseline_never_reports_updates(self):
         cfg = make_config(variant="baseline", rounds=4)
