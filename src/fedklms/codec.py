@@ -50,13 +50,13 @@ lengths.  :func:`next_partition` then merges the partitions that crossed the
 wire into the shared one.  On ordinary rounds each message says only which
 side of the band [d_kl_target / 2, 2 * d_kl_target] its client's mean
 block KL lies on.  The codec derives that band from the target; it is not
-a parameter.  The server drops the partition only when more than half of the
-round's messages lie strictly outside the band on one side and a re-cut
-could change the partition: below the band only if it has blocks to
-merge, above it only if it has a block to split.  A
-dropped partition makes the next round a location round again; a one-block
-partition below the band is kept, so while a model's whole KL stays under
-the target it ships its locations on the first round only.
+a parameter.  The server drops the partition only when more than half of
+the round's messages lie strictly outside the band on one side and a
+re-cut could change the partition: below the band only if it has blocks
+to merge, above it only if it has a block to split.  A dropped partition
+makes the next round a location round again; a one-block partition below
+the band is kept, so while a model's whole KL stays under the target it
+ships its locations on the first round only.
 
 The wire layout is bit-packed, MSB first within bytes, zero-padded to a
 byte.  Its one statement is the list of fields that :func:`_wire_fields`
