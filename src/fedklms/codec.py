@@ -44,8 +44,8 @@ decoder regenerates only the indexed row.  The scalar study
 only its K from :func:`samples_per_block`.
 
 The block partition's lifecycle: a round without a shared partition, such as
-the first, is a location round.  Every client cuts its own blocks from its
-per-coordinate KL (:func:`encode_update` with no partition) and ships their
+the first, is a location round.  There :func:`transmit`, given no partition,
+has each client cut its own blocks from its per-coordinate KL and ship their
 lengths.  :func:`next_partition` then merges the partitions that crossed the
 wire into the shared one.  On ordinary rounds each message says only which
 side of the band [d_kl_target / 2, 2 * d_kl_target] its client's mean
@@ -514,7 +514,8 @@ def encode_update(
     """Encode a full parameter vector block by block.
 
     With no ``partition`` the client cuts its own blocks from its KL vector
-    (:func:`split_blocks_adaptive`) and must ship their lengths.  Each block
+    (:func:`split_blocks_adaptive`) and must ship their lengths;
+    :func:`transmit`, the round trip, includes them exactly then.  Each block
     draws :func:`block_samples` of its own KL and spread; a block whose
     candidates all miss q's support sends index 0 (:func:`encode_block`).
 
@@ -599,6 +600,31 @@ def decode_update(
         shared = derive_stream(key_base.child(_BLOCK_TAG, m).child(_SHARED_TAG))
         out[lo:hi] = decode_block(p, lo, hi, num_samples, shared, int(upd.indices[m]))
     return out
+
+
+def transmit(
+    q: ProductDistribution,
+    p: ProductDistribution,
+    partition: BlockPartition | None,
+    params: CodecParams,
+    key_base: StreamKey,
+    round_index: int,
+    client_id: int,
+) -> tuple[np.ndarray, EncodedUpdate, BitCost, float]:
+    """One message end to end: encode (a location message when there is no
+    ``partition``), serialize, refuse a wire whose length is not the bit
+    accounting's, parse, and decode under the same partition.  Returns the
+    decoded vector, the parsed update (what :func:`next_partition` reads),
+    its :class:`BitCost` and the client's own KL in nats, which is not sent."""
+    upd, cost = encode_update(q, p, partition, params, key_base, round_index, client_id,
+                              include_locations=partition is None)
+    blob = serialize_update(upd, params)
+    if len(blob) != (cost.total_bits + 7) // 8:
+        raise ValueError(f"wire is {len(blob)} bytes, bit accounting says "
+                         f"{cost.total_bits} bits")
+    received = deserialize_update(blob, params)
+    decoded = decode_update(p, partition, params, key_base, received)
+    return decoded, received, cost, upd.avg_block_kl * upd.num_blocks
 
 
 def next_partition(partition: BlockPartition | None, updates: list[EncodedUpdate],

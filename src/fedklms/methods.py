@@ -246,16 +246,16 @@ def _qsgd_norm(v: np.ndarray) -> float:
     """||v|| of a QSGD input, refused at its first bad coordinate when v is
     not finite.
 
-    The plain norm is kept whenever it is finite and nonzero, or v is all
-    zero; when it overflows float64 (a sum of squares beyond the float
-    range) or underflows to 0 for a nonzero v, it is taken as m * ||v / m||
-    with m = max|v|, and a norm that overflows even so is refused at the
-    coordinate with the largest |v_i|.
+    The plain norm is kept whenever it is finite and at least 2^-511, so its
+    square is a normal float64, or v is all zero; when it overflows float64
+    (a sum of squares beyond the float range) or its square is subnormal or
+    0, it is taken as m * ||v / m|| with m = max|v|, and a norm that
+    overflows even so is refused at the coordinate with the largest |v_i|.
     """
     _check_coordinates(np.isfinite(v), "QSGD input must be finite", v)
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
-        if 0.0 < norm < math.inf or not v.any():
+        if 2.0**-511 <= norm < math.inf or not v.any():
             return norm
         i = int(np.argmax(np.abs(v)))
         m = abs(float(v[i]))

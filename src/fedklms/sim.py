@@ -19,15 +19,16 @@ Every method-specific step lives in one table, _METHODS, with one _Method
 entry per method, and no other code names a method.  `none` is the qsgd
 entry with the raw float32 delta as its message and no codec pair, so it
 runs the same under either variant.  _client_message is the client step of
-one stack, _send holds the single codec round trip and _aggregate the fold
-shared by every method; the block partition's lifecycle is the codec's (see
-fedklms.codec.next_partition).
+one stack, _send one client's message, native or one codec round trip
+(fedklms.codec.transmit), and _aggregate the fold shared by every method;
+the block partition's lifecycle, location rounds included, is the codec's
+(see fedklms.codec.transmit and next_partition).
 
 mean_kl_per_param is the mean over the round's clients of each one's own
-KL per parameter (its exact mean block KL * num_blocks / d), which the
-encoder returns with the update.  It is neither read off the wire, which
-carries only which side of the KL band each client is on, nor recomputed;
-for non-codec variants it is reported as 0.0.
+KL per parameter (its exact mean block KL * num_blocks / d), which
+fedklms.codec.transmit returns with the message.  It is neither read off the
+wire, which carries only which side of the KL band each client is on, nor
+recomputed; for non-codec variants it is reported as 0.0.
 """
 
 from __future__ import annotations
@@ -39,15 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import (
-    BlockPartition,
-    EncodedUpdate,
-    decode_update,
-    deserialize_update,
-    encode_update,
-    next_partition,
-    serialize_update,
-)
+from .codec import BlockPartition, EncodedUpdate, next_partition, transmit
 from .config import ExperimentConfig
 from .data import (
     Dataset,
@@ -350,30 +343,21 @@ def _client_message(state, cfg, model, train, shards, round_key, clients):
 
 
 def _send(method, local, state, cfg, client_key, c):
-    """One client's native message, or one codec round trip: encode with the
-    round's partition, or none, serialize, parse, decode."""
+    """One client's native message, or its codec round trip under the round's
+    partition (fedklms.codec.transmit)."""
     if not _uses_codec(cfg):
         vector, bits = method.baseline(local, cfg, client_key)
         return _Message(vector=vector, payload_bits=bits, total_bits=bits)
 
-    codec = cfg.codec
     q, p = method.pair(local, state, cfg)
-    upd, cost = encode_update(
-        q, p, state.partition, codec, client_key,
-        round_index=state.round_index, client_id=c,
-        include_locations=state.partition is None,
-    )
-    blob = serialize_update(upd, codec)
-    if len(blob) != (cost.total_bits + 7) // 8:
-        raise AssertionError("wire length disagrees with bit accounting")
-    received = deserialize_update(blob, codec)
-    sample = decode_update(p, state.partition, codec, client_key, received)
+    sample, received, cost, kl_nats = transmit(q, p, state.partition, cfg.codec, client_key,
+                                               state.round_index, c)
     return _Message(
         vector=method.to_vector(q, sample),
         payload_bits=cost.payload_bits + method.side_bits,
         total_bits=cost.total_bits + method.side_bits,
         update=received,
-        kl_nats=upd.avg_block_kl * upd.num_blocks,
+        kl_nats=kl_nats,
     )
 
 

@@ -402,6 +402,40 @@ def test_update_with_locations_round_trip():
     assert len(blob) * 8 >= cost.total_bits > (len(blob) - 1) * 8
 
 
+# transmit is the four steps in order, with locations exactly when it is
+# given no partition
+@pytest.mark.parametrize("located", [True, False], ids=["location-message", "ordinary"])
+def test_transmit_equals_the_four_steps(located):
+    params = params_with(target=0.5, max_block=16)
+    q, p = make_bernoulli_pair(9, 33)
+    part = None if located else split_blocks_adaptive(np.full(33, 0.09), params)
+    key = StreamKey(23, (("transmit", 0),))
+    decoded, received, cost, kl_nats = codec.transmit(q, p, part, params, key, 4, 1)
+    upd, expected_cost = encode_update(q, p, part, params, key, round_index=4, client_id=1,
+                                       include_locations=located)
+    parsed = deserialize_update(serialize_update(upd, params), params)
+    assert np.array_equal(decoded, decode_update(p, part, params, key, parsed))
+    assert received.includes_locations == located
+    assert np.array_equal(received.indices, parsed.indices)
+    assert (received.block_lengths, received.band) == (parsed.block_lengths, parsed.band)
+    assert cost == expected_cost
+    assert kl_nats == upd.avg_block_kl * upd.num_blocks
+    assert kl_nats == pytest.approx(kl_per_coordinate(q, p).sum(), rel=1e-12)
+
+
+def test_transmit_refuses_a_wire_that_disagrees_with_the_accounting(monkeypatch):
+    params = params_with(target=0.5, max_block=16)
+    q, p = make_bernoulli_pair(9, 33)
+    key = StreamKey(23, (("transmit", 0),))
+    _, cost = encode_update(q, p, None, params, key, 0, 0, include_locations=True)
+    serialize = codec.serialize_update
+    monkeypatch.setattr(codec, "serialize_update",
+                        lambda upd, params: serialize(upd, params) + b"\0")
+    with pytest.raises(ValueError, match=f"wire is {(cost.total_bits + 7) // 8 + 1} bytes, "
+                                         f"bit accounting says {cost.total_bits} bits"):
+        codec.transmit(q, p, None, params, key, 0, 0)
+
+
 def _gaussian_update(*distances, params=None, width=None):
     """Encode Gaussian coordinates whose client and global means lie the given
     distances apart, so each has KL distance^2 / 2, in blocks of ``width``

@@ -321,25 +321,32 @@ def test_qsgd_quantize_levels_do_not_overflow():
     assert lev.tolist() == [4, 0] and out.tolist() == [1e308, 0.0]
 
 
-# the sum of squares underflows to 0; the norm itself does not
-TINY = np.array([1e-200, -1e-200])
+# inputs whose sum of squares underflows to 0 or is subnormal while their
+# norms do not, with those norms; the plain norm of the second is
+# 4.99997e-160, off by 5.6e-6
+SMALL_NORMS = pytest.mark.parametrize("v, norm", [
+    pytest.param(np.array([1e-200, -1e-200]), np.sqrt(2.0) * 1e-200, id="square-0"),
+    pytest.param(np.array([3e-160, -4e-160]), 5e-160, id="square-subnormal"),
+])
 
 
-def test_qsgd_client_distribution_scales_a_norm_whose_square_underflows():
-    d = qsgd_client_distribution(TINY)
-    assert d.magnitude == pytest.approx(np.sqrt(2.0) * 1e-200, rel=1e-15)
-    assert d.magnitude * (d.p_pos - d.p_neg) == pytest.approx(TINY, rel=1e-15, abs=0.0)
+@SMALL_NORMS
+def test_qsgd_client_distribution_scales_a_norm_whose_square_underflows(v, norm):
+    d = qsgd_client_distribution(v)
+    assert d.magnitude == pytest.approx(norm, rel=1e-15, abs=0.0)
+    assert d.magnitude * (d.p_pos - d.p_neg) == pytest.approx(v, rel=1e-15, abs=0.0)
 
 
-def test_qsgd_quantize_scales_a_norm_whose_square_underflows():
-    # each coordinate is sent at the norm with probability 1/sqrt(2); the
-    # mean over 1,000 draws is within 0.1e-200 of v (the std is 0.02e-200)
-    draws = [qsgd_quantize(TINY, 1, stream("tiny", i)) for i in range(1000)]
+@SMALL_NORMS
+def test_qsgd_quantize_scales_a_norm_whose_square_underflows(v, norm):
+    # each coordinate is sent at the norm with probability |v_i| / norm; the
+    # mean over 1,000 draws is within 0.1 norm of v (the std is at most
+    # 0.016 norm)
+    draws = [qsgd_quantize(v, 1, stream("tiny", i)) for i in range(1000)]
     for out, lev in draws:
         assert np.all((lev == 0) | (lev == 1))
-        assert out == pytest.approx(np.sqrt(2.0) * 1e-200 * np.sign(TINY) * lev,
-                                    rel=1e-15, abs=0.0)
-    assert np.mean([out for out, _ in draws], axis=0) == pytest.approx(TINY, abs=0.1e-200)
+        assert out == pytest.approx(norm * np.sign(v) * lev, rel=1e-15, abs=0.0)
+    assert np.mean([out for out, _ in draws], axis=0) == pytest.approx(v, abs=0.1 * norm)
 
 
 @pytest.mark.parametrize("quantize", [
