@@ -12,7 +12,8 @@ another one.  It writes, and checks nothing:
 * ``tier1``: the wall time, exit code and summary line of the tier-1 suite;
 * ``full_length``: for each case of ``scripts/output_digests.py``, the wall
   time of ``outputs(case)``, the sha256 of the metrics CSV and summary JSON
-  it returns, and for a train case the accuracy and bpp it reports;
+  it returns, and for a train case the accuracy, bpp and location rounds it
+  reports;
 * ``machine``: what picks the float kernels, from :func:`machine`.
 
 The runs take about five minutes on 2 vCPUs.  They go one after another,

@@ -6,9 +6,9 @@ qsgd/signsgd/sgld separable configs with `variant: baseline`, and the qsgd
 config with `method: none`; then both toy configs as `fedklms toy` would.
 Each line starts `<case> <metrics CSV sha256> <summary JSON sha256>`; a train
 line goes on with the run's final accuracy, best accuracy, mean payload bpp
-and mean total bpp to 4 decimals, so the four codec-versus-baseline pairs
-read as a bitrate/accuracy table.  The files are written to a temporary
-directory that is removed afterwards.
+and mean total bpp to 4 decimals, then its number of location rounds, so the
+four codec-versus-baseline pairs read as a bitrate/accuracy table.  The files
+are written to a temporary directory that is removed afterwards.
 
 The tier-1 suite loads this script and calls `outputs` for each case, once
 per session: `tests/test_sim.py` pins the nine train digest pairs, and each
@@ -48,7 +48,8 @@ TRAIN_CASES = {
 }
 TOY_CASES = ("toy_default", "toy_heterogeneity")
 # the summary fields a train line reports after its digests
-SUMMARY_KEYS = ("final_accuracy", "best_accuracy", "mean_bpp_payload", "mean_bpp_total")
+SUMMARY_KEYS = ("final_accuracy", "best_accuracy", "mean_bpp_payload", "mean_bpp_total",
+                "location_rounds")
 
 
 @functools.cache
@@ -76,7 +77,9 @@ def main() -> int:
     sha = lambda data: hashlib.sha256(data).hexdigest()
     for case in (*TRAIN_CASES, *TOY_CASES):
         csv, summary_json, summary = outputs(case)
-        stats = [f"{summary[key]:.4f}" for key in SUMMARY_KEYS] if case in TRAIN_CASES else []
+        # the rates to 4 decimals, the location round count as an integer
+        stats = ([f"{summary[key]:.4f}" if isinstance(summary[key], float) else str(summary[key])
+                  for key in SUMMARY_KEYS] if case in TRAIN_CASES else [])
         print(case, sha(csv), sha(summary_json), *stats, flush=True)
     return 0
 

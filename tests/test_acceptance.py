@@ -330,7 +330,7 @@ def test_7_langevin_noise_calibration():
     clients, dim, reps = 4, 8, 10_000
     sigma = params.sigma_s(clients)
     target_var = aggregate_noise_var(params, clients)
-    assert target_var == pytest.approx(2.0 * params.step_gamma, rel=1e-12)
+    assert target_var == pytest.approx(2.0 * params.step_gamma, rel=1e-12, abs=0.0)
 
     root = StreamKey(77)
     theta = np.zeros(dim)
