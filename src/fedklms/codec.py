@@ -46,17 +46,18 @@ only its K from :func:`samples_per_block`.
 The block partition's lifecycle: a round without a shared partition, such as
 the first, is a location round.  There :func:`transmit`, given no partition,
 has each client cut its own blocks from its per-coordinate KL and ship their
-lengths.  :func:`next_partition` then merges the partitions that crossed the
-wire into the shared one.  On ordinary rounds each message says only which
-side of the band [d_kl_target / 2, 2 * d_kl_target] its client's mean
-block KL lies on.  The codec derives that band from the target; it is not
-a parameter.  The server drops the partition only when more than half of
-the round's messages lie strictly outside the band on one side and a
-re-cut could change the partition: below the band only if it has blocks
-to merge, above it only if it has a block to split.  A dropped partition
-makes the next round a location round again; a one-block partition below
-the band is kept, so while a model's whole KL stays under the target it
-ships its locations on the first round only.
+lengths.  :func:`next_partition` then adopts one of the partitions that
+crossed the wire as the shared one: that of the client whose block count is
+the upper median.  On ordinary rounds each message says only which side of
+the band [d_kl_target / 2, 2 * d_kl_target] its client's mean block KL lies
+on.  The codec derives that band from the target; it is not a parameter.
+The server drops the partition only when more than half of the round's
+messages lie strictly outside the band on one side and a re-cut could
+change the partition: below the band only if it has blocks to merge, above
+it only if it has a block to split.  A dropped partition makes the next
+round a location round again; a one-block partition below the band is
+kept, so while a model's whole KL stays under the target it ships its
+locations on the first round only.
 
 The wire layout is bit-packed, MSB first within bytes, zero-padded to a
 byte.  Its one statement is the list of fields that :func:`_wire_fields`
@@ -71,7 +72,7 @@ block KL below the band, 10 inside it, 110 above it and 111 for a location
 message.  Every bit string starts with exactly one of the four.  The client
 takes its symbol from the exact mean block KL it computes for its blocks;
 a KL equal to an edge of the band is inside.  A location message carries
-no KL at all, because the round after it only merges the shipped lengths.
+no KL at all, because the round after it only reads the shipped lengths.
 So no KL value crosses the wire: a report of the clients' KL (the
 simulator's mean_kl_per_param) reads each client's own figure,
 :attr:`EncodedUpdate.avg_block_kl`, which the parser leaves as None.
@@ -358,38 +359,24 @@ def split_blocks_fixed(dim: int, block_size: int) -> BlockPartition:
     return BlockPartition(dim=dim, starts=tuple(range(0, dim, block_size)))
 
 
-def aggregate_block_locations(
-    partitions: list[BlockPartition], max_block_size: int
-) -> BlockPartition:
-    """Merge per-client partitions into one: per position, the ceiling of the
-    mean start over the clients that have that many blocks.
+def aggregate_block_locations(partitions: list[BlockPartition]) -> BlockPartition:
+    """The shipped partition whose block count is the upper median: the one
+    at position n // 2 once the n partitions are stably sorted by block
+    count, so ties keep the clients' order.
 
-    The raw ceil-means can collide or go out of range, so the result is
-    repaired: non-increasing starts are dropped, and blocks over
-    max_block_size are split at cap multiples.
+    Each partition already covers [0, dim) in blocks the parser bounded to
+    [1, max_block_size], so the choice needs no repair.  A client that cut
+    fewer blocks tends to lie below the band under the chosen partition, and
+    one that cut more above it.  At most n // 2 clients cut fewer and at
+    most ceil(n / 2) - 1 cut more, so neither group alone is the strict
+    majority that drops a partition (:func:`next_partition`).
     """
     if not partitions:
         raise ValueError("need at least one client partition")
     dim = partitions[0].dim
     if any(p.dim != dim for p in partitions):
         raise ValueError(f"partitions disagree on dimension: {[p.dim for p in partitions]}")
-    deepest = max(p.num_blocks for p in partitions)
-    starts = []
-    for m in range(deepest):
-        having = [p.starts[m] for p in partitions if p.num_blocks > m]
-        starts.append(math.ceil(sum(having) / len(having)))
-    merged = [0]
-    for s in starts[1:]:
-        if merged[-1] < s < dim:
-            merged.append(s)
-    capped = [0]
-    for lo, hi in zip(merged, merged[1:] + [dim]):
-        if lo > 0:
-            capped.append(lo)
-        while hi - lo > max_block_size:
-            lo += max_block_size
-            capped.append(lo)
-    return BlockPartition(dim=dim, starts=tuple(capped))
+    return sorted(partitions, key=lambda p: p.num_blocks)[len(partitions) // 2]
 
 
 def selection_weights(
@@ -627,17 +614,18 @@ def transmit(
     return decoded, received, cost, upd.avg_block_kl * upd.num_blocks
 
 
-def next_partition(partition: BlockPartition | None, updates: list[EncodedUpdate],
-                   params: CodecParams) -> BlockPartition | None:
+def next_partition(partition: BlockPartition | None,
+                   updates: list[EncodedUpdate]) -> BlockPartition | None:
     """The server's partition for the next round, from this round's updates:
-    after a location round (no ``partition``) the merge of the block lengths
-    they shipped; otherwise the same partition, or None (a location round
-    next) when a re-cut could change it: more than half of the updates lie
-    below the band and the partition has blocks to merge, or more than half
-    lie above it and it has a block to split.  An exact half keeps it."""
+    after a location round (no ``partition``) the blocks the upper-median
+    client shipped (:func:`aggregate_block_locations`); otherwise the same
+    partition, or None (a location round next) when a re-cut could change
+    it: more than half of the updates lie below the band and the partition
+    has blocks to merge, or more than half lie above it and it has a block
+    to split.  An exact half keeps it."""
     if partition is None:
-        shipped = [BlockPartition.from_lengths(u.block_lengths) for u in updates]
-        return aggregate_block_locations(shipped, params.max_block_size)
+        return aggregate_block_locations(
+            [BlockPartition.from_lengths(u.block_lengths) for u in updates])
     bands = [u.band for u in updates]
     merge = 2 * bands.count("below") > len(bands) and partition.num_blocks > 1
     # fewer blocks than coordinates: some block is wider than one

@@ -365,7 +365,7 @@ def _aggregate(state, cfg, messages, round_key):
     """The next round's block partition, then the fold of the decoded vectors."""
     partition = state.partition
     if _uses_codec(cfg):
-        partition = next_partition(partition, [m.update for m in messages], cfg.codec)
+        partition = next_partition(partition, [m.update for m in messages])
     folded = _METHODS[cfg.method].fold(state, cfg, [m.vector for m in messages], round_key)
     return replace(folded, partition=partition)
 
