@@ -190,7 +190,8 @@ def test_aggregate_identical_clients_identity():
 
 
 def test_aggregate_ties_keep_the_clients_order():
-    # three two-block partitions tie at the upper median: the second one shipped
+    # three partitions tie at two blocks; position 2, the upper median, is the
+    # second of them in the clients' order
     parts = [BlockPartition(dim=9, starts=s) for s in ((0,), (0, 2), (0, 4), (0, 6), (0, 1, 5))]
     assert aggregate_block_locations(parts) is parts[2]
 
